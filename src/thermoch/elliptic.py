@@ -40,20 +40,18 @@ class EllipticProblem:
             raise ValueError("right-hand side contains non-finite samples")
 
 
-def _residual(problem: EllipticProblem, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _residual(
+    problem: EllipticProblem, h_c: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     basis = problem.basis
-    grid = u @ basis.eigenfunction_values
+    grid = spectral.to_field(Coeffs(u, basis)).values
     beta_vals = potentials.yosida(problem.potential, problem.eps, grid)
-    h_c = spectral.to_coeffs(problem.h, basis).values
-    res = basis.eigenvalues * u + basis.eigenfunction_values @ (
-        basis.quadrature_weight * beta_vals
-    ) - h_c
-    return res, grid
+    nl = spectral.to_coeffs(Field(beta_vals, basis.domain), basis).values
+    return basis.eigenvalues * u + nl - h_c, grid
 
 
-def _objective(problem: EllipticProblem, u: np.ndarray, grid: np.ndarray) -> float:
+def _objective(problem: EllipticProblem, h_c: np.ndarray, u: np.ndarray, grid: np.ndarray) -> float:
     basis = problem.basis
-    h_c = spectral.to_coeffs(problem.h, basis).values
     primitive = potentials.yosida_primitive(problem.potential, problem.eps, grid)
     return (
         0.5 * float((basis.eigenvalues * u**2).sum())
@@ -73,12 +71,13 @@ def solve_elliptic(
     Raises NumericFailure if the damped iteration stalls outside it.
     """
     basis = problem.basis
-    h_norm = spectral.norm_L2(spectral.to_coeffs(problem.h, basis))
+    h_c = spectral.to_coeffs(problem.h, basis).values
+    h_norm = float(np.linalg.norm(h_c))
     target = _TOL_FACTOR * (1.0 + h_norm)
     contract = 1e-10 * (1.0 + h_norm)
     u = np.zeros(basis.n) if start is None else np.array(start.values, dtype=float)
 
-    res, grid = _residual(problem, u)
+    res, grid = _residual(problem, h_c, u)
     prev_norm = np.inf
     for _ in range(_MAX_ITER):
         res_norm = float(np.linalg.norm(res))
@@ -102,14 +101,13 @@ def solve_elliptic(
         # Accept on Armijo decrease of the convex objective (global phase) or
         # on plain residual decrease (local phase, where the objective is
         # flat to roundoff while the residual still contracts quadratically).
-        phi_val = _objective(problem, u, grid)
+        phi_val = _objective(problem, h_c, u, grid)
         descent = float(direction @ res)
         alpha = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = u + alpha * direction
-            trial_grid = trial @ E
-            trial_res, _ = _residual(problem, trial)
-            armijo = _objective(problem, trial, trial_grid) <= phi_val + 1e-4 * alpha * descent
+            trial_res, trial_grid = _residual(problem, h_c, trial)
+            armijo = _objective(problem, h_c, trial, trial_grid) <= phi_val + 1e-4 * alpha * descent
             if armijo or float(np.linalg.norm(trial_res)) < res_norm:
                 u, grid, res = trial, trial_grid, trial_res
                 break

@@ -6,6 +6,14 @@ rectangles use tensor products.  Quadrature is the uniform midpoint rule,
 which integrates products of any two retained eigenfunctions exactly, so the
 coefficient transform is the L2-orthogonal projection onto the span and all
 spectral norms are Parseval-exact.
+
+Because every eigenfunction is a product of 1-D cosines sampled on the same
+midpoint nodes, the transforms factor axis by axis (sum factorisation): the
+basis keeps one small matrix C[k, i] = e_k(x_i) per axis, and a transform
+contracts the grid with each C in turn, O(M^(d+1) K) work and O(M K) memory
+for M nodes and K wavenumbers per axis.  The dense n x N matrix of sampled
+eigenfunctions is built only on request (``eigenfunction_values``), as the
+oracle the tests compare against and for the dense Newton Jacobians.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -44,15 +53,15 @@ class BoxDomain:
     def dim(self) -> int:
         return len(self.lengths)
 
-    @property
+    @cached_property
     def measure(self) -> float:
         return float(np.prod(self.lengths))
 
-    @property
+    @cached_property
     def n_grid(self) -> int:
         return self.grid_points_per_axis ** self.dim
 
-    @property
+    @cached_property
     def cell_weight(self) -> float:
         return self.measure / self.n_grid
 
@@ -119,20 +128,28 @@ def norm_Lp(f: Field, p: float) -> float:
     return float((w * np.abs(f.values) ** p).sum() ** (1.0 / p))
 
 
-def _axis_eigenfunctions(k: int, x: np.ndarray, L: float) -> np.ndarray:
-    if k == 0:
-        return np.full_like(x, math.sqrt(1.0 / L))
-    return math.sqrt(2.0 / L) * np.cos(k * math.pi * x / L)
+def _axis_eigenfunctions(k_max: int, x: np.ndarray, L: float) -> np.ndarray:
+    """Rows e_k(x) for k = 0..k_max: C[k, i] = e_k(x_i)."""
+    out = math.sqrt(2.0 / L) * np.cos(np.multiply.outer(np.arange(k_max + 1) * math.pi, x) / L)
+    out[0] = math.sqrt(1.0 / L)
+    return out
 
 
 @dataclass(frozen=True)
 class SpectralBasis:
-    """First n Neumann eigenpairs on a box, sorted by (eigenvalue, mode)."""
+    """First n Neumann eigenpairs on a box, sorted by (eigenvalue, mode).
+
+    ``axis_factors[d]`` holds the 1-D eigenfunctions of axis d sampled on its
+    nodes, one row per wavenumber up to the largest one any mode uses on that
+    axis; ``mode_index[j]`` is the flat (C-order) position of mode j in the
+    tensor grid of those wavenumbers.
+    """
 
     domain: BoxDomain
     modes: tuple[tuple[int, ...], ...]
     eigenvalues: np.ndarray = field(compare=False)
-    eigenfunction_values: np.ndarray = field(compare=False, repr=False)
+    axis_factors: tuple[np.ndarray, ...] = field(compare=False, repr=False)
+    mode_index: np.ndarray = field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -141,6 +158,21 @@ class SpectralBasis:
     @property
     def quadrature_weight(self) -> float:
         return self.domain.cell_weight
+
+    @cached_property
+    def eigenfunction_values(self) -> np.ndarray:
+        """Dense n x N matrix of sampled eigenfunctions, built on first use.
+
+        Slow path: the transforms never touch it.  It serves as the oracle
+        for the factored transforms and for the dense Newton Jacobians.
+        """
+        rows = []
+        for mode in self.modes:
+            prod = self.axis_factors[0][mode[0]]
+            for C, k in zip(self.axis_factors[1:], mode[1:]):
+                prod = np.multiply.outer(prod, C[k])
+            rows.append(prod.ravel())
+        return np.array(rows)
 
 
 def build_basis(domain: BoxDomain, n: int) -> SpectralBasis:
@@ -168,15 +200,19 @@ def build_basis(domain: BoxDomain, n: int) -> SpectralBasis:
     modes = tuple(candidates[:n])
     eigenvalues = np.array([eig(mode) for mode in modes])
 
-    axes = domain.grid_axes()
-    values = np.empty((n, domain.n_grid))
-    for i, mode in enumerate(modes):
-        factors = [_axis_eigenfunctions(k, x, L) for k, x, L in zip(mode, axes, domain.lengths)]
-        prod = factors[0]
-        for fac in factors[1:]:
-            prod = np.multiply.outer(prod, fac)
-        values[i] = prod.ravel()
-    return SpectralBasis(domain=domain, modes=modes, eigenvalues=eigenvalues, eigenfunction_values=values)
+    k_max = np.max(modes, axis=0)
+    factors = tuple(
+        _axis_eigenfunctions(int(k), x, L)
+        for k, x, L in zip(k_max, domain.grid_axes(), domain.lengths)
+    )
+    mode_index = np.ravel_multi_index(tuple(np.array(modes).T), tuple(k_max + 1))
+    return SpectralBasis(
+        domain=domain,
+        modes=modes,
+        eigenvalues=eigenvalues,
+        axis_factors=factors,
+        mode_index=mode_index,
+    )
 
 
 @dataclass(frozen=True)
@@ -212,16 +248,33 @@ def zero_coeffs(basis: SpectralBasis) -> Coeffs:
     return Coeffs(np.zeros(basis.n), basis)
 
 
+def _contract_axes(grid: np.ndarray, factors: Sequence[np.ndarray], axis: int) -> np.ndarray:
+    """Contract each axis of ``grid`` in turn with axis ``axis`` of its factor.
+
+    Each step contracts the leading axis and appends the factor's other axis,
+    so after d steps the axes are back in their original order.
+    """
+    for C in factors:
+        grid = np.tensordot(grid, C, axes=([0], [axis]))
+    return grid
+
+
 def to_coeffs(f: Field, basis: SpectralBasis) -> Coeffs:
     """Project a grid field onto the span (quadrature inner products)."""
     if f.domain != basis.domain:
         raise ValueError("field and basis live on different domains")
-    return Coeffs(basis.eigenfunction_values @ (basis.quadrature_weight * f.values), basis)
+    grid = (basis.quadrature_weight * f.values).reshape(
+        (basis.domain.grid_points_per_axis,) * basis.domain.dim
+    )
+    return Coeffs(_contract_axes(grid, basis.axis_factors, 1).ravel()[basis.mode_index], basis)
 
 
 def to_field(c: Coeffs) -> Field:
     """Evaluate the spectral element on the quadrature grid."""
-    return Field(c.values @ c.basis.eigenfunction_values, c.basis.domain)
+    basis = c.basis
+    grid = np.zeros(tuple(C.shape[0] for C in basis.axis_factors))
+    grid.flat[basis.mode_index] = c.values
+    return Field(_contract_axes(grid, basis.axis_factors, 0), basis.domain)
 
 
 def mean_value(c: Coeffs) -> float:

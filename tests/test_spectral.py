@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from thermoch import io_cli as io
 from thermoch import spectral as sp
 from thermoch.errors import ConfigurationError, MeanDomainError
 
@@ -119,6 +120,67 @@ class TestTransforms:
         big = sp.build_basis(sp.BoxDomain((1.0,), 64), 9)
         with pytest.raises(ValueError):
             sp.embed(sp.Coeffs([1.0, 0.0, 0.0, 0.0], small), big)
+
+
+def oracle_gaps(basis, rng):
+    """Relative inf-norm gaps of the factored transforms to the dense oracle."""
+    E, w = basis.eigenfunction_values, basis.quadrature_weight
+    f = sp.Field(rng.standard_normal(basis.domain.n_grid), basis.domain)
+    c = sp.Coeffs(rng.standard_normal(basis.n), basis)
+
+    def gap(fast, dense):
+        return float(np.abs(fast - dense).max() / np.abs(dense).max())
+
+    return (
+        gap(sp.to_coeffs(f, basis).values, E @ (w * f.values)),
+        gap(sp.to_field(c).values, c.values @ E),
+        gap(sp.to_coeffs(sp.to_field(c), basis).values, c.values),
+    )
+
+
+class TestFactoredTransforms:
+    @pytest.mark.parametrize(
+        "lengths,grid,n",
+        [
+            ((1.0,), 64, 16),
+            ((2.5,), 33, 1),
+            ((2.5,), 33, 17),  # odd grid, full capacity 33 // 2 + 1
+            ((1.0, 1.0), 16, 40),
+            ((1.0, 1.5), 8, 1),
+            ((2.0, 0.5), 33, 17**2),  # non-square, odd grid, full capacity
+            ((1.0, 1.0), 64, 512),
+        ],
+    )
+    def test_match_dense_oracle(self, lengths, grid, n):
+        basis = sp.build_basis(sp.BoxDomain(lengths, grid), n)
+        assert max(oracle_gaps(basis, np.random.default_rng(grid + n))) <= 1e-13
+
+    def test_axis_factors_cover_used_wavenumbers_only(self):
+        basis = sp.build_basis(sp.BoxDomain((1.0, 1.0), 16), 5)
+        assert basis.modes == ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2))
+        assert [C.shape for C in basis.axis_factors] == [(2, 16), (3, 16)]
+        assert list(basis.mode_index) == [0, 1, 3, 4, 2]
+
+    def test_semi_implicit_run_never_builds_dense_matrix(self, tmp_path, monkeypatch):
+        built = []
+        build = sp.build_basis
+
+        def recording_build(domain, n):
+            built.append(build(domain, n))
+            return built[-1]
+
+        monkeypatch.setattr(sp, "build_basis", recording_build)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(
+            "[domain]\ndim = 2\nlengths = 1.0, 1.0\ngrid = 16\nn_modes = 20\n"
+            "[potential]\nkind = regular\neps = 0.1\n"
+            "[data]\nphi0 = 0.1 + 0.2*cos(1,1)\n"
+            "[time]\nt_final = 0.05\ndt = 0.01\nscheme = semi_implicit\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert io.main(["simulate", str(cfg), "--output-dir", str(out), "--quiet"]) == 0
+        assert built and all("eigenfunction_values" not in b.__dict__ for b in built)
 
 
 class TestMeanValue:
