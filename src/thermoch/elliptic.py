@@ -40,24 +40,20 @@ class EllipticProblem:
             raise ValueError("right-hand side contains non-finite samples")
 
 
-def _residual(
+def _evaluate(
     problem: EllipticProblem, h_c: np.ndarray, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, float, potentials.Regularization]:
+    """Residual R(u), objective Phi(u) and the regularized graph, from one resolvent solve."""
     basis = problem.basis
     grid = spectral.to_field(Coeffs(u, basis)).values
-    beta_vals = potentials.yosida(problem.potential, problem.eps, grid)
-    nl = spectral.to_coeffs(Field(beta_vals, basis.domain), basis).values
-    return basis.eigenvalues * u + nl - h_c, grid
-
-
-def _objective(problem: EllipticProblem, h_c: np.ndarray, u: np.ndarray, grid: np.ndarray) -> float:
-    basis = problem.basis
-    primitive = potentials.yosida_primitive(problem.potential, problem.eps, grid)
-    return (
+    reg = potentials.regularize(problem.potential, problem.eps, grid)
+    nl = spectral.to_coeffs(Field(reg.value, basis.domain), basis).values
+    objective = (
         0.5 * float((basis.eigenvalues * u**2).sum())
-        + float(basis.quadrature_weight * primitive.sum())
+        + float(basis.quadrature_weight * reg.primitive().sum())
         - float(h_c @ u)
     )
+    return basis.eigenvalues * u + nl - h_c, objective, reg
 
 
 def solve_elliptic(
@@ -77,16 +73,15 @@ def solve_elliptic(
     contract = 1e-10 * (1.0 + h_norm)
     u = np.zeros(basis.n) if start is None else np.array(start.values, dtype=float)
 
-    res, grid = _residual(problem, h_c, u)
+    res, phi_val, reg = _evaluate(problem, h_c, u)
     prev_norm = np.inf
     for _ in range(_MAX_ITER):
         res_norm = float(np.linalg.norm(res))
         if res_norm <= target or (res_norm <= contract and res_norm > 0.5 * prev_norm):
             return Coeffs(u, basis), res_norm
         prev_norm = res_norm
-        slope = potentials.yosida_derivative(problem.potential, problem.eps, grid)
         E = basis.eigenfunction_values
-        jac = np.diag(basis.eigenvalues) + (E * (basis.quadrature_weight * slope)) @ E.T
+        jac = np.diag(basis.eigenvalues) + (E * (basis.quadrature_weight * reg.slope())) @ E.T
         shift = 0.0
         while True:
             try:
@@ -101,15 +96,14 @@ def solve_elliptic(
         # Accept on Armijo decrease of the convex objective (global phase) or
         # on plain residual decrease (local phase, where the objective is
         # flat to roundoff while the residual still contracts quadratically).
-        phi_val = _objective(problem, h_c, u, grid)
         descent = float(direction @ res)
         alpha = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = u + alpha * direction
-            trial_res, trial_grid = _residual(problem, h_c, trial)
-            armijo = _objective(problem, h_c, trial, trial_grid) <= phi_val + 1e-4 * alpha * descent
+            trial_res, trial_val, trial_reg = _evaluate(problem, h_c, trial)
+            armijo = trial_val <= phi_val + 1e-4 * alpha * descent
             if armijo or float(np.linalg.norm(trial_res)) < res_norm:
-                u, grid, res = trial, trial_grid, trial_res
+                u, res, phi_val, reg = trial, trial_res, trial_val, trial_reg
                 break
             alpha *= 0.5
         else:

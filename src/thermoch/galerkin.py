@@ -9,7 +9,9 @@ reads
 
 where A is the diagonal stiffness matrix and NL projects
 yosida(phi) + pi(phi) + a onto the span.  Mode 1 carries the exact scalar
-mean law  mean' + gamma mean = f_mean.
+mean law  mean' + gamma mean = f_mean.  The nonlinearity, mu and the energy
+of a state come from one resolvent solve (``evaluate``), which the step
+leaving the state and its record share.
 
 Two first-order schemes are provided: ``semi_implicit`` treats all linear
 terms implicitly through an exact per-mode 3x3 elimination and freezes the
@@ -84,6 +86,10 @@ class SourceTerm:
     def sup_norm(self) -> float:
         return max(float(np.abs(f.values).max(initial=0.0)) for f in self.fields)
 
+    def project(self, basis: SpectralBasis) -> SourceTerm:
+        """The same schedule with each field replaced by its coefficients."""
+        return SourceTerm(self.times, tuple(spectral.to_coeffs(f, basis) for f in self.fields))
+
 
 def constant_source(f: Field) -> SourceTerm:
     return SourceTerm(times=(0.0,), fields=(f,))
@@ -151,14 +157,13 @@ class GalerkinState:
 
 
 @dataclass(frozen=True)
-class MuReconstruction:
-    mu: Coeffs
-    xi: Field
-
-
-@dataclass(frozen=True)
 class DiagnosticsRecord:
-    """Per-step monitors: mean law, energy balance terms, norm inventory."""
+    """Per-step monitors: mean law, energy balance terms, norm inventory.
+
+    energy = 1/2 |grad phi|^2 + int (beta_hat_eps + pi_hat)(phi) + a int phi
+    + b/(2 lambda) |v|^2 + b kappa2/(2 lambda) |grad w|^2; along the exact
+    coefficient flow  d(energy)/dt + dissipation_mu + dissipation_w = source_power.
+    """
 
     t: float
     mean_phi: float
@@ -183,78 +188,77 @@ def project_initial_data(data: ProblemData, basis: SpectralBasis) -> GalerkinSta
     )
 
 
-def _nonlinear_grid(phi: Coeffs, data: ProblemData) -> tuple[np.ndarray, np.ndarray]:
-    """Grid samples of (yosida(phi), yosida(phi) + pi(phi) + a)."""
-    phi_grid = spectral.to_field(phi).values
-    beta_vals = potentials.yosida(data.potential, data.eps, phi_grid)
-    nl = beta_vals + data.potential.pi(phi_grid) + data.params.a
-    return beta_vals, nl
+@dataclass(frozen=True)
+class Evaluation:
+    """A state and what its step and record need, from one resolvent solve.
 
-
-def nonlinear_coeffs(phi: Coeffs, data: ProblemData) -> Coeffs:
-    """Projection of yosida(phi) + pi(phi) + a onto the span."""
-    _, nl = _nonlinear_grid(phi, data)
-    return spectral.to_coeffs(Field(nl, phi.basis.domain), phi.basis)
-
-
-def reconstruct_mu(state: GalerkinState, data: ProblemData) -> MuReconstruction:
-    """Assemble mu = A phi + NL(phi) - b v and the pointwise selection."""
-    beta_vals, nl = _nonlinear_grid(state.phi, data)
-    basis = state.phi.basis
-    mu = (
-        spectral.apply_stiffness(state.phi)
-        + spectral.to_coeffs(Field(nl, basis.domain), basis)
-        - data.params.b * state.v
-    )
-    return MuReconstruction(mu=mu, xi=Field(beta_vals, basis.domain))
-
-
-def energy(state: GalerkinState, data: ProblemData) -> float:
-    """Monitored functional: gradient, potential, and thermal energy terms.
-
-    E = 1/2 |grad phi|^2 + int (beta_hat_eps + pi_hat)(phi) + a int phi
-        + b/(2 lambda) |v|^2 + b kappa2/(2 lambda) |grad w|^2.
-    Along the exact coefficient flow  dE/dt + |grad mu|^2
-    + (b kappa1/lambda)|grad v|^2 = ((f - gamma phi, mu)) + (b/lambda)((g, v)).
+    ``f``, ``g``: projected sources at ``state.t``; ``nl``: projected
+    yosida(phi) + pi(phi) + a; ``mu`` = A phi + nl - b v; ``xi``: yosida(phi)
+    on the grid; ``bulk``: quadrature of beta_hat_eps(phi) + pi_hat(phi) + a phi.
     """
+
+    state: GalerkinState
+    f: Coeffs
+    g: Coeffs
+    nl: Coeffs
+    mu: Coeffs
+    xi: Field
+    bulk: float
+
+
+def _nonlinearity(phi: Coeffs, data: ProblemData) -> tuple[potentials.Regularization, Coeffs]:
+    """The regularized graph at the grid values of phi and the projected NL(phi)."""
+    grid = spectral.to_field(phi).values
+    reg = potentials.regularize(data.potential, data.eps, grid)
+    nl = reg.value + data.potential.pi(grid) + data.params.a
+    return reg, spectral.to_coeffs(Field(nl, phi.basis.domain), phi.basis)
+
+
+def evaluate(state: GalerkinState, data: ProblemData, sources: tuple[SourceTerm, SourceTerm]) -> Evaluation:
+    """Evaluate ``state`` once; ``sources`` are f and g projected onto its basis."""
     p = data.params
-    phi_grid = spectral.to_field(state.phi).values
-    w_quad = state.phi.basis.quadrature_weight
-    bulk = potentials.yosida_primitive(data.potential, data.eps, phi_grid)
-    bulk = bulk + data.potential.pi_hat(phi_grid) + p.a * phi_grid
-    return (
-        0.5 * spectral.grad_norm(state.phi) ** 2
-        + float(w_quad * bulk.sum())
-        + 0.5 * p.b / p.lambda_latent * spectral.norm_L2(state.v) ** 2
-        + 0.5 * p.b * p.kappa2 / p.lambda_latent * spectral.grad_norm(state.w) ** 2
+    basis = state.phi.basis
+    reg, nl = _nonlinearity(state.phi, data)
+    bulk = reg.primitive() + data.potential.pi_hat(reg.r) + p.a * reg.r
+    f, g = sources
+    return Evaluation(
+        state=state,
+        f=f.at(state.t),
+        g=g.at(state.t),
+        nl=nl,
+        mu=spectral.apply_stiffness(state.phi) + nl - p.b * state.v,
+        xi=Field(reg.value, basis.domain),
+        bulk=float(basis.quadrature_weight * bulk.sum()),
     )
 
 
-def compute_record(state: GalerkinState, data: ProblemData, mean_exact: float) -> DiagnosticsRecord:
+def compute_record(ev: Evaluation, data: ProblemData, mean_exact: float) -> DiagnosticsRecord:
     p = data.params
-    basis = state.phi.basis
-    rec = reconstruct_mu(state, data)
-    f_c = spectral.to_coeffs(data.f.at(state.t), basis)
-    g_c = spectral.to_coeffs(data.g.at(state.t), basis)
-    diss_mu = spectral.grad_norm(rec.mu) ** 2
+    state = ev.state
+    diss_mu = spectral.grad_norm(ev.mu) ** 2
     diss_w = p.b * p.kappa1 / p.lambda_latent * spectral.grad_norm(state.v) ** 2
-    source = spectral.inner(f_c - p.gamma * state.phi, rec.mu) + (
+    source = spectral.inner(ev.f - p.gamma * state.phi, ev.mu) + (
         p.b / p.lambda_latent
-    ) * spectral.inner(g_c, state.v)
+    ) * spectral.inner(ev.g, state.v)
     norms = {
         "phi_H1": spectral.norm_H1(state.phi),
         "phi_dual": spectral.norm_Hm1(state.phi),
         "dtw_L2": spectral.norm_L2(state.v),
         "grad_w_L2": spectral.grad_norm(state.w),
-        "xi_L1": spectral.norm_Lp(rec.xi, 1),
-        "xi_L6": spectral.norm_Lp(rec.xi, 6),
-        "mu_H1": spectral.norm_H1(rec.mu),
+        "xi_L1": spectral.norm_Lp(ev.xi, 1),
+        "xi_L6": spectral.norm_Lp(ev.xi, 6),
+        "mu_H1": spectral.norm_H1(ev.mu),
     }
     return DiagnosticsRecord(
         t=state.t,
         mean_phi=spectral.mean_value(state.phi),
         mean_phi_exact=mean_exact,
-        energy=energy(state, data),
+        energy=(
+            0.5 * spectral.grad_norm(state.phi) ** 2
+            + ev.bulk
+            + 0.5 * p.b / p.lambda_latent * norms["dtw_L2"] ** 2
+            + 0.5 * p.b * p.kappa2 / p.lambda_latent * norms["grad_w_L2"] ** 2
+        ),
         dissipation_mu=diss_mu,
         dissipation_w=diss_w,
         source_power=source,
@@ -262,24 +266,21 @@ def compute_record(state: GalerkinState, data: ProblemData, mean_exact: float) -
     )
 
 
-def rhs(state: GalerkinState, data: ProblemData) -> tuple[Coeffs, Coeffs, Coeffs]:
-    """Time derivatives (phi', w', v') at the given state."""
+def rhs(ev: Evaluation, data: ProblemData) -> tuple[Coeffs, Coeffs, Coeffs]:
+    """Time derivatives (phi', w', v') at the evaluated state."""
     p = data.params
-    basis = state.phi.basis
-    mu = reconstruct_mu(state, data).mu
-    f_c = spectral.to_coeffs(data.f.at(state.t), basis)
-    g_c = spectral.to_coeffs(data.g.at(state.t), basis)
-    dphi = f_c - spectral.apply_stiffness(mu) - p.gamma * state.phi
+    state = ev.state
+    dphi = ev.f - spectral.apply_stiffness(ev.mu) - p.gamma * state.phi
     dw = state.v
     dv = (
-        g_c
+        ev.g
         - spectral.apply_stiffness(p.kappa1 * state.v + p.kappa2 * state.w)
         - p.lambda_latent * dphi
     )
     return dphi, dw, dv
 
 
-def _step_coefficients(state: GalerkinState, data: ProblemData, dt: float):
+def _step_coefficients(ev: Evaluation, data: ProblemData, dt: float):
     """Per-mode elimination constants for the implicit linear block.
 
     Eliminating w+ = w + dt v+ and v+ = (c3 - lambda phi+)/d3 from the
@@ -287,14 +288,12 @@ def _step_coefficients(state: GalerkinState, data: ProblemData, dt: float):
     arrays indexed by mode.
     """
     p = data.params
-    basis = state.phi.basis
-    lam = basis.eigenvalues
-    f_c = spectral.to_coeffs(data.f.at(state.t), basis).values
-    g_c = spectral.to_coeffs(data.g.at(state.t), basis).values
+    state = ev.state
+    lam = state.phi.basis.eigenvalues
     d3 = 1.0 + dt * p.kappa1 * lam + dt**2 * p.kappa2 * lam
-    c3 = state.v.values + dt * g_c + p.lambda_latent * state.phi.values - dt * p.kappa2 * lam * state.w.values
+    c3 = state.v.values + dt * ev.g.values + p.lambda_latent * state.phi.values - dt * p.kappa2 * lam * state.w.values
     diag = 1.0 + dt * p.gamma + dt * lam**2 + dt * lam * p.b * p.lambda_latent / d3
-    base = state.phi.values + dt * f_c + dt * lam * p.b * c3 / d3
+    base = state.phi.values + dt * ev.f.values + dt * lam * p.b * c3 / d3
     return lam, d3, c3, diag, base
 
 
@@ -311,23 +310,22 @@ def _finish_step(state, data, dt, phi_new, c3, d3):
     )
 
 
-def _semi_implicit_phi(state, data, dt, lam, diag, base):
-    nl = nonlinear_coeffs(state.phi, data).values
-    return (base - dt * lam * nl) / diag
+def _semi_implicit_phi(ev, dt, lam, diag, base):
+    return (base - dt * lam * ev.nl.values) / diag
 
 
-def _backward_euler_phi(state, data, dt, lam, diag, base):
+def _backward_euler_phi(ev, data, dt, lam, diag, base):
     """Damped Newton on the reduced residual R(p) = diag p + dt lam NL(p) - base."""
-    basis = state.phi.basis
+    basis = ev.state.phi.basis
     w_quad = basis.quadrature_weight
     E = basis.eigenfunction_values
 
     def residual(p_vec):
-        nl = nonlinear_coeffs(Coeffs(p_vec, basis), data).values
-        return diag * p_vec + dt * lam * nl - base
+        reg, nl = _nonlinearity(Coeffs(p_vec, basis), data)
+        return diag * p_vec + dt * lam * nl.values - base, reg
 
-    p_vec = _semi_implicit_phi(state, data, dt, lam, diag, base)
-    r_vec = residual(p_vec)
+    p_vec = _semi_implicit_phi(ev, dt, lam, diag, base)
+    r_vec, reg = residual(p_vec)
     target = _NEWTON_TOL * (1.0 + float(np.linalg.norm(base)))
     for _ in range(_NEWTON_MAX_ITER):
         r_norm = float(np.linalg.norm(r_vec))
@@ -336,8 +334,8 @@ def _backward_euler_phi(state, data, dt, lam, diag, base):
             p_vec = p_vec.copy()
             p_vec[0] = base[0] / diag[0]
             return p_vec
-        grid = spectral.to_field(Coeffs(p_vec, basis)).values
-        slope = potentials.yosida_derivative(data.potential, data.eps, grid)
+        grid = reg.r
+        slope = reg.slope()
         if data.potential.pi_prime is not None:
             slope = slope + data.potential.pi_prime(grid)
         else:
@@ -348,43 +346,43 @@ def _backward_euler_phi(state, data, dt, lam, diag, base):
         try:
             delta = np.linalg.solve(jac, -r_vec)
         except np.linalg.LinAlgError as exc:
-            raise StepFailure(f"Newton Jacobian singular at t = {state.t}") from exc
+            raise StepFailure(f"Newton Jacobian singular at t = {ev.state.t}") from exc
         alpha = 1.0
         for _ in range(_NEWTON_MAX_HALVINGS):
             trial = p_vec + alpha * delta
-            r_trial = residual(trial)
+            r_trial, reg_trial = residual(trial)
             if float(np.linalg.norm(r_trial)) < r_norm:
-                p_vec, r_vec = trial, r_trial
+                p_vec, r_vec, reg = trial, r_trial, reg_trial
                 break
             alpha *= 0.5
         else:
-            raise StepFailure(f"Newton line search stalled at t = {state.t}")
+            raise StepFailure(f"Newton line search stalled at t = {ev.state.t}")
     raise StepFailure(f"Newton did not converge within {_NEWTON_MAX_ITER} iterations")
 
 
-def step(state: GalerkinState, data: ProblemData, dt: float, scheme: str = SEMI_IMPLICIT) -> GalerkinState:
-    """Advance one time step with the chosen first-order scheme."""
+def step(ev: Evaluation, data: ProblemData, dt: float, scheme: str = SEMI_IMPLICIT) -> GalerkinState:
+    """Advance the evaluated state one time step with the chosen first-order scheme."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    lam, d3, c3, diag, base = _step_coefficients(state, data, dt)
+    lam, d3, c3, diag, base = _step_coefficients(ev, data, dt)
     if scheme == SEMI_IMPLICIT:
-        phi_new = _semi_implicit_phi(state, data, dt, lam, diag, base)
+        phi_new = _semi_implicit_phi(ev, dt, lam, diag, base)
     else:
-        phi_new = _backward_euler_phi(state, data, dt, lam, diag, base)
-    return _finish_step(state, data, dt, phi_new, c3, d3)
+        phi_new = _backward_euler_phi(ev, data, dt, lam, diag, base)
+    return _finish_step(ev.state, data, dt, phi_new, c3, d3)
 
 
-def _advance(state, data, h, scheme, floor):
+def _advance(ev, data, sources, h, scheme, floor):
     """Cover [t, t+h], bisecting the interval on step failures."""
     try:
-        return step(state, data, h, scheme)
+        return step(ev, data, h, scheme)
     except StepFailure:
         if h / 2.0 < floor:
             raise
-        mid = _advance(state, data, h / 2.0, scheme, floor)
-        return _advance(mid, data, h / 2.0, scheme, floor)
+        mid = _advance(ev, data, sources, h / 2.0, scheme, floor)
+        return _advance(evaluate(mid, data, sources), data, sources, h / 2.0, scheme, floor)
 
 
 def simulate(
@@ -405,27 +403,30 @@ def simulate(
         raise ValueError(f"dt must be positive, got {dt}")
     gamma = data.params.gamma
     state = project_initial_data(data, basis)
+    sources = (data.f.project(basis), data.g.project(basis))
     mean_exact = spectral.mean_value(state.phi)
     trajectory: list[tuple[GalerkinState, DiagnosticsRecord]] = []
 
     def emit(st, me):
-        record = compute_record(st, data, me)
+        ev = evaluate(st, data, sources)
+        record = compute_record(ev, data, me)
         trajectory.append((st, record))
         for obs in observers:
             obs(st, record)
+        return ev
 
-    emit(state, mean_exact)
+    ev = emit(state, mean_exact)
     floor = max(_DT_FLOOR_FACTOR * data.t_final, 1e-300)
     while state.t < data.t_final - 1e-12 * max(data.t_final, 1.0):
         h = min(dt, data.t_final - state.t)
         f_mean = spectral.field_mean(data.f.at(state.t))
         try:
-            state = _advance(state, data, h, scheme, floor)
+            state = _advance(ev, data, sources, h, scheme, floor)
         except StepFailure as exc:
             raise RunFailure(
                 f"step failed at t = {state.t} after dt halvings: {exc}", trajectory
             ) from exc
         decay = math.exp(-gamma * h)
         mean_exact = mean_exact * decay + (f_mean / gamma) * (1.0 - decay)
-        emit(state, mean_exact)
+        ev = emit(state, mean_exact)
     return trajectory

@@ -31,7 +31,6 @@ import numpy as np
 
 from . import analysis, elliptic, galerkin, potentials, spectral
 from .errors import (
-    CompatibilityError,
     ConfigurationError,
     MeanDomainError,
     NumericFailure,
@@ -54,8 +53,8 @@ DEFAULTS: dict[str, dict[str, str]] = {
     "potential": {"kind": "regular", "c1": "2.0", "c2": "1.0", "eps": "0.1"},
     "data": {"phi0": "0.0", "w0": "0.0", "w1": "0.0", "f": "0.0", "g": "0.0"},
     "time": {"t_final": "1.0", "dt": "0.01", "scheme": "semi_implicit"},
-    "experiment": {"kind": "simulate", "schedule": "", "trials": "20", "samples": "10000"},
-    "output": {"directory": "out", "formats": "csv,json"},
+    "experiment": {"schedule": "", "trials": "20", "samples": "10000"},
+    "output": {"directory": "out"},
 }
 
 EXIT_OK = 0
@@ -202,11 +201,11 @@ class RunConfig:
             params=self.params(),
             potential=self.potential(),
             eps=self.eps(),
-            f=parse_source_expr(self.get("data", "f"), domain),
-            g=parse_source_expr(self.get("data", "g"), domain),
             phi0=parse_field_expr(self.get("data", "phi0"), domain),
             w0=parse_field_expr(self.get("data", "w0"), domain),
             w1=parse_field_expr(self.get("data", "w1"), domain),
+            f=parse_source_expr(self.get("data", "f"), domain),
+            g=parse_source_expr(self.get("data", "g"), domain),
             t_final=float(self.get("time", "t_final")),
         )
 
@@ -325,22 +324,12 @@ def validate_config(cfg: RunConfig) -> list[str]:
         return messages
 
     # Data expressions and the compatibility band need the parsed pieces.
-    domain = cfg.domain()
-    for key in ("phi0", "w0", "w1"):
-        parse_field_expr(cfg.get("data", key), domain)
-    f = parse_source_expr(cfg.get("data", "f"), domain)
-    parse_source_expr(cfg.get("data", "g"), domain)
-    if not math.isfinite(f.sup_norm()):
-        messages.append("(2.13) source amplitude sup|f| must be finite")
-        return messages
     try:
         data = cfg.problem_data()
-    except ConfigurationError as exc:
-        messages.extend(str(exc).splitlines())
-        return messages
-    try:
+        if not math.isfinite(data.f.sup_norm()):
+            return ["(2.13) source amplitude sup|f| must be finite"]
         galerkin.check_compatibility(data)
-    except CompatibilityError as exc:
+    except ConfigurationError as exc:
         messages.extend(str(exc).splitlines())
     return messages
 
@@ -421,8 +410,8 @@ def potentials_suite(
     metrics = {"monotone_defect": 0.0, "lipschitz_excess": 0.0, "zero_at_zero": 0.0,
                "domination_excess": 0.0, "envelope_defect": 0.0, "oracle_gap": 0.0}
     for eps in eps_values:
-        y = potentials.yosida(spec, eps, r)
-        dy, dr = np.diff(y), np.diff(r)
+        reg = potentials.regularize(spec, eps, r)
+        dy, dr = np.diff(reg.value), np.diff(r)
         metrics["monotone_defect"] = max(metrics["monotone_defect"], float((-dy).max(initial=0.0)))
         metrics["lipschitz_excess"] = max(
             metrics["lipschitz_excess"], float((np.abs(dy) - dr / eps).max(initial=0.0))
@@ -433,18 +422,16 @@ def potentials_suite(
         beta0 = spec.beta_min_section(r[interior])
         metrics["domination_excess"] = max(
             metrics["domination_excess"],
-            float((np.abs(y[interior]) - np.abs(beta0)).max(initial=0.0)),
+            float((np.abs(reg.value[interior]) - np.abs(beta0)).max(initial=0.0)),
         )
-        prim = potentials.yosida_primitive(spec, eps, r)
+        prim = reg.primitive()
         bh = spec.beta_hat(r)
         defect = max(
             float((-prim).max(initial=0.0)),
             float(np.where(np.isfinite(bh), prim - bh, -np.inf).max(initial=0.0)),
         )
         metrics["envelope_defect"] = max(metrics["envelope_defect"], defect)
-        gap = np.abs(
-            potentials.resolvent(spec, eps, r) - bisection_resolvent(spec, eps, r)
-        )
+        gap = np.abs(reg.j - bisection_resolvent(spec, eps, r))
         metrics["oracle_gap"] = max(metrics["oracle_gap"], float(gap.max()))
 
     checks = {

@@ -55,11 +55,6 @@ class PotentialSpec:
         return self.domain[0] < r < self.domain[1]
 
 
-def _check_eps(eps: float) -> None:
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
-
-
 def regular_potential() -> PotentialSpec:
     """Quartic double well, convex part r^4/4, perturbation slope -r."""
     return PotentialSpec(
@@ -165,7 +160,8 @@ def resolvent(spec: PotentialSpec, eps: float, r):
     is run on the monotone scalar equation, bracketed by [min(0, r), max(0, r)]
     intersected with the (clipped) domain.  Vectorized over ``r``.
     """
-    _check_eps(eps)
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
     r_arr = np.asarray(r, dtype=float)
     scalar = r_arr.ndim == 0
     r_flat = np.atleast_1d(r_arr).astype(float)
@@ -221,45 +217,66 @@ def resolvent(spec: PotentialSpec, eps: float, r):
     return float(y[0]) if scalar else y.reshape(r_arr.shape)
 
 
+@dataclass(frozen=True)
+class Regularization:
+    """The Moreau-Yosida regularization of the graph at the float array ``r``.
+
+    ``value`` = yosida(r) = (r - j) / eps, the primitive and the slope all
+    follow from the one resolvent solve ``j = resolvent(r)``.
+    """
+
+    spec: PotentialSpec
+    eps: float
+    r: np.ndarray
+    j: np.ndarray
+    value: np.ndarray
+
+    def primitive(self) -> np.ndarray:
+        """beta_hat_eps(r) = beta_hat(J) + (r - J)^2 / (2 eps); 0 <= beta_hat_eps <= beta_hat."""
+        return self.spec.beta_hat(self.j) + (self.r - self.j) ** 2 / (2.0 * self.eps)
+
+    def slope(self) -> np.ndarray:
+        """Derivative of ``value``, used for Newton Jacobians.
+
+        Equals beta'(J) / (1 + eps*beta'(J)) where the analytic beta' is
+        available; a central difference of ``yosida`` otherwise.  The double
+        obstacle case is piecewise exact: 0 inside [-1, 1], 1/eps outside.
+        """
+        spec, eps, r = self.spec, self.eps, self.r
+        if spec.kind == "double_obstacle":
+            return np.where(np.abs(r) <= 1.0, 0.0, 1.0 / eps)
+        if spec.beta_prime is not None:
+            bp = spec.beta_prime(self.j)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.where(np.isfinite(bp), bp / (1.0 + eps * bp), 1.0 / eps)
+        h = 1e-6 * np.maximum(1.0, np.abs(r))
+        return (yosida(spec, eps, r + h) - yosida(spec, eps, r - h)) / (2.0 * h)
+
+
+def regularize(spec: PotentialSpec, eps: float, r) -> Regularization:
+    """Solve the resolvent once at ``r``; vectorized over ``r``."""
+    r_arr = np.asarray(r, dtype=float)
+    j = resolvent(spec, eps, r_arr)
+    return Regularization(spec, eps, r_arr, j, (r_arr - j) / eps)
+
+
+def _match_scalar(r, out):
+    return float(out) if np.ndim(r) == 0 else out
+
+
 def yosida(spec: PotentialSpec, eps: float, r):
     """Lipschitz regularization (r - resolvent(r)) / eps of the graph."""
-    j = resolvent(spec, eps, r)
-    return (np.asarray(r, dtype=float) - j) / eps if np.ndim(r) else (r - j) / eps
+    return _match_scalar(r, regularize(spec, eps, r).value)
 
 
 def yosida_primitive(spec: PotentialSpec, eps: float, r):
-    """Regularized convex part via the envelope closed form.
-
-    beta_hat_eps(r) = beta_hat(J(r)) + (r - J(r))^2 / (2 eps) with J the
-    resolvent; satisfies 0 <= beta_hat_eps <= beta_hat.
-    """
-    j = resolvent(spec, eps, r)
-    r_arr = np.asarray(r, dtype=float)
-    val = spec.beta_hat(j) + (r_arr - j) ** 2 / (2.0 * eps)
-    return float(val) if r_arr.ndim == 0 else val
+    """Regularized convex part beta_hat_eps; see ``Regularization.primitive``."""
+    return _match_scalar(r, regularize(spec, eps, r).primitive())
 
 
 def yosida_derivative(spec: PotentialSpec, eps: float, r):
-    """Derivative of ``yosida`` at r, used for Newton Jacobians.
-
-    Equals beta'(J(r)) / (1 + eps*beta'(J(r))) where the analytic beta' is
-    available; a central difference of ``yosida`` otherwise.  The double
-    obstacle case is piecewise exact: 0 inside [-1, 1], 1/eps outside.
-    """
-    _check_eps(eps)
-    r_arr = np.asarray(r, dtype=float)
-    if spec.kind == "double_obstacle":
-        out = np.where(np.abs(r_arr) <= 1.0, 0.0, 1.0 / eps)
-        return float(out) if r_arr.ndim == 0 else out
-    if spec.beta_prime is not None:
-        j = resolvent(spec, eps, r_arr)
-        bp = spec.beta_prime(j)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.where(np.isfinite(bp), bp / (1.0 + eps * bp), 1.0 / eps)
-        return float(out) if r_arr.ndim == 0 else out
-    h = 1e-6 * np.maximum(1.0, np.abs(r_arr))
-    out = (yosida(spec, eps, r_arr + h) - yosida(spec, eps, r_arr - h)) / (2.0 * h)
-    return float(out) if r_arr.ndim == 0 else out
+    """Derivative of ``yosida`` at r; see ``Regularization.slope``."""
+    return _match_scalar(r, regularize(spec, eps, r).slope())
 
 
 @dataclass(frozen=True)

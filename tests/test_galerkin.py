@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -12,6 +13,11 @@ from thermoch.errors import CompatibilityError, ConfigurationError, RunFailure, 
 REG = pot.regular_potential()
 LOG = pot.logarithmic_potential(2.0)
 OBS = pot.double_obstacle_potential(1.0)
+
+
+def evaluate(state, data):
+    basis = state.phi.basis
+    return gk.evaluate(state, data, (data.f.project(basis), data.g.project(basis)))
 
 
 class TestParams:
@@ -103,7 +109,7 @@ class TestMuReconstruction:
             w=sp.zero_coeffs(unit_basis),
             v=sp.to_coeffs(sp.constant_field(0.2, unit_domain), unit_basis),
         )
-        rec = gk.reconstruct_mu(state, data)
+        rec = evaluate(state, data)
         assert sp.mean_value(rec.mu) == pytest.approx(-0.1, abs=1e-14)
         assert np.abs(rec.mu.values[1:]).max() <= 1e-13
 
@@ -120,7 +126,7 @@ class TestMuReconstruction:
                 t=0.0, phi=sp.Coeffs(vals, unit_basis),
                 w=sp.zero_coeffs(unit_basis), v=sp.zero_coeffs(unit_basis),
             )
-            slopes.append(gk.reconstruct_mu(state, data).mu.values[1] / amp)
+            slopes.append(evaluate(state, data).mu.values[1] / amp)
         assert slopes[1] == pytest.approx(expected, rel=1e-6)
         assert abs(slopes[1] - expected) <= abs(slopes[0] - expected) + 1e-12
 
@@ -132,7 +138,7 @@ class TestMuReconstruction:
             w=sp.zero_coeffs(unit_basis),
             v=sp.zero_coeffs(unit_basis),
         )
-        rec = gk.reconstruct_mu(state, data)
+        rec = evaluate(state, data)
         assert np.all(rec.xi.values == 0.0)
 
     def test_xi_matches_pointwise_regularization(self, unit_domain, unit_basis):
@@ -142,7 +148,7 @@ class TestMuReconstruction:
             t=0.0, phi=sp.Coeffs(0.1 * rng.standard_normal(unit_basis.n), unit_basis),
             w=sp.zero_coeffs(unit_basis), v=sp.zero_coeffs(unit_basis),
         )
-        rec = gk.reconstruct_mu(state, data)
+        rec = evaluate(state, data)
         grid = sp.to_field(state.phi).values
         assert np.array_equal(rec.xi.values, pot.yosida(REG, 0.3, grid))
 
@@ -154,7 +160,7 @@ class TestRhs:
             t=0.0, phi=sp.zero_coeffs(unit_basis),
             w=sp.zero_coeffs(unit_basis), v=sp.zero_coeffs(unit_basis),
         )
-        dphi, dw, dv = gk.rhs(state, data)
+        dphi, dw, dv = gk.rhs(evaluate(state, data), data)
         for c in (dphi, dw, dv):
             assert np.abs(c.values).max() <= 1e-14
 
@@ -171,7 +177,7 @@ class TestRhs:
             w=sp.to_coeffs(sp.constant_field(0.4, unit_domain), unit_basis),
             v=sp.to_coeffs(sp.constant_field(0.1, unit_domain), unit_basis),
         )
-        dphi, dw, dv = gk.rhs(state, data)
+        dphi, dw, dv = gk.rhs(evaluate(state, data), data)
         assert sp.mean_value(dphi) == pytest.approx(f_bar - gamma * c0, abs=1e-12)
         assert sp.mean_value(dw) == pytest.approx(0.1, abs=1e-14)
         assert sp.mean_value(dv) == pytest.approx(
@@ -186,11 +192,11 @@ class TestRhs:
             t=0.0, phi=sp.Coeffs(vals, unit_basis),
             w=sp.zero_coeffs(unit_basis), v=sp.zero_coeffs(unit_basis),
         )
-        mu = gk.reconstruct_mu(state, data).mu
-        dphi, _, _ = gk.rhs(state, data)
+        ev = evaluate(state, data)
+        dphi, _, _ = gk.rhs(ev, data)
         lam2 = unit_basis.eigenvalues[1]
         assert dphi.values[1] == pytest.approx(
-            -lam2 * mu.values[1] - 1.0 * vals[1], rel=1e-12
+            -lam2 * ev.mu.values[1] - 1.0 * vals[1], rel=1e-12
         )
 
 
@@ -202,7 +208,7 @@ class TestStep:
             t=0.0, phi=sp.zero_coeffs(unit_basis),
             w=sp.zero_coeffs(unit_basis), v=sp.zero_coeffs(unit_basis),
         )
-        out = gk.step(state, data, 0.01, scheme)
+        out = gk.step(evaluate(state, data), data, 0.01, scheme)
         assert out.t == pytest.approx(0.01)
         for c in (out.phi, out.w, out.v):
             assert np.abs(c.values).max() <= 1e-13
@@ -218,7 +224,7 @@ class TestStep:
         state = gk.project_initial_data(data, unit_basis)
         mean = sp.mean_value(state.phi)
         for _ in range(5):
-            state = gk.step(state, data, dt, scheme)
+            state = gk.step(evaluate(state, data), data, dt, scheme)
             mean = (mean + dt * f_bar) / (1.0 + gamma * dt)
             assert sp.mean_value(state.phi) == pytest.approx(mean, abs=1e-13)
 
@@ -226,9 +232,9 @@ class TestStep:
         data = make_problem_data(unit_domain, REG)
         state = gk.project_initial_data(data, unit_basis)
         with pytest.raises(ValueError):
-            gk.step(state, data, -0.1)
+            gk.step(evaluate(state, data), data, -0.1)
         with pytest.raises(ValueError):
-            gk.step(state, data, 0.1, "leapfrog")
+            gk.step(evaluate(state, data), data, 0.1, "leapfrog")
 
     @pytest.mark.parametrize("scheme", gk.SCHEMES)
     def test_consistent_with_rhs_vector_field(self, unit_domain, unit_basis, scheme):
@@ -243,10 +249,10 @@ class TestStep:
             w1=sp.constant_field(0.05, unit_domain),
         )
         state = gk.project_initial_data(data, unit_basis)
-        dphi, dw, dv = gk.rhs(state, data)
+        dphi, dw, dv = gk.rhs(evaluate(state, data), data)
         gaps = []
         for dt in (1e-4, 5e-5):
-            out = gk.step(state, data, dt, scheme)
+            out = gk.step(evaluate(state, data), data, dt, scheme)
             gap = max(
                 sp.norm_L2(out.phi - (state.phi + dt * dphi)),
                 sp.norm_L2(out.w - (state.w + dt * dw)),
@@ -277,7 +283,7 @@ class TestStep:
             t_final=0.1,
         )
         state = gk.project_initial_data(data, unit_basis)
-        out = gk.step(state, data, 1e-4, scheme)
+        out = gk.step(evaluate(state, data), data, 1e-4, scheme)
         assert np.isfinite(out.phi.values).all()
 
 
@@ -320,11 +326,11 @@ class TestSimulate:
         original = gk.step
         calls = []
 
-        def flaky(state, dat, dt, scheme=gk.SEMI_IMPLICIT):
+        def flaky(ev, dat, dt, scheme=gk.SEMI_IMPLICIT):
             calls.append(dt)
             if dt > 0.015:
                 raise StepFailure("forced")
-            return original(state, dat, dt, scheme)
+            return original(ev, dat, dt, scheme)
 
         monkeypatch.setattr(gk, "step", flaky)
         trajectory = gk.simulate(data, unit_basis, 0.02)
@@ -337,10 +343,10 @@ class TestSimulate:
         data = make_problem_data(unit_domain, REG, t_final=1.0)
         original = gk.step
 
-        def failing(state, dat, dt, scheme=gk.SEMI_IMPLICIT):
-            if state.t >= 0.02 - 1e-12:
+        def failing(ev, dat, dt, scheme=gk.SEMI_IMPLICIT):
+            if ev.state.t >= 0.02 - 1e-12:
                 raise StepFailure("forced")
-            return original(state, dat, dt, scheme)
+            return original(ev, dat, dt, scheme)
 
         monkeypatch.setattr(gk, "step", failing)
         with pytest.raises(RunFailure) as info:
@@ -348,6 +354,73 @@ class TestSimulate:
         partial = info.value.trajectory
         assert len(partial) == 3  # records at t = 0, 0.01, 0.02
         assert partial[-1][1].t == pytest.approx(0.02)
+
+
+class TestSharedEvaluation:
+    def test_one_resolvent_solve_and_transform_per_level(self, unit_domain, unit_basis, monkeypatch):
+        f = gk.SourceTerm(
+            times=(0.0, 0.045),
+            fields=(
+                sp.constant_field(0.2, unit_domain),
+                sp.cosine_sum_field(unit_domain, -0.2, [((1,), 0.1)]),
+            ),
+        )
+        g = gk.SourceTerm(
+            times=(0.0, 0.025),
+            fields=(sp.constant_field(0.1, unit_domain), sp.constant_field(-0.3, unit_domain)),
+        )
+        data = make_problem_data(
+            unit_domain, REG, f=f, g=g,
+            phi0=sp.cosine_sum_field(unit_domain, 0.1, [((1,), 0.2)]), t_final=0.1,
+        )
+        counts = collections.Counter()
+        projected = []
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(pot, "resolvent")
+        counted(sp, "to_field")
+        to_coeffs = sp.to_coeffs
+
+        def recording(field, basis):
+            projected.append(field)
+            return to_coeffs(field, basis)
+
+        monkeypatch.setattr(sp, "to_coeffs", recording)
+        n_steps = 10
+        trajectory = gk.simulate(data, unit_basis, 0.01)
+        assert len(trajectory) == n_steps + 1
+        assert counts["resolvent"] == n_steps + 1
+        assert counts["to_field"] == n_steps + 1
+        for field in f.fields + g.fields:
+            assert sum(x is field for x in projected) == 1
+
+    @pytest.mark.parametrize("spec", [REG, LOG, OBS], ids=lambda spec: spec.kind)
+    def test_shared_values_equal_pointwise_functions(self, unit_domain, unit_basis, spec):
+        eps, a = 0.2, 0.1
+        data = make_problem_data(unit_domain, spec, eps=eps, a=a)
+        rng = np.random.default_rng(5)
+        state = gk.GalerkinState(
+            t=0.0, phi=sp.Coeffs(0.6 * rng.standard_normal(unit_basis.n), unit_basis),
+            w=sp.zero_coeffs(unit_basis), v=sp.zero_coeffs(unit_basis),
+        )
+        grid = sp.to_field(state.phi).values
+        assert np.abs(grid).max() > 1.0  # both sides of the obstacle and log edges
+        ev = evaluate(state, data)
+        reg = pot.regularize(spec, eps, grid)
+        assert np.array_equal(ev.xi.values, pot.yosida(spec, eps, grid))
+        assert np.array_equal(reg.value, pot.yosida(spec, eps, grid))
+        assert np.array_equal(reg.primitive(), pot.yosida_primitive(spec, eps, grid))
+        assert np.array_equal(reg.slope(), pot.yosida_derivative(spec, eps, grid))
+        bulk = pot.yosida_primitive(spec, eps, grid) + spec.pi_hat(grid) + a * grid
+        assert ev.bulk == float(unit_basis.quadrature_weight * bulk.sum())
 
 
 class TestScalarReductions:

@@ -145,9 +145,13 @@ class TestParseConfig:
         for line in lines:
             assert sum(line.count(tag) for tag in tags) == 1, line
 
-    def test_unknown_key_is_parse_error(self, tmp_path):
-        with pytest.raises(io.ConfigParseError):
-            io.parse_config(write_config(tmp_path, FULL + "\n[physics]\nmass = 1\n"))
+    @pytest.mark.parametrize(
+        "section,key", [("physics", "mass"), ("experiment", "kind"), ("output", "formats")]
+    )
+    def test_unknown_key_is_parse_error(self, tmp_path, section, key):
+        text = MINIMAL + f"\n[{section}]\n{key} = 1\n"
+        with pytest.raises(io.ConfigParseError, match="unknown key"):
+            io.parse_config(write_config(tmp_path, text))
 
     def test_syntax_error_reports_line(self, tmp_path):
         with pytest.raises(io.ConfigParseError, match="line"):
@@ -268,10 +272,10 @@ class TestCli:
         cfg = write_config(tmp_path, FULL)
         original = gk.step
 
-        def failing(state, data, dt, scheme=gk.SEMI_IMPLICIT):
-            if state.t >= 0.05 - 1e-12:
+        def failing(ev, data, dt, scheme=gk.SEMI_IMPLICIT):
+            if ev.state.t >= 0.05 - 1e-12:
                 raise StepFailure("forced")
-            return original(state, data, dt, scheme)
+            return original(ev, data, dt, scheme)
 
         monkeypatch.setattr(gk, "step", failing)
         out = tmp_path / "partial"
