@@ -334,13 +334,7 @@ def _backward_euler_phi(ev, data, dt, lam, diag, base):
             p_vec = p_vec.copy()
             p_vec[0] = base[0] / diag[0]
             return p_vec
-        grid = reg.r
-        slope = reg.slope()
-        if data.potential.pi_prime is not None:
-            slope = slope + data.potential.pi_prime(grid)
-        else:
-            h = 1e-6
-            slope = slope + (data.potential.pi(grid + h) - data.potential.pi(grid - h)) / (2 * h)
+        slope = reg.slope() + data.potential.pi_prime(reg.r)
         jac_nl = (E * (w_quad * slope)) @ E.T
         jac = np.diag(diag) + dt * lam[:, None] * jac_nl
         try:
@@ -361,7 +355,10 @@ def _backward_euler_phi(ev, data, dt, lam, diag, base):
 
 
 def step(ev: Evaluation, data: ProblemData, dt: float, scheme: str = SEMI_IMPLICIT) -> GalerkinState:
-    """Advance the evaluated state one time step with the chosen first-order scheme."""
+    """Advance the evaluated state one time step with the chosen first-order scheme.
+
+    Raises StepFailure when the new phi is not finite, for either scheme.
+    """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if scheme not in SCHEMES:
@@ -371,6 +368,8 @@ def step(ev: Evaluation, data: ProblemData, dt: float, scheme: str = SEMI_IMPLIC
         phi_new = _semi_implicit_phi(ev, dt, lam, diag, base)
     else:
         phi_new = _backward_euler_phi(ev, data, dt, lam, diag, base)
+    if not np.isfinite(phi_new).all():
+        raise StepFailure(f"non-finite phi after a {scheme} step of {dt} at t = {ev.state.t}")
     return _finish_step(ev.state, data, dt, phi_new, c3, d3)
 
 

@@ -7,28 +7,35 @@ monotone graph beta = d(beta_hat) is represented through its minimal section
 beta_min_section, and regularized by the resolvent (I + eps*beta)^(-1) and
 the induced Lipschitz approximation ``yosida``.
 
-Three prototypes are provided:
+Three prototypes are provided, each with an exact resolvent kernel:
 
-* regular:          beta_hat(r) = r^4/4,            pi_hat(r) = (1 - 2 r^2)/4
+* regular:          beta_hat(r) = r^4/4,            pi_hat(r) = (1 - 2 r^2)/4;
+                    the real root of the cubic y + eps*y^3 = r in closed form,
+                    polished by one Newton step
 * logarithmic:      beta_hat(r) = (1+r)ln(1+r) + (1-r)ln(1-r) on [-1, 1],
-                    pi_hat(r) = -c1 r^2  (c1 > 1)
-* double_obstacle:  beta_hat = indicator of [-1, 1], pi_hat(r) = -c2 r^2
+                    pi_hat(r) = -c1 r^2  (c1 > 1); Newton on the smooth
+                    equation tanh(s) + 2 eps s = r, with J = tanh(s)
+* double_obstacle:  beta_hat = indicator of [-1, 1], pi_hat(r) = -c2 r^2;
+                    the projection onto [-1, 1]
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import CompatibilityError, NumericFailure
 
-# Edge offset keeping resolvent iterates strictly inside open domains such as
-# (-1, 1), where the graph blows up at the boundary.
+# Edge offset keeping the entropy's logarithms finite at the ends of [-1, 1].
 _EDGE = 1e-15
 
-_MAX_ROOT_ITER = 100
+# tanh rounds to exactly 1.0 beyond s ~ 19.06; a root s >= _S_SAT saturates.
+_S_SAT = 20.0
+_SAT_GAP = math.exp(-2.0 * _S_SAT)
+_MAX_SWEEPS = 50
 
 
 @dataclass(frozen=True)
@@ -36,37 +43,51 @@ class PotentialSpec:
     """Decomposed double-well potential with its monotone convex part.
 
     All callables are vectorized over numpy arrays.  ``domain`` is the closed
-    hull of D(beta); use +-inf for unbounded sides.  ``beta_prime`` and
-    ``pi_prime`` are optional analytic derivatives used to build Jacobians;
-    without them a central difference is substituted.
+    hull of D(beta); use +-inf for unbounded sides.  ``pi_prime`` is the
+    derivative of ``pi``.  ``kind`` names one of the three prototypes, whose
+    exact resolvent kernel and closed-form Yosida slope this module keeps;
+    callers reach them through ``resolvent`` and ``Regularization.slope``.
     """
 
     kind: str
     beta_hat: Callable[[np.ndarray], np.ndarray]
     pi_hat: Callable[[np.ndarray], np.ndarray]
     pi: Callable[[np.ndarray], np.ndarray]
+    pi_prime: Callable[[np.ndarray], np.ndarray]
     pi_lipschitz: float
     domain: tuple[float, float]
     beta_min_section: Callable[[np.ndarray], np.ndarray]
-    beta_prime: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    pi_prime: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def interior_contains(self, r: float) -> bool:
         return self.domain[0] < r < self.domain[1]
+
+
+def _regular_resolvent(eps, r):
+    # y + eps*y^3 = r: hyperbolic Cardano formula for a cubic with p > 0
+    # (Press et al., Numerical Recipes, section 5.6), then one Newton step to
+    # remove the few ulps that the sinh/asinh chain amplifies.
+    q = np.sqrt(3.0 * eps)
+    y = (2.0 / q) * np.sinh(np.arcsinh((1.5 * q) * r) / 3.0)
+    yy = y * y
+    return y - (y + eps * yy * y - r) / (1.0 + 3.0 * eps * yy)
+
+
+def _regular_slope(eps, r, j):
+    jj = j * j
+    return 3.0 * jj / (1.0 + 3.0 * eps * jj)
 
 
 def regular_potential() -> PotentialSpec:
     """Quartic double well, convex part r^4/4, perturbation slope -r."""
     return PotentialSpec(
         kind="regular",
-        beta_hat=lambda r: 0.25 * np.asarray(r, dtype=float) ** 4,
+        beta_hat=lambda r: 0.25 * np.square(np.square(np.asarray(r, dtype=float))),
         pi_hat=lambda r: 0.25 * (1.0 - 2.0 * np.asarray(r, dtype=float) ** 2),
         pi=lambda r: -np.asarray(r, dtype=float),
+        pi_prime=lambda r: -np.ones_like(np.asarray(r, dtype=float)),
         pi_lipschitz=1.0,
         domain=(-np.inf, np.inf),
-        beta_min_section=lambda r: np.asarray(r, dtype=float) ** 3,
-        beta_prime=lambda r: 3.0 * np.asarray(r, dtype=float) ** 2,
-        pi_prime=lambda r: -np.ones_like(np.asarray(r, dtype=float)),
+        beta_min_section=lambda r: np.square(r) * np.asarray(r, dtype=float),
     )
 
 
@@ -86,6 +107,46 @@ def _entropy_slope(r):
     return np.log1p(r) - np.log1p(-r)
 
 
+def _logarithmic_resolvent(eps, r):
+    """J = tanh(s), where s >= 0 solves tanh(s) + 2 eps s = |r| (sign restored).
+
+    The equation is smooth with slope in [2 eps, 1 + 2 eps] and concave in
+    s >= 0, so Newton started below the root increases monotonically to it.
+    The start is the largest of three lower bounds: |r|/(1 + 2 eps) from
+    tanh(s) <= s, (|r| - 1)/(2 eps) from tanh(s) <= 1, and
+    -ln(1 - |r| + 2 eps S)/2 from tanh(s) <= 1 - exp(-2 s) with S = _S_SAT.
+    When 1 - |r| + 2 eps S <= exp(-2 S) the root exceeds S, tanh of it
+    rounds to 1 and J = +-1 is returned directly.  Sweeps stop once every
+    residual is within 8 ulps of max(1, |r|), after one more Newton step.
+    """
+    a = np.abs(r)
+    two_eps = 2.0 * eps
+    gap = (1.0 - a) + two_eps * _S_SAT
+    saturated = gap <= _SAT_GAP
+    s = np.maximum(a / (1.0 + two_eps), -0.5 * np.log(np.maximum(gap, _SAT_GAP)))
+    s = np.maximum(s, np.clip(a - 1.0, 0.0, two_eps * _S_SAT) / two_eps)
+    # Saturated points sit at the trivial root s = 0 of a = 0 while sweeping.
+    a = np.where(saturated, 0.0, a)
+    s = np.where(saturated, 0.0, s)
+    tol = 8.0 * np.finfo(float).eps * np.maximum(1.0, a)
+    for _ in range(_MAX_SWEEPS):
+        c = np.cosh(s)
+        g = np.tanh(s) + two_eps * s - a
+        s = s - g / (1.0 / (c * c) + two_eps)
+        if np.all(np.abs(g) <= tol):
+            break
+    else:
+        raise NumericFailure(
+            f"logarithmic resolvent did not converge in {_MAX_SWEEPS} Newton sweeps (eps = {eps})"
+        )
+    return np.copysign(np.where(saturated, 1.0, np.tanh(s)), r)
+
+
+def _logarithmic_slope(eps, r, j):
+    # beta'(J) / (1 + eps beta'(J)) with beta'(J) = 2 / (1 - J^2), finite at J = +-1.
+    return 2.0 / ((1.0 - j) * (1.0 + j) + 2.0 * eps)
+
+
 def logarithmic_potential(c1: float) -> PotentialSpec:
     """Entropic double well on (-1, 1); requires c1 > 1 for nonconvexity."""
     if not c1 > 1.0:
@@ -95,12 +156,16 @@ def logarithmic_potential(c1: float) -> PotentialSpec:
         beta_hat=_entropy,
         pi_hat=lambda r: -c1 * np.asarray(r, dtype=float) ** 2,
         pi=lambda r: -2.0 * c1 * np.asarray(r, dtype=float),
+        pi_prime=lambda r: -2.0 * c1 * np.ones_like(np.asarray(r, dtype=float)),
         pi_lipschitz=2.0 * c1,
         domain=(-1.0, 1.0),
         beta_min_section=_entropy_slope,
-        beta_prime=lambda r: 2.0 / (1.0 - np.asarray(r, dtype=float) ** 2),
-        pi_prime=lambda r: -2.0 * c1 * np.ones_like(np.asarray(r, dtype=float)),
     )
+
+
+def _obstacle_slope(eps, r, j):
+    # Piecewise exact: 0 inside [-1, 1], 1/eps outside.
+    return np.where(np.abs(r) <= 1.0, 0.0, 1.0 / eps)
 
 
 def double_obstacle_potential(c2: float) -> PotentialSpec:
@@ -112,109 +177,38 @@ def double_obstacle_potential(c2: float) -> PotentialSpec:
         beta_hat=lambda r: np.where(np.abs(np.asarray(r, dtype=float)) <= 1.0, 0.0, np.inf),
         pi_hat=lambda r: -c2 * np.asarray(r, dtype=float) ** 2,
         pi=lambda r: -2.0 * c2 * np.asarray(r, dtype=float),
+        pi_prime=lambda r: -2.0 * c2 * np.ones_like(np.asarray(r, dtype=float)),
         pi_lipschitz=2.0 * c2,
         domain=(-1.0, 1.0),
         beta_min_section=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        pi_prime=lambda r: -2.0 * c2 * np.ones_like(np.asarray(r, dtype=float)),
     )
 
 
-def custom_potential(
-    beta_hat: Callable,
-    beta_min_section: Callable,
-    domain: tuple[float, float],
-    pi_hat: Callable,
-    pi: Callable,
-    pi_lipschitz: float,
-    beta_prime: Optional[Callable] = None,
-    pi_prime: Optional[Callable] = None,
-) -> PotentialSpec:
-    """Wrap user-supplied callables; no derivative is inferred automatically."""
-    return PotentialSpec(
-        kind="custom",
-        beta_hat=beta_hat,
-        pi_hat=pi_hat,
-        pi=pi,
-        pi_lipschitz=float(pi_lipschitz),
-        domain=(float(domain[0]), float(domain[1])),
-        beta_min_section=beta_min_section,
-        beta_prime=beta_prime,
-        pi_prime=pi_prime,
-    )
-
-
-def _clip_interior(spec: PotentialSpec, y: np.ndarray) -> np.ndarray:
-    lo, hi = spec.domain
-    if np.isfinite(lo):
-        y = np.maximum(y, lo + _EDGE)
-    if np.isfinite(hi):
-        y = np.minimum(y, hi - _EDGE)
-    return y
+# The exact resolvent kernel (eps, r) -> J and the Yosida slope (eps, r, J) of each kind.
+_KERNELS = {
+    "regular": _regular_resolvent,
+    "logarithmic": _logarithmic_resolvent,
+    "double_obstacle": lambda eps, r: np.clip(r, -1.0, 1.0),
+}
+_SLOPES = {
+    "regular": _regular_slope,
+    "logarithmic": _logarithmic_slope,
+    "double_obstacle": _obstacle_slope,
+}
 
 
 def resolvent(spec: PotentialSpec, eps: float, r):
     """Solve y + eps*beta(y) = r for the unique y in the closure of D(beta).
 
-    For the double obstacle graph this is the projection onto [-1, 1]; for
-    the other kinds a safeguarded Newton iteration with a bisection fallback
-    is run on the monotone scalar equation, bracketed by [min(0, r), max(0, r)]
-    intersected with the (clipped) domain.  Vectorized over ``r``.
+    Runs the exact kernel of the potential (see the module docstring),
+    accurate to a few ulps of max(1, |r|).  Vectorized over ``r``; a scalar
+    r gives a float.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     r_arr = np.asarray(r, dtype=float)
-    scalar = r_arr.ndim == 0
-    r_flat = np.atleast_1d(r_arr).astype(float)
-
-    if spec.kind == "double_obstacle":
-        y = np.clip(r_flat, -1.0, 1.0)
-        return float(y[0]) if scalar else y.reshape(r_arr.shape)
-
-    lo = _clip_interior(spec, np.minimum(r_flat, 0.0))
-    hi = _clip_interior(spec, np.maximum(r_flat, 0.0))
-
-    def g(y):
-        return y + eps * spec.beta_min_section(y) - r_flat
-
-    g_lo = g(lo)
-    g_hi = g(hi)
-    y = np.clip(r_flat, lo, hi)
-    # Roots pinned to an endpoint when the equation has no sign change there
-    # (graph absorbed by a vertical segment, or clipped singular edge).
-    y = np.where(g_lo >= 0.0, lo, y)
-    y = np.where(g_hi <= 0.0, hi, y)
-    active = (g_lo < 0.0) & (g_hi > 0.0)
-
-    gy = g(y)
-    tol = 1e-13 * np.maximum(1.0, np.abs(r_flat))
-    for _ in range(_MAX_ROOT_ITER):
-        active &= np.abs(gy) > tol
-        if not active.any():
-            break
-        neg = active & (gy < 0.0)
-        pos = active & (gy > 0.0)
-        lo = np.where(neg, y, lo)
-        hi = np.where(pos, y, hi)
-        if spec.beta_prime is not None:
-            slope = 1.0 + eps * spec.beta_prime(y)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                y_newton = y - gy / slope
-            good = np.isfinite(y_newton) & (y_newton > lo) & (y_newton < hi)
-        else:
-            y_newton = y
-            good = np.zeros_like(active)
-        y_next = np.where(good, y_newton, 0.5 * (lo + hi))
-        y = np.where(active, y_next, y)
-        gy = np.where(active, g(y), gy)
-        width_done = (hi - lo) <= 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(y))
-        active &= ~width_done
-    else:
-        if active.any():
-            raise NumericFailure(
-                f"resolvent root-finder failed to converge for kind={spec.kind!r}"
-            )
-
-    return float(y[0]) if scalar else y.reshape(r_arr.shape)
+    y = _KERNELS[spec.kind](eps, r_arr)
+    return float(y) if r_arr.ndim == 0 else y
 
 
 @dataclass(frozen=True)
@@ -236,21 +230,12 @@ class Regularization:
         return self.spec.beta_hat(self.j) + (self.r - self.j) ** 2 / (2.0 * self.eps)
 
     def slope(self) -> np.ndarray:
-        """Derivative of ``value``, used for Newton Jacobians.
+        """Derivative of ``value``, beta'(J) / (1 + eps*beta'(J)), used for Newton Jacobians.
 
-        Equals beta'(J) / (1 + eps*beta'(J)) where the analytic beta' is
-        available; a central difference of ``yosida`` otherwise.  The double
-        obstacle case is piecewise exact: 0 inside [-1, 1], 1/eps outside.
+        Closed form per potential, finite everywhere; the double obstacle case
+        is piecewise exact: 0 inside [-1, 1], 1/eps outside.
         """
-        spec, eps, r = self.spec, self.eps, self.r
-        if spec.kind == "double_obstacle":
-            return np.where(np.abs(r) <= 1.0, 0.0, 1.0 / eps)
-        if spec.beta_prime is not None:
-            bp = spec.beta_prime(self.j)
-            with np.errstate(over="ignore", invalid="ignore"):
-                return np.where(np.isfinite(bp), bp / (1.0 + eps * bp), 1.0 / eps)
-        h = 1e-6 * np.maximum(1.0, np.abs(r))
-        return (yosida(spec, eps, r + h) - yosida(spec, eps, r - h)) / (2.0 * h)
+        return _SLOPES[self.spec.kind](self.eps, self.r, self.j)
 
 
 def regularize(spec: PotentialSpec, eps: float, r) -> Regularization:
@@ -327,45 +312,3 @@ def interior_bound_constants(
             gap = delta0 * np.abs(b) - b * (r - r0)
             worst = max(worst, float(gap.max(initial=0.0)))
     return InteriorBoundConstants(r_lo=r_lo, r_hi=r_hi, delta0=delta0, C0=worst)
-
-
-def sampled_spec_violations(spec: PotentialSpec, r_grid: Sequence[float], tol: float = 1e-9) -> list[str]:
-    """Sampled structural checks of a potential decomposition.
-
-    Checks midpoint convexity, sign, and normalization of beta_hat, the
-    declared Lipschitz constant of pi, and the zero of the minimal section.
-    Returns human-readable violation strings (empty when all pass).
-    """
-    violations: list[str] = []
-    r = np.asarray(list(r_grid), dtype=float)
-    lo, hi = spec.domain
-    inside = (r > lo) & (r < hi)
-    ri = r[inside]
-
-    bh = spec.beta_hat(ri)
-    if float(np.abs(spec.beta_hat(np.array(0.0)))) > tol:
-        violations.append("beta_hat(0) != 0")
-    if bh.size and float(bh.min()) < -tol:
-        violations.append(f"beta_hat takes negative value {bh.min()}")
-    if ri.size >= 2:
-        a, b = np.meshgrid(ri, ri, indexing="ij")
-        mid = spec.beta_hat(0.5 * (a + b))
-        chord = 0.5 * (spec.beta_hat(a) + spec.beta_hat(b))
-        gap = mid - chord
-        if float(np.nanmax(gap)) > tol:
-            violations.append(f"beta_hat midpoint convexity violated by {np.nanmax(gap)}")
-
-    if r.size >= 2:
-        pr = spec.pi(r)
-        dp = np.abs(pr[:, None] - pr[None, :])
-        dr = np.abs(r[:, None] - r[None, :])
-        mask = dr > 0
-        excess = dp[mask] - spec.pi_lipschitz * dr[mask]
-        if float(excess.max(initial=-np.inf)) > tol:
-            violations.append("pi violates the declared Lipschitz constant")
-
-    if not spec.interior_contains(0.0) and not (lo <= 0.0 <= hi):
-        violations.append("0 does not belong to D(beta)")
-    elif float(np.abs(spec.beta_min_section(np.array(0.0)))) > tol:
-        violations.append("beta_min_section(0) != 0")
-    return violations

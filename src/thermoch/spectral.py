@@ -18,7 +18,6 @@ oracle the tests compare against and for the dense Newton Jacobians.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -186,26 +185,26 @@ def build_basis(domain: BoxDomain, n: int) -> SpectralBasis:
     if n < 1:
         raise ConfigurationError(f"basis size must be >= 1, got {n}")
     cap = domain.grid_points_per_axis // 2
-    candidates = list(itertools.product(range(cap + 1), repeat=domain.dim))
-    if n > len(candidates):
+    # Every multi-index with components in 0..cap, one row per axis.
+    candidates = np.indices((cap + 1,) * domain.dim).reshape(domain.dim, -1)
+    if n > candidates.shape[1]:
         raise ConfigurationError(
-            f"n = {n} exceeds the {len(candidates)} modes resolvable on a "
+            f"n = {n} exceeds the {candidates.shape[1]} modes resolvable on a "
             f"{domain.grid_points_per_axis}-point-per-axis grid"
         )
+    eig = sum((k * math.pi / L) ** 2 for k, L in zip(candidates, domain.lengths))
+    # Sort by eigenvalue, then by mode: lexsort's last key is the primary one.
+    order = np.lexsort((*candidates[::-1], eig))[:n]
+    chosen = candidates[:, order]
+    modes = tuple(map(tuple, chosen.T.tolist()))
+    eigenvalues = eig[order]
 
-    def eig(mode):
-        return sum((k * math.pi / L) ** 2 for k, L in zip(mode, domain.lengths))
-
-    candidates.sort(key=lambda mode: (eig(mode), mode))
-    modes = tuple(candidates[:n])
-    eigenvalues = np.array([eig(mode) for mode in modes])
-
-    k_max = np.max(modes, axis=0)
+    k_max = chosen.max(axis=1)
     factors = tuple(
         _axis_eigenfunctions(int(k), x, L)
         for k, x, L in zip(k_max, domain.grid_axes(), domain.lengths)
     )
-    mode_index = np.ravel_multi_index(tuple(np.array(modes).T), tuple(k_max + 1))
+    mode_index = np.ravel_multi_index(tuple(chosen), tuple(k_max + 1))
     return SpectralBasis(
         domain=domain,
         modes=modes,

@@ -355,6 +355,23 @@ class TestSimulate:
         assert len(partial) == 3  # records at t = 0, 0.01, 0.02
         assert partial[-1][1].t == pytest.approx(0.02)
 
+    @pytest.mark.parametrize("scheme", gk.SCHEMES)
+    def test_non_finite_step_is_a_typed_failure(self, unit_domain, unit_basis, scheme, monkeypatch):
+        data = make_problem_data(unit_domain, REG, t_final=1.0)
+        name = {gk.SEMI_IMPLICIT: "_semi_implicit_phi", gk.BACKWARD_EULER: "_backward_euler_phi"}[scheme]
+        original = getattr(gk, name)
+
+        def blow_up(ev, *args):
+            phi = original(ev, *args)
+            return np.full_like(phi, np.nan) if ev.state.t >= 0.02 - 1e-12 else phi
+
+        monkeypatch.setattr(gk, name, blow_up)
+        with pytest.raises(RunFailure) as info:
+            gk.simulate(data, unit_basis, 0.01, scheme)
+        partial = info.value.trajectory
+        assert len(partial) == 3  # the blow-up bisects down to the floor, then aborts
+        assert all(np.isfinite(state.phi.values).all() for state, _ in partial)
+
 
 class TestSharedEvaluation:
     def test_one_resolvent_solve_and_transform_per_level(self, unit_domain, unit_basis, monkeypatch):

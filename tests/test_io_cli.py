@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from thermoch import galerkin
 from thermoch import io_cli as io
 from thermoch import spectral as sp
 from thermoch.errors import ConfigurationError
@@ -211,6 +212,16 @@ class TestCli:
 
     def test_missing_file_exit_code(self, tmp_path):
         assert io.main(["simulate", str(tmp_path / "absent.ini"), "--quiet"]) == 4
+
+    def test_non_finite_step_exit_code(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            galerkin, "_semi_implicit_phi", lambda ev, dt, lam, diag, base: np.full_like(base, np.nan)
+        )
+        out = tmp_path / "nan"
+        assert io.main(["simulate", str(write_config(tmp_path, FULL)), "--output-dir", str(out), "--quiet"]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["n_records"] == 1
+        assert any("step failed" in v for v in summary["violations"])
 
     @pytest.mark.parametrize("target", ["potentials", "spectral", "elliptic"])
     def test_verify_targets(self, tmp_path, target):

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from conftest import sampled_spec_violations
 from thermoch import potentials as pot
-from thermoch.errors import CompatibilityError
+from thermoch.errors import CompatibilityError, NumericFailure
 from thermoch.io_cli import bisection_resolvent
 
 REG = pot.regular_potential()
@@ -57,6 +59,22 @@ class TestResolvent:
         y = pot.resolvent(LOG, 0.1, 0.9)
         assert -1.0 < y < 1.0
         assert abs(y + 0.1 * math.log((1 + y) / (1 - y)) - 0.9) < 1e-12
+
+    @pytest.mark.parametrize("eps, r", [(5e-324, 2.0), (1e-20, 1.0), (0.05, 1e3)])
+    def test_logarithmic_saturated_root_is_the_edge(self, eps, r):
+        # tanh of the root rounds to 1: the kernel returns +-1, never NaN
+        assert pot.resolvent(LOG, eps, np.array([r, -r])).tolist() == [1.0, -1.0]
+
+    def test_logarithmic_slope_finite_at_the_edge(self):
+        reg = pot.regularize(LOG, 1e-20, np.array([1.0, 0.5]))
+        slope = reg.slope()
+        assert reg.j[0] == 1.0
+        assert slope[0] == 1e20
+        assert slope[1] == pytest.approx(2.0 / 0.75)
+
+    def test_logarithmic_sweep_cap_raises(self):
+        with pytest.raises(NumericFailure):
+            pot.resolvent(LOG, 0.1, np.array([0.5, np.nan]))
 
 
 class TestYosida:
@@ -177,36 +195,16 @@ class TestSpecs:
     @pytest.mark.parametrize("spec", PROTOTYPES, ids=lambda s: s.kind)
     def test_sampled_invariants_hold(self, spec):
         grid = np.linspace(-2.0, 2.0, 81)
-        assert pot.sampled_spec_violations(spec, grid) == []
+        assert sampled_spec_violations(spec, grid) == []
 
     def test_broken_lipschitz_constant_detected(self):
-        bad = pot.custom_potential(
-            beta_hat=lambda r: 0.5 * np.asarray(r, float) ** 2,
-            beta_min_section=lambda r: np.asarray(r, float),
-            domain=(-np.inf, np.inf),
+        bad = dataclasses.replace(
+            REG,
             pi_hat=lambda r: -2.0 * np.asarray(r, float) ** 2,
             pi=lambda r: -4.0 * np.asarray(r, float),
             pi_lipschitz=1.0,  # true constant is 4
         )
-        assert pot.sampled_spec_violations(bad, np.linspace(-1, 1, 21))
-
-    def test_custom_linear_graph_without_derivatives(self):
-        # beta(r) = r gives the closed-form resolvent r / (1 + eps)
-        lin = pot.custom_potential(
-            beta_hat=lambda r: 0.5 * np.asarray(r, float) ** 2,
-            beta_min_section=lambda r: np.asarray(r, float),
-            domain=(-np.inf, np.inf),
-            pi_hat=lambda r: np.zeros_like(np.asarray(r, float)),
-            pi=lambda r: np.zeros_like(np.asarray(r, float)),
-            pi_lipschitz=0.0,
-        )
-        for eps in (0.7, 0.2):
-            for r in (-2.0, 0.3, 5.0):
-                assert pot.resolvent(lin, eps, r) == pytest.approx(r / (1 + eps), abs=1e-11)
-            # finite-difference derivative path
-            assert pot.yosida_derivative(lin, eps, 0.4) == pytest.approx(
-                1.0 / (1.0 + eps), rel=1e-6
-            )
+        assert sampled_spec_violations(bad, np.linspace(-1, 1, 21))
 
     def test_logarithmic_requires_c1_above_one(self):
         with pytest.raises(ValueError):

@@ -18,20 +18,43 @@ SPECS = {
 }
 
 unit_interval = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+# |r| up to 1e3, with the unit range drawn as often as the wide one.
+points = st.lists(st.one_of(st.floats(-3.0, 3.0), st.floats(-1e3, 1e3)), min_size=1, max_size=40)
+ULP = np.finfo(float).eps
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    kind=st.sampled_from(sorted(SPECS)),
-    eps=unit_interval,
-    r=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=40),
-)
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(SPECS)), eps=unit_interval, r=points)
 def test_resolvent_matches_bisection_oracle(kind, eps, r):
-    # the tolerance of the oracle check in io_cli.potentials_suite
     spec = SPECS[kind]
     r = np.array(r)
-    gap = np.abs(pot.resolvent(spec, eps, r) - io_cli.bisection_resolvent(spec, eps, r))
-    assert gap.max() <= 1e-10
+    j = pot.resolvent(spec, eps, r)
+    assert not np.isnan(j).any()
+    gap = np.abs(j - io_cli.bisection_resolvent(spec, eps, r))
+    assert (gap <= 1e-14 * np.maximum(1.0, np.abs(r))).all()
+
+
+# beta, beta' and the half-width of D(beta) of the two graphs with a smooth interior.
+GRAPHS = {
+    "regular": (lambda j: j * j * j, lambda j: 3.0 * j * j, np.inf),
+    "logarithmic": (
+        lambda j: np.log1p(j) - np.log1p(-j), lambda j: 2.0 / ((1.0 - j) * (1.0 + j)), 1.0
+    ),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(GRAPHS)), eps=unit_interval, r=points)
+def test_resolvent_residual_at_ulp_level(kind, eps, r):
+    # A root rounded to the nearest float leaves the residual
+    # |J + eps beta(J) - r| at a few ulp of max(1, |r|) + eps |beta'(J)|.
+    beta, beta_prime, half_width = GRAPHS[kind]
+    r = np.array(r)
+    j = pot.resolvent(SPECS[kind], eps, r)
+    inside = np.abs(j) < half_width  # J = +-1 is the saturated logarithmic root
+    j, r = j[inside], r[inside]
+    residual = np.abs(j + eps * beta(j) - r)
+    assert (residual <= 8.0 * ULP * (np.maximum(1.0, np.abs(r)) + eps * beta_prime(j))).all()
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -64,6 +65,28 @@ class TestBasis:
     def test_capacity_error(self):
         with pytest.raises(ConfigurationError):
             sp.build_basis(sp.BoxDomain((1.0,), 8), 6)  # cap is 8//2 + 1 = 5 modes
+
+    @pytest.mark.parametrize(
+        "lengths, grid, n",
+        [
+            ((1.0,), 64, 33),
+            ((1.0, 1.0), 64, 512),
+            ((1.0, 1.0), 128, 1024),
+            ((2.0, 0.7), 33, 200),
+            ((3.0, 1.0), 128, 4225),
+        ],
+    )
+    def test_order_matches_key_sort(self, lengths, grid, n):
+        # Oracle: sort every candidate mode by the key (eigenvalue, mode).
+        def eig(mode):
+            return sum((k * math.pi / L) ** 2 for k, L in zip(mode, lengths))
+
+        cap = grid // 2
+        candidates = sorted(itertools.product(range(cap + 1), repeat=len(lengths)),
+                            key=lambda mode: (eig(mode), mode))
+        basis = sp.build_basis(sp.BoxDomain(lengths, grid), n)
+        assert basis.modes == tuple(candidates[:n])
+        assert np.array_equal(basis.eigenvalues, [eig(mode) for mode in candidates[:n]])
 
     @pytest.mark.parametrize("domain", [sp.BoxDomain((1.0,), 32), sp.BoxDomain((1.0, 2.0), 16)])
     def test_orthonormality(self, domain):
