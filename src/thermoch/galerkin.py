@@ -16,8 +16,11 @@ leaving the state and its record share.
 Two first-order schemes are provided: ``semi_implicit`` treats all linear
 terms implicitly through an exact per-mode 3x3 elimination and freezes the
 nonlinearity at the current state; ``backward_euler`` solves the coupled
-nonlinear system with a damped Newton iteration.  Both reduce to the implicit
-Euler recursion  mean+ = (mean + dt f_mean) / (1 + gamma dt)  for the mean.
+nonlinear system with the shared damped Newton-Krylov loop (``newton``),
+started from the semi-implicit step, with matrix-free Jacobian products and
+MINRES for the symmetric, possibly indefinite, reduced Newton systems.  Both
+reduce to the implicit Euler recursion
+mean+ = (mean + dt f_mean) / (1 + gamma dt)  for the mean.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import potentials, spectral
+from . import newton, potentials, spectral
 from .errors import CompatibilityError, ConfigurationError, RunFailure, StepFailure
 from .potentials import PotentialSpec
 from .spectral import Coeffs, Field, SpectralBasis
@@ -39,8 +42,6 @@ BACKWARD_EULER = "backward_euler"
 SCHEMES = (SEMI_IMPLICIT, BACKWARD_EULER)
 
 _NEWTON_TOL = 1e-10
-_NEWTON_MAX_ITER = 50
-_NEWTON_MAX_HALVINGS = 30
 _DT_FLOOR_FACTOR = 1e-8
 
 
@@ -315,43 +316,31 @@ def _semi_implicit_phi(ev, dt, lam, diag, base):
 
 
 def _backward_euler_phi(ev, data, dt, lam, diag, base):
-    """Damped Newton on the reduced residual R(p) = diag p + dt lam NL(p) - base."""
+    """Damped Newton-Krylov on the reduced residual R(p) = diag p + dt lam NL(p) - base.
+
+    Mode 1 is linear and decoupled (lam_1 = 0): it keeps its closed form
+    base_1 / diag_1 from the semi-implicit first iterate.  Dividing the other
+    rows by lam gives the symmetric Newton matrix
+    diag(diag / lam) + dt P diag(s + pi') P^T, indefinite where dt |pi'|
+    exceeds diag / lam (long domains, large dt), which MINRES handles.
+    """
     basis = ev.state.phi.basis
-    w_quad = basis.quadrature_weight
-    E = basis.eigenfunction_values
 
-    def residual(p_vec):
+    def evaluate(p_vec):
         reg, nl = _nonlinearity(Coeffs(p_vec, basis), data)
-        return diag * p_vec + dt * lam * nl.values - base, reg
+        return newton.Iterate(p_vec, diag * p_vec + dt * lam * nl.values - base, None, reg)
 
-    p_vec = _semi_implicit_phi(ev, dt, lam, diag, base)
-    r_vec, reg = residual(p_vec)
+    def direction(it, rtol):
+        s = dt * (it.reg.slope() + data.potential.pi_prime(it.reg.r))
+        step, krylov, weights = newton.krylov_solve(
+            basis, diag[1:] / lam[1:], s, -it.residual[1:] / lam[1:], rtol, pinned=1
+        )
+        # MINRES's norm on the rows divided by lam; no step changes mode 1's residual.
+        return step, krylov, np.concatenate(([0.0], weights / lam[1:]))
+
     target = _NEWTON_TOL * (1.0 + float(np.linalg.norm(base)))
-    for _ in range(_NEWTON_MAX_ITER):
-        r_norm = float(np.linalg.norm(r_vec))
-        if r_norm <= target:
-            # Mode 1 is linear and decoupled; pin it to the closed form.
-            p_vec = p_vec.copy()
-            p_vec[0] = base[0] / diag[0]
-            return p_vec
-        slope = reg.slope() + data.potential.pi_prime(reg.r)
-        jac_nl = (E * (w_quad * slope)) @ E.T
-        jac = np.diag(diag) + dt * lam[:, None] * jac_nl
-        try:
-            delta = np.linalg.solve(jac, -r_vec)
-        except np.linalg.LinAlgError as exc:
-            raise StepFailure(f"Newton Jacobian singular at t = {ev.state.t}") from exc
-        alpha = 1.0
-        for _ in range(_NEWTON_MAX_HALVINGS):
-            trial = p_vec + alpha * delta
-            r_trial, reg_trial = residual(trial)
-            if float(np.linalg.norm(r_trial)) < r_norm:
-                p_vec, r_vec, reg = trial, r_trial, reg_trial
-                break
-            alpha *= 0.5
-        else:
-            raise StepFailure(f"Newton line search stalled at t = {ev.state.t}")
-    raise StepFailure(f"Newton did not converge within {_NEWTON_MAX_ITER} iterations")
+    p_vec = _semi_implicit_phi(ev, dt, lam, diag, base)
+    return newton.solve(evaluate, direction, p_vec, target, target, StepFailure)[0].x
 
 
 def step(ev: Evaluation, data: ProblemData, dt: float, scheme: str = SEMI_IMPLICIT) -> GalerkinState:

@@ -512,16 +512,21 @@ def elliptic_suite(
     rng: np.random.Generator,
     trials: int = 20,
 ) -> tuple[list[str], dict[str, float]]:
-    """Constant-data equality, randomized 6-norm bound, two-start agreement."""
+    """Constant-data equality, randomized 6-norm bound, two-start agreement.
+
+    The metrics also carry the Newton, Krylov and line-search counts summed
+    over every solve.
+    """
     violations: list[str] = []
     domain = basis.domain
     metrics = {"const_gap": 0.0, "l6_excess": 0.0, "start_gap": 0.0, "residual": 0.0}
 
     problem = elliptic.EllipticProblem(basis, spec, eps, spectral.constant_field(2.0, domain))
-    u, res = elliptic.solve_elliptic(problem)
-    lhs, rhs, _ = elliptic.check_L6_bound(problem, u)
+    sol = elliptic.solve_elliptic(problem)
+    work = sol.counters
+    lhs, rhs, _ = elliptic.check_L6_bound(problem, sol)
     metrics["const_gap"] = abs(lhs - rhs)
-    metrics["residual"] = res
+    metrics["residual"] = sol.residual
     if metrics["const_gap"] > 1e-12 * max(1.0, rhs):
         violations.append(f"constant-data 6-norms differ by {metrics['const_gap']:.3e}")
 
@@ -531,17 +536,19 @@ def elliptic_suite(
         vals[:n_active] = rng.standard_normal(n_active)
         h = spectral.to_field(Coeffs(vals, basis))
         problem = elliptic.EllipticProblem(basis, spec, eps, h)
-        u, res = elliptic.solve_elliptic(problem)
-        metrics["residual"] = max(metrics["residual"], res)
-        lhs, rhs, ok = elliptic.check_L6_bound(problem, u)
+        sol = elliptic.solve_elliptic(problem)
+        metrics["residual"] = max(metrics["residual"], sol.residual)
+        lhs, rhs, ok = elliptic.check_L6_bound(problem, sol)
         metrics["l6_excess"] = max(metrics["l6_excess"], lhs - rhs * (1.0 + 1e-6))
         if not ok:
             violations.append(f"6-norm bound violated: {lhs:.12g} > {rhs:.12g}")
-        u_alt, _ = elliptic.solve_elliptic(problem, start=spectral.to_coeffs(h, basis))
-        gap = spectral.norm_L2(u - u_alt)
+        alt = elliptic.solve_elliptic(problem, start=spectral.to_coeffs(h, basis))
+        work = work + sol.counters + alt.counters
+        gap = spectral.norm_L2(sol.u - alt.u)
         metrics["start_gap"] = max(metrics["start_gap"], gap)
         if gap > 1e-8:
             violations.append(f"Newton starts disagree by {gap:.3e}")
+    metrics.update(dataclasses.asdict(work))
     return violations, metrics
 
 

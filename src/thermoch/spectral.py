@@ -13,7 +13,9 @@ basis keeps one small matrix C[k, i] = e_k(x_i) per axis, and a transform
 contracts the grid with each C in turn, O(M^(d+1) K) work and O(M K) memory
 for M nodes and K wavenumbers per axis.  The dense n x N matrix of sampled
 eigenfunctions is built only on request (``eigenfunction_values``), as the
-oracle the tests compare against and for the dense Newton Jacobians.
+oracle the tests compare against and for the Gram check of
+``verify spectral``; the Newton solvers apply their Jacobians through the
+transforms instead.
 """
 
 from __future__ import annotations
@@ -163,7 +165,7 @@ class SpectralBasis:
         """Dense n x N matrix of sampled eigenfunctions, built on first use.
 
         Slow path: the transforms never touch it.  It serves as the oracle
-        for the factored transforms and for the dense Newton Jacobians.
+        for the factored transforms and for the Gram check of ``verify spectral``.
         """
         rows = []
         for mode in self.modes:

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from thermoch import galerkin as gk
+from thermoch import potentials as pot
 from thermoch import spectral as sp
+from thermoch.errors import NumericFailure, StepFailure
 
 
 @pytest.fixture
@@ -91,3 +95,111 @@ def sampled_spec_violations(spec, r_grid, tol=1e-9):
     elif float(np.abs(spec.beta_min_section(np.array(0.0)))) > tol:
         violations.append("beta_min_section(0) != 0")
     return violations
+
+
+def dense_eigenfunctions(basis):
+    """The n x N matrix E[j, i] = e_j(x_i), sampled from the closed-form eigenfunctions."""
+    coords = basis.domain.grid_coords()
+    E = np.ones((basis.n, basis.domain.n_grid))
+    for j, mode in enumerate(basis.modes):
+        for k, x, L in zip(mode, coords, basis.domain.lengths):
+            E[j] *= math.sqrt((2.0 if k else 1.0) / L) * np.cos(k * math.pi * x / L)
+    return E
+
+
+def dense_elliptic_solve(problem, start=None):
+    """Oracle for ``elliptic.solve_elliptic``: the same damped Newton iteration
+    with dense transforms, the dense Jacobian and LU solves; returns u's coefficients."""
+    basis = problem.basis
+    E, w, lam = dense_eigenfunctions(basis), basis.quadrature_weight, basis.eigenvalues
+    h_c = E @ (w * problem.h.values)
+    h_norm = float(np.linalg.norm(h_c))
+    target, contract = 1e-13 * (1.0 + h_norm), 1e-10 * (1.0 + h_norm)
+
+    def evaluate(u):
+        reg = pot.regularize(problem.potential, problem.eps, E.T @ u)
+        objective = (
+            0.5 * float((lam * u**2).sum()) + w * float(reg.primitive().sum()) - float(h_c @ u)
+        )
+        return lam * u + E @ (w * reg.value) - h_c, objective, reg
+
+    u = np.zeros(basis.n) if start is None else np.array(start.values, dtype=float)
+    res, val, reg = evaluate(u)
+    prev_norm = np.inf
+    for _ in range(80):
+        res_norm = float(np.linalg.norm(res))
+        if res_norm <= target or (res_norm <= contract and res_norm > 0.5 * prev_norm):
+            return u
+        prev_norm = res_norm
+        jac = np.diag(lam) + (E * (w * reg.slope())) @ E.T
+        shift = 0.0
+        while True:
+            try:
+                direction = np.linalg.solve(jac + shift * np.eye(basis.n), -res)
+            except np.linalg.LinAlgError:
+                direction = None
+            if direction is not None and float(direction @ res) < 0.0:
+                break
+            shift = max(shift * 100.0, 1e-10 * (1.0 + float(np.abs(jac).max())))
+            if shift > 1e6:
+                raise NumericFailure("oracle: no descent direction")
+        descent = float(direction @ res)
+        alpha = 1.0
+        for _ in range(60):
+            trial = u + alpha * direction
+            trial_res, trial_val, trial_reg = evaluate(trial)
+            armijo = trial_val <= val + 1e-4 * alpha * descent
+            if armijo or float(np.linalg.norm(trial_res)) < res_norm:
+                u, res, val, reg = trial, trial_res, trial_val, trial_reg
+                break
+            alpha *= 0.5
+        else:
+            if res_norm <= contract:
+                return u
+            raise NumericFailure("oracle: line search stalled")
+    raise NumericFailure("oracle: no convergence")
+
+
+def reduced_jacobian(basis, data, dt, lam, diag, reg):
+    """Dense backward-Euler Newton matrix at ``reg``, rows 2..n divided by lambda, mode 1 dropped:
+    diag(diag / lam) + dt P diag(s + pi') P^T, symmetric."""
+    E, w = dense_eigenfunctions(basis)[1:], basis.quadrature_weight
+    slope = reg.slope() + data.potential.pi_prime(reg.r)
+    return np.diag(diag[1:] / lam[1:]) + dt * (E * (w * slope)) @ E.T
+
+
+def dense_backward_euler_phi(ev, data, dt, lam, diag, base):
+    """Oracle for ``galerkin._backward_euler_phi``: damped Newton on
+    R(p) = diag p + dt lam NL(p) - base with dense transforms, the dense
+    Jacobian and LU solves, from the semi-implicit step."""
+    basis = ev.state.phi.basis
+    E, w = dense_eigenfunctions(basis), basis.quadrature_weight
+
+    def residual(p_vec):
+        reg = pot.regularize(data.potential, data.eps, E.T @ p_vec)
+        nl = E @ (w * (reg.value + data.potential.pi(reg.r) + data.params.a))
+        return diag * p_vec + dt * lam * nl - base, reg
+
+    p_vec = (base - dt * lam * ev.nl.values) / diag
+    r_vec, reg = residual(p_vec)
+    target = gk._NEWTON_TOL * (1.0 + float(np.linalg.norm(base)))
+    for _ in range(50):
+        r_norm = float(np.linalg.norm(r_vec))
+        if r_norm <= target:
+            p_vec = p_vec.copy()
+            p_vec[0] = base[0] / diag[0]
+            return p_vec
+        slope = reg.slope() + data.potential.pi_prime(reg.r)
+        jac = np.diag(diag) + dt * lam[:, None] * ((E * (w * slope)) @ E.T)
+        delta = np.linalg.solve(jac, -r_vec)
+        alpha = 1.0
+        for _ in range(30):
+            trial = p_vec + alpha * delta
+            r_trial, reg_trial = residual(trial)
+            if float(np.linalg.norm(r_trial)) < r_norm:
+                p_vec, r_vec, reg = trial, r_trial, reg_trial
+                break
+            alpha *= 0.5
+        else:
+            raise StepFailure("oracle: line search stalled")
+    raise StepFailure("oracle: no convergence")

@@ -19,14 +19,14 @@ class TestSolve:
     def test_constant_obstacle_case(self, basis):
         # constant ansatz: (u - 1)/0.5 = 2 gives u = 2
         problem = el.EllipticProblem(basis, OBS, 0.5, sp.constant_field(2.0, basis.domain))
-        u, residual = el.solve_elliptic(problem)
-        assert sp.mean_value(u) == pytest.approx(2.0, abs=1e-12)
-        assert np.abs(u.values[1:]).max() <= 1e-12
-        assert residual <= 1e-10 * 3.0
+        sol = el.solve_elliptic(problem)
+        assert sp.mean_value(sol.u) == pytest.approx(2.0, abs=1e-12)
+        assert np.abs(sol.u.values[1:]).max() <= 1e-12
+        assert sol.residual <= 1e-10 * 3.0
 
     def test_zero_rhs(self, basis):
         problem = el.EllipticProblem(basis, REG, 0.3, sp.constant_field(0.0, basis.domain))
-        u, _ = el.solve_elliptic(problem)
+        u = el.solve_elliptic(problem).u
         assert np.abs(u.values).max() <= 1e-12
 
     def test_small_amplitude_linearization(self, basis):
@@ -38,7 +38,7 @@ class TestSolve:
             vals = np.zeros(basis.n)
             vals[1] = delta
             problem = el.EllipticProblem(basis, REG, 0.2, sp.to_field(sp.Coeffs(vals, basis)))
-            u, _ = el.solve_elliptic(problem)
+            u = el.solve_elliptic(problem).u
             ratios.append(u.values[1] / (delta * gain))
         assert ratios[1] == pytest.approx(1.0, rel=1e-6)
         assert abs(ratios[1] - 1.0) <= abs(ratios[0] - 1.0) + 1e-12
@@ -50,8 +50,8 @@ class TestSolve:
         vals[:6] = 0.8 * rng.standard_normal(6)
         h = sp.to_field(sp.Coeffs(vals, basis))
         problem = el.EllipticProblem(basis, spec, eps, h)
-        u_zero, _ = el.solve_elliptic(problem)
-        u_h, _ = el.solve_elliptic(problem, start=sp.to_coeffs(h, basis))
+        u_zero = el.solve_elliptic(problem).u
+        u_h = el.solve_elliptic(problem, start=sp.to_coeffs(h, basis)).u
         assert sp.norm_L2(u_zero - u_h) <= 1e-8
 
     def test_comparison_principle_constants(self, basis):
@@ -59,8 +59,7 @@ class TestSolve:
         means = []
         for h_val in (0.5, 2.0):
             problem = el.EllipticProblem(basis, REG, 0.2, sp.constant_field(h_val, basis.domain))
-            u, _ = el.solve_elliptic(problem)
-            means.append(sp.mean_value(u))
+            means.append(sp.mean_value(el.solve_elliptic(problem).u))
         assert means[0] < means[1]
 
     def test_nonfinite_rhs_rejected(self, basis):
@@ -72,16 +71,16 @@ class TestSolve:
 class TestL6Bound:
     def test_constant_equality(self, basis):
         problem = el.EllipticProblem(basis, OBS, 0.5, sp.constant_field(2.0, basis.domain))
-        u, _ = el.solve_elliptic(problem)
-        lhs, rhs, ok = el.check_L6_bound(problem, u)
+        sol = el.solve_elliptic(problem)
+        lhs, rhs, ok = el.check_L6_bound(problem, sol)
         assert ok
         assert lhs == pytest.approx(rhs, abs=1e-12)
         assert rhs == pytest.approx(2.0, abs=1e-12)  # 2 |Omega|^{1/6}, |Omega| = 1
 
     def test_zero_rhs_passes(self, basis):
         problem = el.EllipticProblem(basis, REG, 0.3, sp.constant_field(0.0, basis.domain))
-        u, _ = el.solve_elliptic(problem)
-        lhs, rhs, ok = el.check_L6_bound(problem, u)
+        sol = el.solve_elliptic(problem)
+        lhs, rhs, ok = el.check_L6_bound(problem, sol)
         assert ok and lhs <= 1e-12 and rhs == 0.0
 
     @pytest.mark.parametrize("spec,eps", [(REG, 0.2), (LOG, 0.1), (OBS, 0.5)])
@@ -91,23 +90,21 @@ class TestL6Bound:
             vals = np.zeros(basis.n)
             vals[:8] = rng.standard_normal(8)
             problem = el.EllipticProblem(basis, spec, eps, sp.to_field(sp.Coeffs(vals, basis)))
-            u, _ = el.solve_elliptic(problem)
-            lhs, rhs, ok = el.check_L6_bound(problem, u)
+            sol = el.solve_elliptic(problem)
+            lhs, rhs, ok = el.check_L6_bound(problem, sol)
             assert ok, (spec.kind, lhs, rhs)
 
 
 class TestSurrogates:
     def test_zero_case(self, basis):
         problem = el.EllipticProblem(basis, REG, 0.3, sp.constant_field(0.0, basis.domain))
-        u, _ = el.solve_elliptic(problem)
-        norms = el.h2_surrogate(problem, u)
+        norms = el.h2_surrogate(problem, el.solve_elliptic(problem))
         assert norms.h2_spectral <= 1e-12
         assert norms.laplacian_L6 <= 1e-12
 
     def test_constant_case_laplacian_vanishes(self, basis):
         problem = el.EllipticProblem(basis, OBS, 0.5, sp.constant_field(2.0, basis.domain))
-        u, _ = el.solve_elliptic(problem)
-        norms = el.h2_surrogate(problem, u)
+        norms = el.h2_surrogate(problem, el.solve_elliptic(problem))
         assert norms.laplacian_L6 <= 1e-12
         assert norms.h2_spectral == pytest.approx(2.0, abs=1e-10)
 
@@ -119,7 +116,7 @@ class TestSurrogates:
             vals = np.zeros(basis.n)
             vals[1] = delta
             problem = el.EllipticProblem(basis, REG, 0.2, sp.to_field(sp.Coeffs(vals, basis)))
-            u, _ = el.solve_elliptic(problem)
-            norms = el.h2_surrogate(problem, u)
-            predicted = lam2 * abs(u.values[1]) * e2_l6
+            sol = el.solve_elliptic(problem)
+            norms = el.h2_surrogate(problem, sol)
+            predicted = lam2 * abs(sol.u.values[1]) * e2_l6
             assert norms.laplacian_L6 == pytest.approx(predicted, rel=rel)

@@ -1,5 +1,9 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +251,18 @@ class TestCli:
             summary.pop("wall_time_s")
             outs.append(summary)
         assert outs[0] == outs[1]
+        for key in ("newton_iterations", "krylov_iterations", "line_search_halvings"):
+            count = outs[0]["metrics"][key]
+            assert isinstance(count, int) and count > 0
+
+    def test_python_dash_m_entry_point(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(io.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "thermoch", "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "usage: thermoch" in done.stdout
 
     def test_converge_writes_table(self, tmp_path):
         cfg = write_config(

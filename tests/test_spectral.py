@@ -184,7 +184,16 @@ class TestFactoredTransforms:
         assert [C.shape for C in basis.axis_factors] == [(2, 16), (3, 16)]
         assert list(basis.mode_index) == [0, 1, 3, 4, 2]
 
-    def test_semi_implicit_run_never_builds_dense_matrix(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv,scheme,kind",
+        [
+            (["simulate"], "semi_implicit", "regular"),
+            (["simulate"], "backward_euler", "regular"),
+            (["verify", "elliptic"], "semi_implicit", "logarithmic\nc1 = 2.0"),
+        ],
+        ids=["simulate-semi_implicit", "simulate-backward_euler", "verify-elliptic"],
+    )
+    def test_command_never_builds_dense_matrix(self, tmp_path, monkeypatch, argv, scheme, kind):
         built = []
         build = sp.build_basis
 
@@ -196,13 +205,14 @@ class TestFactoredTransforms:
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(
             "[domain]\ndim = 2\nlengths = 1.0, 1.0\ngrid = 16\nn_modes = 20\n"
-            "[potential]\nkind = regular\neps = 0.1\n"
+            f"[potential]\nkind = {kind}\neps = 0.1\n"
             "[data]\nphi0 = 0.1 + 0.2*cos(1,1)\n"
-            "[time]\nt_final = 0.05\ndt = 0.01\nscheme = semi_implicit\n",
+            f"[time]\nt_final = 0.05\ndt = 0.01\nscheme = {scheme}\n"
+            "[experiment]\ntrials = 2\n",
             encoding="utf-8",
         )
         out = tmp_path / "out"
-        assert io.main(["simulate", str(cfg), "--output-dir", str(out), "--quiet"]) == 0
+        assert io.main([*argv, str(cfg), "--output-dir", str(out), "--quiet"]) == 0
         assert built and all("eigenfunction_values" not in b.__dict__ for b in built)
 
 
