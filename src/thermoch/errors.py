@@ -6,7 +6,14 @@ NumericFailure -> 3, OSError -> 4.
 
 
 class ConfigurationError(ValueError):
-    """Invalid configuration or data that fails a validation rule."""
+    """Invalid configuration or data: one line per violated rule, each with its assumption tag."""
+
+
+def require(*rules: tuple[bool, str]) -> None:
+    """Raise one ConfigurationError listing the message of every rule whose condition fails."""
+    broken = [message for holds, message in rules if not holds]
+    if broken:
+        raise ConfigurationError("\n".join(broken))
 
 
 class CompatibilityError(ConfigurationError):

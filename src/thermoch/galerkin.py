@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import newton, potentials, spectral
-from .errors import CompatibilityError, ConfigurationError, RunFailure, StepFailure
+from .errors import CompatibilityError, RunFailure, StepFailure, require
 from .potentials import PotentialSpec
 from .spectral import Coeffs, Field, SpectralBasis
 
@@ -57,12 +57,11 @@ class PhysicalParams:
     lambda_latent: float
 
     def __post_init__(self):
-        for name in ("gamma", "b", "kappa1", "kappa2", "lambda_latent"):
-            value = getattr(self, name)
-            if not value > 0.0:
-                raise ConfigurationError(
-                    f"(2.5) {name} must be a positive constant, got {value}"
-                )
+        require(*(
+            (value > 0.0, f"(2.5) {name} must be a positive constant, got {value}")
+            for name, value in vars(self).items()
+            if name != "a"
+        ))
 
 
 @dataclass(frozen=True)
@@ -111,10 +110,11 @@ class ProblemData:
     t_final: float
 
     def __post_init__(self):
-        if not 0.0 < self.eps < 1.0:
-            raise ConfigurationError(f"(2.11) eps must lie in (0, 1), got {self.eps}")
-        if self.t_final < 0.0:
-            raise ConfigurationError(f"(2.11) t_final must be >= 0, got {self.t_final}")
+        require(
+            potentials.eps_rule(self.eps),
+            (self.t_final >= 0.0, f"(2.11) t_final must be >= 0, got {self.t_final}"),
+            (math.isfinite(self.f.sup_norm()), "(2.13) source amplitude sup|f| must be finite"),
+        )
 
 
 def rho(data: ProblemData) -> float:
@@ -343,15 +343,20 @@ def _backward_euler_phi(ev, data, dt, lam, diag, base):
     return newton.solve(evaluate, direction, p_vec, target, target, StepFailure)[0].x
 
 
+def check_step(dt: float, scheme: str) -> None:
+    """Raise ConfigurationError unless dt > 0 and ``scheme`` is one of SCHEMES."""
+    require(
+        (dt > 0.0, f"(2.11) dt must be positive, got {dt}"),
+        (scheme in SCHEMES, f"(2.11) scheme must be one of {SCHEMES}, got '{scheme}'"),
+    )
+
+
 def step(ev: Evaluation, data: ProblemData, dt: float, scheme: str = SEMI_IMPLICIT) -> GalerkinState:
     """Advance the evaluated state one time step with the chosen first-order scheme.
 
     Raises StepFailure when the new phi is not finite, for either scheme.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    check_step(dt, scheme)
     lam, d3, c3, diag, base = _step_coefficients(ev, data, dt)
     if scheme == SEMI_IMPLICIT:
         phi_new = _semi_implicit_phi(ev, dt, lam, diag, base)
@@ -387,8 +392,7 @@ def simulate(
     RunFailure carrying the partial trajectory is raised.  Deterministic for a
     given configuration.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    check_step(dt, scheme)
     gamma = data.params.gamma
     state = project_initial_data(data, basis)
     sources = (data.f.project(basis), data.g.project(basis))

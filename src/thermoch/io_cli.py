@@ -6,7 +6,11 @@ constants, finite cosine-mode sums ``c0 + a*cos(k)`` (``cos(k1,k2)`` in 2-D),
 and piecewise-constant-in-time schedules ``expr ; t1: expr ; ...``.
 
 Validation failures carry exactly one assumption tag from {(2.5), (2.11),
-(2.12), (2.13), (2.14)}; a-priori monitors name (4.31).  All floating-point
+(2.12), (2.13), (2.14)}; a-priori monitors name (4.31).  This module only
+rejects values that are not finite numbers and a ``dim`` that disagrees with
+the lengths; every other rule is stated once, by the constructor or check of
+the quantity it constrains, and ``validate_config`` collects their messages
+from the objects the commands then run on.  All floating-point
 output is serialized with 17 significant digits so repeated runs are
 byte-identical (summary.json additionally records wall time).
 
@@ -24,6 +28,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -35,6 +40,7 @@ from .errors import (
     MeanDomainError,
     NumericFailure,
     RunFailure,
+    require,
 )
 from .galerkin import PhysicalParams, ProblemData, SourceTerm
 from .potentials import PotentialSpec
@@ -146,9 +152,34 @@ def parse_source_expr(text: str, domain: BoxDomain) -> SourceTerm:
 # configuration
 
 
+def _parse_numbers(items: Sequence[tuple[str, str]], tag: str, kind: type = float) -> list:
+    """Parse ``(label, text)`` config values as finite numbers of ``kind``.
+
+    Every text that is not one, including nan and inf, is reported at once:
+    a ConfigurationError with one line under ``tag`` per bad value.
+    """
+    values, bad = [], []
+    for label, text in items:
+        try:
+            values.append(kind(text))
+            ok = kind is int or math.isfinite(values[-1])
+        except ValueError:
+            ok = False
+        if not ok:
+            noun = "integer" if kind is int else "number"
+            bad.append(f"{tag} {label} must be a finite {noun}, got '{text}'")
+    if bad:
+        raise ConfigurationError("\n".join(bad))
+    return values
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration; equality compares the canonical key-values."""
+    """Canonical configuration; equality compares the canonical key-values.
+
+    Each object the config describes is built on first use and kept, so the
+    commands run on the objects ``validate_config`` built.
+    """
 
     sections: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
 
@@ -163,65 +194,97 @@ class RunConfig:
     def as_dict(self) -> dict[str, dict[str, str]]:
         return {name: dict(items) for name, items in self.sections}
 
+    def _numbers(self, section: str, keys: Sequence[str], tag: str, kind: type = float) -> list:
+        return _parse_numbers([(f"{section}.{k}", self.get(section, k)) for k in keys], tag, kind)
+
     # -- builders ----------------------------------------------------------
 
-    def domain(self) -> BoxDomain:
-        lengths = tuple(float(x) for x in self.get("domain", "lengths").split(","))
-        return BoxDomain(lengths=lengths, grid_points_per_axis=int(self.get("domain", "grid")))
-
-    def n_modes(self) -> int:
-        return int(self.get("domain", "n_modes"))
-
-    def basis(self) -> SpectralBasis:
-        return spectral.build_basis(self.domain(), self.n_modes())
-
+    @cached_property
     def params(self) -> PhysicalParams:
-        g = lambda k: float(self.get("physics", k))
-        return PhysicalParams(
-            gamma=g("gamma"), a=g("a"), b=g("b"),
-            kappa1=g("kappa1"), kappa2=g("kappa2"), lambda_latent=g("lambda"),
-        )
+        keys = ("gamma", "a", "b", "kappa1", "kappa2", "lambda")
+        return PhysicalParams(*self._numbers("physics", keys, "(2.5)"))
 
+    @cached_property
+    def basis(self) -> SpectralBasis:
+        (dim,) = self._numbers("domain", ("dim",), "(2.12)", int)
+        lengths = _parse_numbers(
+            [("domain.lengths", x) for x in self.get("domain", "lengths").split(",")], "(2.12)"
+        )
+        grid, n_modes = self._numbers("domain", ("grid", "n_modes"), "(2.11)", int)
+        # dim only restates the number of lengths; BoxDomain owns the rule on it.
+        require((dim == len(lengths), f"(2.12) dim = {dim} but {len(lengths)} lengths given"))
+        return spectral.build_basis(BoxDomain(tuple(lengths), grid), n_modes)
+
+    @cached_property
     def potential(self) -> PotentialSpec:
+        c1, c2 = self._numbers("potential", ("c1", "c2"), "(2.11)")
         kind = self.get("potential", "kind")
         if kind == "regular":
             return potentials.regular_potential()
         if kind == "logarithmic":
-            return potentials.logarithmic_potential(float(self.get("potential", "c1")))
+            return potentials.logarithmic_potential(c1)
         if kind == "double_obstacle":
-            return potentials.double_obstacle_potential(float(self.get("potential", "c2")))
+            return potentials.double_obstacle_potential(c2)
         raise ConfigurationError(f"(2.11) unknown potential kind '{kind}'")
 
+    @cached_property
     def eps(self) -> float:
-        return float(self.get("potential", "eps"))
+        (eps,) = self._numbers("potential", ("eps",), "(2.11)")
+        require(potentials.eps_rule(eps))
+        return eps
+
+    @cached_property
+    def dt(self) -> float:
+        (dt,) = self._numbers("time", ("dt",), "(2.11)")
+        galerkin.check_step(dt, self.scheme())
+        return dt
+
+    def scheme(self) -> str:
+        return self.get("time", "scheme")
+
+    def _count(self, key: str, least: int) -> int:
+        (count,) = self._numbers("experiment", (key,), "(2.11)", int)
+        require((count >= least, f"(2.11) experiment.{key} must be >= {least}, got {count}"))
+        return count
+
+    @cached_property
+    def trials(self) -> int:
+        """Random right-hand sides of ``verify elliptic``."""
+        return self._count("trials", 0)
+
+    @cached_property
+    def samples(self) -> int:
+        """Sample points of ``verify potentials``."""
+        return self._count("samples", 1)
+
+    @cached_property
+    def schedule(self) -> list[float]:
+        text = self.get("experiment", "schedule").strip()
+        items = [("experiment.schedule", x) for x in text.split(",")] if text else []
+        return _parse_numbers(items, "(2.11)")
 
     def problem_data(self) -> ProblemData:
-        domain = self.domain()
+        """The problem data; each data expression is parsed once per config."""
+        return self._problem_data
+
+    @cached_property
+    def _problem_data(self) -> ProblemData:
+        domain = self.basis.domain
         return ProblemData(
-            params=self.params(),
-            potential=self.potential(),
-            eps=self.eps(),
+            params=self.params,
+            potential=self.potential,
+            eps=self.eps,
             phi0=parse_field_expr(self.get("data", "phi0"), domain),
             w0=parse_field_expr(self.get("data", "w0"), domain),
             w1=parse_field_expr(self.get("data", "w1"), domain),
             f=parse_source_expr(self.get("data", "f"), domain),
             g=parse_source_expr(self.get("data", "g"), domain),
-            t_final=float(self.get("time", "t_final")),
+            t_final=self._numbers("time", ("t_final",), "(2.11)")[0],
         )
-
-    def dt(self) -> float:
-        return float(self.get("time", "dt"))
-
-    def scheme(self) -> str:
-        return self.get("time", "scheme")
-
-    def schedule(self) -> list[float]:
-        text = self.get("experiment", "schedule").strip()
-        return [float(x) for x in text.split(",")] if text else []
 
     def warnings(self) -> list[str]:
         out = []
-        if float(self.get("physics", "a")) <= 0.0:
+        if self.params.a <= 0.0:
             out.append(
                 "warning: a <= 0 accepted although the positivity assumption lists it"
             )
@@ -246,91 +309,27 @@ def _canonical_sections(raw: dict[str, dict[str, str]]) -> tuple:
     )
 
 
-def _float_or_msg(text: str, messages: list[str], label: str, tag: str) -> Optional[float]:
-    try:
-        return float(text)
-    except ValueError:
-        messages.append(f"{tag} {label} must be a number, got '{text}'")
-        return None
+# Builders in reporting order, all checked before the data and compatibility stage.
+_STAGES = ("params", "basis", "potential", "eps", "dt", "trials", "samples", "schedule")
 
 
 def validate_config(cfg: RunConfig) -> list[str]:
-    """Collect every violated assumption, one tagged message per violation."""
+    """Build every object of ``cfg``, collecting the tagged message of each violated rule.
+
+    The data expressions and the compatibility band are checked only when
+    every other object builds.
+    """
     messages: list[str] = []
-
-    for name in ("gamma", "b", "kappa1", "kappa2", "lambda"):
-        value = _float_or_msg(cfg.get("physics", name), messages, f"physics.{name}", "(2.5)")
-        if value is not None and not value > 0.0:
-            messages.append(f"(2.5) {name} must be a positive constant, got {value}")
-    _float_or_msg(cfg.get("physics", "a"), messages, "physics.a", "(2.5)")
-
-    dim_txt = cfg.get("domain", "dim")
-    try:
-        dim = int(dim_txt)
-    except ValueError:
-        dim = -1
-        messages.append(f"(2.12) dim must be an integer, got '{dim_txt}'")
-    if dim != -1 and dim not in (1, 2):
-        messages.append(f"(2.12) dim must be 1 or 2, got {dim}")
-    try:
-        lengths = [float(x) for x in cfg.get("domain", "lengths").split(",")]
-    except ValueError:
-        lengths = []
-        messages.append(f"(2.12) cannot parse lengths '{cfg.get('domain', 'lengths')}'")
-    if lengths and dim > 0 and len(lengths) != dim:
-        messages.append(f"(2.12) dim = {dim} but {len(lengths)} lengths given")
-    if any(L <= 0.0 for L in lengths):
-        messages.append(f"(2.12) domain lengths must be positive, got {lengths}")
-    try:
-        grid = int(cfg.get("domain", "grid"))
-        n_modes = int(cfg.get("domain", "n_modes"))
-    except ValueError:
-        grid, n_modes = 0, 0
-        messages.append("(2.11) grid and n_modes must be integers")
-    if grid and grid < 4:
-        messages.append(f"(2.11) grid must be >= 4, got {grid}")
-    if grid >= 4 and dim in (1, 2) and n_modes > (grid // 2 + 1) ** dim:
-        messages.append(
-            f"(2.11) n_modes = {n_modes} exceeds the capacity of a {grid}-point grid"
-        )
-    if n_modes < 1:
-        messages.append(f"(2.11) n_modes must be >= 1, got {n_modes}")
-
-    kind = cfg.get("potential", "kind")
-    if kind not in ("regular", "logarithmic", "double_obstacle"):
-        messages.append(f"(2.11) unknown potential kind '{kind}'")
-    c1 = _float_or_msg(cfg.get("potential", "c1"), messages, "potential.c1", "(2.11)")
-    c2 = _float_or_msg(cfg.get("potential", "c2"), messages, "potential.c2", "(2.11)")
-    if kind == "logarithmic" and c1 is not None and not c1 > 1.0:
-        messages.append(f"(2.11) logarithmic potential requires c1 > 1, got {c1}")
-    if kind == "double_obstacle" and c2 is not None and not c2 > 0.0:
-        messages.append(f"(2.11) double obstacle potential requires c2 > 0, got {c2}")
-    eps = _float_or_msg(cfg.get("potential", "eps"), messages, "potential.eps", "(2.11)")
-    if eps is not None and not 0.0 < eps < 1.0:
-        messages.append(f"(2.11) eps must lie in (0, 1), got {eps}")
-
-    t_final = _float_or_msg(cfg.get("time", "t_final"), messages, "time.t_final", "(2.11)")
-    if t_final is not None and t_final < 0.0:
-        messages.append(f"(2.11) t_final must be >= 0, got {t_final}")
-    dt = _float_or_msg(cfg.get("time", "dt"), messages, "time.dt", "(2.11)")
-    if dt is not None and not dt > 0.0:
-        messages.append(f"(2.11) dt must be positive, got {dt}")
-    if cfg.get("time", "scheme") not in galerkin.SCHEMES:
-        messages.append(
-            f"(2.11) scheme must be one of {galerkin.SCHEMES}, got '{cfg.get('time', 'scheme')}'"
-        )
-
-    if messages:
-        return messages
-
-    # Data expressions and the compatibility band need the parsed pieces.
-    try:
-        data = cfg.problem_data()
-        if not math.isfinite(data.f.sup_norm()):
-            return ["(2.13) source amplitude sup|f| must be finite"]
-        galerkin.check_compatibility(data)
-    except ConfigurationError as exc:
-        messages.extend(str(exc).splitlines())
+    for stage in _STAGES:
+        try:
+            getattr(cfg, stage)
+        except ConfigurationError as exc:
+            messages.extend(str(exc).splitlines())
+    if not messages:
+        try:
+            galerkin.check_compatibility(cfg.problem_data())
+        except ConfigurationError as exc:
+            messages.extend(str(exc).splitlines())
     return messages
 
 
@@ -458,8 +457,7 @@ def spectral_suite(
 ) -> tuple[list[str], dict[str, float]]:
     """Orthonormality of the sampled basis and the inverse-Laplacian identities."""
     violations: list[str] = []
-    E, w = basis.eigenfunction_values, basis.quadrature_weight
-    gram = (E * w) @ E.T - np.eye(basis.n)
+    gram = spectral.gram_matrix(basis) - np.eye(basis.n)
     metrics = {"orthonormality": float(np.abs(gram).max()),
                "symmetry": 0.0, "energy_identity": 0.0, "time_identity": 0.0}
 
@@ -606,10 +604,9 @@ def _prepare_outdir(cfg: Optional[RunConfig], override: Optional[str]) -> Path:
 def run_simulate(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
     started = time.perf_counter()
     data = cfg.problem_data()
-    basis = cfg.basis()
     failure = None
     try:
-        trajectory = galerkin.simulate(data, basis, cfg.dt(), cfg.scheme())
+        trajectory = galerkin.simulate(data, cfg.basis, cfg.dt, cfg.scheme())
     except RunFailure as exc:
         # preserve partial artifacts before reporting the numeric failure
         trajectory = exc.trajectory
@@ -645,19 +642,13 @@ def run_simulate(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
 def run_verify(cfg: RunConfig, target: str, outdir: Path, quiet: bool, seed: int) -> int:
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
-    trials = int(cfg.get("experiment", "trials"))
-    samples = int(cfg.get("experiment", "samples"))
     if target == "potentials":
-        eps_values = cfg.schedule() or [0.5, 0.1, 0.02]
-        violations, metrics = potentials_suite(
-            cfg.potential(), eps_values, samples, rng
-        )
+        eps_values = cfg.schedule or [0.5, 0.1, 0.02]
+        violations, metrics = potentials_suite(cfg.potential, eps_values, cfg.samples, rng)
     elif target == "spectral":
-        violations, metrics = spectral_suite(cfg.basis(), rng)
+        violations, metrics = spectral_suite(cfg.basis, rng)
     elif target == "elliptic":
-        violations, metrics = elliptic_suite(
-            cfg.basis(), cfg.potential(), cfg.eps(), rng, trials
-        )
+        violations, metrics = elliptic_suite(cfg.basis, cfg.potential, cfg.eps, rng, cfg.trials)
     else:
         raise ConfigurationError(f"(2.11) unknown verify target '{target}'")
     write_summary_json(
@@ -680,7 +671,7 @@ def run_verify(cfg: RunConfig, target: str, outdir: Path, quiet: bool, seed: int
 def run_converge(cfg: RunConfig, vary: str, outdir: Path, quiet: bool) -> int:
     started = time.perf_counter()
     kind = {"modes": analysis.MODE_COUNT, "eps": analysis.EPSILON, "dt": analysis.TIME_STEP}[vary]
-    schedule = cfg.schedule()
+    schedule = cfg.schedule
     if not schedule:
         defaults = {
             "modes": [4.0, 8.0, 16.0, 32.0],
@@ -689,7 +680,7 @@ def run_converge(cfg: RunConfig, vary: str, outdir: Path, quiet: bool) -> int:
         }
         schedule = defaults[vary]
     rows = analysis.convergence_study(
-        kind, schedule, cfg.problem_data(), cfg.basis(), cfg.dt(), cfg.scheme()
+        kind, schedule, cfg.problem_data(), cfg.basis, cfg.dt, cfg.scheme()
     )
     write_table_csv(outdir / "convergence.csv", rows)
     write_summary_json(
@@ -725,7 +716,7 @@ def run_depend(cfg1: RunConfig, cfg2: RunConfig, outdir: Path, quiet: bool) -> i
     # reflects the required shared structure.
     data2 = dataclasses.replace(cfg2.problem_data(), potential=data1.potential)
     report = analysis.dependence_experiment(
-        data1, data2, cfg1.basis(), cfg1.dt(), cfg1.scheme()
+        data1, data2, cfg1.basis, cfg1.dt, cfg1.scheme()
     )
     rows = [
         {"lhs": report.lhs, "empirical_K2": report.empirical_K2,

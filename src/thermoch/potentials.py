@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CompatibilityError, NumericFailure
+from .errors import CompatibilityError, NumericFailure, require
 
 # Edge offset keeping the entropy's logarithms finite at the ends of [-1, 1].
 _EDGE = 1e-15
@@ -149,8 +149,7 @@ def _logarithmic_slope(eps, r, j):
 
 def logarithmic_potential(c1: float) -> PotentialSpec:
     """Entropic double well on (-1, 1); requires c1 > 1 for nonconvexity."""
-    if not c1 > 1.0:
-        raise ValueError(f"logarithmic potential requires c1 > 1, got {c1}")
+    require((c1 > 1.0, f"(2.11) logarithmic potential requires c1 > 1, got {c1}"))
     return PotentialSpec(
         kind="logarithmic",
         beta_hat=_entropy,
@@ -170,8 +169,7 @@ def _obstacle_slope(eps, r, j):
 
 def double_obstacle_potential(c2: float) -> PotentialSpec:
     """Indicator of [-1, 1] plus the concave perturbation -c2 r^2."""
-    if not c2 > 0.0:
-        raise ValueError(f"double obstacle potential requires c2 > 0, got {c2}")
+    require((c2 > 0.0, f"(2.11) double obstacle potential requires c2 > 0, got {c2}"))
     return PotentialSpec(
         kind="double_obstacle",
         beta_hat=lambda r: np.where(np.abs(np.asarray(r, dtype=float)) <= 1.0, 0.0, np.inf),
@@ -197,6 +195,11 @@ _SLOPES = {
 }
 
 
+def eps_rule(eps: float) -> tuple[bool, str]:
+    """The rule on the regularization parameter, eps in (0, 1), as ``errors.require`` takes it."""
+    return 0.0 < eps < 1.0, f"(2.11) eps must lie in (0, 1), got {eps}"
+
+
 def resolvent(spec: PotentialSpec, eps: float, r):
     """Solve y + eps*beta(y) = r for the unique y in the closure of D(beta).
 
@@ -204,8 +207,7 @@ def resolvent(spec: PotentialSpec, eps: float, r):
     accurate to a few ulps of max(1, |r|).  Vectorized over ``r``; a scalar
     r gives a float.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    require(eps_rule(eps))
     r_arr = np.asarray(r, dtype=float)
     y = _KERNELS[spec.kind](eps, r_arr)
     return float(y) if r_arr.ndim == 0 else y
@@ -245,23 +247,10 @@ def regularize(spec: PotentialSpec, eps: float, r) -> Regularization:
     return Regularization(spec, eps, r_arr, j, (r_arr - j) / eps)
 
 
-def _match_scalar(r, out):
-    return float(out) if np.ndim(r) == 0 else out
-
-
 def yosida(spec: PotentialSpec, eps: float, r):
     """Lipschitz regularization (r - resolvent(r)) / eps of the graph."""
-    return _match_scalar(r, regularize(spec, eps, r).value)
-
-
-def yosida_primitive(spec: PotentialSpec, eps: float, r):
-    """Regularized convex part beta_hat_eps; see ``Regularization.primitive``."""
-    return _match_scalar(r, regularize(spec, eps, r).primitive())
-
-
-def yosida_derivative(spec: PotentialSpec, eps: float, r):
-    """Derivative of ``yosida`` at r; see ``Regularization.slope``."""
-    return _match_scalar(r, regularize(spec, eps, r).slope())
+    value = regularize(spec, eps, r).value
+    return float(value) if np.ndim(r) == 0 else value
 
 
 @dataclass(frozen=True)

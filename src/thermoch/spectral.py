@@ -11,11 +11,11 @@ Because every eigenfunction is a product of 1-D cosines sampled on the same
 midpoint nodes, the transforms factor axis by axis (sum factorisation): the
 basis keeps one small matrix C[k, i] = e_k(x_i) per axis, and a transform
 contracts the grid with each C in turn, O(M^(d+1) K) work and O(M K) memory
-for M nodes and K wavenumbers per axis.  The dense n x N matrix of sampled
-eigenfunctions is built only on request (``eigenfunction_values``), as the
-oracle the tests compare against and for the Gram check of
-``verify spectral``; the Newton solvers apply their Jacobians through the
-transforms instead.
+for M nodes and K wavenumbers per axis.  The quadrature weights are a
+product over axes too, so the Gram matrix of the basis (``gram_matrix``)
+factors into per-axis Gram matrices.  No n x N matrix of sampled
+eigenfunctions is ever formed; the Newton solvers apply their Jacobians
+through the transforms.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, MeanDomainError
+from .errors import MeanDomainError, require
 
 # Relative tolerance for zero-mean membership when inverting the Laplacian.
 MEAN_TOL = 1e-10
@@ -41,14 +41,11 @@ class BoxDomain:
     grid_points_per_axis: int
 
     def __post_init__(self):
-        if len(self.lengths) not in (1, 2):
-            raise ConfigurationError(f"dim must be 1 or 2, got {len(self.lengths)}")
-        if any(L <= 0.0 for L in self.lengths):
-            raise ConfigurationError(f"lengths must be positive, got {self.lengths}")
-        if self.grid_points_per_axis < 4:
-            raise ConfigurationError(
-                f"grid_points_per_axis must be >= 4, got {self.grid_points_per_axis}"
-            )
+        require(
+            (len(self.lengths) in (1, 2), f"(2.12) dim must be 1 or 2, got {len(self.lengths)}"),
+            (all(L > 0.0 for L in self.lengths), f"(2.12) domain lengths must be positive, got {self.lengths}"),
+            (self.grid_points_per_axis >= 4, f"(2.11) grid must be >= 4, got {self.grid_points_per_axis}"),
+        )
 
     @property
     def dim(self) -> int:
@@ -160,21 +157,6 @@ class SpectralBasis:
     def quadrature_weight(self) -> float:
         return self.domain.cell_weight
 
-    @cached_property
-    def eigenfunction_values(self) -> np.ndarray:
-        """Dense n x N matrix of sampled eigenfunctions, built on first use.
-
-        Slow path: the transforms never touch it.  It serves as the oracle
-        for the factored transforms and for the Gram check of ``verify spectral``.
-        """
-        rows = []
-        for mode in self.modes:
-            prod = self.axis_factors[0][mode[0]]
-            for C, k in zip(self.axis_factors[1:], mode[1:]):
-                prod = np.multiply.outer(prod, C[k])
-            rows.append(prod.ravel())
-        return np.array(rows)
-
 
 def build_basis(domain: BoxDomain, n: int) -> SpectralBasis:
     """Enumerate, sort and sample the first n eigenpairs.
@@ -184,16 +166,15 @@ def build_basis(domain: BoxDomain, n: int) -> SpectralBasis:
     than the grid can carry is a configuration error.  Ties in the eigenvalue
     are broken lexicographically, so bases on a common grid are nested.
     """
-    if n < 1:
-        raise ConfigurationError(f"basis size must be >= 1, got {n}")
     cap = domain.grid_points_per_axis // 2
+    capacity = (cap + 1) ** domain.dim
+    require(
+        (n >= 1, f"(2.11) n_modes must be >= 1, got {n}"),
+        (n <= capacity, f"(2.11) n_modes = {n} exceeds the capacity of "
+                        f"{capacity} modes on a {domain.grid_points_per_axis}-point-per-axis grid"),
+    )
     # Every multi-index with components in 0..cap, one row per axis.
     candidates = np.indices((cap + 1,) * domain.dim).reshape(domain.dim, -1)
-    if n > candidates.shape[1]:
-        raise ConfigurationError(
-            f"n = {n} exceeds the {candidates.shape[1]} modes resolvable on a "
-            f"{domain.grid_points_per_axis}-point-per-axis grid"
-        )
     eig = sum((k * math.pi / L) ** 2 for k, L in zip(candidates, domain.lengths))
     # Sort by eigenvalue, then by mode: lexsort's last key is the primary one.
     order = np.lexsort((*candidates[::-1], eig))[:n]
@@ -214,6 +195,21 @@ def build_basis(domain: BoxDomain, n: int) -> SpectralBasis:
         axis_factors=factors,
         mode_index=mode_index,
     )
+
+
+def gram_matrix(basis: SpectralBasis) -> np.ndarray:
+    """Quadrature inner products of the sampled eigenfunctions, n x n.
+
+    The midpoint weights are a product over axes, so
+    G[j, l] = prod_d G_d[k_d(j), k_d(l)] with G_d = C_d (L_d / M) C_d^T;
+    an n x N matrix of samples is never formed.
+    """
+    modes = np.array(basis.modes).T
+    m = basis.domain.grid_points_per_axis
+    gram = np.ones((basis.n, basis.n))
+    for C, L, k in zip(basis.axis_factors, basis.domain.lengths, modes):
+        gram *= ((L / m) * C @ C.T)[np.ix_(k, k)]
+    return gram
 
 
 @dataclass(frozen=True)

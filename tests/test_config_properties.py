@@ -1,0 +1,139 @@
+"""Property tests of the config layer: the summary echo, data expressions and corrupted keys."""
+
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thermoch import galerkin as gk
+from thermoch import io_cli as io
+from thermoch import spectral as sp
+from thermoch.errors import ConfigurationError
+
+TAGS = ("(2.5)", "(2.11)", "(2.12)", "(2.13)", "(2.14)")
+
+fmt = io.format_float
+
+
+@st.composite
+def valid_sections(draw):
+    """A valid config as sections of key -> text, with some keys left at their defaults.
+
+    phi0 stays within 0.6 of zero and sup|f| / gamma within 0.3, so every
+    potential admits the data.
+    """
+    dim = draw(st.integers(1, 2))
+    grid = draw(st.integers(4, 12))
+    positive = st.floats(0.1, 10.0)
+    gamma = draw(positive)
+    mode = ",".join(str(draw(st.integers(0, grid // 2))) for _ in range(dim))
+    # Below 0.3 gamma whether gamma is written or left at its default 1.
+    f_max = 0.3 * min(gamma, 1.0)
+    f_segments = [fmt(f_max * draw(st.floats(-1.0, 1.0)))]
+    if draw(st.booleans()):
+        f_segments.append(f"0.5: {fmt(f_max * draw(st.floats(-1.0, 1.0)))}")
+    sections = {
+        "domain": {
+            "dim": str(dim),
+            "lengths": ", ".join(fmt(draw(positive)) for _ in range(dim)),
+            "grid": str(grid),
+            "n_modes": str(draw(st.integers(1, (grid // 2 + 1) ** dim))),
+        },
+        "physics": {
+            "gamma": fmt(gamma),
+            "a": fmt(draw(st.floats(-5.0, 5.0))),
+            **{key: fmt(draw(positive)) for key in ("b", "kappa1", "kappa2", "lambda")},
+        },
+        "potential": {
+            "kind": draw(st.sampled_from(["regular", "logarithmic", "double_obstacle"])),
+            "c1": fmt(draw(st.floats(1.01, 5.0))),
+            "c2": fmt(draw(st.floats(0.01, 5.0))),
+            "eps": fmt(draw(st.floats(0.01, 0.99))),
+        },
+        "data": {
+            "phi0": f"{fmt(draw(st.floats(-0.3, 0.3)))} + {fmt(draw(st.floats(0.0, 0.3)))}*cos({mode})",
+            "f": " ; ".join(f_segments),
+        },
+        "time": {"t_final": "0.01", "dt": "0.01", "scheme": draw(st.sampled_from(gk.SCHEMES))},
+        "experiment": {
+            "trials": str(draw(st.integers(0, 50))),
+            "schedule": ", ".join(fmt(draw(st.floats(0.01, 0.99))) for _ in range(draw(st.integers(0, 3)))),
+        },
+    }
+    # Section and key names are case-insensitive, and every key but the
+    # mutually constrained [domain] ones may be left at its default.
+    return {
+        draw(st.sampled_from([name, name.upper(), name.title()])): {
+            draw(st.sampled_from([key, key.upper()])): value
+            for key, value in items.items()
+            if name == "domain" or draw(st.booleans())
+        }
+        for name, items in sections.items()
+    }
+
+
+def ini_text(sections):
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in items.items())
+        for name, items in sections.items()
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(sections=valid_sections())
+def test_summary_config_echo_reparses_to_equal_config(sections):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.ini"
+        path.write_text(ini_text(sections), encoding="utf-8")
+        out = Path(tmp) / "out"
+        assert io.main(["simulate", str(path), "--output-dir", str(out), "--quiet"]) in (0, 3)
+        echoed = json.loads((out / "summary.json").read_text())["config"]
+        assert io.config_from_sections(echoed) == io.parse_config(path)
+
+
+@st.composite
+def expressions(draw):
+    dim = draw(st.integers(1, 2))
+    domain = sp.BoxDomain(tuple(draw(st.floats(0.1, 10.0)) for _ in range(dim)), draw(st.integers(4, 16)))
+    amplitude = st.floats(-1e6, 1e6)
+    mode = st.tuples(*[st.integers(0, 20)] * dim)
+    return domain, draw(amplitude), draw(st.lists(st.tuples(mode, amplitude), max_size=5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=expressions(), spaced=st.booleans())
+def test_field_expression_round_trips(case, spaced):
+    domain, constant, terms = case
+    gap = " " if spaced else ""
+    text = fmt(constant)
+    for mode, amp in terms:
+        cos = f"cos({','.join(map(str, mode))})"
+        written = cos if abs(amp) == 1.0 else f"{fmt(abs(amp))}{gap}*{gap}{cos}"
+        text += f"{gap}{'-' if amp < 0 else '+'}{gap}{written}"
+    parsed = io.parse_field_expr(text, domain)
+    assert np.array_equal(parsed.values, sp.cosine_sum_field(domain, constant, terms).values)
+
+
+KEYS = [(section, key) for section, items in io.DEFAULTS.items() for key in items]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    where=st.sampled_from(KEYS),
+    value=st.sampled_from(["nan", "inf", "-1", "0", "", "abc", "1e400"]),
+)
+def test_corrupted_key_is_accepted_or_reported_with_one_tag_per_line(where, value):
+    section, key = where
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.ini"
+        path.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+        try:
+            io.parse_config(path)
+        except io.ConfigParseError:
+            pass
+        except ConfigurationError as exc:
+            for line in str(exc).splitlines():
+                assert sum(line.count(tag) for tag in TAGS) == 1, line

@@ -32,7 +32,7 @@ class TestSolve:
     def test_small_amplitude_linearization(self, basis):
         # u ~ delta/(lambda_2 + yosida'(0)) e_2 as delta -> 0
         lam2 = basis.eigenvalues[1]
-        gain = 1.0 / (lam2 + pot.yosida_derivative(REG, 0.2, 0.0))
+        gain = 1.0 / (lam2 + pot.regularize(REG, 0.2, 0.0).slope())
         ratios = []
         for delta in (1e-2, 1e-4):
             vals = np.zeros(basis.n)

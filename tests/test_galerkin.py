@@ -117,7 +117,7 @@ class TestMuReconstruction:
         # mu_2 / phi_2 tends to lambda_2 + yosida'(0) + pi'(0) as phi_2 -> 0
         data = make_problem_data(unit_domain, REG, eps=0.2)
         lam2 = unit_basis.eigenvalues[1]
-        expected = lam2 + pot.yosida_derivative(REG, 0.2, 0.0) + (-1.0)
+        expected = lam2 + pot.regularize(REG, 0.2, 0.0).slope() + (-1.0)
         slopes = []
         for amp in (1e-3, 1e-5):
             vals = np.zeros(unit_basis.n)
@@ -434,9 +434,7 @@ class TestSharedEvaluation:
         reg = pot.regularize(spec, eps, grid)
         assert np.array_equal(ev.xi.values, pot.yosida(spec, eps, grid))
         assert np.array_equal(reg.value, pot.yosida(spec, eps, grid))
-        assert np.array_equal(reg.primitive(), pot.yosida_primitive(spec, eps, grid))
-        assert np.array_equal(reg.slope(), pot.yosida_derivative(spec, eps, grid))
-        bulk = pot.yosida_primitive(spec, eps, grid) + spec.pi_hat(grid) + a * grid
+        bulk = reg.primitive() + spec.pi_hat(grid) + a * grid
         assert ev.bulk == float(unit_basis.quadrature_weight * bulk.sum())
 
 

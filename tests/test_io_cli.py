@@ -175,6 +175,94 @@ class TestParseConfig:
             io.parse_config(write_config(tmp_path, text))
 
 
+TAGS = ("(2.5)", "(2.11)", "(2.12)", "(2.13)", "(2.14)")
+
+
+def first_tag(tmp_path, *replacements):
+    text = FULL
+    for old, new in replacements:
+        assert old in text
+        text = text.replace(old, new)
+    with pytest.raises(ConfigurationError) as info:
+        io.parse_config(write_config(tmp_path, text))
+    return str(info.value).split()[0]
+
+
+# One corruption per rule, each with the tag its message carries.
+RULES = [
+    ("gamma", "(2.5)", [("gamma = 1.0", "gamma = 0")]),
+    ("b", "(2.5)", [("b = 1.0", "b = -1")]),
+    ("kappa1", "(2.5)", [("kappa1 = 1.0", "kappa1 = 0")]),
+    ("kappa2", "(2.5)", [("kappa2 = 1.0", "kappa2 = 0")]),
+    ("lambda", "(2.5)", [("lambda = 2.0", "lambda = 0")]),
+    ("a-number", "(2.5)", [("a = 0.0", "a = zero")]),
+    ("dim-range", "(2.12)", [("dim = 1", "dim = 3"), ("lengths = 1.0", "lengths = 1, 1, 1")]),
+    ("dim-integer", "(2.12)", [("dim = 1", "dim = one")]),
+    ("dim-alias", "(2.12)", [("dim = 1", "dim = 2")]),
+    ("lengths", "(2.12)", [("lengths = 1.0", "lengths = -1.0")]),
+    ("lengths-number", "(2.12)", [("lengths = 1.0", "lengths = 1.0,")]),
+    ("grid", "(2.11)", [("grid = 32", "grid = 3"), ("n_modes = 8", "n_modes = 2")]),
+    ("grid-integer", "(2.11)", [("grid = 32", "grid = 32.5")]),
+    ("n_modes", "(2.11)", [("n_modes = 8", "n_modes = 0")]),
+    ("capacity", "(2.11)", [("n_modes = 8", "n_modes = 18")]),
+    ("kind", "(2.11)", [("kind = regular", "kind = quartic")]),
+    ("c1", "(2.11)", [("kind = regular", "kind = logarithmic\nc1 = 1.0")]),
+    ("c2", "(2.11)", [("kind = regular", "kind = double_obstacle\nc2 = 0")]),
+    ("eps", "(2.11)", [("eps = 0.1", "eps = 1.0")]),
+    ("t_final", "(2.11)", [("t_final = 0.2", "t_final = -1")]),
+    ("dt", "(2.11)", [("dt = 0.01", "dt = 0")]),
+    ("scheme", "(2.11)", [("scheme = semi_implicit", "scheme = leapfrog")]),
+    ("source", "(2.13)", [("f = 0.0", "f = 1e400")]),
+    ("compatibility", "(2.14)", [("kind = regular", "kind = logarithmic\nc1 = 2.0"),
+                                 ("phi0 = 0.1 + 0.2*cos(1)", "phi0 = 1.2")]),
+]
+
+
+@pytest.mark.parametrize("tag,replacements", [r[1:] for r in RULES], ids=[r[0] for r in RULES])
+def test_each_rule_reports_its_tag(tmp_path, tag, replacements):
+    assert first_tag(tmp_path, *replacements) == tag
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("t_final = 0.2", "t_final = nan"),
+        ("gamma = 1.0", "gamma = inf"),
+        ("lengths = 1.0", "lengths = nan"),
+        ("a = 0.0", "a = nan"),
+        ("kind = regular", "kind = regular\nc1 = inf"),
+        ("[output]", "[experiment]\ntrials = abc\n[output]"),
+        ("[output]", "[experiment]\nsamples = -5\n[output]"),
+        ("[output]", "[experiment]\nschedule = 0.1, x\n[output]"),
+    ],
+    ids=["t_final-nan", "gamma-inf", "lengths-nan", "a-nan", "c1-inf", "trials-abc",
+         "samples-negative", "schedule-word"],
+)
+def test_non_finite_and_unchecked_input_exit_2(tmp_path, capsys, old, new):
+    # A constant phi0 keeps a nan length out of the compatibility check.
+    text = FULL.replace("phi0 = 0.1 + 0.2*cos(1)", "phi0 = 0.3")
+    cfg = write_config(tmp_path, text.replace(old, new))
+    assert io.main(["simulate", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines
+    for line in lines:
+        assert sum(line.count(tag) for tag in TAGS) == 1, line
+
+
+def test_each_data_expression_parsed_once(tmp_path, monkeypatch):
+    calls = []
+    parse = io.parse_field_expr
+
+    def counting(text, domain):
+        calls.append(text)
+        return parse(text, domain)
+
+    monkeypatch.setattr(io, "parse_field_expr", counting)
+    cfg = write_config(tmp_path, FULL.replace("f = 0.0", "f = 0.2 ; 0.1: -0.2"))
+    assert io.main(["simulate", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 0
+    assert len(calls) == 3 + 2 + 1  # phi0, w0, w1, two f segments, one g segment
+
+
 class TestFloatFormat:
     def test_seventeen_digits_round_trip(self):
         rng = np.random.default_rng(0)

@@ -114,17 +114,17 @@ class TestYosida:
 class TestYosidaPrimitive:
     def test_double_obstacle_value(self):
         # (2 - 1)^2 / (2 * 0.5); the indicator contributes nothing
-        assert pot.yosida_primitive(OBS, 0.5, 2.0) == pytest.approx(1.0, abs=1e-14)
+        assert pot.regularize(OBS, 0.5, 2.0).primitive() == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("spec", PROTOTYPES, ids=lambda s: s.kind)
     def test_zero_at_zero(self, spec):
-        assert pot.yosida_primitive(spec, 0.3, 0.0) == 0.0
+        assert pot.regularize(spec, 0.3, 0.0).primitive() == 0.0
 
     def test_regular_envelope_closed_form_vs_quadrature(self):
         eps = 0.5
         j = pot.resolvent(REG, eps, 2.0)
         expected = 0.25 * j**4 + (2.0 - j) ** 2 / (2.0 * eps)
-        value = pot.yosida_primitive(REG, eps, 2.0)
+        value = pot.regularize(REG, eps, 2.0).primitive()
         assert value == pytest.approx(expected, abs=1e-12)
         quad = simpson(lambda s: pot.yosida(REG, eps, s), 0.0, 2.0)
         assert value == pytest.approx(quad, abs=1e-8)
@@ -134,7 +134,7 @@ class TestYosidaPrimitive:
         rng = np.random.default_rng(9)
         r = rng.uniform(-2.5, 2.5, 400)
         for eps in (0.8, 0.2, 0.05):
-            prim = pot.yosida_primitive(spec, eps, r)
+            prim = pot.regularize(spec, eps, r).primitive()
             bh = spec.beta_hat(r)
             assert (prim >= -1e-12).all()
             finite = np.isfinite(bh)
@@ -143,15 +143,15 @@ class TestYosidaPrimitive:
 
 class TestYosidaDerivative:
     def test_double_obstacle_piecewise(self):
-        assert pot.yosida_derivative(OBS, 0.5, 0.3) == 0.0
-        assert pot.yosida_derivative(OBS, 0.5, 1.5) == 2.0
+        assert pot.regularize(OBS, 0.5, 0.3).slope() == 0.0
+        assert pot.regularize(OBS, 0.5, 1.5).slope() == 2.0
 
     @pytest.mark.parametrize("spec", [REG, LOG], ids=lambda s: s.kind)
     def test_matches_finite_difference(self, spec):
         eps, h = 0.2, 1e-6
         for r in (-1.3, -0.4, 0.0, 0.6, 2.1):
             fd = (pot.yosida(spec, eps, r + h) - pot.yosida(spec, eps, r - h)) / (2 * h)
-            assert pot.yosida_derivative(spec, eps, r) == pytest.approx(fd, rel=1e-5, abs=1e-7)
+            assert pot.regularize(spec, eps, r).slope() == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
 class TestInteriorBound:

@@ -1,9 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import dense_eigenfunctions
 from thermoch import io_cli as io
 from thermoch import spectral as sp
 from thermoch.errors import ConfigurationError, MeanDomainError
@@ -48,7 +50,7 @@ class TestBasis:
 
     def test_constant_eigenfunction(self):
         basis = sp.build_basis(sp.BoxDomain((1.0,), 16), 1)
-        assert np.allclose(basis.eigenfunction_values[0], 1.0, atol=1e-15)
+        assert np.allclose(sp.to_field(sp.Coeffs([1.0], basis)).values, 1.0, atol=1e-15)
         assert basis.eigenvalues[0] == 0.0
 
     def test_square_tie_breaking(self):
@@ -88,12 +90,18 @@ class TestBasis:
         assert basis.modes == tuple(candidates[:n])
         assert np.array_equal(basis.eigenvalues, [eig(mode) for mode in candidates[:n]])
 
-    @pytest.mark.parametrize("domain", [sp.BoxDomain((1.0,), 32), sp.BoxDomain((1.0, 2.0), 16)])
-    def test_orthonormality(self, domain):
-        n = 16 if domain.dim == 1 else 25
+    @pytest.mark.parametrize(
+        "domain,n",
+        [(sp.BoxDomain((1.0,), 32), 16), (sp.BoxDomain((1.0, 2.0), 16), 25),
+         (sp.BoxDomain((1.0, 1.0), 64), 512), (sp.BoxDomain((2.0, 0.5), 33), 17**2)],
+        ids=["domain0", "domain1", "domain2", "domain3"],
+    )
+    def test_orthonormality(self, domain, n):
         basis = sp.build_basis(domain, n)
-        E, w = basis.eigenfunction_values, basis.quadrature_weight
-        gram = (E * w) @ E.T
+        E, w = dense_eigenfunctions(basis), basis.quadrature_weight
+        dense = (E * w) @ E.T
+        gram = sp.gram_matrix(basis)
+        assert np.abs(gram - dense).max() <= 1e-14
         assert np.abs(gram - np.eye(n)).max() <= 1e-10
 
 
@@ -102,7 +110,8 @@ class TestTransforms:
         domain = sp.BoxDomain((1.0,), 64)
         basis = sp.build_basis(domain, 4)
         big = sp.build_basis(domain, 6)
-        field = sp.Field(big.eigenfunction_values[0] + big.eigenfunction_values[5], domain)
+        E = dense_eigenfunctions(big)
+        field = sp.Field(E[0] + E[5], domain)
         coeffs = sp.to_coeffs(field, basis)
         assert np.allclose(coeffs.values, [1, 0, 0, 0], atol=1e-12)
 
@@ -147,7 +156,7 @@ class TestTransforms:
 
 def oracle_gaps(basis, rng):
     """Relative inf-norm gaps of the factored transforms to the dense oracle."""
-    E, w = basis.eigenfunction_values, basis.quadrature_weight
+    E, w = dense_eigenfunctions(basis), basis.quadrature_weight
     f = sp.Field(rng.standard_normal(basis.domain.n_grid), basis.domain)
     c = sp.Coeffs(rng.standard_normal(basis.n), basis)
 
@@ -190,30 +199,36 @@ class TestFactoredTransforms:
             (["simulate"], "semi_implicit", "regular"),
             (["simulate"], "backward_euler", "regular"),
             (["verify", "elliptic"], "semi_implicit", "logarithmic\nc1 = 2.0"),
+            (["verify", "spectral"], "semi_implicit", "regular"),
+            (["verify", "potentials"], "semi_implicit", "logarithmic\nc1 = 2.0"),
+            (["converge", "modes"], "semi_implicit", "regular"),
+            (["depend"], "semi_implicit", "regular"),
         ],
-        ids=["simulate-semi_implicit", "simulate-backward_euler", "verify-elliptic"],
+        ids=["simulate-semi_implicit", "simulate-backward_euler", "verify-elliptic",
+             "verify-spectral", "verify-potentials", "converge-modes", "depend"],
     )
-    def test_command_never_builds_dense_matrix(self, tmp_path, monkeypatch, argv, scheme, kind):
-        built = []
-        build = sp.build_basis
-
-        def recording_build(domain, n):
-            built.append(build(domain, n))
-            return built[-1]
-
-        monkeypatch.setattr(sp, "build_basis", recording_build)
+    def test_command_never_builds_dense_matrix(self, tmp_path, argv, scheme, kind):
+        # 200 modes on a 64 x 64 grid: an n x N float matrix takes 6.5 MB, and
+        # nothing else a command allocates comes near half of that.
+        n, grid = 200, 64
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(
-            "[domain]\ndim = 2\nlengths = 1.0, 1.0\ngrid = 16\nn_modes = 20\n"
+            f"[domain]\ndim = 2\nlengths = 1.0, 1.0\ngrid = {grid}\nn_modes = {n}\n"
             f"[potential]\nkind = {kind}\neps = 0.1\n"
             "[data]\nphi0 = 0.1 + 0.2*cos(1,1)\n"
-            f"[time]\nt_final = 0.05\ndt = 0.01\nscheme = {scheme}\n"
-            "[experiment]\ntrials = 2\n",
+            f"[time]\nt_final = 0.03\ndt = 0.01\nscheme = {scheme}\n"
+            "[experiment]\ntrials = 2\nsamples = 2000\n",
             encoding="utf-8",
         )
-        out = tmp_path / "out"
-        assert io.main([*argv, str(cfg), "--output-dir", str(out), "--quiet"]) == 0
-        assert built and all("eigenfunction_values" not in b.__dict__ for b in built)
+        configs = [str(cfg)] * (2 if argv == ["depend"] else 1)
+        tracemalloc.start()
+        try:
+            code = io.main([*argv, *configs, "--output-dir", str(tmp_path / "out"), "--quiet"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 0.5 * 8 * n * grid**2
 
 
 class TestMeanValue:
