@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import galerkin, spectral
+from .errors import require
 from .galerkin import DiagnosticsRecord, GalerkinState, ProblemData
 from .spectral import Coeffs, Field, SpectralBasis
 
@@ -282,14 +283,19 @@ def convergence_study(
     """
     if kind not in STUDY_KINDS:
         raise ValueError(f"unknown study kind {kind!r}; expected one of {STUDY_KINDS}")
-    if any(b >= a for a, b in zip(schedule, schedule[1:])) and any(
-        b <= a for a, b in zip(schedule, schedule[1:])
-    ):
-        raise ValueError("schedule must be strictly monotone")
+    pairs = list(zip(schedule, schedule[1:]))
+    require((
+        all(b < a for a, b in pairs) or all(b > a for a, b in pairs),
+        f"(2.11) schedule must be strictly monotone, got {list(schedule)}",
+    ))
 
     rows: list[dict[str, float]] = []
     if kind == MODE_COUNT:
         sizes = [int(n) for n in schedule]
+        require((
+            sizes == sorted(sizes),
+            f"(2.11) a modes schedule must increase to its last entry, the reference; got {sizes}",
+        ))
         bases = [spectral.build_basis(basis.domain, n) for n in sizes]
         hists = [_phi_history(galerkin.simulate(data, b, dt, scheme)) for b in bases]
         ref_basis, ref_hist = bases[-1], hists[-1]
@@ -316,18 +322,29 @@ def convergence_study(
             rows.append(row)
         return rows
 
+    # Compare on the coarser grid, matching each of its records to the
+    # nearest record of the next run; checked before anything runs.
+    for dt_k in schedule:
+        galerkin.check_step(float(dt_k), scheme)
+    grids = [np.array(galerkin.record_times(float(dt_k), data.t_final)) for dt_k in schedule]
+    matches = []
+    for t_a, t_b in zip(grids, grids[1:]):
+        idx = [int(np.argmin(np.abs(t_b - t))) for t in t_a]
+        require((
+            max(abs(t_b[j] - t) for j, t in zip(idx, t_a)) <= 1e-9 * max(1.0, data.t_final),
+            f"(2.11) the time grids of dt schedule {list(schedule)} do not nest; "
+            "use a dyadic schedule",
+        ))
+        matches.append(idx)
     runs = []
     for dt_k in schedule:
         traj = galerkin.simulate(data, basis, float(dt_k), scheme)
-        runs.append((float(dt_k), _times(traj), _phi_history(traj)))
-    diffs = []
-    for (dt_a, t_a, hist_a), (dt_b, t_b, hist_b) in zip(runs, runs[1:]):
-        # compare on the coarser grid; fine records matched by nearest time
-        idx = [int(np.argmin(np.abs(t_b - t))) for t in t_a]
-        if max(abs(t_b[j] - t) for j, t in zip(idx, t_a)) > 1e-9 * max(1.0, data.t_final):
-            raise ValueError("time grids do not nest; use a dyadic dt schedule")
-        diffs.append(_max_dual_diff(hist_a, [hist_b[j] for j in idx]))
-    for i, (dt_k, _, _) in enumerate(runs):
+        runs.append((float(dt_k), _phi_history(traj)))
+    diffs = [
+        _max_dual_diff(hist_a, [hist_b[j] for j in idx])
+        for (_, hist_a), (_, hist_b), idx in zip(runs, runs[1:], matches)
+    ]
+    for i, (dt_k, _) in enumerate(runs):
         row: dict[str, float] = {"dt": dt_k}
         if i < len(diffs):
             row["diff_to_next"] = diffs[i]

@@ -11,11 +11,15 @@ Jacobian A + P diag(slope) P^T is never formed, and each Newton system is
 solved by MINRES preconditioned with diag(lambda_j + mean slope), the exact
 inverse when the slope is constant.  The Jacobian is SPD unless the slope
 vanishes on the whole grid (e.g. where the regularized graph is flat, as for
-obstacle-type potentials); then a Tikhonov shift is added.
+obstacle-type potentials); then a Tikhonov shift is added, sized like
+Levenberg-Marquardt's as max(||R(u)||, 1e-10 times a bound on the
+Jacobian's norm), capped at the 1e6 ceiling of the shift retries.  The
+line search computes Phi only for a trial whose residual did not decrease.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -67,22 +71,31 @@ def solve_elliptic(problem: EllipticProblem, start: Optional[Coeffs] = None) -> 
     h_norm = float(np.linalg.norm(h_c))
 
     def evaluate(u):
-        """R(u), Phi(u) and the regularized graph, from one resolvent solve."""
+        """R(u) and the regularized graph from one resolvent solve; Phi(u) on demand."""
         grid = spectral.to_field(Coeffs(u, basis)).values
         reg = potentials.regularize(problem.potential, problem.eps, grid)
         nl = spectral.to_coeffs(Field(reg.value, basis.domain), basis).values
-        objective = (
-            0.5 * float((lam * u**2).sum())
-            + float(basis.quadrature_weight * reg.primitive().sum())
-            - float(h_c @ u)
-        )
+
+        @functools.cache
+        def objective():
+            return (
+                0.5 * float((lam * u**2).sum())
+                + float(basis.quadrature_weight * reg.primitive().sum())
+                - float(h_c @ u)
+            )
+
         return newton.Iterate(u, lam * u + nl - h_c, objective, reg)
 
     def direction(it, rtol):
         slope = it.reg.slope()
         # lambda_max + max(slope) bounds the Jacobian's norm.
         scale = 1e-10 * (1.0 + float(lam[-1]) + float(slope.max()))
-        shift = 0.0 if float(slope.mean()) > 0.0 else scale
+        # Levenberg-Marquardt sizing: a shift of ||F|| keeps the step of the
+        # otherwise singular mean mode at the length of the residual.  Capped
+        # at the ceiling so that at least one solve is tried; with a flat slope
+        # the shifted matrix is SPD, so that solve is a descent direction.
+        flat = float(slope.mean()) <= 0.0
+        shift = min(max(scale, float(np.linalg.norm(it.residual))), 1e6) if flat else 0.0
         krylov = 0
         while shift <= 1e6:
             step, k, weights = newton.krylov_solve(basis, lam + shift, slope, -it.residual, rtol)

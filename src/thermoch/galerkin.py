@@ -28,13 +28,13 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import newton, potentials, spectral
 from .errors import CompatibilityError, RunFailure, StepFailure, require
-from .potentials import PotentialSpec
+from .potentials import PotentialSpec, Regularization
 from .spectral import Coeffs, Field, SpectralBasis
 
 SEMI_IMPLICIT = "semi_implicit"
@@ -207,19 +207,34 @@ class Evaluation:
     bulk: float
 
 
-def _nonlinearity(phi: Coeffs, data: ProblemData) -> tuple[potentials.Regularization, Coeffs]:
-    """The regularized graph at the grid values of phi and the projected NL(phi)."""
-    grid = spectral.to_field(phi).values
-    reg = potentials.regularize(data.potential, data.eps, grid)
-    nl = reg.value + data.potential.pi(grid) + data.params.a
+def _nonlinearity(
+    phi: Coeffs, data: ProblemData, reg: Optional[Regularization] = None
+) -> tuple[Regularization, Coeffs]:
+    """The regularized graph at the grid values of phi and the projected NL(phi).
+
+    ``reg``, when given, is that graph already solved, and is used as it is.
+    """
+    if reg is None:
+        grid = spectral.to_field(phi).values
+        reg = potentials.regularize(data.potential, data.eps, grid)
+    nl = reg.value + data.potential.pi(reg.r) + data.params.a
     return reg, spectral.to_coeffs(Field(nl, phi.basis.domain), phi.basis)
 
 
-def evaluate(state: GalerkinState, data: ProblemData, sources: tuple[SourceTerm, SourceTerm]) -> Evaluation:
-    """Evaluate ``state`` once; ``sources`` are f and g projected onto its basis."""
+def evaluate(
+    state: GalerkinState,
+    data: ProblemData,
+    sources: tuple[SourceTerm, SourceTerm],
+    reg: Optional[Regularization] = None,
+) -> Evaluation:
+    """Evaluate ``state`` once; ``sources`` are f and g projected onto its basis.
+
+    ``reg`` is the regularized graph at the grid values of ``state.phi``
+    when the step that produced the state has already solved it (see ``step``).
+    """
     p = data.params
     basis = state.phi.basis
-    reg, nl = _nonlinearity(state.phi, data)
+    reg, nl = _nonlinearity(state.phi, data, reg)
     bulk = reg.primitive() + data.potential.pi_hat(reg.r) + p.a * reg.r
     f, g = sources
     return Evaluation(
@@ -323,6 +338,7 @@ def _backward_euler_phi(ev, data, dt, lam, diag, base):
     rows by lam gives the symmetric Newton matrix
     diag(diag / lam) + dt P diag(s + pi') P^T, indefinite where dt |pi'|
     exceeds diag / lam (long domains, large dt), which MINRES handles.
+    Returns the new phi and the regularized graph at its grid values.
     """
     basis = ev.state.phi.basis
 
@@ -340,7 +356,8 @@ def _backward_euler_phi(ev, data, dt, lam, diag, base):
 
     target = _NEWTON_TOL * (1.0 + float(np.linalg.norm(base)))
     p_vec = _semi_implicit_phi(ev, dt, lam, diag, base)
-    return newton.solve(evaluate, direction, p_vec, target, target, StepFailure)[0].x
+    it = newton.solve(evaluate, direction, p_vec, target, target, StepFailure)[0]
+    return it.x, it.reg
 
 
 def check_step(dt: float, scheme: str) -> None:
@@ -351,31 +368,45 @@ def check_step(dt: float, scheme: str) -> None:
     )
 
 
-def step(ev: Evaluation, data: ProblemData, dt: float, scheme: str = SEMI_IMPLICIT) -> GalerkinState:
+def step(
+    ev: Evaluation, data: ProblemData, dt: float, scheme: str = SEMI_IMPLICIT
+) -> tuple[GalerkinState, Optional[Regularization]]:
     """Advance the evaluated state one time step with the chosen first-order scheme.
 
-    Raises StepFailure when the new phi is not finite, for either scheme.
+    Returns the new state and, for ``backward_euler``, the regularized graph
+    at its phi, which the last Newton iterate solved and ``evaluate`` can
+    reuse (None for ``semi_implicit``).  Raises StepFailure when the new phi
+    is not finite, for either scheme.
     """
     check_step(dt, scheme)
     lam, d3, c3, diag, base = _step_coefficients(ev, data, dt)
     if scheme == SEMI_IMPLICIT:
-        phi_new = _semi_implicit_phi(ev, dt, lam, diag, base)
+        phi_new, reg = _semi_implicit_phi(ev, dt, lam, diag, base), None
     else:
-        phi_new = _backward_euler_phi(ev, data, dt, lam, diag, base)
+        phi_new, reg = _backward_euler_phi(ev, data, dt, lam, diag, base)
     if not np.isfinite(phi_new).all():
         raise StepFailure(f"non-finite phi after a {scheme} step of {dt} at t = {ev.state.t}")
-    return _finish_step(ev.state, data, dt, phi_new, c3, d3)
+    return _finish_step(ev.state, data, dt, phi_new, c3, d3), reg
 
 
 def _advance(ev, data, sources, h, scheme, floor):
-    """Cover [t, t+h], bisecting the interval on step failures."""
+    """Cover [t, t+h], bisecting the interval on step failures; returns what ``step`` returns."""
     try:
         return step(ev, data, h, scheme)
     except StepFailure:
         if h / 2.0 < floor:
             raise
-        mid = _advance(ev, data, sources, h / 2.0, scheme, floor)
-        return _advance(evaluate(mid, data, sources), data, sources, h / 2.0, scheme, floor)
+        mid, reg = _advance(ev, data, sources, h / 2.0, scheme, floor)
+        return _advance(evaluate(mid, data, sources, reg), data, sources, h / 2.0, scheme, floor)
+
+
+def record_times(dt: float, t_final: float) -> list[float]:
+    """The times ``simulate`` records with step dt > 0: 0, dt, 2 dt, ... by
+    repeated addition, the last step truncated to land on t_final."""
+    times = [0.0]
+    while times[-1] < t_final - 1e-12 * max(t_final, 1.0):
+        times.append(times[-1] + min(dt, t_final - times[-1]))
+    return times
 
 
 def simulate(
@@ -399,8 +430,8 @@ def simulate(
     mean_exact = spectral.mean_value(state.phi)
     trajectory: list[tuple[GalerkinState, DiagnosticsRecord]] = []
 
-    def emit(st, me):
-        ev = evaluate(st, data, sources)
+    def emit(st, me, reg=None):
+        ev = evaluate(st, data, sources, reg)
         record = compute_record(ev, data, me)
         trajectory.append((st, record))
         for obs in observers:
@@ -413,12 +444,12 @@ def simulate(
         h = min(dt, data.t_final - state.t)
         f_mean = spectral.field_mean(data.f.at(state.t))
         try:
-            state = _advance(ev, data, sources, h, scheme, floor)
+            state, reg = _advance(ev, data, sources, h, scheme, floor)
         except StepFailure as exc:
             raise RunFailure(
                 f"step failed at t = {state.t} after dt halvings: {exc}", trajectory
             ) from exc
         decay = math.exp(-gamma * h)
         mean_exact = mean_exact * decay + (f_mean / gamma) * (1.0 - decay)
-        ev = emit(state, mean_exact)
+        ev = emit(state, mean_exact, reg)
     return trajectory

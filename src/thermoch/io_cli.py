@@ -364,29 +364,41 @@ def parse_config(path: str | Path) -> RunConfig:
 
 
 def bisection_resolvent(spec: PotentialSpec, eps: float, r, iters: int = 120):
-    """Independent pure-bisection oracle for the resolvent equation."""
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    lo = np.minimum(r_arr, 0.0)
-    hi = np.maximum(r_arr, 0.0)
-    d_lo, d_hi = spec.domain
-    if np.isfinite(d_lo):
-        lo = np.maximum(lo, d_lo + 1e-15)
-        hi = np.maximum(hi, d_lo + 1e-15)
-    if np.isfinite(d_hi):
-        lo = np.minimum(lo, d_hi - 1e-15)
-        hi = np.minimum(hi, d_hi - 1e-15)
+    """Independent pure-bisection oracle for the resolvent equation.
 
-    def g(y):
-        return y + eps * spec.beta_min_section(y) - r_arr
+    On a bounded domain (c - w, c + w) it bisects in s over [-40, 40], with
+    y = c + w tanh(s): a root at any distance from the ends is bracketed,
+    down to the one-ulp spacing of y there, and tanh(+-40) is exactly +-1,
+    so the roots the kernels saturate to +-1 are bracketed too.  An
+    unbounded domain is bisected in y over [min(r, 0), max(r, 0)].
+    """
+    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+    d_lo, d_hi = spec.domain
+    bounded = np.isfinite(d_lo) and np.isfinite(d_hi)
+    if bounded:
+        c, w = 0.5 * (d_lo + d_hi), 0.5 * (d_hi - d_lo)
+        lo, hi = np.full(r_arr.shape, -40.0), np.full(r_arr.shape, 40.0)
+    else:
+        lo, hi = np.minimum(r_arr, 0.0), np.maximum(r_arr, 0.0)
+
+    def to_y(x):
+        return c + w * np.tanh(x) if bounded else x
+
+    def g(x):
+        y = to_y(x)
+        # beta is infinite at the ends of a bounded domain, where tanh saturates.
+        with np.errstate(divide="ignore"):
+            return y + eps * spec.beta_min_section(y) - r_arr
 
     g_lo, g_hi = g(lo), g(hi)
-    y = np.where(g_lo >= 0.0, lo, np.where(g_hi <= 0.0, hi, 0.5 * (lo + hi)))
+    x = np.where(g_lo >= 0.0, lo, np.where(g_hi <= 0.0, hi, 0.5 * (lo + hi)))
     active = (g_lo < 0.0) & (g_hi > 0.0)
     for _ in range(iters):
-        gy = g(y)
-        lo = np.where(active & (gy < 0.0), y, lo)
-        hi = np.where(active & (gy > 0.0), y, hi)
-        y = np.where(active, 0.5 * (lo + hi), y)
+        gx = g(x)
+        lo = np.where(active & (gx < 0.0), x, lo)
+        hi = np.where(active & (gx > 0.0), x, hi)
+        x = np.where(active, 0.5 * (lo + hi), x)
+    y = to_y(x)
     return y[0] if np.ndim(r) == 0 else y.reshape(np.shape(r))
 
 

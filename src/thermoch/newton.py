@@ -13,7 +13,9 @@ indefinite matrices, preconditioned by the positive diagonal
 diag(a + max(mean(s), 0)), the exact inverse when s is a nonnegative
 constant, and stopped at the Eisenstat-Walker forcing tolerance (choice 2,
 SIAM J. Sci. Comput. 17 (1996) 16-32).  A backtracking line search damps
-every step.
+every step; it tests the weighted residual first and evaluates a problem's
+merit (the elliptic energy) only for a trial that fails that test, at most
+once per iterate.
 """
 
 from __future__ import annotations
@@ -52,13 +54,15 @@ class Counters:
 class Iterate(NamedTuple):
     """A Newton iterate ``x``, its residual F(x) and the regularized graph at its grid values.
 
-    ``merit`` is an objective whose gradient is F, when the problem has one:
-    a step that decreases it enough (Armijo) is accepted even if ||F|| grows.
+    ``merit`` computes an objective whose gradient is F, when the problem has
+    one: a step that decreases it enough (Armijo) is accepted even if ||F||
+    grows.  It is a memoized zero-argument callable, so each iterate's merit
+    is computed at most once and only when the line search asks for it.
     """
 
     x: np.ndarray
     residual: np.ndarray
-    merit: Optional[float]
+    merit: Optional[Callable[[], float]]
     reg: Regularization
 
 
@@ -161,10 +165,11 @@ def solve(
     ``direction(it, rtol)`` returns an approximate Newton step at ``it``,
     its Krylov iteration count and weights W such that the step solves the
     Newton system to relative tolerance ``rtol`` in the norm ||W r||; the
-    step is then a descent direction for ||W F||.  A step is accepted on
-    Armijo decrease of the merit, when the problem has one, or when ||W F||
-    decreases (near the solution the merit is flat to roundoff while the
-    residual still contracts).  When the residual is inside ``contract``
+    step is then a descent direction for ||W F||.  A step is accepted when
+    ||W F|| decreases or, failing that, on Armijo decrease of the merit, when
+    the problem has one (near the solution the merit is flat to roundoff
+    while the residual still contracts); the merit is evaluated only for
+    trials that fail the residual test.  When the residual is inside ``contract``
     (>= ``target``) and no longer halves, or the line search stalls there,
     the iterate is accepted as at its roundoff floor.  Raises ``failure`` on
     a non-finite step, a stalled line search outside ``contract`` or after
@@ -191,8 +196,10 @@ def solve(
         alpha = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = evaluate(it.x + alpha * step)
-            armijo = it.merit is not None and trial.merit <= it.merit + 1e-4 * alpha * descent
-            if armijo or float(np.linalg.norm(weights * trial.residual)) < weighted:
+            # The residual test is cheap; the merit is computed only when it fails.
+            if float(np.linalg.norm(weights * trial.residual)) < weighted or (
+                it.merit is not None and trial.merit() <= it.merit() + 1e-4 * alpha * descent
+            ):
                 it = trial
                 break
             alpha *= 0.5

@@ -13,8 +13,9 @@ Three prototypes are provided, each with an exact resolvent kernel:
                     the real root of the cubic y + eps*y^3 = r in closed form,
                     polished by one Newton step
 * logarithmic:      beta_hat(r) = (1+r)ln(1+r) + (1-r)ln(1-r) on [-1, 1],
-                    pi_hat(r) = -c1 r^2  (c1 > 1); Newton on the smooth
-                    equation tanh(s) + 2 eps s = r, with J = tanh(s)
+                    pi_hat(r) = -c1 r^2  (c1 > 1); Halley's method on the
+                    smooth equation tanh(s) + 2 eps s = r, one tanh per
+                    sweep, with J = tanh(s)
 * double_obstacle:  beta_hat = indicator of [-1, 1], pi_hat(r) = -c2 r^2;
                     the projection onto [-1, 1]
 """
@@ -108,16 +109,22 @@ def _entropy_slope(r):
 
 
 def _logarithmic_resolvent(eps, r):
-    """J = tanh(s), where s >= 0 solves tanh(s) + 2 eps s = |r| (sign restored).
+    """J = tanh(s), where s >= 0 solves g(s) = tanh(s) + 2 eps s - |r| = 0 (sign restored).
 
-    The equation is smooth with slope in [2 eps, 1 + 2 eps] and concave in
-    s >= 0, so Newton started below the root increases monotonically to it.
-    The start is the largest of three lower bounds: |r|/(1 + 2 eps) from
-    tanh(s) <= s, (|r| - 1)/(2 eps) from tanh(s) <= 1, and
+    g is increasing and concave on s >= 0: g' = sech^2(s) + 2 eps lies in
+    [2 eps, 1 + 2 eps] and g'' = -2 tanh(s) sech^2(s) <= 0.  Each sweep
+    evaluates one tanh, t = tanh(s), takes sech^2 = (1 - t)(1 + t) from it
+    and makes a Halley step s -= g g' / (g'^2 - g g''/2), which converges
+    cubically.  The start is the largest of three lower bounds: |r|/(1 + 2 eps)
+    from tanh(s) <= s, (|r| - 1)/(2 eps) from tanh(s) <= 1, and
     -ln(1 - |r| + 2 eps S)/2 from tanh(s) <= 1 - exp(-2 s) with S = _S_SAT.
-    When 1 - |r| + 2 eps S <= exp(-2 S) the root exceeds S, tanh of it
-    rounds to 1 and J = +-1 is returned directly.  Sweeps stop once every
-    residual is within 8 ulps of max(1, |r|), after one more Newton step.
+    Below the root g g'' >= 0, so a Halley step is the Newton step stretched
+    by 1/(1 - L), L = g g''/(2 g'^2); from these starts L stays below 1/2
+    (a dense sweep of eps in [5e-324, 0.999] and |r| <= 1e3 finds at most
+    0.49, and at most 4 sweeps).  When 1 - |r| + 2 eps S <= exp(-2 S) the
+    root exceeds S, tanh of it rounds to 1 and J = +-1 is returned directly.
+    Sweeps stop once every residual is within 8 ulps of max(1, |r|); J is
+    that sweep's t, which lies within the same bound of tanh at the root.
     """
     a = np.abs(r)
     two_eps = 2.0 * eps
@@ -129,17 +136,19 @@ def _logarithmic_resolvent(eps, r):
     a = np.where(saturated, 0.0, a)
     s = np.where(saturated, 0.0, s)
     tol = 8.0 * np.finfo(float).eps * np.maximum(1.0, a)
-    for _ in range(_MAX_SWEEPS):
-        c = np.cosh(s)
-        g = np.tanh(s) + two_eps * s - a
-        s = s - g / (1.0 / (c * c) + two_eps)
+    for _ in range(_MAX_SWEEPS + 1):
+        t = np.tanh(s)
+        g = t + two_eps * s - a
         if np.all(np.abs(g) <= tol):
             break
+        sech2 = (1.0 - t) * (1.0 + t)
+        slope = sech2 + two_eps
+        s = s - g * slope / (slope * slope + g * t * sech2)
     else:
         raise NumericFailure(
-            f"logarithmic resolvent did not converge in {_MAX_SWEEPS} Newton sweeps (eps = {eps})"
+            f"logarithmic resolvent did not converge in {_MAX_SWEEPS} Halley sweeps (eps = {eps})"
         )
-    return np.copysign(np.where(saturated, 1.0, np.tanh(s)), r)
+    return np.copysign(np.where(saturated, 1.0, t), r)
 
 
 def _logarithmic_slope(eps, r, j):

@@ -9,11 +9,11 @@ spectral norms are Parseval-exact.
 
 Because every eigenfunction is a product of 1-D cosines sampled on the same
 midpoint nodes, the transforms factor axis by axis (sum factorisation): the
-basis keeps one small matrix C[k, i] = e_k(x_i) per axis, and a transform
-contracts the grid with each C in turn, O(M^(d+1) K) work and O(M K) memory
-for M nodes and K wavenumbers per axis.  The quadrature weights are a
-product over axes too, so the Gram matrix of the basis (``gram_matrix``)
-factors into per-axis Gram matrices.  No n x N matrix of sampled
+basis keeps one small matrix C[k, i] = e_k(x_i) per axis, and a transform is
+one BLAS product with each C (C0^T G C1 on a rectangle), O(M^(d+1) K) work
+and O(M K) memory for M nodes and K wavenumbers per axis.  The quadrature
+weights are a product over axes too, so the Gram matrix of the basis
+(``gram_matrix``) factors into per-axis Gram matrices.  No n x N matrix of sampled
 eigenfunctions is ever formed; the Newton solvers apply their Jacobians
 through the transforms.
 """
@@ -245,33 +245,36 @@ def zero_coeffs(basis: SpectralBasis) -> Coeffs:
     return Coeffs(np.zeros(basis.n), basis)
 
 
-def _contract_axes(grid: np.ndarray, factors: Sequence[np.ndarray], axis: int) -> np.ndarray:
-    """Contract each axis of ``grid`` in turn with axis ``axis`` of its factor.
-
-    Each step contracts the leading axis and appends the factor's other axis,
-    so after d steps the axes are back in their original order.
-    """
-    for C in factors:
-        grid = np.tensordot(grid, C, axes=([0], [axis]))
-    return grid
-
-
 def to_coeffs(f: Field, basis: SpectralBasis) -> Coeffs:
-    """Project a grid field onto the span (quadrature inner products)."""
+    """Project a grid field onto the span (quadrature inner products).
+
+    With per-axis factors C0 (and C1) this is C0 (w f) in 1-D and
+    C0 W C1^T in 2-D, W being the weighted samples on the M x M grid.
+    """
     if f.domain != basis.domain:
         raise ValueError("field and basis live on different domains")
-    grid = (basis.quadrature_weight * f.values).reshape(
-        (basis.domain.grid_points_per_axis,) * basis.domain.dim
-    )
-    return Coeffs(_contract_axes(grid, basis.axis_factors, 1).ravel()[basis.mode_index], basis)
+    weighted = basis.quadrature_weight * f.values
+    if basis.domain.dim == 1:
+        (C0,) = basis.axis_factors
+        return Coeffs((C0 @ weighted)[basis.mode_index], basis)
+    C0, C1 = basis.axis_factors
+    m = basis.domain.grid_points_per_axis
+    # Associated as (W^T C0^T)^T C1^T, the BLAS summation order that the
+    # stored reference trajectories were made with.
+    tensor = (weighted.reshape(m, m).T @ C0.T).T @ C1.T
+    return Coeffs(tensor.ravel()[basis.mode_index], basis)
 
 
 def to_field(c: Coeffs) -> Field:
-    """Evaluate the spectral element on the quadrature grid."""
+    """Evaluate the spectral element on the quadrature grid: C0^T g in 1-D, C0^T G C1 in 2-D."""
     basis = c.basis
-    grid = np.zeros(tuple(C.shape[0] for C in basis.axis_factors))
-    grid.flat[basis.mode_index] = c.values
-    return Field(_contract_axes(grid, basis.axis_factors, 0), basis.domain)
+    tensor = np.zeros(tuple(C.shape[0] for C in basis.axis_factors))
+    tensor.flat[basis.mode_index] = c.values
+    if basis.domain.dim == 1:
+        (C0,) = basis.axis_factors
+        return Field(C0.T @ tensor, basis.domain)
+    C0, C1 = basis.axis_factors
+    return Field(C0.T @ tensor @ C1, basis.domain)
 
 
 def mean_value(c: Coeffs) -> float:

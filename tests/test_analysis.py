@@ -9,6 +9,7 @@ from thermoch import analysis as an
 from thermoch import galerkin as gk
 from thermoch import potentials as pot
 from thermoch import spectral as sp
+from thermoch.errors import ConfigurationError
 
 REG = pot.regular_potential()
 LOG = pot.logarithmic_potential(2.0)
@@ -226,6 +227,16 @@ class TestConvergenceStudy:
         assert len(diffs) == 3
         assert diffs[0] > diffs[1] > diffs[2]
 
+    def test_dt_grids_that_do_not_nest_rejected_before_any_run(self, unit_domain, unit_basis, monkeypatch):
+        data = make_problem_data(unit_domain, REG, t_final=0.1)
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the schedule was checked")
+
+        monkeypatch.setattr(gk, "simulate", no_run)
+        with pytest.raises(ConfigurationError, match=r"\(2\.11\) .* do not nest"):
+            an.convergence_study("dt", [1e-2, 3e-3], data, unit_basis, 1e-2)
+
     def test_dt_slopes_reported(self, unit_domain, unit_basis):
         data = make_problem_data(
             unit_domain, REG,
@@ -238,7 +249,7 @@ class TestConvergenceStudy:
 
     def test_non_monotone_schedule_rejected(self, unit_domain, unit_basis):
         data = make_problem_data(unit_domain, REG, t_final=0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match=r"\(2\.11\) schedule must be strictly monotone"):
             an.convergence_study("eps", [0.2, 0.2, 0.1], data, unit_basis, 1e-2)
         with pytest.raises(ValueError):
             an.convergence_study("volume", [1.0, 2.0], data, unit_basis, 1e-2)

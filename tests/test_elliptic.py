@@ -15,7 +15,39 @@ def basis():
     return sp.build_basis(sp.BoxDomain((1.0,), 64), 16)
 
 
+def count_primitive_calls(monkeypatch):
+    calls = []
+    original = pot.Regularization.primitive
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(pot.Regularization, "primitive", counted)
+    return calls
+
+
 class TestSolve:
+    def test_merit_never_computed_without_halvings(self, basis, monkeypatch):
+        calls = count_primitive_calls(monkeypatch)
+        h = sp.cosine_sum_field(basis.domain, 0.2, [((1,), 1.5), ((3,), -0.8)])
+        sol = el.solve_elliptic(el.EllipticProblem(basis, LOG, 0.05, h))
+        assert sol.counters.newton_iterations >= 3
+        assert sol.counters.line_search_halvings == 0
+        assert calls == []
+
+    def test_merit_computed_at_most_once_per_iterate(self, basis, monkeypatch):
+        # A random right-hand side of the kind ``verify elliptic`` draws; its
+        # line searches halve more than once and accept on Armijo decrease.
+        calls = count_primitive_calls(monkeypatch)
+        vals = np.zeros(basis.n)
+        vals[:8] = np.random.default_rng(0).standard_normal(8)
+        h = sp.to_field(sp.Coeffs(vals, basis))
+        sol = el.solve_elliptic(el.EllipticProblem(basis, REG, 0.1, h))
+        assert sol.counters.line_search_halvings >= 2
+        assert calls
+        assert len({id(reg) for reg in calls}) == len(calls)
+
     def test_constant_obstacle_case(self, basis):
         # constant ansatz: (u - 1)/0.5 = 2 gives u = 2
         problem = el.EllipticProblem(basis, OBS, 0.5, sp.constant_field(2.0, basis.domain))
@@ -23,6 +55,17 @@ class TestSolve:
         assert sp.mean_value(sol.u) == pytest.approx(2.0, abs=1e-12)
         assert np.abs(sol.u.values[1:]).max() <= 1e-12
         assert sol.residual <= 1e-10 * 3.0
+
+    @pytest.mark.parametrize("spec,eps", [(REG, 0.2), (OBS, 0.5)])
+    def test_large_rhs_from_a_flat_start(self, basis, spec, eps):
+        # The slope vanishes on the whole grid at u = 0 and ||h|| = 2e6 lies
+        # above the shift ceiling; the capped shift still gives a first step.
+        h = sp.constant_field(2e6, basis.domain)
+        sol = el.solve_elliptic(el.EllipticProblem(basis, spec, eps, h))
+        assert sol.residual <= 1e-10 * (1.0 + 2e6)
+        assert np.abs(sol.u.values[1:]).max() <= 1e-6
+        yosida = pot.regularize(spec, eps, sp.mean_value(sol.u)).value
+        assert float(yosida) == pytest.approx(2e6, rel=1e-12)
 
     def test_zero_rhs(self, basis):
         problem = el.EllipticProblem(basis, REG, 0.3, sp.constant_field(0.0, basis.domain))

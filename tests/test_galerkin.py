@@ -208,7 +208,7 @@ class TestStep:
             t=0.0, phi=sp.zero_coeffs(unit_basis),
             w=sp.zero_coeffs(unit_basis), v=sp.zero_coeffs(unit_basis),
         )
-        out = gk.step(evaluate(state, data), data, 0.01, scheme)
+        out, _ = gk.step(evaluate(state, data), data, 0.01, scheme)
         assert out.t == pytest.approx(0.01)
         for c in (out.phi, out.w, out.v):
             assert np.abs(c.values).max() <= 1e-13
@@ -224,7 +224,7 @@ class TestStep:
         state = gk.project_initial_data(data, unit_basis)
         mean = sp.mean_value(state.phi)
         for _ in range(5):
-            state = gk.step(evaluate(state, data), data, dt, scheme)
+            state, _ = gk.step(evaluate(state, data), data, dt, scheme)
             mean = (mean + dt * f_bar) / (1.0 + gamma * dt)
             assert sp.mean_value(state.phi) == pytest.approx(mean, abs=1e-13)
 
@@ -252,7 +252,7 @@ class TestStep:
         dphi, dw, dv = gk.rhs(evaluate(state, data), data)
         gaps = []
         for dt in (1e-4, 5e-5):
-            out = gk.step(evaluate(state, data), data, dt, scheme)
+            out, _ = gk.step(evaluate(state, data), data, dt, scheme)
             gap = max(
                 sp.norm_L2(out.phi - (state.phi + dt * dphi)),
                 sp.norm_L2(out.w - (state.w + dt * dw)),
@@ -283,7 +283,7 @@ class TestStep:
             t_final=0.1,
         )
         state = gk.project_initial_data(data, unit_basis)
-        out = gk.step(evaluate(state, data), data, 1e-4, scheme)
+        out, _ = gk.step(evaluate(state, data), data, 1e-4, scheme)
         assert np.isfinite(out.phi.values).all()
 
 
@@ -362,8 +362,12 @@ class TestSimulate:
         original = getattr(gk, name)
 
         def blow_up(ev, *args):
-            phi = original(ev, *args)
-            return np.full_like(phi, np.nan) if ev.state.t >= 0.02 - 1e-12 else phi
+            out = original(ev, *args)
+            if ev.state.t < 0.02 - 1e-12:
+                return out
+            if scheme == gk.SEMI_IMPLICIT:
+                return np.full_like(out, np.nan)
+            return np.full_like(out[0], np.nan), out[1]
 
         monkeypatch.setattr(gk, name, blow_up)
         with pytest.raises(RunFailure) as info:
@@ -418,6 +422,32 @@ class TestSharedEvaluation:
         assert counts["to_field"] == n_steps + 1
         for field in f.fields + g.fields:
             assert sum(x is field for x in projected) == 1
+
+    def test_backward_euler_record_reuses_the_last_newton_solve(self, unit_domain, unit_basis, monkeypatch):
+        data = make_problem_data(
+            unit_domain, LOG, phi0=sp.cosine_sum_field(unit_domain, 0.1, [((1,), 0.3)]), t_final=0.05,
+        )
+        sources = (data.f.project(unit_basis), data.g.project(unit_basis))
+        solved_in_evaluate = []
+        original = gk.evaluate
+
+        def counted(state, data, sources, reg=None):
+            solved_in_evaluate.append(reg is None)
+            return original(state, data, sources, reg)
+
+        monkeypatch.setattr(gk, "evaluate", counted)
+        trajectory = gk.simulate(data, unit_basis, 0.01, gk.BACKWARD_EULER)
+        monkeypatch.undo()
+        assert solved_in_evaluate == [True] + [False] * 5  # only the initial state is solved again
+        for state, record in trajectory:
+            fresh = gk.compute_record(original(state, data, sources), data, record.mean_phi_exact)
+            assert fresh == record
+
+    @pytest.mark.parametrize("dt, times", [(0.1, [0.0, 0.1, 0.2, 0.25]), (0.05, [0.0, 0.05, 0.1, 0.15, 0.2, 0.25])])
+    def test_record_times_are_the_simulated_ones(self, unit_domain, unit_basis, dt, times):
+        data = make_problem_data(unit_domain, REG, t_final=0.25)
+        assert gk.record_times(dt, 0.25) == pytest.approx(times, abs=1e-15)
+        assert [rec.t for _, rec in gk.simulate(data, unit_basis, dt)] == gk.record_times(dt, 0.25)
 
     @pytest.mark.parametrize("spec", [REG, LOG, OBS], ids=lambda spec: spec.kind)
     def test_shared_values_equal_pointwise_functions(self, unit_domain, unit_basis, spec):

@@ -343,6 +343,39 @@ class TestCli:
             count = outs[0]["metrics"][key]
             assert isinstance(count, int) and count > 0
 
+    @pytest.mark.parametrize("config", ["demo.ini", "benchmark.ini"])
+    def test_flat_slope_shift_keeps_the_line_search_short(self, tmp_path, config):
+        # The regular graph is flat at the zero start of every solve, where the
+        # shift sets the length of the mean-mode step; a shift of 1e-10 times
+        # the Jacobian bound gave 432 (demo) and 476 (benchmark) halvings.
+        cfg = Path(__file__).parents[1] / "configs" / config
+        out = tmp_path / "ell"
+        assert io.main(
+            ["verify", "elliptic", str(cfg), "--output-dir", str(out), "--quiet", "--seed", "0"]
+        ) == 0
+        metrics = json.loads((out / "summary.json").read_text())["metrics"]
+        assert (metrics["newton_iterations"], metrics["line_search_halvings"]) == (251, 83)
+
+    @pytest.mark.parametrize(
+        "vary, schedule",
+        [
+            ("dt", "0.01, 0.02, 0.005"),
+            ("dt", "0.01, 0.003"),
+            ("dt", "0.01, 0"),
+            ("dt", "0.01, -0.01"),
+            ("modes", "8, 4"),
+        ],
+    )
+    def test_converge_schedule_faults_exit_2(self, tmp_path, vary, schedule, monkeypatch):
+        cfg = write_config(tmp_path, FULL + f"\n[experiment]\nschedule = {schedule}\n")
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the schedule was checked")
+
+        monkeypatch.setattr(galerkin, "simulate", no_run)
+        code = io.main(["converge", vary, str(cfg), "--output-dir", str(tmp_path / "c"), "--quiet"])
+        assert code == 2
+
     def test_python_dash_m_entry_point(self):
         env = {**os.environ, "PYTHONPATH": str(Path(io.__file__).parents[1])}
         done = subprocess.run(

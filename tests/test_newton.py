@@ -115,7 +115,7 @@ def test_backward_euler_step_matches_dense_oracle(kind, dim, dt, mean, amplitude
     phi = _random_coeffs(basis, seed, amplitude)
     phi = sp.Coeffs(phi.values + np.eye(basis.n)[0] * mean * math.sqrt(basis.domain.measure), basis)
     ev, lam, diag, base = _step_inputs(basis, data, phi, dt, seed)
-    p = gk._backward_euler_phi(ev, data, dt, lam, diag, base)
+    p, _ = gk._backward_euler_phi(ev, data, dt, lam, diag, base)
     p_ref = dense_backward_euler_phi(ev, data, dt, lam, diag, base)
     assert np.linalg.norm(p - p_ref) <= gk._NEWTON_TOL * (1.0 + np.linalg.norm(base))
     assert p[0] == base[0] / diag[0]
@@ -130,7 +130,7 @@ def test_indefinite_backward_euler_step_matches_dense_oracle(seed):
     data = make_problem_data(domain, pot.logarithmic_potential(5.0))
     phi = sp.to_coeffs(sp.cosine_sum_field(domain, 0.1, [((1,), 0.3), ((2,), 0.1)]), basis)
     ev, lam, diag, base = _step_inputs(basis, data, phi, 1.0, seed)
-    p = gk._backward_euler_phi(ev, data, 1.0, lam, diag, base)
+    p, _ = gk._backward_euler_phi(ev, data, 1.0, lam, diag, base)
     p_ref = dense_backward_euler_phi(ev, data, 1.0, lam, diag, base)
     for coeffs in (phi.values, p_ref):
         reg = pot.regularize(data.potential, data.eps, sp.to_field(sp.Coeffs(coeffs, basis)).values)

@@ -65,12 +65,36 @@ class TestResolvent:
         # tanh of the root rounds to 1: the kernel returns +-1, never NaN
         assert pot.resolvent(LOG, eps, np.array([r, -r])).tolist() == [1.0, -1.0]
 
+    @pytest.mark.parametrize("eps", [5e-324, 1e-20, 1e-12])
+    def test_bisection_oracle_resolves_roots_at_the_edge(self, eps):
+        # Roots within 1e-15 of +-1, saturated ones included, agree to one ulp.
+        r = np.array([1.0, 1.0 + 1e-13, 2.0, 1e3])
+        r = np.concatenate([r, -r])
+        gap = np.abs(pot.resolvent(LOG, eps, r) - bisection_resolvent(LOG, eps, r))
+        assert (gap <= np.finfo(float).eps / 2).all()
+
     def test_logarithmic_slope_finite_at_the_edge(self):
         reg = pot.regularize(LOG, 1e-20, np.array([1.0, 0.5]))
         slope = reg.slope()
         assert reg.j[0] == 1.0
         assert slope[0] == 1e20
         assert slope[1] == pytest.approx(2.0 / 0.75)
+
+    def test_logarithmic_kernel_sweep_bound_on_a_dense_grid(self, monkeypatch):
+        # The sweep bound in the kernel's docstring: at most 4 Halley sweeps
+        # over eps in [5e-324, 0.999] and |r| <= 1e3, including the slow
+        # starts just outside |r| = 1 and the last ulps below saturation.
+        monkeypatch.setattr(pot, "_MAX_SWEEPS", 4)
+        ulp = np.finfo(float).eps
+        a = np.concatenate([
+            np.linspace(0.0, 1e3, 2001), np.linspace(0.0, 3.0, 3001),
+            1.0 - np.logspace(-17, 0, 500), 1.0 + np.logspace(-17, 3, 1000),
+            np.nextafter(1.0, 0.0) - 0.5 * ulp * np.arange(40), 1.0 + ulp * np.arange(40),
+        ])
+        r = np.concatenate([a, -a])
+        for eps in np.concatenate([[5e-324], np.logspace(-320, math.log10(0.999), 161)]):
+            j = pot.resolvent(LOG, float(eps), r)
+            assert (np.abs(j) <= 1.0).all()
 
     def test_logarithmic_sweep_cap_raises(self):
         with pytest.raises(NumericFailure):

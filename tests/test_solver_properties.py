@@ -1,6 +1,9 @@
 """Property tests: the resolvent against the bisection oracle, and the exact
 scalar mean recursion under random piecewise source schedules."""
 
+import math
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,6 +58,14 @@ def test_resolvent_residual_at_ulp_level(kind, eps, r):
     j, r = j[inside], r[inside]
     residual = np.abs(j + eps * beta(j) - r)
     assert (residual <= 8.0 * ULP * (np.maximum(1.0, np.abs(r)) + eps * beta_prime(j))).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_eps=st.floats(-12.0, math.log10(0.999)), r=points)
+def test_logarithmic_kernel_converges_within_four_sweeps(log_eps, r):
+    with mock.patch.object(pot, "_MAX_SWEEPS", 4):
+        j = pot.resolvent(SPECS["logarithmic"], 10.0**log_eps, np.array(r))
+    assert (np.abs(j) <= 1.0).all()
 
 
 @st.composite

@@ -181,6 +181,8 @@ class TestFactoredTransforms:
             ((1.0, 1.5), 8, 1),
             ((2.0, 0.5), 33, 17**2),  # non-square, odd grid, full capacity
             ((1.0, 1.0), 64, 512),
+            ((1.0,), 128, 65),  # 1-D, full capacity
+            ((3.0, 1.0), 24, 30),  # anisotropic: 10 wavenumbers on x, 4 on y
         ],
     )
     def test_match_dense_oracle(self, lengths, grid, n):
