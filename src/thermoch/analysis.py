@@ -65,40 +65,6 @@ def mean_law_check(trajectory: Trajectory, data: ProblemData) -> MeanLawReport:
     return MeanLawReport(max_error_discrete=err_d, max_error_continuum=err_c)
 
 
-@dataclass(frozen=True)
-class HomogeneousBenchmark:
-    """Closed-form spatially constant solution with f = g = 0.
-
-    The order parameter decays as c(t) = c0 exp(-gamma t); the temperature
-    component integrates v' = -lam c' to v(t) = w1 + lam (c0 - c(t)); the
-    displacement is its time primitive starting at w0.
-    """
-
-    c0: float
-    w0: float
-    w1: float
-    gamma: float
-    lam: float
-
-    def c(self, t):
-        return self.c0 * np.exp(-self.gamma * np.asarray(t, dtype=float))
-
-    def v(self, t):
-        return self.w1 + self.lam * (self.c0 - self.c(t))
-
-    def w(self, t):
-        t = np.asarray(t, dtype=float)
-        return (
-            self.w0
-            + (self.w1 + self.lam * self.c0) * t
-            - (self.lam * self.c0 / self.gamma) * (1.0 - np.exp(-self.gamma * t))
-        )
-
-
-def homogeneous_benchmark(c0: float, w0: float, w1: float, gamma: float, lam: float) -> HomogeneousBenchmark:
-    return HomogeneousBenchmark(c0=c0, w0=w0, w1=w1, gamma=gamma, lam=lam)
-
-
 def energy_identity_residual(trajectory: Trajectory, data: ProblemData) -> float:
     """|E(T) - E(0) + int (dissipation - source power)| on the record grid."""
     records = [rec for _, rec in trajectory]
@@ -291,6 +257,10 @@ def convergence_study(
 
     rows: list[dict[str, float]] = []
     if kind == MODE_COUNT:
+        require((
+            all(float(n).is_integer() for n in schedule),
+            f"(2.11) a modes schedule must hold integers, got {list(schedule)}",
+        ))
         sizes = [int(n) for n in schedule]
         require((
             sizes == sorted(sizes),

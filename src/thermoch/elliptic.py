@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -120,19 +120,3 @@ def check_L6_bound(problem: EllipticProblem, sol: EllipticSolution) -> tuple[flo
     rhs = spectral.norm_Lp(problem.h, 6)
     return lhs, rhs, lhs <= rhs * (1.0 + _L6_SLACK)
 
-
-class SurrogateNorms(NamedTuple):
-    h2_spectral: float
-    laplacian_L6: float
-
-
-def h2_surrogate(problem: EllipticProblem, sol: EllipticSolution) -> SurrogateNorms:
-    """Second-order norm surrogates available spectrally.
-
-    ``laplacian_L6`` is computed from the equation itself (Laplace(u) =
-    yosida(u) - h pointwise on the grid); ``h2_spectral`` is
-    sqrt(sum (1 + lambda_j)^2 u_j^2).
-    """
-    lap = Field(sol.reg.value - problem.h.values, problem.basis.domain)
-    h2 = float(np.sqrt((((1.0 + problem.basis.eigenvalues) ** 2) * sol.u.values**2).sum()))
-    return SurrogateNorms(h2_spectral=h2, laplacian_L6=spectral.norm_Lp(lap, 6))

@@ -79,7 +79,9 @@ def minres(
     from x = 0, so that norm never increases, also when A is indefinite.
     Stops when it falls to ``rtol`` times that of b, when the Krylov space
     stops growing, or after ``maxiter`` iterations.  Returns x and the
-    iteration count.
+    iteration count.  The Lanczos vector (the new array ``apply`` returns),
+    x and three rotating search directions are updated in place; b and m
+    are only read.
     """
     x = np.zeros_like(b)
     y = b / m
@@ -91,15 +93,15 @@ def minres(
     cs, sn = -1.0, 0.0
     dbar = epsln = 0.0
     phibar = beta1
-    w = w2 = np.zeros_like(b)
+    w, w1, w2 = np.zeros((3, b.size))
     for k in range(1, maxiter + 1):
         # Lanczos step on the preconditioned operator.
         v = y / beta
         y = apply(v)
         if k > 1:
-            y = y - (beta / oldb) * r1
+            y -= (beta / oldb) * r1
         alfa = float(v @ y)
-        y = y - (alfa / beta) * r2
+        y -= (alfa / beta) * r2
         r1, r2 = r2, y
         y = r2 / m
         oldb, beta = beta, math.sqrt(float(r2 @ y))
@@ -114,9 +116,12 @@ def minres(
             return x, k
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar
-        w1, w2 = w2, w
-        w = (v - oldeps * w1 - delta * w2) / gamma
-        x = x + phi * w
+        # w = (v - oldeps w1 - delta w2) / gamma, written over the oldest direction.
+        w1, w2, w = w2, w, w1
+        np.subtract(v, np.multiply(w1, oldeps, out=w), out=w)
+        w -= delta * w2
+        w /= gamma
+        x += phi * w
         if phibar <= rtol * beta1 or beta == 0.0:
             return x, k
     return x, maxiter

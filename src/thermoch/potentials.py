@@ -118,6 +118,8 @@ def _logarithmic_resolvent(eps, r):
     cubically.  The start is the largest of three lower bounds: |r|/(1 + 2 eps)
     from tanh(s) <= s, (|r| - 1)/(2 eps) from tanh(s) <= 1, and
     -ln(1 - |r| + 2 eps S)/2 from tanh(s) <= 1 - exp(-2 s) with S = _S_SAT.
+    The last two are positive only where 1 - |r| + 2 eps S <= max(1, 2 eps S),
+    so the set-up takes the clip and the log on those points only.
     Below the root g g'' >= 0, so a Halley step is the Newton step stretched
     by 1/(1 - L), L = g g''/(2 g'^2); from these starts L stays below 1/2
     (a dense sweep of eps in [5e-324, 0.999] and |r| <= 1e3 finds at most
@@ -125,30 +127,50 @@ def _logarithmic_resolvent(eps, r):
     root exceeds S, tanh of it rounds to 1 and J = +-1 is returned directly.
     Sweeps stop once every residual is within 8 ulps of max(1, |r|); J is
     that sweep's t, which lies within the same bound of tanh at the root.
+    The sweeps write into preallocated buffers and keep the association of
+    every expression, so J is the same bit for bit as with temporaries.
     """
+    shape = r.shape
+    r = r.reshape(-1)  # with a 0-d r the ufuncs would return scalars, which out= rejects
     a = np.abs(r)
     two_eps = 2.0 * eps
-    gap = (1.0 - a) + two_eps * _S_SAT
-    saturated = gap <= _SAT_GAP
-    s = np.maximum(a / (1.0 + two_eps), -0.5 * np.log(np.maximum(gap, _SAT_GAP)))
-    s = np.maximum(s, np.clip(a - 1.0, 0.0, two_eps * _S_SAT) / two_eps)
+    cap = two_eps * _S_SAT
+    gap = (1.0 - a) + cap
+    s = a / (1.0 + two_eps)
+    near = np.flatnonzero(gap <= max(1.0, cap))
+    gap_near = gap[near]
+    s[near] = np.maximum(
+        np.maximum(s[near], -0.5 * np.log(np.maximum(gap_near, _SAT_GAP))),
+        np.clip(a[near] - 1.0, 0.0, cap) / two_eps,
+    )
     # Saturated points sit at the trivial root s = 0 of a = 0 while sweeping.
-    a = np.where(saturated, 0.0, a)
-    s = np.where(saturated, 0.0, s)
+    saturated = near[gap_near <= _SAT_GAP]
+    a[saturated] = s[saturated] = 0.0
     tol = 8.0 * np.finfo(float).eps * np.maximum(1.0, a)
+    t = np.empty_like(s)  # the result, apart from the work buffers so as not to keep them alive
+    g, u, v = np.empty((3, s.size))
+    converged = np.empty(s.shape, dtype=bool)
     for _ in range(_MAX_SWEEPS + 1):
-        t = np.tanh(s)
-        g = t + two_eps * s - a
-        if np.all(np.abs(g) <= tol):
+        np.tanh(s, out=t)
+        np.multiply(s, two_eps, out=g)
+        g += t
+        g -= a
+        if np.less_equal(np.abs(g, out=u), tol, out=converged).all():
             break
-        sech2 = (1.0 - t) * (1.0 + t)
-        slope = sech2 + two_eps
-        s = s - g * slope / (slope * slope + g * t * sech2)
+        np.multiply(np.subtract(1.0, t, out=u), np.add(t, 1.0, out=v), out=u)  # sech^2
+        np.add(u, two_eps, out=v)  # the slope g'
+        t *= g  # (g t) sech^2 + g'^2
+        t *= u
+        t += np.multiply(v, v, out=u)
+        g *= v
+        g /= t
+        s -= g
     else:
         raise NumericFailure(
             f"logarithmic resolvent did not converge in {_MAX_SWEEPS} Halley sweeps (eps = {eps})"
         )
-    return np.copysign(np.where(saturated, 1.0, t), r)
+    t[saturated] = 1.0
+    return np.copysign(t, r, out=t).reshape(shape)
 
 
 def _logarithmic_slope(eps, r, j):

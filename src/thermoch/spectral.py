@@ -269,7 +269,7 @@ def to_field(c: Coeffs) -> Field:
     """Evaluate the spectral element on the quadrature grid: C0^T g in 1-D, C0^T G C1 in 2-D."""
     basis = c.basis
     tensor = np.zeros(tuple(C.shape[0] for C in basis.axis_factors))
-    tensor.flat[basis.mode_index] = c.values
+    tensor.reshape(-1)[basis.mode_index] = c.values  # a view; several times cheaper than .flat
     if basis.domain.dim == 1:
         (C0,) = basis.axis_factors
         return Field(C0.T @ tensor, basis.domain)

@@ -97,6 +97,34 @@ def sampled_spec_violations(spec, r_grid, tol=1e-9):
     return violations
 
 
+def reference_logarithmic_resolvent(eps, r):
+    """The logarithmic kernel as written with a fresh temporary for every
+    expression; ``potentials._logarithmic_resolvent`` must equal it bit for bit."""
+    a = np.abs(r)
+    two_eps = 2.0 * eps
+    gap = (1.0 - a) + two_eps * pot._S_SAT
+    saturated = gap <= pot._SAT_GAP
+    s = np.maximum(a / (1.0 + two_eps), -0.5 * np.log(np.maximum(gap, pot._SAT_GAP)))
+    s = np.maximum(s, np.clip(a - 1.0, 0.0, two_eps * pot._S_SAT) / two_eps)
+    # Saturated points sit at the trivial root s = 0 of a = 0 while sweeping.
+    a = np.where(saturated, 0.0, a)
+    s = np.where(saturated, 0.0, s)
+    tol = 8.0 * np.finfo(float).eps * np.maximum(1.0, a)
+    for _ in range(pot._MAX_SWEEPS + 1):
+        t = np.tanh(s)
+        g = t + two_eps * s - a
+        if np.all(np.abs(g) <= tol):
+            break
+        sech2 = (1.0 - t) * (1.0 + t)
+        slope = sech2 + two_eps
+        s = s - g * slope / (slope * slope + g * t * sech2)
+    else:
+        raise NumericFailure(
+            f"logarithmic resolvent did not converge in {pot._MAX_SWEEPS} Halley sweeps (eps = {eps})"
+        )
+    return np.copysign(np.where(saturated, 1.0, t), r)
+
+
 def dense_eigenfunctions(basis):
     """The n x N matrix E[j, i] = e_j(x_i), sampled from the closed-form eigenfunctions."""
     coords = basis.domain.grid_coords()

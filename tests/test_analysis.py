@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,6 +14,36 @@ from thermoch.errors import ConfigurationError
 
 REG = pot.regular_potential()
 LOG = pot.logarithmic_potential(2.0)
+
+
+@dataclass(frozen=True)
+class HomogeneousBenchmark:
+    """Closed-form spatially constant solution with f = g = 0.
+
+    The order parameter decays as c(t) = c0 exp(-gamma t); the temperature
+    component integrates v' = -lam c' to v(t) = w1 + lam (c0 - c(t)); the
+    displacement is its time primitive starting at w0.
+    """
+
+    c0: float
+    w0: float
+    w1: float
+    gamma: float
+    lam: float
+
+    def c(self, t):
+        return self.c0 * np.exp(-self.gamma * np.asarray(t, dtype=float))
+
+    def v(self, t):
+        return self.w1 + self.lam * (self.c0 - self.c(t))
+
+    def w(self, t):
+        t = np.asarray(t, dtype=float)
+        return (
+            self.w0
+            + (self.w1 + self.lam * self.c0) * t
+            - (self.lam * self.c0 / self.gamma) * (1.0 - np.exp(-self.gamma * t))
+        )
 
 
 class TestMeanLaw:
@@ -56,21 +87,21 @@ class TestMeanLaw:
 
 class TestBenchmark:
     def test_reference_values(self):
-        bench = an.homogeneous_benchmark(0.3, 0.0, 0.0, 1.0, 2.0)
+        bench = HomogeneousBenchmark(0.3, 0.0, 0.0, 1.0, 2.0)
         assert bench.c(1.0) == pytest.approx(0.1103638, abs=1e-7)
         assert bench.v(1.0) == pytest.approx(0.3792724, abs=1e-7)
 
     def test_zero_latent_heat_decouples(self):
-        bench = an.homogeneous_benchmark(0.3, 0.1, 0.7, 1.0, 0.0)
+        bench = HomogeneousBenchmark(0.3, 0.1, 0.7, 1.0, 0.0)
         for t in (0.0, 0.5, 2.0):
             assert bench.v(t) == 0.7
 
     def test_initial_values(self):
-        bench = an.homogeneous_benchmark(0.3, 0.4, 0.5, 1.2, 2.0)
+        bench = HomogeneousBenchmark(0.3, 0.4, 0.5, 1.2, 2.0)
         assert (bench.c(0.0), bench.v(0.0), bench.w(0.0)) == (0.3, 0.5, 0.4)
 
     def test_w_is_primitive_of_v(self):
-        bench = an.homogeneous_benchmark(0.4, -0.2, 0.3, 1.7, 1.1)
+        bench = HomogeneousBenchmark(0.4, -0.2, 0.3, 1.7, 1.1)
         ts = np.linspace(0.0, 1.0, 2001)
         quad = -0.2 + np.concatenate([[0.0], np.cumsum(
             0.5 * np.diff(ts) * (bench.v(ts[:-1]) + bench.v(ts[1:]))
@@ -246,6 +277,16 @@ class TestConvergenceStudy:
         rows = an.convergence_study("dt", [1e-2, 5e-3, 2.5e-3], data, unit_basis, 1e-2)
         assert "slope" in rows[0]
         assert rows[0]["diff_to_next"] > rows[1]["diff_to_next"]
+
+    def test_fractional_modes_schedule_rejected_before_any_run(self, unit_domain, unit_basis, monkeypatch):
+        data = make_problem_data(unit_domain, REG, t_final=0.1)
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the schedule was checked")
+
+        monkeypatch.setattr(gk, "simulate", no_run)
+        with pytest.raises(ConfigurationError, match=r"\(2\.11\) a modes schedule must hold integers"):
+            an.convergence_study("modes", [4.7, 8.0], data, unit_basis, 1e-2)
 
     def test_non_monotone_schedule_rejected(self, unit_domain, unit_basis):
         data = make_problem_data(unit_domain, REG, t_final=0.1)

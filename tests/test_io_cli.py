@@ -364,6 +364,7 @@ class TestCli:
             ("dt", "0.01, 0"),
             ("dt", "0.01, -0.01"),
             ("modes", "8, 4"),
+            ("modes", "4.7, 8"),
         ],
     )
     def test_converge_schedule_faults_exit_2(self, tmp_path, vary, schedule, monkeypatch):

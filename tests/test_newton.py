@@ -65,7 +65,10 @@ class TestMinres:
             b = m * z
         else:
             b = rng.standard_normal(n)
+        b_in, m_in = b.copy(), m.copy()
         x, iterations = newton.minres(lambda v: A @ v, b, m, 1e-12, 10 * n)
+        # The in-place updates never write into the right-hand side or the preconditioner.
+        assert b.tobytes() == b_in.tobytes() and m.tobytes() == m_in.tobytes()
         exact = np.linalg.solve(A, b)
         assert np.linalg.norm(x - exact) <= 1e-9 * np.linalg.norm(exact)
         assert 1 <= iterations <= 10 * n

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import sampled_spec_violations
+from conftest import reference_logarithmic_resolvent, sampled_spec_violations
 from thermoch import potentials as pot
 from thermoch.errors import CompatibilityError, NumericFailure
 from thermoch.io_cli import bisection_resolvent
@@ -21,6 +21,19 @@ def simpson(fn, a, b, n=2000):
     y = fn(x)
     h = (b - a) / (2 * n)
     return h / 3.0 * (y[0] + y[-1] + 4.0 * y[1::2].sum() + 2.0 * y[2:-1:2].sum())
+
+
+def dense_logarithmic_grid():
+    """(eps, r) pairs over eps in [5e-324, 0.999] and |r| <= 1e3, dense near |r| = 1."""
+    ulp = np.finfo(float).eps
+    a = np.concatenate([
+        np.linspace(0.0, 1e3, 2001), np.linspace(0.0, 3.0, 3001),
+        1.0 - np.logspace(-17, 0, 500), 1.0 + np.logspace(-17, 3, 1000),
+        np.nextafter(1.0, 0.0) - 0.5 * ulp * np.arange(40), 1.0 + ulp * np.arange(40),
+    ])
+    r = np.concatenate([a, -a])
+    for eps in np.concatenate([[5e-324], np.logspace(-320, math.log10(0.999), 161)]):
+        yield float(eps), r
 
 
 class TestResolvent:
@@ -85,20 +98,33 @@ class TestResolvent:
         # over eps in [5e-324, 0.999] and |r| <= 1e3, including the slow
         # starts just outside |r| = 1 and the last ulps below saturation.
         monkeypatch.setattr(pot, "_MAX_SWEEPS", 4)
-        ulp = np.finfo(float).eps
-        a = np.concatenate([
-            np.linspace(0.0, 1e3, 2001), np.linspace(0.0, 3.0, 3001),
-            1.0 - np.logspace(-17, 0, 500), 1.0 + np.logspace(-17, 3, 1000),
-            np.nextafter(1.0, 0.0) - 0.5 * ulp * np.arange(40), 1.0 + ulp * np.arange(40),
-        ])
-        r = np.concatenate([a, -a])
-        for eps in np.concatenate([[5e-324], np.logspace(-320, math.log10(0.999), 161)]):
-            j = pot.resolvent(LOG, float(eps), r)
+        for eps, r in dense_logarithmic_grid():
+            j = pot.resolvent(LOG, eps, r)
             assert (np.abs(j) <= 1.0).all()
+
+    def test_logarithmic_kernel_equals_reference_bit_for_bit(self):
+        # The in-place sweeps keep every expression's association, so they
+        # reproduce the kernel written with temporaries exactly, saturated
+        # points (|r| = 1e3 at tiny eps) included.
+        for eps, r in dense_logarithmic_grid():
+            j = pot.resolvent(LOG, eps, r)
+            assert j.tobytes() == reference_logarithmic_resolvent(eps, r).tobytes()
+
+    @pytest.mark.parametrize("r", [0.3, -0.999, 1.0, -2.0, 1e3, -0.0, [[0.5, -1.5], [1e3, 0.0]]])
+    @pytest.mark.parametrize("eps", [5e-324, 1e-3, 0.05, 0.9])
+    def test_logarithmic_kernel_keeps_scalars_and_shapes(self, eps, r):
+        expected = reference_logarithmic_resolvent(eps, np.asarray(r, dtype=float))
+        j = pot.resolvent(LOG, eps, r)
+        if np.ndim(r) == 0:
+            assert isinstance(j, float) and np.float64(j).tobytes() == expected.tobytes()
+        else:
+            assert j.shape == expected.shape and j.tobytes() == expected.tobytes()
 
     def test_logarithmic_sweep_cap_raises(self):
         with pytest.raises(NumericFailure):
             pot.resolvent(LOG, 0.1, np.array([0.5, np.nan]))
+        with pytest.raises(NumericFailure):
+            pot.resolvent(LOG, 0.1, np.nan)
 
 
 class TestYosida:

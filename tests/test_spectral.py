@@ -134,6 +134,19 @@ class TestTransforms:
         back = sp.to_coeffs(sp.to_field(c), basis)
         assert np.abs(back.values - c.values).max() <= 1e-12
 
+    @pytest.mark.parametrize("lengths, grid, n", [((1.0,), 64, 16), ((1.0, 1.5), 16, 40)])
+    def test_transforms_leave_inputs_unchanged(self, lengths, grid, n):
+        # Callers keep the arrays they pass, e.g. the regularized graph that
+        # check_L6_bound reads after the Newton loop has transformed it.
+        basis = sp.build_basis(sp.BoxDomain(lengths, grid), n)
+        rng = np.random.default_rng(n)
+        c = sp.Coeffs(rng.standard_normal(n), basis)
+        f = sp.Field(rng.standard_normal(basis.domain.n_grid), basis.domain)
+        c_in, f_in = c.values.copy(), f.values.copy()
+        sp.to_field(c)
+        sp.to_coeffs(f, basis)
+        assert c.values.tobytes() == c_in.tobytes() and f.values.tobytes() == f_in.tobytes()
+
     def test_domain_mismatch(self, unit_basis):
         other = sp.constant_field(1.0, sp.BoxDomain((2.0,), 64))
         with pytest.raises(ValueError):
