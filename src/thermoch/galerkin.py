@@ -91,10 +91,6 @@ class SourceTerm:
         return SourceTerm(self.times, tuple(spectral.to_coeffs(f, basis) for f in self.fields))
 
 
-def constant_source(f: Field) -> SourceTerm:
-    return SourceTerm(times=(0.0,), fields=(f,))
-
-
 @dataclass(frozen=True)
 class ProblemData:
     """Complete problem description: constants, potential, sources, initial data."""

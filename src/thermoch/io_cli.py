@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import dataclasses
 import json
 import math
@@ -350,12 +351,16 @@ def parse_config(path: str | Path) -> RunConfig:
     parser = configparser.ConfigParser(
         inline_comment_prefixes=("#",), comment_prefixes=("#",), strict=True
     )
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigParseError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
     try:
         parser.read_string(text, source=str(path))
+        raw = {s: dict(parser.items(s)) for s in parser.sections()}
     except configparser.Error as exc:
         raise ConfigParseError(str(exc)) from exc
-    raw = {s: dict(parser.items(s)) for s in parser.sections()}
     return config_from_sections(raw)
 
 
@@ -810,7 +815,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_heap() -> None:
+    """Fix glibc's heap thresholds so that freed grid arrays stay in the process.
+
+    A 128 x 128 grid array (128 KiB) is below the 256 KiB from which NumPy
+    reuses temporaries, so every array expression on it allocates afresh.
+    Under glibc's dynamic thresholds the heap top freed after each time level
+    went back to the kernel and was faulted in again, page by page, on the
+    next.  Best effort: skipped where the C library has no ``mallopt``.
+    Called from ``main`` only, so library callers keep their allocator.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: 32 MiB, the 64-bit maximum
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: 64 MiB
+    except (OSError, TypeError, AttributeError):
+        pass
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    _keep_freed_heap()
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -68,11 +68,6 @@ class BoxDomain:
         m = self.grid_points_per_axis
         return [(np.arange(m) + 0.5) * (L / m) for L in self.lengths]
 
-    def grid_coords(self) -> list[np.ndarray]:
-        """Flattened coordinate arrays of the tensor grid (C order)."""
-        meshes = np.meshgrid(*self.grid_axes(), indexing="ij")
-        return [mesh.ravel() for mesh in meshes]
-
 
 @dataclass(frozen=True)
 class Field:
@@ -98,16 +93,20 @@ def cosine_sum_field(
     constant: float = 0.0,
     terms: Sequence[tuple[tuple[int, ...], float]] = (),
 ) -> Field:
-    """Field c0 + sum_k a_k prod_d cos(k_d pi x_d / L_d) (plain cosines)."""
-    coords = domain.grid_coords()
+    """Field c0 + sum_k a_k prod_d cos(k_d pi x_d / L_d) (plain cosines).
+
+    Each term is the outer product of its per-axis cosines on the axis nodes,
+    the first scaled by a_k: the same products, in the same order, as on the
+    full tensor grid, with M cosines per axis instead of M^d.
+    """
+    axes = domain.grid_axes()
     out = np.full(domain.n_grid, float(constant))
     for mode, amp in terms:
         if len(mode) != domain.dim:
             raise ValueError(f"mode {mode} does not match dim {domain.dim}")
-        term = np.full(domain.n_grid, float(amp))
-        for k, x, L in zip(mode, coords, domain.lengths):
-            term = term * np.cos(k * math.pi * x / L)
-        out += term
+        factors = [np.cos(k * math.pi * x / L) for k, x, L in zip(mode, axes, domain.lengths)]
+        factors[0] = float(amp) * factors[0]
+        out += reduce(np.multiply.outer, factors).ravel()
     return Field(out, domain)
 
 
@@ -239,10 +238,6 @@ class Coeffs:
 def _require_same_basis(a: Coeffs, b: Coeffs) -> None:
     if a.basis is not b.basis and a.basis != b.basis:
         raise ValueError("coefficient vectors use different bases")
-
-
-def zero_coeffs(basis: SpectralBasis) -> Coeffs:
-    return Coeffs(np.zeros(basis.n), basis)
 
 
 def to_coeffs(f: Field, basis: SpectralBasis) -> Coeffs:

@@ -19,6 +19,32 @@ def unit_basis(unit_domain):
     return sp.build_basis(unit_domain, 16)
 
 
+def zero_coeffs(basis):
+    return sp.Coeffs(np.zeros(basis.n), basis)
+
+
+def constant_source(f):
+    return gk.SourceTerm(times=(0.0,), fields=(f,))
+
+
+def grid_coords(domain):
+    """Flattened coordinate arrays of the tensor grid (C order)."""
+    meshes = np.meshgrid(*domain.grid_axes(), indexing="ij")
+    return [mesh.ravel() for mesh in meshes]
+
+
+def mesh_cosine_sum_field(domain, constant=0.0, terms=()):
+    """Oracle for ``spectral.cosine_sum_field``: every term evaluated on the full tensor grid."""
+    coords = grid_coords(domain)
+    out = np.full(domain.n_grid, float(constant))
+    for mode, amp in terms:
+        term = np.full(domain.n_grid, float(amp))
+        for k, x, L in zip(mode, coords, domain.lengths):
+            term = term * np.cos(k * math.pi * x / L)
+        out += term
+    return sp.Field(out, domain)
+
+
 def make_problem_data(
     domain,
     potential,
@@ -36,7 +62,7 @@ def make_problem_data(
     w1=None,
     t_final=1.0,
 ):
-    zero = gk.constant_source(sp.constant_field(0.0, domain))
+    zero = constant_source(sp.constant_field(0.0, domain))
     const = lambda v: sp.constant_field(v, domain)
     return gk.ProblemData(
         params=gk.PhysicalParams(gamma, a, b, kappa1, kappa2, lam),
@@ -127,7 +153,7 @@ def reference_logarithmic_resolvent(eps, r):
 
 def dense_eigenfunctions(basis):
     """The n x N matrix E[j, i] = e_j(x_i), sampled from the closed-form eigenfunctions."""
-    coords = basis.domain.grid_coords()
+    coords = grid_coords(basis.domain)
     E = np.ones((basis.n, basis.domain.n_grid))
     for j, mode in enumerate(basis.modes):
         for k, x, L in zip(mode, coords, basis.domain.lengths):

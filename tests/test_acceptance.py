@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_problem_data
+from conftest import constant_source, make_problem_data
 from thermoch import analysis as an
 from thermoch import galerkin as gk
 from thermoch import io_cli as io
@@ -177,7 +177,7 @@ def test_criterion_6_continuous_dependence():
     k2s, lhss = [], []
     for delta in (1e-1, 1e-2, 1e-3):
         perturbed = dataclasses.replace(
-            base, f=gk.constant_source(sp.constant_field(delta, domain))
+            base, f=constant_source(sp.constant_field(delta, domain))
         )
         rep = an.dependence_experiment(base, perturbed, basis, 2e-3)
         k2s.append(rep.empirical_K2)

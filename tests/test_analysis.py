@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import make_problem_data
+from conftest import constant_source, make_problem_data
 from thermoch import analysis as an
 from thermoch import galerkin as gk
 from thermoch import potentials as pot
@@ -62,7 +62,7 @@ class TestMeanLaw:
     def test_forced_steady_state(self, unit_domain, unit_basis):
         data = make_problem_data(
             unit_domain, REG, gamma=2.0,
-            f=gk.constant_source(sp.constant_field(1.0, unit_domain)),
+            f=constant_source(sp.constant_field(1.0, unit_domain)),
             t_final=4.0,
         )
         trajectory = gk.simulate(data, unit_basis, 0.02)
@@ -198,7 +198,7 @@ class TestDependence:
     def make_pair(self, domain, delta_f=0.0, delta_g=0.0):
         phi0 = sp.cosine_sum_field(domain, 0.1, [((1,), 0.2)])
         base = make_problem_data(domain, REG, phi0=phi0, t_final=0.25)
-        f2 = gk.constant_source(sp.constant_field(delta_f, domain))
+        f2 = constant_source(sp.constant_field(delta_f, domain))
         g2 = gk.SourceTerm(
             times=(0.0,),
             fields=(sp.cosine_sum_field(domain, 0.0, [((1,), delta_g)]),),

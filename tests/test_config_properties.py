@@ -137,3 +137,25 @@ def test_corrupted_key_is_accepted_or_reported_with_one_tag_per_line(where, valu
         except ConfigurationError as exc:
             for line in str(exc).splitlines():
                 assert sum(line.count(tag) for tag in TAGS) == 1, line
+
+
+# Config lines that parse, lines that break the INI syntax or its
+# interpolation, and bytes that are not UTF-8; every run they can make is short.
+CONFIG_LINES = [
+    b"[data]", b"[domain]", b"[time]", b"[potential]", b"[data", b"[nosuch]",
+    b"phi0 = 0.3", b"phi0 = 0.1 + 0.2*cos(1)", b"phi0 = %(x)s", b"phi0 = 5%",
+    b"grid = 8", b"grid = 1e400", b"n_modes = 4", b"t_final = 0.05", b"dt = 0.01",
+    b"kind = logarithmic", b"eps = 2", b"= 1", b"phi0", b"\xff", b"\xc3", b"\x00",
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lines=st.lists(st.one_of(st.sampled_from(CONFIG_LINES), st.binary(max_size=12)), max_size=8)
+)
+def test_main_on_arbitrary_config_bytes_returns_a_documented_exit_code(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.ini"
+        path.write_bytes(b"\n".join(lines))
+        out = Path(tmp) / "out"
+        assert io.main(["simulate", str(path), "--output-dir", str(out), "--quiet"]) in (0, 2, 3, 4)

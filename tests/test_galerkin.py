@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_problem_data
+from conftest import constant_source, make_problem_data, zero_coeffs
 from thermoch import galerkin as gk
 from thermoch import potentials as pot
 from thermoch import spectral as sp
@@ -55,14 +55,14 @@ class TestCompatibility:
     def test_rho(self, unit_domain):
         data = make_problem_data(
             unit_domain, REG, gamma=2.0,
-            f=gk.constant_source(sp.constant_field(-3.0, unit_domain)),
+            f=constant_source(sp.constant_field(-3.0, unit_domain)),
         )
         assert gk.rho(data) == pytest.approx(1.5)
 
     def test_band_quantities(self, unit_domain):
         data = make_problem_data(
             unit_domain, REG, gamma=2.0,
-            f=gk.constant_source(sp.constant_field(1.0, unit_domain)),
+            f=constant_source(sp.constant_field(1.0, unit_domain)),
             phi0=sp.constant_field(-0.25, unit_domain),
         )
         q = gk.compatibility_quantities(data)
@@ -77,7 +77,7 @@ class TestCompatibility:
     def test_source_band_rejected(self, unit_domain, unit_basis):
         data = make_problem_data(
             unit_domain, LOG,
-            f=gk.constant_source(sp.constant_field(5.0, unit_domain)),
+            f=constant_source(sp.constant_field(5.0, unit_domain)),
         )
         with pytest.raises(CompatibilityError, match=r"\(2\.14\)"):
             gk.project_initial_data(data, unit_basis)
@@ -105,8 +105,8 @@ class TestMuReconstruction:
         data = make_problem_data(unit_domain, REG, a=0.1, b=1.0)
         state = gk.GalerkinState(
             t=0.0,
-            phi=sp.zero_coeffs(unit_basis),
-            w=sp.zero_coeffs(unit_basis),
+            phi=zero_coeffs(unit_basis),
+            w=zero_coeffs(unit_basis),
             v=sp.to_coeffs(sp.constant_field(0.2, unit_domain), unit_basis),
         )
         rec = evaluate(state, data)
@@ -124,7 +124,7 @@ class TestMuReconstruction:
             vals[1] = amp
             state = gk.GalerkinState(
                 t=0.0, phi=sp.Coeffs(vals, unit_basis),
-                w=sp.zero_coeffs(unit_basis), v=sp.zero_coeffs(unit_basis),
+                w=zero_coeffs(unit_basis), v=zero_coeffs(unit_basis),
             )
             slopes.append(evaluate(state, data).mu.values[1] / amp)
         assert slopes[1] == pytest.approx(expected, rel=1e-6)
@@ -135,8 +135,8 @@ class TestMuReconstruction:
         state = gk.GalerkinState(
             t=0.0,
             phi=sp.to_coeffs(sp.constant_field(0.5, unit_domain), unit_basis),
-            w=sp.zero_coeffs(unit_basis),
-            v=sp.zero_coeffs(unit_basis),
+            w=zero_coeffs(unit_basis),
+            v=zero_coeffs(unit_basis),
         )
         rec = evaluate(state, data)
         assert np.all(rec.xi.values == 0.0)
@@ -146,7 +146,7 @@ class TestMuReconstruction:
         rng = np.random.default_rng(2)
         state = gk.GalerkinState(
             t=0.0, phi=sp.Coeffs(0.1 * rng.standard_normal(unit_basis.n), unit_basis),
-            w=sp.zero_coeffs(unit_basis), v=sp.zero_coeffs(unit_basis),
+            w=zero_coeffs(unit_basis), v=zero_coeffs(unit_basis),
         )
         rec = evaluate(state, data)
         grid = sp.to_field(state.phi).values
@@ -157,8 +157,8 @@ class TestRhs:
     def test_rest_state_is_stationary(self, unit_domain, unit_basis):
         data = make_problem_data(unit_domain, REG, a=0.0)
         state = gk.GalerkinState(
-            t=0.0, phi=sp.zero_coeffs(unit_basis),
-            w=sp.zero_coeffs(unit_basis), v=sp.zero_coeffs(unit_basis),
+            t=0.0, phi=zero_coeffs(unit_basis),
+            w=zero_coeffs(unit_basis), v=zero_coeffs(unit_basis),
         )
         dphi, dw, dv = gk.rhs(evaluate(state, data), data)
         for c in (dphi, dw, dv):
@@ -168,8 +168,8 @@ class TestRhs:
         f_bar, g_bar, c0, gamma, lam = 0.7, -0.3, 0.2, 1.5, 2.0
         data = make_problem_data(
             unit_domain, REG, gamma=gamma, lam=lam,
-            f=gk.constant_source(sp.constant_field(f_bar, unit_domain)),
-            g=gk.constant_source(sp.constant_field(g_bar, unit_domain)),
+            f=constant_source(sp.constant_field(f_bar, unit_domain)),
+            g=constant_source(sp.constant_field(g_bar, unit_domain)),
         )
         state = gk.GalerkinState(
             t=0.0,
@@ -190,7 +190,7 @@ class TestRhs:
         vals[1] = 0.05
         state = gk.GalerkinState(
             t=0.0, phi=sp.Coeffs(vals, unit_basis),
-            w=sp.zero_coeffs(unit_basis), v=sp.zero_coeffs(unit_basis),
+            w=zero_coeffs(unit_basis), v=zero_coeffs(unit_basis),
         )
         ev = evaluate(state, data)
         dphi, _, _ = gk.rhs(ev, data)
@@ -205,8 +205,8 @@ class TestStep:
     def test_zero_state_unchanged(self, unit_domain, unit_basis, scheme):
         data = make_problem_data(unit_domain, REG, a=0.0)
         state = gk.GalerkinState(
-            t=0.0, phi=sp.zero_coeffs(unit_basis),
-            w=sp.zero_coeffs(unit_basis), v=sp.zero_coeffs(unit_basis),
+            t=0.0, phi=zero_coeffs(unit_basis),
+            w=zero_coeffs(unit_basis), v=zero_coeffs(unit_basis),
         )
         out, _ = gk.step(evaluate(state, data), data, 0.01, scheme)
         assert out.t == pytest.approx(0.01)
@@ -218,7 +218,7 @@ class TestStep:
         f_bar, gamma, dt = 0.4, 1.3, 0.02
         data = make_problem_data(
             unit_domain, REG, gamma=gamma,
-            f=gk.constant_source(sp.constant_field(f_bar, unit_domain)),
+            f=constant_source(sp.constant_field(f_bar, unit_domain)),
             phi0=sp.cosine_sum_field(unit_domain, 0.2, [((1,), 0.1)]),
         )
         state = gk.project_initial_data(data, unit_basis)
@@ -242,8 +242,8 @@ class TestStep:
         # ``rhs`` to second order, so both paths encode the same system
         data = make_problem_data(
             unit_domain, REG, a=0.2, gamma=1.5, lam=2.0,
-            f=gk.constant_source(sp.constant_field(0.3, unit_domain)),
-            g=gk.constant_source(sp.constant_field(-0.1, unit_domain)),
+            f=constant_source(sp.constant_field(0.3, unit_domain)),
+            g=constant_source(sp.constant_field(-0.1, unit_domain)),
             phi0=sp.cosine_sum_field(unit_domain, 0.1, [((1,), 0.2)]),
             w0=sp.cosine_sum_field(unit_domain, 0.0, [((2,), 0.1)]),
             w1=sp.constant_field(0.05, unit_domain),
@@ -456,7 +456,7 @@ class TestSharedEvaluation:
         rng = np.random.default_rng(5)
         state = gk.GalerkinState(
             t=0.0, phi=sp.Coeffs(0.6 * rng.standard_normal(unit_basis.n), unit_basis),
-            w=sp.zero_coeffs(unit_basis), v=sp.zero_coeffs(unit_basis),
+            w=zero_coeffs(unit_basis), v=zero_coeffs(unit_basis),
         )
         grid = sp.to_field(state.phi).values
         assert np.abs(grid).max() > 1.0  # both sides of the obstacle and log edges
@@ -475,7 +475,7 @@ class TestScalarReductions:
         c0, g0, w1, lam = 0.3, 0.4, 0.1, 2.0
         data = make_problem_data(
             unit_domain, REG, lam=lam,
-            g=gk.constant_source(sp.constant_field(g0, unit_domain)),
+            g=constant_source(sp.constant_field(g0, unit_domain)),
             phi0=sp.constant_field(c0, unit_domain),
             w1=sp.constant_field(w1, unit_domain),
             t_final=1.0,
@@ -499,7 +499,7 @@ class TestScalarReductions:
         for spec, eps, phi0, f_bar in cases:
             data = make_problem_data(
                 unit_domain, spec, eps=eps,
-                f=gk.constant_source(sp.constant_field(f_bar, unit_domain)),
+                f=constant_source(sp.constant_field(f_bar, unit_domain)),
                 phi0=phi0, t_final=0.2,
             )
             trajectory = gk.simulate(data, basis, 2e-3, scheme)
@@ -638,7 +638,7 @@ class TestEnergy:
         basis = sp.build_basis(unit_domain, 8)
         data = make_problem_data(
             unit_domain, REG, a=0.2,
-            f=gk.constant_source(sp.constant_field(0.1, unit_domain)),
+            f=constant_source(sp.constant_field(0.1, unit_domain)),
             phi0=sp.cosine_sum_field(unit_domain, 0.1, [((1,), 0.15)]),
             t_final=0.02,
         )

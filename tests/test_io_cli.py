@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import struct
 import subprocess
 import sys
@@ -8,10 +9,31 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import grid_coords
 from thermoch import galerkin
 from thermoch import io_cli as io
 from thermoch import spectral as sp
 from thermoch.errors import ConfigurationError
+
+# Runs ``main`` in a fresh process and prints the process's minor page-fault
+# count at each recorded time level.
+FAULT_PROBE = """
+import json, resource, sys
+from thermoch import galerkin, io_cli
+
+faults = []
+simulate = galerkin.simulate
+
+def counted(*args, observers=(), **kwargs):
+    def count(state, record):
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    return simulate(*args, observers=(*observers, count), **kwargs)
+
+galerkin.simulate = counted
+code = io_cli.main(["simulate", sys.argv[1], "--output-dir", sys.argv[2], "--quiet"])
+print(json.dumps(faults))
+sys.exit(code)
+"""
 
 MINIMAL = """
 [data]
@@ -83,7 +105,7 @@ class TestExpressions:
     def test_two_dimensional_modes(self):
         domain = sp.BoxDomain((1.0, 2.0), 16)
         f = io.parse_field_expr("0.3*cos(1,2)", domain)
-        xs, ys = domain.grid_coords()
+        xs, ys = grid_coords(domain)
         assert np.allclose(
             f.values, 0.3 * np.cos(np.pi * xs) * np.cos(np.pi * ys), atol=1e-14
         )
@@ -161,6 +183,10 @@ class TestParseConfig:
     def test_syntax_error_reports_line(self, tmp_path):
         with pytest.raises(io.ConfigParseError, match="line"):
             io.parse_config(write_config(tmp_path, "[domain\ndim = 1\n"))
+
+    def test_interpolation_error_is_parse_error(self, tmp_path):
+        with pytest.raises(io.ConfigParseError, match="interpolation"):
+            io.parse_config(write_config(tmp_path, "[data]\nphi0 = %(x)s\n"))
 
     def test_capacity_violation(self, tmp_path):
         text = FULL.replace("n_modes = 8", "n_modes = 20")
@@ -302,6 +328,12 @@ class TestCli:
         cfg = write_config(tmp_path, FULL.replace("gamma = 1.0", "gamma = 0"))
         assert io.main(["simulate", str(cfg), "--quiet"]) == 2
 
+    def test_non_utf8_config_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(b"[domain]\ngrid = 64 \xff\n")
+        assert io.main(["simulate", str(path), "--quiet"]) == 2
+        assert f"{path}: not UTF-8 text at byte 19" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, tmp_path):
         assert io.main(["simulate", str(tmp_path / "absent.ini"), "--quiet"]) == 4
 
@@ -385,6 +417,37 @@ class TestCli:
         )
         assert done.returncode == 0, done.stderr
         assert "usage: thermoch" in done.stdout
+
+    @pytest.mark.skipif(
+        sys.platform != "linux" or platform.libc_ver()[0] != "glibc", reason="needs glibc"
+    )
+    def test_grid_temporaries_do_not_fault_in_every_level(self, tmp_path):
+        # 128 x 128 grid arrays are 128 KiB each; a heap that gives them back
+        # to the kernel after each level faults two of them (64 pages) in again.
+        text = FULL.replace("dim = 1", "dim = 2").replace(
+            "lengths = 1.0", "lengths = 1.0, 1.0"
+        ).replace("grid = 32", "grid = 128").replace("n_modes = 8", "n_modes = 64").replace(
+            "phi0 = 0.1 + 0.2*cos(1)", "phi0 = 0.1 + 0.3*cos(1,0) + 0.2*cos(2,3)"
+        ).replace("t_final = 0.2", "t_final = 0.1")
+        cfg = write_config(tmp_path, text)
+        env = {**os.environ, "PYTHONPATH": str(Path(io.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", FAULT_PROBE, str(cfg), str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        faults = json.loads(done.stdout.splitlines()[-1])
+        assert len(faults) == 11
+        per_level = (faults[-1] - faults[0]) / (len(faults) - 1)
+        assert per_level < 16, faults
+
+    @pytest.mark.parametrize("error", [OSError, TypeError, AttributeError])
+    def test_heap_setting_is_skipped_without_mallopt(self, monkeypatch, error):
+        def missing(name):
+            raise error("no mallopt here")
+
+        monkeypatch.setattr(io.ctypes, "CDLL", missing)
+        io._keep_freed_heap()
 
     def test_converge_writes_table(self, tmp_path):
         cfg = write_config(

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import dense_eigenfunctions
+from conftest import dense_eigenfunctions, zero_coeffs
 from thermoch import io_cli as io
 from thermoch import spectral as sp
 from thermoch.errors import ConfigurationError, MeanDomainError
@@ -273,7 +273,7 @@ class TestPoissonInverse:
         assert u.values[0] == 0.0
 
     def test_zero(self, unit_basis):
-        u = sp.solve_poisson(sp.zero_coeffs(unit_basis))
+        u = sp.solve_poisson(zero_coeffs(unit_basis))
         assert np.all(u.values == 0.0)
 
     def test_constant_rejected(self, unit_basis):

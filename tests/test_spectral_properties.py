@@ -1,9 +1,11 @@
-"""Property test: the factored transforms agree with the dense oracle."""
+"""Property tests: the factored transforms and the separable cosine sums agree with their oracles."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mesh_cosine_sum_field
+from test_config_properties import expressions
 from test_spectral import oracle_gaps
 from thermoch import spectral as sp
 
@@ -21,3 +23,11 @@ def bases(draw):
 @given(basis=bases(), seed=st.integers(0, 2**32 - 1))
 def test_factored_transforms_match_dense_oracle(basis, seed):
     assert max(oracle_gaps(basis, np.random.default_rng(seed))) <= 1e-13
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=expressions())
+def test_separable_cosine_sum_matches_mesh_oracle(case):
+    domain, constant, terms = case
+    fast = sp.cosine_sum_field(domain, constant, terms).values
+    assert np.array_equal(fast, mesh_cosine_sum_field(domain, constant, terms).values)
