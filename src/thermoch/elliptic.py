@@ -80,7 +80,7 @@ def solve_elliptic(problem: EllipticProblem, start: Optional[Coeffs] = None) -> 
         def objective():
             return (
                 0.5 * float((lam * u**2).sum())
-                + float(basis.quadrature_weight * reg.primitive().sum())
+                + basis.quadrature_weight * reg.primitive_sum()
                 - float(h_c @ u)
             )
 

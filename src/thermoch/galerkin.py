@@ -231,7 +231,7 @@ def evaluate(
     p = data.params
     basis = state.phi.basis
     reg, nl = _nonlinearity(state.phi, data, reg)
-    bulk = reg.primitive() + data.potential.pi_hat(reg.r) + p.a * reg.r
+    bulk = reg.primitive_sum() + float(data.potential.pi_hat(reg.r).sum()) + p.a * float(reg.r.sum())
     f, g = sources
     return Evaluation(
         state=state,
@@ -240,7 +240,7 @@ def evaluate(
         nl=nl,
         mu=spectral.apply_stiffness(state.phi) + nl - p.b * state.v,
         xi=Field(reg.value, basis.domain),
-        bulk=float(basis.quadrature_weight * bulk.sum()),
+        bulk=basis.quadrature_weight * bulk,
     )
 
 
@@ -302,7 +302,7 @@ def _step_coefficients(ev: Evaluation, data: ProblemData, dt: float):
     p = data.params
     state = ev.state
     lam = state.phi.basis.eigenvalues
-    d3 = 1.0 + dt * p.kappa1 * lam + dt**2 * p.kappa2 * lam
+    d3 = 1.0 + dt * p.kappa1 * lam + dt * dt * p.kappa2 * lam
     c3 = state.v.values + dt * ev.g.values + p.lambda_latent * state.phi.values - dt * p.kappa2 * lam * state.w.values
     diag = 1.0 + dt * p.gamma + dt * lam**2 + dt * lam * p.b * p.lambda_latent / d3
     base = state.phi.values + dt * ev.f.values + dt * lam * p.b * c3 / d3

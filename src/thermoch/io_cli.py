@@ -15,6 +15,8 @@ output is serialized with 17 significant digits so repeated runs are
 byte-identical (summary.json additionally records wall time).
 
 Exit codes: 0 success, 2 validation error, 3 numeric failure, 4 I/O error.
+A problem too large to allocate (a ``MemoryError``) is a (2.11) validation
+error.
 """
 
 from __future__ import annotations
@@ -850,6 +852,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return run_depend(cfg, cfg2, outdir, args.quiet)
     except (ConfigParseError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"error: (2.11) the problem does not fit in memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -262,6 +262,16 @@ class Regularization:
         """beta_hat_eps(r) = beta_hat(J) + (r - J)^2 / (2 eps); 0 <= beta_hat_eps <= beta_hat."""
         return self.spec.beta_hat(self.j) + (self.r - self.j) ** 2 / (2.0 * self.eps)
 
+    def primitive_sum(self) -> float:
+        """Sum of ``primitive()`` over a 1-D grid, without its pointwise array.
+
+        Uses (r - J)^2 / (2 eps) = (eps / 2) value^2: returns
+        sum beta_hat(J) + (eps / 2) (value @ value).  Agrees with
+        ``primitive().sum()`` to rounding, not bit for bit.
+        """
+        beta_hat_sum = float(self.spec.beta_hat(self.j).sum())
+        return beta_hat_sum + 0.5 * self.eps * float(self.value @ self.value)
+
     def slope(self) -> np.ndarray:
         """Derivative of ``value``, beta'(J) / (1 + eps*beta'(J)), used for Newton Jacobians.
 

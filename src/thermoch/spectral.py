@@ -116,12 +116,21 @@ def field_mean(f: Field) -> float:
 
 
 def norm_Lp(f: Field, p: float) -> float:
-    """Quadrature p-norm; p = inf is the grid max of |values|."""
+    """Quadrature p-norm; p = inf is the grid max of |values|.
+
+    p = 1 is w sum |x| and p = 6 is (w sq @ (sq sq))^(1/6) with sq = x^2: no
+    pointwise power.  Other p take w sum |x|^p.
+    """
     if p == np.inf:
         return float(np.abs(f.values).max(initial=0.0))
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
     w = f.domain.cell_weight
+    if p == 1:
+        return float(w * np.abs(f.values).sum())
+    if p == 6:
+        sq = np.square(f.values)
+        return float((w * (sq @ (sq * sq))) ** (1.0 / 6.0))
     return float((w * np.abs(f.values) ** p).sum() ** (1.0 / p))
 
 

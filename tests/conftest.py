@@ -77,6 +77,19 @@ def make_problem_data(
     )
 
 
+def pointwise_bulk(reg, a, weight):
+    """Oracle for ``galerkin.Evaluation.bulk``: the quadrature of the pointwise
+    array beta_hat_eps(r) + pi_hat(r) + a r, and the quadrature of the moduli
+    of its three terms (the scale of its rounding error)."""
+    terms = (reg.primitive(), reg.spec.pi_hat(reg.r), a * reg.r)
+    return float(weight * sum(terms).sum()), float(weight * sum(np.abs(t) for t in terms).sum())
+
+
+def pow_norm_Lp(f, p):
+    """Oracle for ``spectral.norm_Lp`` at finite p: the quadrature of |values|^p, to the 1/p."""
+    return float((f.domain.cell_weight * np.abs(f.values) ** p).sum() ** (1.0 / p))
+
+
 def coeffs_allclose(a, b, tol=1e-12):
     return np.allclose(a.values, b.values, rtol=0.0, atol=tol)
 

@@ -17,15 +17,16 @@ def basis():
     return sp.build_basis(sp.BoxDomain((1.0,), 64), 16)
 
 
-def count_primitive_calls(monkeypatch):
+def count_merit_calls(monkeypatch):
+    """Record the Regularization of every merit evaluation (each sums the primitive once)."""
     calls = []
-    original = pot.Regularization.primitive
+    original = pot.Regularization.primitive_sum
 
     def counted(self):
         calls.append(self)
         return original(self)
 
-    monkeypatch.setattr(pot.Regularization, "primitive", counted)
+    monkeypatch.setattr(pot.Regularization, "primitive_sum", counted)
     return calls
 
 
@@ -48,7 +49,7 @@ def h2_surrogate(problem, sol):
 
 class TestSolve:
     def test_merit_never_computed_without_halvings(self, basis, monkeypatch):
-        calls = count_primitive_calls(monkeypatch)
+        calls = count_merit_calls(monkeypatch)
         h = sp.cosine_sum_field(basis.domain, 0.2, [((1,), 1.5), ((3,), -0.8)])
         sol = el.solve_elliptic(el.EllipticProblem(basis, LOG, 0.05, h))
         assert sol.counters.newton_iterations >= 3
@@ -58,7 +59,7 @@ class TestSolve:
     def test_merit_computed_at_most_once_per_iterate(self, basis, monkeypatch):
         # A random right-hand side of the kind ``verify elliptic`` draws; its
         # line searches halve more than once and accept on Armijo decrease.
-        calls = count_primitive_calls(monkeypatch)
+        calls = count_merit_calls(monkeypatch)
         vals = np.zeros(basis.n)
         vals[:8] = np.random.default_rng(0).standard_normal(8)
         h = sp.to_field(sp.Coeffs(vals, basis))

@@ -464,8 +464,8 @@ class TestSharedEvaluation:
         reg = pot.regularize(spec, eps, grid)
         assert np.array_equal(ev.xi.values, pot.yosida(spec, eps, grid))
         assert np.array_equal(reg.value, pot.yosida(spec, eps, grid))
-        bulk = reg.primitive() + spec.pi_hat(grid) + a * grid
-        assert ev.bulk == float(unit_basis.quadrature_weight * bulk.sum())
+        bulk = reg.primitive_sum() + float(spec.pi_hat(grid).sum()) + a * float(grid.sum())
+        assert ev.bulk == unit_basis.quadrature_weight * bulk
 
 
 class TestScalarReductions:

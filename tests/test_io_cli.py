@@ -35,6 +35,16 @@ print(json.dumps(faults))
 sys.exit(code)
 """
 
+# Runs ``main`` in a fresh process under a 3 GiB address-space limit.
+ADDRESS_SPACE_PROBE = """
+import resource, sys
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+soft = 3 << 30 if hard == resource.RLIM_INFINITY else min(3 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+from thermoch import io_cli
+sys.exit(io_cli.main(["simulate", sys.argv[1], "--output-dir", sys.argv[2], "--quiet"]))
+"""
+
 MINIMAL = """
 [data]
 phi0 = 0.3
@@ -333,6 +343,34 @@ class TestCli:
         path.write_bytes(b"[domain]\ngrid = 64 \xff\n")
         assert io.main(["simulate", str(path), "--quiet"]) == 2
         assert f"{path}: not UTF-8 text at byte 19" in capsys.readouterr().err
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs an enforced RLIMIT_AS")
+    def test_unallocatable_grid_exit_code(self, tmp_path):
+        # The address-space limit is set before the run, so the 3.6 TiB
+        # index array of a 10^12-point grid is refused, never allocated.
+        cfg = write_config(tmp_path, "[domain]\ngrid = 1000000000000\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(io.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", ADDRESS_SPACE_PROBE, str(cfg), str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 2, done.stderr
+        assert "(2.11) the problem does not fit in memory" in done.stderr
+
+    @pytest.mark.parametrize("scheme", galerkin.SCHEMES)
+    def test_overflowing_dt_exit_code(self, tmp_path, scheme):
+        # dt^2 overflows to inf; the step turns non-finite and bisects until it
+        # fails.  In a subprocess: numpy's overflow warnings are errors here.
+        cfg = write_config(tmp_path, f"[time]\nt_final = 1e300\ndt = 1e299\nscheme = {scheme}\n")
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": str(Path(io.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "thermoch", "simulate", str(cfg), "--output-dir", str(out), "--quiet"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 3, done.stderr
+        assert "numeric failure: step failed at t = 0.0" in done.stderr
+        assert (out / "trajectory.csv").exists() and (out / "summary.json").exists()
 
     def test_missing_file_exit_code(self, tmp_path):
         assert io.main(["simulate", str(tmp_path / "absent.ini"), "--quiet"]) == 4

@@ -1,5 +1,6 @@
-"""Property tests: the resolvent against the bisection oracle, and the exact
-scalar mean recursion under random piecewise source schedules."""
+"""Property tests: the resolvent against the bisection oracle, the summed
+energy bulk against its pointwise oracle, and the exact scalar mean recursion
+under random piecewise source schedules."""
 
 import math
 from unittest import mock
@@ -8,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_problem_data
+from conftest import make_problem_data, pointwise_bulk, zero_coeffs
 from thermoch import galerkin as gk
 from thermoch import io_cli
 from thermoch import potentials as pot
@@ -66,6 +67,40 @@ def test_logarithmic_kernel_converges_within_four_sweeps(log_eps, r):
     with mock.patch.object(pot, "_MAX_SWEEPS", 4):
         j = pot.resolvent(SPECS["logarithmic"], 10.0**log_eps, np.array(r))
     assert (np.abs(j) <= 1.0).all()
+
+
+@st.composite
+def small_bases(draw):
+    # At most 256 grid points: a sum of n terms is then within (n - 1) ulps of
+    # the sum of their moduli, ~2.8e-14 of it, so both bulk forms fit 1e-13.
+    dim = draw(st.integers(1, 2))
+    grid = draw(st.integers(4, 256 if dim == 1 else 16))
+    lengths = tuple(draw(st.floats(0.1, 10.0)) for _ in range(dim))
+    return sp.build_basis(sp.BoxDomain(lengths, grid), draw(st.integers(1, min(12, grid // 2 + 1))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(SPECS)),
+    basis=small_bases(),
+    log_eps=st.floats(-8.0, math.log10(0.999)),
+    a=st.floats(-2.0, 2.0),
+    # Zero or at least 1e-100, where the squares of the grid values are normal floats.
+    amplitude=st.one_of(st.just(0.0), st.floats(1e-100, 3.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_summed_bulk_matches_pointwise_oracle(kind, basis, log_eps, a, amplitude, seed):
+    eps = 10.0**log_eps
+    data = make_problem_data(basis.domain, SPECS[kind], eps=eps, a=a)
+    rng = np.random.default_rng(seed)
+    state = gk.GalerkinState(
+        t=0.0, phi=sp.Coeffs(amplitude * rng.standard_normal(basis.n), basis),
+        w=zero_coeffs(basis), v=zero_coeffs(basis),
+    )
+    ev = gk.evaluate(state, data, (data.f.project(basis), data.g.project(basis)))
+    grid = sp.to_field(state.phi).values
+    oracle, scale = pointwise_bulk(pot.regularize(SPECS[kind], eps, grid), a, basis.quadrature_weight)
+    assert abs(ev.bulk - oracle) <= 1e-13 * scale
 
 
 @st.composite
