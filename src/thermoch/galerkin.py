@@ -11,7 +11,8 @@ where A is the diagonal stiffness matrix and NL projects
 yosida(phi) + pi(phi) + a onto the span.  Mode 1 carries the exact scalar
 mean law  mean' + gamma mean = f_mean.  The nonlinearity, mu and the energy
 of a state come from one resolvent solve (``evaluate``), which the step
-leaving the state and its record share.
+leaving the state and its record share; pi(phi) = -L phi and a enter by
+Parseval.  ``simulate`` builds the step constants once per step size.
 
 Two first-order schemes are provided: ``semi_implicit`` treats all linear
 terms implicitly through an exact per-mode 3x3 elimination and freezes the
@@ -191,7 +192,7 @@ class Evaluation:
 
     ``f``, ``g``: projected sources at ``state.t``; ``nl``: projected
     yosida(phi) + pi(phi) + a; ``mu`` = A phi + nl - b v; ``xi``: yosida(phi)
-    on the grid; ``bulk``: quadrature of beta_hat_eps(phi) + pi_hat(phi) + a phi.
+    on the grid; ``bulk``: integral of beta_hat_eps(phi) + pi_hat(phi) + a phi.
     """
 
     state: GalerkinState
@@ -206,15 +207,18 @@ class Evaluation:
 def _nonlinearity(
     phi: Coeffs, data: ProblemData, reg: Optional[Regularization] = None
 ) -> tuple[Regularization, Coeffs]:
-    """The regularized graph at the grid values of phi and the projected NL(phi).
-
-    ``reg``, when given, is that graph already solved, and is used as it is.
+    """The regularized graph at the grid values of phi and the projected
+    NL(phi) = P yosida(phi) - L phi + a sqrt(|Omega|) e_1 (pi(phi) = -L phi and
+    a lie in the span).  ``reg``, when given, is that graph already solved.
     """
+    basis = phi.basis
     if reg is None:
         grid = spectral.to_field(phi).values
         reg = potentials.regularize(data.potential, data.eps, grid)
-    nl = reg.value + data.potential.pi(reg.r) + data.params.a
-    return reg, spectral.to_coeffs(Field(nl, phi.basis.domain), phi.basis)
+    nl = spectral.to_coeffs(Field(reg.value, basis.domain), basis).values
+    nl -= data.potential.pi_lipschitz * phi.values
+    nl[0] += data.params.a * math.sqrt(basis.domain.measure)
+    return reg, Coeffs(nl, basis)
 
 
 def evaluate(
@@ -228,51 +232,56 @@ def evaluate(
     ``reg`` is the regularized graph at the grid values of ``state.phi``
     when the step that produced the state has already solved it (see ``step``).
     """
-    p = data.params
-    basis = state.phi.basis
+    p, spec, basis = data.params, data.potential, state.phi.basis
+    phi, measure = state.phi.values, basis.domain.measure
     reg, nl = _nonlinearity(state.phi, data, reg)
-    bulk = reg.primitive_sum() + float(data.potential.pi_hat(reg.r).sum()) + p.a * float(reg.r.sum())
+    # Parseval: int pi_hat(phi) = pi_hat(0) |Omega| - (L/2) |phi|^2, int a phi = a sqrt(|Omega|) phi_1.
+    bulk = (basis.quadrature_weight * reg.primitive_sum() + spec.pi_hat_at_zero * measure
+            - 0.5 * spec.pi_lipschitz * float(phi @ phi) + p.a * math.sqrt(measure) * float(phi[0]))
     f, g = sources
     return Evaluation(
         state=state,
         f=f.at(state.t),
         g=g.at(state.t),
         nl=nl,
-        mu=spectral.apply_stiffness(state.phi) + nl - p.b * state.v,
+        mu=Coeffs(basis.eigenvalues * phi + nl.values - p.b * state.v.values, basis),
         xi=Field(reg.value, basis.domain),
-        bulk=basis.quadrature_weight * bulk,
+        bulk=bulk,
     )
 
 
 def compute_record(ev: Evaluation, data: ProblemData, mean_exact: float) -> DiagnosticsRecord:
-    p = data.params
-    state = ev.state
-    diss_mu = spectral.grad_norm(ev.mu) ** 2
-    diss_w = p.b * p.kappa1 / p.lambda_latent * spectral.grad_norm(state.v) ** 2
-    source = spectral.inner(ev.f - p.gamma * state.phi, ev.mu) + (
-        p.b / p.lambda_latent
-    ) * spectral.inner(ev.g, state.v)
+    """The record of the evaluated state.  Its coefficient norms come from the
+    squared rows [phi, w, v, mu]: the sums of lambda c^2 from one product
+    with the eigenvalues, the sums of c^2 from the row sums."""
+    p, state, lam = data.params, ev.state, ev.state.phi.basis.eigenvalues
+    phi, v, mu = state.phi.values, state.v.values, ev.mu.values
+    sq = np.square(np.stack((phi, state.w.values, v, mu)))
+    grad_phi, grad_w, grad_v, grad_mu = (sq @ lam).tolist()
+    l2_phi, _, l2_v, l2_mu = sq.sum(axis=1).tolist()
+    mean_phi = spectral.mean_value(state.phi)
+    source = float((ev.f.values - p.gamma * phi) @ mu) + p.b / p.lambda_latent * float(ev.g.values @ v)
     norms = {
-        "phi_H1": spectral.norm_H1(state.phi),
-        "phi_dual": spectral.norm_Hm1(state.phi),
-        "dtw_L2": spectral.norm_L2(state.v),
-        "grad_w_L2": spectral.grad_norm(state.w),
+        "phi_H1": math.sqrt(l2_phi + grad_phi),
+        "phi_dual": math.sqrt(float((sq[0, 1:] / lam[1:]).sum()) + mean_phi**2),
+        "dtw_L2": math.sqrt(l2_v),
+        "grad_w_L2": math.sqrt(grad_w),
         "xi_L1": spectral.norm_Lp(ev.xi, 1),
         "xi_L6": spectral.norm_Lp(ev.xi, 6),
-        "mu_H1": spectral.norm_H1(ev.mu),
+        "mu_H1": math.sqrt(l2_mu + grad_mu),
     }
     return DiagnosticsRecord(
         t=state.t,
-        mean_phi=spectral.mean_value(state.phi),
+        mean_phi=mean_phi,
         mean_phi_exact=mean_exact,
         energy=(
-            0.5 * spectral.grad_norm(state.phi) ** 2
+            0.5 * grad_phi
             + ev.bulk
-            + 0.5 * p.b / p.lambda_latent * norms["dtw_L2"] ** 2
-            + 0.5 * p.b * p.kappa2 / p.lambda_latent * norms["grad_w_L2"] ** 2
+            + 0.5 * p.b / p.lambda_latent * l2_v
+            + 0.5 * p.b * p.kappa2 / p.lambda_latent * grad_w
         ),
-        dissipation_mu=diss_mu,
-        dissipation_w=diss_w,
+        dissipation_mu=grad_mu,
+        dissipation_w=p.b * p.kappa1 / p.lambda_latent * grad_v,
         source_power=source,
         norms=norms,
     )
@@ -292,58 +301,63 @@ def rhs(ev: Evaluation, data: ProblemData) -> tuple[Coeffs, Coeffs, Coeffs]:
     return dphi, dw, dv
 
 
-def _step_coefficients(ev: Evaluation, data: ProblemData, dt: float):
-    """Per-mode elimination constants for the implicit linear block.
+@dataclass(frozen=True)
+class StepOperator:
+    """Per-mode constants of a step of size dt; eliminating w+ = w + dt v+ and
+    v+ = (c3 - lambda phi+)/d3 leaves  diag phi+ + dt lam NL-term = base, with
+    c3 = v + dt g + lambda phi - dt kappa2 lam w,  base = phi + dt f + coupling c3."""
 
-    Eliminating w+ = w + dt v+ and v+ = (c3 - lambda phi+)/d3 from the
-    implicit system leaves  D phi+ + dt lam NL-term = base, with all returned
-    arrays indexed by mode.
-    """
-    p = data.params
-    state = ev.state
-    lam = state.phi.basis.eigenvalues
-    d3 = 1.0 + dt * p.kappa1 * lam + dt * dt * p.kappa2 * lam
-    c3 = state.v.values + dt * ev.g.values + p.lambda_latent * state.phi.values - dt * p.kappa2 * lam * state.w.values
-    diag = 1.0 + dt * p.gamma + dt * lam**2 + dt * lam * p.b * p.lambda_latent / d3
-    base = state.phi.values + dt * ev.f.values + dt * lam * p.b * c3 / d3
-    return lam, d3, c3, diag, base
+    dt: float
+    d3: np.ndarray
+    diag: np.ndarray
+    coupling: np.ndarray
+    dt_kappa2_lam: np.ndarray
+    dt_lam: np.ndarray
 
 
-def _finish_step(state, data, dt, phi_new, c3, d3):
-    p = data.params
-    basis = state.phi.basis
-    v_new = (c3 - p.lambda_latent * phi_new) / d3
-    w_new = state.w.values + dt * v_new
-    return GalerkinState(
-        t=state.t + dt,
-        phi=Coeffs(phi_new, basis),
-        w=Coeffs(w_new, basis),
-        v=Coeffs(v_new, basis),
-    )
+def step_operator(basis: SpectralBasis, params: PhysicalParams, dt: float) -> StepOperator:
+    """The step constants for dt; ConfigurationError if any of them is not finite."""
+    p, lam = params, basis.eigenvalues
+    with np.errstate(all="ignore"):  # a huge dt overflows; reported below
+        d3 = 1.0 + dt * p.kappa1 * lam + dt * dt * p.kappa2 * lam
+        dt_lam = dt * lam
+        diag = 1.0 + dt * p.gamma + dt * lam**2 + dt_lam * p.b * p.lambda_latent / d3
+        parts = (d3, diag, dt_lam * p.b / d3, dt * p.kappa2 * lam, dt_lam)
+    finite = all(np.isfinite(x).all() for x in parts)
+    require((finite, f"(2.11) dt = {dt} is too large: the step operator is not finite"))
+    return StepOperator(dt, *parts)
 
 
-def _semi_implicit_phi(ev, dt, lam, diag, base):
-    return (base - dt * lam * ev.nl.values) / diag
+def _step_rhs(ev: Evaluation, data: ProblemData, op: StepOperator):
+    """The vectors c3 and base of the eliminated system (see StepOperator)."""
+    p, state, dt = data.params, ev.state, op.dt
+    c3 = state.v.values + dt * ev.g.values + p.lambda_latent * state.phi.values - op.dt_kappa2_lam * state.w.values
+    return c3, state.phi.values + dt * ev.f.values + op.coupling * c3
 
 
-def _backward_euler_phi(ev, data, dt, lam, diag, base):
+def _semi_implicit_phi(ev, op, base):
+    return (base - op.dt_lam * ev.nl.values) / op.diag
+
+
+def _backward_euler_phi(ev, data, op, base):
     """Damped Newton-Krylov on the reduced residual R(p) = diag p + dt lam NL(p) - base.
 
     Mode 1 is linear and decoupled (lam_1 = 0): it keeps its closed form
     base_1 / diag_1 from the semi-implicit first iterate.  Dividing the other
     rows by lam gives the symmetric Newton matrix
-    diag(diag / lam) + dt P diag(s + pi') P^T, indefinite where dt |pi'|
+    diag(diag / lam) + dt P diag(s - L) P^T, indefinite where dt L
     exceeds diag / lam (long domains, large dt), which MINRES handles.
     Returns the new phi and the regularized graph at its grid values.
     """
     basis = ev.state.phi.basis
+    dt, lam, diag = op.dt, basis.eigenvalues, op.diag
 
     def evaluate(p_vec):
         reg, nl = _nonlinearity(Coeffs(p_vec, basis), data)
-        return newton.Iterate(p_vec, diag * p_vec + dt * lam * nl.values - base, None, reg)
+        return newton.Iterate(p_vec, diag * p_vec + op.dt_lam * nl.values - base, None, reg)
 
     def direction(it, rtol):
-        s = dt * (it.reg.slope() + data.potential.pi_prime(it.reg.r))
+        s = dt * (it.reg.slope() - data.potential.pi_lipschitz)
         step, krylov, weights = newton.krylov_solve(
             basis, diag[1:] / lam[1:], s, -it.residual[1:] / lam[1:], rtol, pinned=1
         )
@@ -351,7 +365,7 @@ def _backward_euler_phi(ev, data, dt, lam, diag, base):
         return step, krylov, np.concatenate(([0.0], weights / lam[1:]))
 
     target = _NEWTON_TOL * (1.0 + float(np.linalg.norm(base)))
-    p_vec = _semi_implicit_phi(ev, dt, lam, diag, base)
+    p_vec = _semi_implicit_phi(ev, op, base)
     it = newton.solve(evaluate, direction, p_vec, target, target, StepFailure)[0]
     return it.x, it.reg
 
@@ -365,35 +379,30 @@ def check_step(dt: float, scheme: str) -> None:
 
 
 def step(
-    ev: Evaluation, data: ProblemData, dt: float, scheme: str = SEMI_IMPLICIT
+    ev: Evaluation, data: ProblemData, dt: float, scheme: str = SEMI_IMPLICIT,
+    operator: Optional[StepOperator] = None,
 ) -> tuple[GalerkinState, Optional[Regularization]]:
     """Advance the evaluated state one time step with the chosen first-order scheme.
 
+    ``operator`` is the ``step_operator`` of dt, built here when not given.
     Returns the new state and, for ``backward_euler``, the regularized graph
     at its phi, which the last Newton iterate solved and ``evaluate`` can
     reuse (None for ``semi_implicit``).  Raises StepFailure when the new phi
     is not finite, for either scheme.
     """
     check_step(dt, scheme)
-    lam, d3, c3, diag, base = _step_coefficients(ev, data, dt)
+    state, basis = ev.state, ev.state.phi.basis
+    op = operator if operator is not None else step_operator(basis, data.params, dt)
+    c3, base = _step_rhs(ev, data, op)
     if scheme == SEMI_IMPLICIT:
-        phi_new, reg = _semi_implicit_phi(ev, dt, lam, diag, base), None
+        phi_new, reg = _semi_implicit_phi(ev, op, base), None
     else:
-        phi_new, reg = _backward_euler_phi(ev, data, dt, lam, diag, base)
+        phi_new, reg = _backward_euler_phi(ev, data, op, base)
     if not np.isfinite(phi_new).all():
-        raise StepFailure(f"non-finite phi after a {scheme} step of {dt} at t = {ev.state.t}")
-    return _finish_step(ev.state, data, dt, phi_new, c3, d3), reg
-
-
-def _advance(ev, data, sources, h, scheme, floor):
-    """Cover [t, t+h], bisecting the interval on step failures; returns what ``step`` returns."""
-    try:
-        return step(ev, data, h, scheme)
-    except StepFailure:
-        if h / 2.0 < floor:
-            raise
-        mid, reg = _advance(ev, data, sources, h / 2.0, scheme, floor)
-        return _advance(evaluate(mid, data, sources, reg), data, sources, h / 2.0, scheme, floor)
+        raise StepFailure(f"non-finite phi after a {scheme} step of {dt} at t = {state.t}")
+    v_new = (c3 - data.params.lambda_latent * phi_new) / op.d3
+    w_new = state.w.values + dt * v_new
+    return GalerkinState(state.t + dt, Coeffs(phi_new, basis), Coeffs(w_new, basis), Coeffs(v_new, basis)), reg
 
 
 def record_times(dt: float, t_final: float) -> list[float]:
@@ -416,15 +425,31 @@ def simulate(
 
     The final step is truncated to land exactly on t_final.  A failing step is
     bisected down to 1e-8 * t_final before the run is abandoned; on abandon a
-    RunFailure carrying the partial trajectory is raised.  Deterministic for a
-    given configuration.
+    RunFailure carrying the partial trajectory is raised.  A dt whose step
+    operator is not finite raises ConfigurationError before any step.
+    Deterministic for a given configuration.
     """
     check_step(dt, scheme)
     gamma = data.params.gamma
+    operators = {dt: step_operator(basis, data.params, dt)}  # by step size
     state = project_initial_data(data, basis)
     sources = (data.f.project(basis), data.g.project(basis))
+    f_means = SourceTerm(data.f.times, tuple(map(spectral.field_mean, data.f.fields)))  # per segment
     mean_exact = spectral.mean_value(state.phi)
+    floor = max(_DT_FLOOR_FACTOR * data.t_final, 1e-300)
     trajectory: list[tuple[GalerkinState, DiagnosticsRecord]] = []
+
+    def advance(ev, h):
+        """Cover [t, t+h], bisecting the interval on step failures; returns what ``step`` returns."""
+        if h not in operators:
+            operators[h] = step_operator(basis, data.params, h)
+        try:
+            return step(ev, data, h, scheme, operators[h])
+        except StepFailure:
+            if h / 2.0 < floor:
+                raise
+            mid, reg = advance(ev, h / 2.0)
+            return advance(evaluate(mid, data, sources, reg), h / 2.0)
 
     def emit(st, me, reg=None):
         ev = evaluate(st, data, sources, reg)
@@ -435,12 +460,11 @@ def simulate(
         return ev
 
     ev = emit(state, mean_exact)
-    floor = max(_DT_FLOOR_FACTOR * data.t_final, 1e-300)
     while state.t < data.t_final - 1e-12 * max(data.t_final, 1.0):
         h = min(dt, data.t_final - state.t)
-        f_mean = spectral.field_mean(data.f.at(state.t))
+        f_mean = f_means.at(state.t)
         try:
-            state, reg = _advance(ev, data, sources, h, scheme, floor)
+            state, reg = advance(ev, h)
         except StepFailure as exc:
             raise RunFailure(
                 f"step failed at t = {state.t} after dt halvings: {exc}", trajectory

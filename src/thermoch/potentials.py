@@ -1,8 +1,9 @@
-"""Double-well potentials split into a convex part and a smooth perturbation.
+"""Double-well potentials split into a convex part and a quadratic perturbation.
 
 A potential F = beta_hat + pi_hat consists of a convex, lower-semicontinuous
 beta_hat >= 0 with beta_hat(0) = 0 (possibly +inf outside a domain interval)
-and a smooth pi_hat whose derivative pi is Lipschitz.  The multivalued
+and a quadratic pi_hat(r) = pi_hat(0) - (L/2) r^2 whose derivative -L r is
+Lipschitz; a potential keeps just those two constants.  The multivalued
 monotone graph beta = d(beta_hat) is represented through its minimal section
 beta_min_section, and regularized by the resolvent (I + eps*beta)^(-1) and
 the induced Lipschitz approximation ``yosida``.
@@ -43,19 +44,18 @@ _MAX_SWEEPS = 50
 class PotentialSpec:
     """Decomposed double-well potential with its monotone convex part.
 
-    All callables are vectorized over numpy arrays.  ``domain`` is the closed
-    hull of D(beta); use +-inf for unbounded sides.  ``pi_prime`` is the
-    derivative of ``pi``.  ``kind`` names one of the three prototypes, whose
-    exact resolvent kernel and closed-form Yosida slope this module keeps;
-    callers reach them through ``resolvent`` and ``Regularization.slope``.
+    The callables are vectorized over numpy arrays; pi_hat(r) =
+    pi_hat_at_zero - (pi_lipschitz / 2) r^2.  ``domain`` is the closed hull
+    of D(beta); use +-inf for unbounded sides.  ``kind`` names one of the
+    three prototypes, whose exact resolvent kernel and closed-form Yosida
+    slope this module keeps; callers reach them through ``resolvent`` and
+    ``Regularization.slope``.
     """
 
     kind: str
     beta_hat: Callable[[np.ndarray], np.ndarray]
-    pi_hat: Callable[[np.ndarray], np.ndarray]
-    pi: Callable[[np.ndarray], np.ndarray]
-    pi_prime: Callable[[np.ndarray], np.ndarray]
     pi_lipschitz: float
+    pi_hat_at_zero: float
     domain: tuple[float, float]
     beta_min_section: Callable[[np.ndarray], np.ndarray]
 
@@ -83,10 +83,7 @@ def regular_potential() -> PotentialSpec:
     return PotentialSpec(
         kind="regular",
         beta_hat=lambda r: 0.25 * np.square(np.square(np.asarray(r, dtype=float))),
-        pi_hat=lambda r: 0.25 * (1.0 - 2.0 * np.asarray(r, dtype=float) ** 2),
-        pi=lambda r: -np.asarray(r, dtype=float),
-        pi_prime=lambda r: -np.ones_like(np.asarray(r, dtype=float)),
-        pi_lipschitz=1.0,
+        pi_lipschitz=1.0, pi_hat_at_zero=0.25,
         domain=(-np.inf, np.inf),
         beta_min_section=lambda r: np.square(r) * np.asarray(r, dtype=float),
     )
@@ -184,10 +181,7 @@ def logarithmic_potential(c1: float) -> PotentialSpec:
     return PotentialSpec(
         kind="logarithmic",
         beta_hat=_entropy,
-        pi_hat=lambda r: -c1 * np.asarray(r, dtype=float) ** 2,
-        pi=lambda r: -2.0 * c1 * np.asarray(r, dtype=float),
-        pi_prime=lambda r: -2.0 * c1 * np.ones_like(np.asarray(r, dtype=float)),
-        pi_lipschitz=2.0 * c1,
+        pi_lipschitz=2.0 * c1, pi_hat_at_zero=0.0,
         domain=(-1.0, 1.0),
         beta_min_section=_entropy_slope,
     )
@@ -204,10 +198,7 @@ def double_obstacle_potential(c2: float) -> PotentialSpec:
     return PotentialSpec(
         kind="double_obstacle",
         beta_hat=lambda r: np.where(np.abs(np.asarray(r, dtype=float)) <= 1.0, 0.0, np.inf),
-        pi_hat=lambda r: -c2 * np.asarray(r, dtype=float) ** 2,
-        pi=lambda r: -2.0 * c2 * np.asarray(r, dtype=float),
-        pi_prime=lambda r: -2.0 * c2 * np.ones_like(np.asarray(r, dtype=float)),
-        pi_lipschitz=2.0 * c2,
+        pi_lipschitz=2.0 * c2, pi_hat_at_zero=0.0,
         domain=(-1.0, 1.0),
         beta_min_section=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
     )

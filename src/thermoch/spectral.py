@@ -252,21 +252,22 @@ def _require_same_basis(a: Coeffs, b: Coeffs) -> None:
 def to_coeffs(f: Field, basis: SpectralBasis) -> Coeffs:
     """Project a grid field onto the span (quadrature inner products).
 
-    With per-axis factors C0 (and C1) this is C0 (w f) in 1-D and
-    C0 W C1^T in 2-D, W being the weighted samples on the M x M grid.
+    With per-axis factors C0 (and C1) this is w C0 f in 1-D and w C0 F C1^T
+    in 2-D, F being the samples on the M x M grid.  The weight w scales the
+    n outputs: the same floats as weighting the N samples when w is a power of 2.
     """
     if f.domain != basis.domain:
         raise ValueError("field and basis live on different domains")
-    weighted = basis.quadrature_weight * f.values
+    C0, m = basis.axis_factors[0], basis.domain.grid_points_per_axis
     if basis.domain.dim == 1:
-        (C0,) = basis.axis_factors
-        return Coeffs((C0 @ weighted)[basis.mode_index], basis)
-    C0, C1 = basis.axis_factors
-    m = basis.domain.grid_points_per_axis
-    # Associated as (W^T C0^T)^T C1^T, the BLAS summation order that the
-    # stored reference trajectories were made with.
-    tensor = (weighted.reshape(m, m).T @ C0.T).T @ C1.T
-    return Coeffs(tensor.ravel()[basis.mode_index], basis)
+        out = C0 @ f.values
+    else:
+        # Associated as (F^T C0^T)^T C1^T, the BLAS summation order that the
+        # stored reference trajectories were made with.
+        out = (f.values.reshape(m, m).T @ C0.T).T @ basis.axis_factors[1].T
+    out = out.ravel()[basis.mode_index]  # a new array
+    out *= basis.quadrature_weight
+    return Coeffs(out, basis)
 
 
 def to_field(c: Coeffs) -> Field:

