@@ -17,10 +17,8 @@ import numpy as np
 
 from . import galerkin, spectral
 from .errors import require
-from .galerkin import DiagnosticsRecord, GalerkinState, ProblemData
-from .spectral import Coeffs, Field, SpectralBasis
-
-Trajectory = list[tuple[GalerkinState, DiagnosticsRecord]]
+from .galerkin import ProblemData, SourceTerm, Trajectory
+from .spectral import SpectralBasis
 
 MODE_COUNT = "modes"
 EPSILON = "eps"
@@ -28,12 +26,14 @@ TIME_STEP = "dt"
 STUDY_KINDS = (MODE_COUNT, EPSILON, TIME_STEP)
 
 
-def _times(trajectory: Trajectory) -> np.ndarray:
-    return np.array([rec.t for _, rec in trajectory])
+def _trapz(values: np.ndarray, times: np.ndarray) -> float:
+    return float(np.trapezoid(values, times))
 
 
-def _trapz(values, times) -> float:
-    return float(np.trapezoid(np.asarray(values, dtype=float), np.asarray(times, dtype=float)))
+def _squares(rows: np.ndarray, basis: SpectralBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a (k x n) coefficient array: the sums of c^2 and of lambda c^2."""
+    sq = np.square(rows)
+    return sq.sum(axis=1), sq @ basis.eigenvalues
 
 
 @dataclass(frozen=True)
@@ -49,30 +49,25 @@ def mean_law_check(trajectory: Trajectory, data: ProblemData) -> MeanLawReport:
 
     The discrete comparison reproduces the scheme's own scalar reduction and
     must agree to roundoff; the continuum comparison against the exact
-    variation-of-constants formula carries the scheme's O(dt) error.
+    variation-of-constants formula carries the scheme's O(dt) error.  The
+    source mean is taken once per schedule segment.
     """
-    gamma = data.params.gamma
-    records = [rec for _, rec in trajectory]
-    mean = records[0].mean_phi
-    err_d = 0.0
-    err_c = abs(records[0].mean_phi - records[0].mean_phi_exact)
-    for prev, cur in zip(records, records[1:]):
-        h = cur.t - prev.t
-        f_mean = spectral.field_mean(data.f.at(prev.t))
+    gamma, t = data.params.gamma, trajectory.t
+    means = trajectory.record["mean_phi"]
+    f_means = np.array([spectral.field_mean(f) for f in data.f.fields])[data.f.segment(t[:-1])]
+    mean, err_d = float(means[0]), 0.0
+    for h, f_mean, cur in zip(np.diff(t).tolist(), f_means.tolist(), means[1:].tolist()):
         mean = (mean + h * f_mean) / (1.0 + gamma * h)
-        err_d = max(err_d, abs(cur.mean_phi - mean))
-        err_c = max(err_c, abs(cur.mean_phi - cur.mean_phi_exact))
+        err_d = max(err_d, abs(cur - mean))
+    err_c = float(np.abs(means - trajectory.mean_exact).max())
     return MeanLawReport(max_error_discrete=err_d, max_error_continuum=err_c)
 
 
-def energy_identity_residual(trajectory: Trajectory, data: ProblemData) -> float:
+def energy_identity_residual(trajectory: Trajectory) -> float:
     """|E(T) - E(0) + int (dissipation - source power)| on the record grid."""
-    records = [rec for _, rec in trajectory]
-    if len(records) < 2:
-        return 0.0
-    times = _times(trajectory)
-    integrand = [rec.dissipation_mu + rec.dissipation_w - rec.source_power for rec in records]
-    return abs(records[-1].energy - records[0].energy + _trapz(integrand, times))
+    rec = trajectory.record
+    integrand = rec["dissipation_mu"] + rec["dissipation_w"] - rec["source_power"]
+    return abs(float(rec["energy"][-1] - rec["energy"][0]) + _trapz(integrand, rec["t"]))
 
 
 @dataclass(frozen=True)
@@ -84,43 +79,29 @@ class AprioriReport:
 def apriori_monitor(trajectory: Trajectory, data: ProblemData, mean_tol: float = 1e-9) -> AprioriReport:
     """Scan a trajectory for non-finite monitors and mean-band violations,
     and collect the realized norm inventory of the boundedness estimates."""
-    violations: list[str] = []
     band = galerkin.compatibility_quantities(data)
     band_lo = band["-rho - (mean phi0)^-"]
     band_hi = band["rho + (mean phi0)^+"]
-    times = _times(trajectory)
-
-    for _, rec in trajectory:
-        scalars = {
-            "mean_phi": rec.mean_phi,
-            "energy": rec.energy,
-            "dissipation_mu": rec.dissipation_mu,
-            "dissipation_w": rec.dissipation_w,
-            "source_power": rec.source_power,
-            **rec.norms,
-        }
-        for name, value in scalars.items():
-            if not math.isfinite(value):
-                violations.append(f"non-finite {name} = {value} at t = {rec.t}")
-        if not band_lo - mean_tol <= rec.mean_phi <= band_hi + mean_tol:
-            violations.append(
-                f"(4.31) mean band violated at t = {rec.t}: {rec.mean_phi:.12g} "
-                f"outside [{band_lo:.12g}, {band_hi:.12g}]"
-            )
-
-    w_l2 = [spectral.norm_L2(st.w) for st, _ in trajectory]
-    w_h1 = [spectral.norm_H1(st.w) for st, _ in trajectory]
-    recs = [rec for _, rec in trajectory]
+    rec, t = trajectory.record, trajectory.t
+    names = [k for k in rec if k not in ("t", "mean_phi_exact")]
+    values = np.column_stack([rec[k] for k in names])
+    mean = rec["mean_phi"]
+    outside = ~((band_lo - mean_tol <= mean) & (mean <= band_hi + mean_tol))
+    violations = [
+        f"non-finite {names[j]} = {values[k, j]} at t = {t[k]}" if j < len(names) else
+        f"(4.31) mean band violated at t = {t[k]}: {mean[k]:.12g} "
+        f"outside [{band_lo:.12g}, {band_hi:.12g}]"
+        for k, j in np.argwhere(np.column_stack((~np.isfinite(values), outside))).tolist()
+    ]
+    w_l2, w_grad = _squares(trajectory.w, trajectory.basis)
     realized = {
-        "phi_Linf_dual": max(r.norms["phi_dual"] for r in recs),
-        "phi_L2_H1": math.sqrt(_trapz([r.norms["phi_H1"] ** 2 for r in recs], times)),
-        "mu_L2_H1": math.sqrt(_trapz([r.norms["mu_H1"] ** 2 for r in recs], times)),
-        "beta_L1_Q": _trapz([r.norms["xi_L1"] for r in recs], times),
-        "beta_L2_L6": math.sqrt(_trapz([r.norms["xi_L6"] ** 2 for r in recs], times)),
-        "w_H1_L2": math.sqrt(
-            _trapz([wl**2 + r.norms["dtw_L2"] ** 2 for wl, r in zip(w_l2, recs)], times)
-        ),
-        "w_Linf_H1": max(w_h1),
+        "phi_Linf_dual": float(rec["phi_dual"].max()),
+        "phi_L2_H1": math.sqrt(_trapz(rec["phi_H1"] ** 2, t)),
+        "mu_L2_H1": math.sqrt(_trapz(rec["mu_H1"] ** 2, t)),
+        "beta_L1_Q": _trapz(rec["xi_L1"], t),
+        "beta_L2_L6": math.sqrt(_trapz(rec["xi_L6"] ** 2, t)),
+        "w_H1_L2": math.sqrt(_trapz(w_l2 + rec["dtw_L2"] ** 2, t)),
+        "w_Linf_H1": math.sqrt(float((w_l2 + w_grad).max())),
     }
     return AprioriReport(violations=violations, realized=realized)
 
@@ -153,6 +134,13 @@ def _check_shared_data(data1: ProblemData, data2: ProblemData) -> None:
         )
 
 
+def _differences(s1: SourceTerm, s2: SourceTerm, t: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The distinct grid values of s1 - s2 at the times ``t``, and which of them holds at each."""
+    n2 = len(s2.fields)
+    codes, which = np.unique(s1.segment(t) * n2 + s2.segment(t), return_inverse=True)
+    return [s1.fields[c // n2].values - s2.fields[c % n2].values for c in codes.tolist()], which
+
+
 def dependence_experiment(
     data1: ProblemData,
     data2: ProblemData,
@@ -160,53 +148,49 @@ def dependence_experiment(
     dt: float,
     scheme: str = galerkin.SEMI_IMPLICIT,
 ) -> DependenceReport:
-    """Run both problems and measure the difference against the data change."""
+    """Run both problems and measure the difference against the data change.
+
+    The sources are piecewise constant in time, so their differences take
+    one value per pair of schedule segments: the f norms are taken once per
+    pair, and the trapezoid convolution of the g difference is a combination
+    of those values whose L2 norms come from their Gram matrix.
+    """
     _check_shared_data(data1, data2)
     traj1 = galerkin.simulate(data1, basis, dt, scheme)
     traj2 = galerkin.simulate(data2, basis, dt, scheme)
-    times = _times(traj1)
-    domain = basis.domain
+    times, domain = traj1.t, basis.domain
 
-    phi_dual, phi_h1 = [], []
-    w_l2, dv_l2, w_h1 = [], [], []
-    f_dual, f_l1 = [], []
-    g_fields = []
-    for (s1, _), (s2, _) in zip(traj1, traj2):
-        dphi = s1.phi - s2.phi
-        dw = s1.w - s2.w
-        dv = s1.v - s2.v
-        phi_dual.append(spectral.norm_Hm1(dphi))
-        phi_h1.append(spectral.norm_H1(dphi))
-        w_l2.append(spectral.norm_L2(dw))
-        dv_l2.append(spectral.norm_L2(dv))
-        w_h1.append(spectral.norm_H1(dw))
-        t = s1.t
-        fd = Field(data1.f.at(t).values - data2.f.at(t).values, domain)
-        f_dual.append(spectral.norm_Hm1(spectral.to_coeffs(fd, basis)))
-        f_l1.append(spectral.norm_Lp(fd, 1))
-        g_fields.append(data1.g.at(t).values - data2.g.at(t).values)
-
+    dphi = traj1.phi - traj2.phi
+    phi_l2, phi_grad = _squares(dphi, basis)
+    w_l2, w_grad = _squares(traj1.w - traj2.w, basis)
+    v_l2, _ = _squares(traj1.v - traj2.v, basis)
     lhs_components = {
-        "phi_Linf_dual": max(phi_dual),
-        "phi_L2_H1": math.sqrt(_trapz([x**2 for x in phi_h1], times)),
-        "w_H1_L2": math.sqrt(_trapz([a**2 + b**2 for a, b in zip(w_l2, dv_l2)], times)),
-        "w_Linf_H1": max(w_h1),
+        "phi_Linf_dual": float(spectral.norm_Hm1_rows(dphi, basis).max()),
+        "phi_L2_H1": math.sqrt(_trapz(phi_l2 + phi_grad, times)),
+        "w_H1_L2": math.sqrt(_trapz(w_l2 + v_l2, times)),
+        "w_Linf_H1": math.sqrt(float((w_l2 + w_grad).max())),
     }
     lhs = sum(lhs_components.values())
 
-    conv = np.zeros(domain.n_grid)
-    conv_norms = [0.0]
-    for k in range(1, len(times)):
-        h = times[k] - times[k - 1]
-        conv = conv + 0.5 * h * (g_fields[k - 1] + g_fields[k])
-        conv_norms.append(spectral.norm_Lp(Field(conv, domain), 2))
+    f_diffs, f_which = _differences(data1.f, data2.f, times)
+    f_fields = [spectral.Field(d, domain) for d in f_diffs]
+    f_dual = np.array([spectral.norm_Hm1(spectral.to_coeffs(fd, basis)) for fd in f_fields])[f_which]
+    f_l1 = np.array([spectral.norm_Lp(fd, 1) for fd in f_fields])[f_which]
 
-    f_l2_dual = math.sqrt(_trapz([x**2 for x in f_dual], times))
+    # conv(t_k) = sum_j c_kj g_j over the distinct differences g_j, with c the
+    # cumulative trapezoid weights; |conv|^2 = w c^T (G G^T) c.
+    g_diffs, g_which = _differences(data1.g, data2.g, times)
+    g, onehot = np.array(g_diffs), np.eye(len(g_diffs))[g_which]
+    steps = 0.5 * np.diff(times)[:, None] * (onehot[:-1] + onehot[1:])
+    weights = np.cumsum(np.vstack((np.zeros(len(g)), steps)), axis=0)
+    conv_sq = domain.cell_weight * np.einsum("kj,jl,kl->k", weights, g @ g.T, weights)
+
+    f_l2_dual = math.sqrt(_trapz(f_dual**2, times))
     f_l1_q = _trapz(f_l1, times)
     rhs_components = {
         "f_L2_dual_plus_L1": f_l2_dual + f_l1_q,
         "f_L1_sqrt": math.sqrt(f_l1_q),
-        "conv_g_L2": math.sqrt(_trapz([x**2 for x in conv_norms], times)),
+        "conv_g_L2": math.sqrt(_trapz(np.maximum(conv_sq, 0.0), times)),
     }
     rhs_total = sum(rhs_components.values())
     k2 = lhs / rhs_total if rhs_total > 0.0 else float("nan")
@@ -220,14 +204,6 @@ def dependence_experiment(
         lhs_components=lhs_components,
         xi_L1_runs=(xi1, xi2),
     )
-
-
-def _phi_history(trajectory: Trajectory) -> list[Coeffs]:
-    return [st.phi for st, _ in trajectory]
-
-
-def _max_dual_diff(hist_a: Sequence[Coeffs], hist_b: Sequence[Coeffs]) -> float:
-    return max(spectral.norm_Hm1(a - b) for a, b in zip(hist_a, hist_b))
 
 
 def convergence_study(
@@ -267,11 +243,11 @@ def convergence_study(
             f"(2.11) a modes schedule must increase to its last entry, the reference; got {sizes}",
         ))
         bases = [spectral.build_basis(basis.domain, n) for n in sizes]
-        hists = [_phi_history(galerkin.simulate(data, b, dt, scheme)) for b in bases]
-        ref_basis, ref_hist = bases[-1], hists[-1]
-        for n, b, hist in zip(sizes[:-1], bases[:-1], hists[:-1]):
-            padded = [spectral.embed(c, ref_basis) for c in hist]
-            rows.append({"n": n, "error_Linf_dual": _max_dual_diff(padded, ref_hist)})
+        phis = [galerkin.simulate(data, b, dt, scheme).phi for b in bases]
+        ref_basis, ref_phi = bases[-1], phis[-1]
+        for n, b, phi in zip(sizes[:-1], bases[:-1], phis[:-1]):
+            padded = spectral.embed(phi, b, ref_basis)
+            rows.append({"n": n, "error_Linf_dual": float(spectral.norm_Hm1_rows(padded - ref_phi, ref_basis).max())})
         return rows
 
     if kind == EPSILON:
@@ -279,16 +255,15 @@ def convergence_study(
         for eps in schedule:
             d = dataclasses.replace(data, eps=float(eps))
             traj = galerkin.simulate(d, basis, dt, scheme)
-            realized = apriori_monitor(traj, d).realized
-            runs.append((float(eps), _phi_history(traj), realized))
-        for i, (eps, hist, realized) in enumerate(runs):
+            runs.append((float(eps), traj.phi, apriori_monitor(traj, d).realized))
+        for i, (eps, phi, realized) in enumerate(runs):
             row = {
                 "eps": eps,
                 "beta_L1_Q": realized["beta_L1_Q"],
                 "beta_L2_L6": realized["beta_L2_L6"],
             }
             if i + 1 < len(runs):
-                row["diff_Linf_dual"] = _max_dual_diff(hist, runs[i + 1][1])
+                row["diff_Linf_dual"] = float(spectral.norm_Hm1_rows(phi - runs[i + 1][1], basis).max())
             rows.append(row)
         return rows
 
@@ -306,13 +281,10 @@ def convergence_study(
             "use a dyadic schedule",
         ))
         matches.append(idx)
-    runs = []
-    for dt_k in schedule:
-        traj = galerkin.simulate(data, basis, float(dt_k), scheme)
-        runs.append((float(dt_k), _phi_history(traj)))
+    runs = [(float(dt_k), galerkin.simulate(data, basis, float(dt_k), scheme).phi) for dt_k in schedule]
     diffs = [
-        _max_dual_diff(hist_a, [hist_b[j] for j in idx])
-        for (_, hist_a), (_, hist_b), idx in zip(runs, runs[1:], matches)
+        float(spectral.norm_Hm1_rows(phi_a - phi_b[idx], basis).max())
+        for (_, phi_a), (_, phi_b), idx in zip(runs, runs[1:], matches)
     ]
     for i, (dt_k, _) in enumerate(runs):
         row: dict[str, float] = {"dt": dt_k}

@@ -33,7 +33,7 @@ class RunFailure(NumericFailure):
 
     def __init__(self, message, trajectory=None):
         super().__init__(message)
-        self.trajectory = trajectory if trajectory is not None else []
+        self.trajectory = trajectory
 
 
 class MeanDomainError(ValueError):

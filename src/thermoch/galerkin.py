@@ -12,7 +12,9 @@ yosida(phi) + pi(phi) + a onto the span.  Mode 1 carries the exact scalar
 mean law  mean' + gamma mean = f_mean.  The nonlinearity, mu and the energy
 of a state come from one resolvent solve (``evaluate``), which the step
 leaving the state and its record share; pi(phi) = -L phi and a enter by
-Parseval.  ``simulate`` builds the step constants once per step size.
+Parseval.  ``simulate`` builds the step constants once per step size and
+returns the run as a ``Trajectory`` of per-level columns, whose record
+``compute_record`` makes once, after the last level.
 
 Two first-order schemes are provided: ``semi_implicit`` treats all linear
 terms implicitly through an exact per-mode 3x3 elimination and freezes the
@@ -27,6 +29,7 @@ mean+ = (mean + dt f_mean) / (1 + gamma dt)  for the mean.
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -83,6 +86,10 @@ class SourceTerm:
     def at(self, t: float) -> Field:
         idx = bisect.bisect_right(self.times, t) - 1
         return self.fields[max(idx, 0)]
+
+    def segment(self, t: np.ndarray) -> np.ndarray:
+        """Index into ``fields`` of the field that holds at each of the times ``t``."""
+        return np.maximum(np.searchsorted(self.times, t, side="right") - 1, 0)
 
     def sup_norm(self) -> float:
         return max(float(np.abs(f.values).max(initial=0.0)) for f in self.fields)
@@ -152,27 +159,6 @@ class GalerkinState:
     phi: Coeffs
     w: Coeffs
     v: Coeffs
-
-
-@dataclass(frozen=True)
-class DiagnosticsRecord:
-    """Per-step monitors: mean law, energy balance terms, norm inventory.
-
-    energy = 1/2 |grad phi|^2 + int (beta_hat_eps + pi_hat)(phi) + a int phi
-    + b/(2 lambda) |v|^2 + b kappa2/(2 lambda) |grad w|^2; along the exact
-    coefficient flow  d(energy)/dt + dissipation_mu + dissipation_w = source_power.
-    """
-
-    t: float
-    mean_phi: float
-    mean_phi_exact: float
-    energy: float
-    dissipation_mu: float
-    dissipation_w: float
-    source_power: float
-    norms: dict[str, float]
-
-    NORM_KEYS = ("phi_H1", "phi_dual", "dtw_L2", "grad_w_L2", "xi_L1", "xi_L6", "mu_H1")
 
 
 def project_initial_data(data: ProblemData, basis: SpectralBasis) -> GalerkinState:
@@ -250,41 +236,71 @@ def evaluate(
     )
 
 
-def compute_record(ev: Evaluation, data: ProblemData, mean_exact: float) -> DiagnosticsRecord:
-    """The record of the evaluated state.  Its coefficient norms come from the
-    squared rows [phi, w, v, mu]: the sums of lambda c^2 from one product
-    with the eigenvalues, the sums of c^2 from the row sums."""
-    p, state, lam = data.params, ev.state, ev.state.phi.basis.eigenvalues
-    phi, v, mu = state.phi.values, state.v.values, ev.mu.values
-    sq = np.square(np.stack((phi, state.w.values, v, mu)))
-    grad_phi, grad_w, grad_v, grad_mu = (sq @ lam).tolist()
-    l2_phi, _, l2_v, l2_mu = sq.sum(axis=1).tolist()
-    mean_phi = spectral.mean_value(state.phi)
-    source = float((ev.f.values - p.gamma * phi) @ mu) + p.b / p.lambda_latent * float(ev.g.values @ v)
-    norms = {
-        "phi_H1": math.sqrt(l2_phi + grad_phi),
-        "phi_dual": math.sqrt(float((sq[0, 1:] / lam[1:]).sum()) + mean_phi**2),
-        "dtw_L2": math.sqrt(l2_v),
-        "grad_w_L2": math.sqrt(grad_w),
-        "xi_L1": spectral.norm_Lp(ev.xi, 1),
-        "xi_L6": spectral.norm_Lp(ev.xi, 6),
-        "mu_H1": math.sqrt(l2_mu + grad_mu),
-    }
-    return DiagnosticsRecord(
-        t=state.t,
-        mean_phi=mean_phi,
-        mean_phi_exact=mean_exact,
-        energy=(
+@dataclass(frozen=True)
+class Trajectory:
+    """The recorded levels of a run as columns: row k of every array is level k.
+
+    ``phi``, ``w``, ``v``, ``mu``: (levels x n) coefficients; ``mean_exact``:
+    the exact mean law; ``bulk``: see ``Evaluation``; ``xi_L1``, ``xi_L6``:
+    grid norms of yosida(phi); ``record``: what ``compute_record`` makes of them.
+    """
+
+    basis: SpectralBasis
+    t: np.ndarray
+    phi: np.ndarray
+    w: np.ndarray
+    v: np.ndarray
+    mu: np.ndarray
+    mean_exact: np.ndarray
+    bulk: np.ndarray
+    xi_L1: np.ndarray
+    xi_L6: np.ndarray
+    record: dict[str, np.ndarray]
+
+    def __len__(self) -> int:
+        return self.t.size
+
+
+def compute_record(
+    traj: Trajectory, data: ProblemData, sources: tuple[SourceTerm, SourceTerm]
+) -> dict[str, np.ndarray]:
+    """The record columns of the levels of ``traj`` (its own ``record`` unread),
+    in CSV order; ``sources`` are f and g projected onto its basis.
+
+    energy = 1/2 |grad phi|^2 + int (beta_hat_eps + pi_hat)(phi) + a int phi
+    + b/(2 lambda) |v|^2 + b kappa2/(2 lambda) |grad w|^2; along the exact
+    coefficient flow  d(energy)/dt + dissipation_mu + dissipation_w = source_power.
+    The coefficient norms come from the squared [phi, w, v, mu], stacked
+    (levels x 4 x n): the sums of lambda c^2 from one product with the
+    eigenvalues, the sums of c^2 from the sums over the last axis.
+    """
+    p, basis, lam = data.params, traj.basis, traj.basis.eigenvalues
+    sq = np.square(np.stack((traj.phi, traj.w, traj.v, traj.mu), axis=1))
+    grad_phi, grad_w, grad_v, grad_mu = (sq @ lam).T
+    l2_phi, _, l2_v, l2_mu = sq.sum(axis=2).T
+    f, g = (np.stack([c.values for c in s.fields])[s.segment(traj.t)] for s in sources)
+    return {
+        "t": traj.t,
+        "mean_phi": traj.phi[:, 0] / math.sqrt(basis.domain.measure),
+        "mean_phi_exact": traj.mean_exact,
+        "energy": (
             0.5 * grad_phi
-            + ev.bulk
+            + traj.bulk
             + 0.5 * p.b / p.lambda_latent * l2_v
             + 0.5 * p.b * p.kappa2 / p.lambda_latent * grad_w
         ),
-        dissipation_mu=grad_mu,
-        dissipation_w=p.b * p.kappa1 / p.lambda_latent * grad_v,
-        source_power=source,
-        norms=norms,
-    )
+        "dissipation_mu": grad_mu,
+        "dissipation_w": p.b * p.kappa1 / p.lambda_latent * grad_v,
+        "source_power": (np.vecdot(f - p.gamma * traj.phi, traj.mu)
+                         + p.b / p.lambda_latent * np.vecdot(g, traj.v)),
+        "phi_H1": np.sqrt(l2_phi + grad_phi),
+        "phi_dual": spectral.norm_Hm1_rows(traj.phi, basis),
+        "dtw_L2": np.sqrt(l2_v),
+        "grad_w_L2": np.sqrt(grad_w),
+        "xi_L1": traj.xi_L1,
+        "xi_L6": traj.xi_L6,
+        "mu_H1": np.sqrt(l2_mu + grad_mu),
+    }
 
 
 def rhs(ev: Evaluation, data: ProblemData) -> tuple[Coeffs, Coeffs, Coeffs]:
@@ -419,14 +435,15 @@ def simulate(
     basis: SpectralBasis,
     dt: float,
     scheme: str = SEMI_IMPLICIT,
-    observers: Sequence[Callable[[GalerkinState, DiagnosticsRecord], None]] = (),
-) -> list[tuple[GalerkinState, DiagnosticsRecord]]:
+    observers: Sequence[Callable[[GalerkinState, Evaluation], None]] = (),
+) -> Trajectory:
     """Run from the projected initial data to t_final with fixed dt.
 
     The final step is truncated to land exactly on t_final.  A failing step is
     bisected down to 1e-8 * t_final before the run is abandoned; on abandon a
     RunFailure carrying the partial trajectory is raised.  A dt whose step
     operator is not finite raises ConfigurationError before any step.
+    Each observer is called with every recorded state and its evaluation.
     Deterministic for a given configuration.
     """
     check_step(dt, scheme)
@@ -437,7 +454,7 @@ def simulate(
     f_means = SourceTerm(data.f.times, tuple(map(spectral.field_mean, data.f.fields)))  # per segment
     mean_exact = spectral.mean_value(state.phi)
     floor = max(_DT_FLOOR_FACTOR * data.t_final, 1e-300)
-    trajectory: list[tuple[GalerkinState, DiagnosticsRecord]] = []
+    levels = []  # the Trajectory columns but the record, per level
 
     def advance(ev, h):
         """Cover [t, t+h], bisecting the interval on step failures; returns what ``step`` returns."""
@@ -453,11 +470,15 @@ def simulate(
 
     def emit(st, me, reg=None):
         ev = evaluate(st, data, sources, reg)
-        record = compute_record(ev, data, me)
-        trajectory.append((st, record))
+        levels.append((st.t, st.phi.values, st.w.values, st.v.values, ev.mu.values, me, ev.bulk,
+                       spectral.norm_Lp(ev.xi, 1), spectral.norm_Lp(ev.xi, 6)))
         for obs in observers:
-            obs(st, record)
+            obs(st, ev)
         return ev
+
+    def trajectory():
+        traj = Trajectory(basis, *map(np.array, zip(*levels)), record={})
+        return dataclasses.replace(traj, record=compute_record(traj, data, sources))
 
     ev = emit(state, mean_exact)
     while state.t < data.t_final - 1e-12 * max(data.t_final, 1.0):
@@ -467,9 +488,9 @@ def simulate(
             state, reg = advance(ev, h)
         except StepFailure as exc:
             raise RunFailure(
-                f"step failed at t = {state.t} after dt halvings: {exc}", trajectory
+                f"step failed at t = {state.t} after dt halvings: {exc}", trajectory()
             ) from exc
         decay = math.exp(-gamma * h)
         mean_exact = mean_exact * decay + (f_mean / gamma) * (1.0 - decay)
         ev = emit(state, mean_exact, reg)
-    return trajectory
+    return trajectory()

@@ -76,8 +76,11 @@ class ConfigParseError(ValueError):
     """Malformed config text or expression (distinct from tagged validation)."""
 
 
+FLOAT_FORMAT = "%.17g"
+
+
 def format_float(x: float) -> str:
-    return f"{float(x):.17g}"
+    return FLOAT_FORMAT % float(x)
 
 
 # ---------------------------------------------------------------------------
@@ -573,19 +576,11 @@ def elliptic_suite(
 # artifact writers
 
 
-def write_trajectory_csv(path: Path, trajectory: analysis.Trajectory) -> None:
-    norm_keys = galerkin.DiagnosticsRecord.NORM_KEYS
-    header = (
-        "t,mean_phi,mean_phi_exact,energy,dissipation_mu,dissipation_w,source_power,"
-        + ",".join(norm_keys)
-    )
-    lines = [header]
-    for _, rec in trajectory:
-        cells = [
-            rec.t, rec.mean_phi, rec.mean_phi_exact, rec.energy,
-            rec.dissipation_mu, rec.dissipation_w, rec.source_power,
-        ] + [rec.norms[k] for k in norm_keys]
-        lines.append(",".join(format_float(x) for x in cells))
+def write_trajectory_csv(path: Path, trajectory: galerkin.Trajectory) -> None:
+    """One row per recorded level: the record columns, each in ``FLOAT_FORMAT``."""
+    record = trajectory.record
+    row = ",".join([FLOAT_FORMAT] * len(record))
+    lines = [",".join(record)] + [row % tuple(r) for r in np.column_stack(list(record.values())).tolist()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -645,7 +640,7 @@ def run_simulate(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
                 "max_error_discrete": mean_report.max_error_discrete,
                 "max_error_continuum": mean_report.max_error_continuum,
             },
-            "energy_residual": analysis.energy_identity_residual(trajectory, data),
+            "energy_residual": analysis.energy_identity_residual(trajectory),
             "warnings": cfg.warnings(),
             "wall_time_s": time.perf_counter() - started,
         },

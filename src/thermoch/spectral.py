@@ -307,9 +307,13 @@ def norm_H1(c: Coeffs) -> float:
 
 def norm_Hm1(c: Coeffs) -> float:
     """Dual norm: sqrt(sum_{j>=2} c_j^2/lambda_j + mean^2)."""
-    lam = c.basis.eigenvalues
-    tail = float((c.values[1:] ** 2 / lam[1:]).sum()) if c.basis.n > 1 else 0.0
-    return math.sqrt(tail + mean_value(c) ** 2)
+    return float(norm_Hm1_rows(c.values[None], c.basis)[0])
+
+
+def norm_Hm1_rows(rows: np.ndarray, basis: SpectralBasis) -> np.ndarray:
+    """The dual norm of each row of a (k x n) array of coefficients."""
+    mean = rows[:, 0] / math.sqrt(basis.domain.measure)
+    return np.sqrt((np.square(rows[:, 1:]) / basis.eigenvalues[1:]).sum(axis=1) + mean**2)
 
 
 def apply_stiffness(c: Coeffs) -> Coeffs:
@@ -335,10 +339,8 @@ def solve_poisson(psi: Coeffs) -> Coeffs:
     return Coeffs(out, psi.basis)
 
 
-def embed(c: Coeffs, larger: SpectralBasis) -> Coeffs:
-    """Zero-pad coefficients into a larger nested basis on the same grid."""
-    if larger.domain != c.basis.domain or larger.modes[: c.basis.n] != c.basis.modes:
+def embed(rows: np.ndarray, basis: SpectralBasis, larger: SpectralBasis) -> np.ndarray:
+    """Zero-pad coefficients of ``basis`` (the last axis of ``rows``) into a larger nested basis on the same grid."""
+    if larger.domain != basis.domain or larger.modes[: basis.n] != basis.modes:
         raise ValueError("bases are not nested; cannot embed")
-    out = np.zeros(larger.n)
-    out[: c.basis.n] = c.values
-    return Coeffs(out, larger)
+    return np.pad(rows, [(0, 0)] * (rows.ndim - 1) + [(0, larger.n - basis.n)])

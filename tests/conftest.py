@@ -107,33 +107,53 @@ def pointwise_nonlinearity(reg, a, basis):
 
 
 def spectral_record(ev, data, mean_exact):
-    """Oracle for ``galerkin.compute_record``: every term from the norms and
-    inner products of ``spectral``."""
+    """Oracle for one level of ``galerkin.compute_record``: every term from
+    the norms and inner products of ``spectral``, the dual norm from its sum."""
     p, state = data.params, ev.state
-    norms = {
+    lam = state.phi.basis.eigenvalues
+    return {
+        "t": state.t,
+        "mean_phi": sp.mean_value(state.phi),
+        "mean_phi_exact": mean_exact,
+        "energy": (
+            0.5 * sp.grad_norm(state.phi) ** 2
+            + ev.bulk
+            + 0.5 * p.b / p.lambda_latent * sp.norm_L2(state.v) ** 2
+            + 0.5 * p.b * p.kappa2 / p.lambda_latent * sp.grad_norm(state.w) ** 2
+        ),
+        "dissipation_mu": sp.grad_norm(ev.mu) ** 2,
+        "dissipation_w": p.b * p.kappa1 / p.lambda_latent * sp.grad_norm(state.v) ** 2,
+        "source_power": sp.inner(ev.f - p.gamma * state.phi, ev.mu)
+        + (p.b / p.lambda_latent) * sp.inner(ev.g, state.v),
         "phi_H1": sp.norm_H1(state.phi),
-        "phi_dual": sp.norm_Hm1(state.phi),
+        "phi_dual": math.sqrt(float((state.phi.values[1:] ** 2 / lam[1:]).sum())
+                              + sp.mean_value(state.phi) ** 2),
         "dtw_L2": sp.norm_L2(state.v),
         "grad_w_L2": sp.grad_norm(state.w),
         "xi_L1": sp.norm_Lp(ev.xi, 1),
         "xi_L6": sp.norm_Lp(ev.xi, 6),
         "mu_H1": sp.norm_H1(ev.mu),
     }
-    return gk.DiagnosticsRecord(
-        t=state.t,
-        mean_phi=sp.mean_value(state.phi),
-        mean_phi_exact=mean_exact,
-        energy=(
-            0.5 * sp.grad_norm(state.phi) ** 2
-            + ev.bulk
-            + 0.5 * p.b / p.lambda_latent * norms["dtw_L2"] ** 2
-            + 0.5 * p.b * p.kappa2 / p.lambda_latent * norms["grad_w_L2"] ** 2
-        ),
-        dissipation_mu=sp.grad_norm(ev.mu) ** 2,
-        dissipation_w=p.b * p.kappa1 / p.lambda_latent * sp.grad_norm(state.v) ** 2,
-        source_power=sp.inner(ev.f - p.gamma * state.phi, ev.mu)
-        + (p.b / p.lambda_latent) * sp.inner(ev.g, state.v),
-        norms=norms,
+
+
+def level_state(traj, k):
+    """Level k of a ``galerkin.Trajectory`` as a state."""
+    return gk.GalerkinState(float(traj.t[k]), *(sp.Coeffs(x[k], traj.basis) for x in (traj.phi, traj.w, traj.v)))
+
+
+def stack_levels(evs, mean_exact):
+    """A ``galerkin.Trajectory`` (without its record) of the evaluated states ``evs``."""
+    states = [ev.state for ev in evs]
+    return gk.Trajectory(
+        states[0].phi.basis,
+        np.array([s.t for s in states]),
+        *(np.array([getattr(s, name).values for s in states]) for name in ("phi", "w", "v")),
+        np.array([ev.mu.values for ev in evs]),
+        np.array(mean_exact, dtype=float),
+        np.array([ev.bulk for ev in evs]),
+        np.array([sp.norm_Lp(ev.xi, 1) for ev in evs]),
+        np.array([sp.norm_Lp(ev.xi, 6) for ev in evs]),
+        record={},
     )
 
 

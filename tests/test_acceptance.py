@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import constant_source, make_problem_data
+from conftest import constant_source, level_state, make_problem_data
 from thermoch import analysis as an
 from thermoch import galerkin as gk
 from thermoch import io_cli as io
@@ -76,8 +76,7 @@ def test_criterion_3_mean_value_law():
         rep = an.mean_law_check(trajectory, data)
         discrete.append(rep.max_error_discrete)
         continuum.append(rep.max_error_continuum)
-        for _, rec in trajectory:
-            assert rec.mean_phi_exact == pytest.approx(0.5 * math.exp(-rec.t), abs=1e-10)
+        assert trajectory.mean_exact == pytest.approx(0.5 * np.exp(-trajectory.t), abs=1e-10)
     slopes = [math.log2(a / b) for a, b in zip(continuum, continuum[1:])]
     ok = max(discrete) <= 1e-12 and all(abs(s - 1.0) <= 0.2 for s in slopes)
 
@@ -100,10 +99,8 @@ def test_criterion_3_mean_value_law():
         trajectory = gk.simulate(sweep_data, basis, 0.01, scheme)
         band = gk.compatibility_quantities(sweep_data)
         lo, hi = band["-rho - (mean phi0)^-"], band["rho + (mean phi0)^+"]
-        for _, rec in trajectory:
-            worst_violation = max(
-                worst_violation, lo - rec.mean_phi, rec.mean_phi - hi
-            )
+        mean = trajectory.record["mean_phi"]
+        worst_violation = max(worst_violation, (lo - mean).max(), (mean - hi).max())
     ok = ok and worst_violation <= 1e-9
     elapsed = time.perf_counter() - started
     report(
@@ -126,7 +123,7 @@ def test_criterion_4_homogeneous_benchmark():
     ok = True
     worst = 0.0
     for dt in (1e-2, 5e-3, 2.5e-3):
-        end_state, _ = gk.simulate(data, basis, dt)[-1]
+        end_state = level_state(gk.simulate(data, basis, dt), -1)
         c_err = abs(sp.mean_value(end_state.phi) - c_exact)
         v_err = abs(sp.mean_value(end_state.v) - v_exact)
         worst = max(worst, max(c_err, v_err) / dt)
@@ -145,15 +142,14 @@ def test_criterion_5_energy_identity():
         t_final=0.5,
     )
     residuals = [
-        an.energy_identity_residual(gk.simulate(data, basis, dt), data)
+        an.energy_identity_residual(gk.simulate(data, basis, dt))
         for dt in (2e-3, 1e-3, 5e-4)
     ]
     ratios = [a / b for a, b in zip(residuals, residuals[1:])]
     ok = all(1.6 <= r <= 2.6 for r in ratios)
 
     trajectory = gk.simulate(data, basis, 1e-3, scheme=gk.BACKWARD_EULER)
-    energies = [rec.energy for _, rec in trajectory]
-    max_increase = max(b - a for a, b in zip(energies, energies[1:]))
+    max_increase = np.diff(trajectory.record["energy"]).max()
     ok = ok and max_increase <= 1e-8
     elapsed = time.perf_counter() - started
     report(

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import constant_source, make_problem_data
+from conftest import constant_source, level_state, make_problem_data
 from thermoch import analysis as an
 from thermoch import galerkin as gk
 from thermoch import potentials as pot
@@ -56,8 +56,7 @@ class TestMeanLaw:
         report = an.mean_law_check(trajectory, data)
         assert report.max_error_discrete <= 1e-12
         # the recorded reference reproduces 0.5 exp(-t) exactly
-        for _, rec in trajectory:
-            assert rec.mean_phi_exact == pytest.approx(0.5 * math.exp(-rec.t), abs=1e-10)
+        assert trajectory.mean_exact == pytest.approx(0.5 * np.exp(-trajectory.t), abs=1e-10)
 
     def test_forced_steady_state(self, unit_domain, unit_basis):
         data = make_problem_data(
@@ -66,9 +65,9 @@ class TestMeanLaw:
             t_final=4.0,
         )
         trajectory = gk.simulate(data, unit_basis, 0.02)
-        means = [rec.mean_phi for _, rec in trajectory]
+        means = trajectory.record["mean_phi"]
         assert means[-1] == pytest.approx(0.5, abs=1e-3)
-        assert all(b >= a - 1e-14 for a, b in zip(means, means[1:]))  # monotone rise
+        assert np.diff(means).min() >= -1e-14  # monotone rise
         assert max(means) <= gk.rho(data) + 1e-12
 
     def test_scheme_error_first_order(self, unit_domain, unit_basis):
@@ -83,6 +82,29 @@ class TestMeanLaw:
         slopes = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
         for slope in slopes:
             assert slope == pytest.approx(1.0, abs=0.2)
+
+    def test_per_segment_source_means_replay_the_per_level_recursion(self, unit_domain, unit_basis):
+        # the source mean taken once per segment gives the floats of taking it
+        # at every level, for a schedule switching between levels
+        f = gk.SourceTerm(
+            times=(0.0, 0.033, 0.07),
+            fields=(sp.cosine_sum_field(unit_domain, 0.3, [((1,), 0.1)]),
+                    sp.constant_field(-0.7, unit_domain), sp.constant_field(0.45, unit_domain)),
+        )
+        data = make_problem_data(
+            unit_domain, REG, gamma=1.3, f=f,
+            phi0=sp.cosine_sum_field(unit_domain, 0.2, [((1,), 0.2)]), t_final=0.1,
+        )
+        trajectory = gk.simulate(data, unit_basis, 0.01)
+        t, means = trajectory.t.tolist(), trajectory.record["mean_phi"].tolist()
+        mean, err_d = means[0], 0.0
+        for k in range(1, len(t)):
+            h = t[k] - t[k - 1]
+            mean = (mean + h * sp.field_mean(f.at(t[k - 1]))) / (1.0 + 1.3 * h)
+            err_d = max(err_d, abs(means[k] - mean))
+        err_c = max(abs(m - e) for m, e in zip(means, trajectory.mean_exact.tolist()))
+        report = an.mean_law_check(trajectory, data)
+        assert (report.max_error_discrete, report.max_error_continuum) == (err_d, err_c)
 
 
 class TestBenchmark:
@@ -113,7 +135,7 @@ class TestEnergyResidual:
     def test_rest_state_zero(self, unit_domain, unit_basis):
         data = make_problem_data(unit_domain, REG, t_final=0.2)
         trajectory = gk.simulate(data, unit_basis, 0.01)
-        assert an.energy_identity_residual(trajectory, data) <= 1e-13
+        assert an.energy_identity_residual(trajectory) <= 1e-13
 
     def test_mean_free_benchmark_energy_constant(self, unit_domain, unit_basis):
         # c0 = 0 with constant thermal state: all balance terms vanish
@@ -121,10 +143,10 @@ class TestEnergyResidual:
             unit_domain, REG, w1=sp.constant_field(0.3, unit_domain), t_final=0.5,
         )
         trajectory = gk.simulate(data, unit_basis, 0.01, scheme=gk.BACKWARD_EULER)
-        energies = [rec.energy for _, rec in trajectory]
-        assert max(energies) - min(energies) <= 1e-12
-        assert all(b <= a + 1e-12 for a, b in zip(energies, energies[1:]))
-        assert an.energy_identity_residual(trajectory, data) <= 1e-10
+        energies = trajectory.record["energy"]
+        assert energies.max() - energies.min() <= 1e-12
+        assert np.diff(energies).max() <= 1e-12
+        assert an.energy_identity_residual(trajectory) <= 1e-10
 
     def test_identity_holds_on_moving_benchmark(self, unit_domain, unit_basis):
         # with a decaying constant state the energy moves (the mass source
@@ -133,7 +155,7 @@ class TestEnergyResidual:
             unit_domain, REG, phi0=sp.constant_field(0.3, unit_domain), t_final=0.5,
         )
         residuals = [
-            an.energy_identity_residual(gk.simulate(data, unit_basis, dt), data)
+            an.energy_identity_residual(gk.simulate(data, unit_basis, dt))
             for dt in (1e-2, 5e-3)
         ]
         assert residuals[0] > residuals[1]
@@ -147,7 +169,7 @@ class TestEnergyResidual:
             t_final=0.25,
         )
         residuals = [
-            an.energy_identity_residual(gk.simulate(data, basis, dt), data)
+            an.energy_identity_residual(gk.simulate(data, basis, dt))
             for dt in (2e-3, 1e-3)
         ]
         assert 1.6 <= residuals[0] / residuals[1] <= 2.6
@@ -168,16 +190,31 @@ class TestAprioriMonitor:
     def test_corrupted_trajectory_flagged(self, unit_domain, unit_basis):
         data = make_problem_data(unit_domain, REG, t_final=0.05)
         trajectory = gk.simulate(data, unit_basis, 0.01)
-        state, rec = trajectory[2]
-        bad_norms = dict(rec.norms)
-        bad_norms["mu_H1"] = float("nan")
-        trajectory[2] = (
-            state,
-            dataclasses.replace(rec, mean_phi=5.0, norms=bad_norms),
+        record = {k: v.copy() for k, v in trajectory.record.items()}
+        record["mean_phi"][2] = 5.0
+        record["mu_H1"][2] = float("nan")
+        report = an.apriori_monitor(dataclasses.replace(trajectory, record=record), data)
+        assert report.violations == [
+            "non-finite mu_H1 = nan at t = 0.02",
+            "(4.31) mean band violated at t = 0.02: 5 outside [0, 0]",
+        ]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_w_norms_match_spectral_norms(self, dim):
+        domain = sp.BoxDomain((1.0,) * dim, 16)
+        basis = sp.build_basis(domain, 8)
+        data = make_problem_data(
+            domain, REG, g=constant_source(sp.cosine_sum_field(domain, 0.2, [((1,) * dim, 0.3)])),
+            phi0=sp.cosine_sum_field(domain, 0.1, [((1,) * dim, 0.2)]),
+            w0=sp.cosine_sum_field(domain, 0.1, [((0,) * (dim - 1) + (2,), 0.3)]), t_final=0.1,
         )
-        report = an.apriori_monitor(trajectory, data)
-        assert any("(4.31)" in v for v in report.violations)
-        assert any("non-finite" in v for v in report.violations)
+        trajectory = gk.simulate(data, basis, 0.01)
+        realized = an.apriori_monitor(trajectory, data).realized
+        states = [level_state(trajectory, k) for k in range(len(trajectory))]
+        w_l2 = np.array([sp.norm_L2(s.w) ** 2 + sp.norm_L2(s.v) ** 2 for s in states])
+        assert realized["w_H1_L2"] == pytest.approx(
+            math.sqrt(np.trapezoid(w_l2, trajectory.t)), rel=1e-14, abs=0.0)
+        assert realized["w_Linf_H1"] == pytest.approx(max(sp.norm_H1(s.w) for s in states), rel=1e-14, abs=0.0)
 
     def test_eps_sweep_uniformity(self, unit_domain, unit_basis):
         data = make_problem_data(
@@ -237,6 +274,38 @@ class TestDependence:
             lhss.append(an.dependence_experiment(base, other, unit_basis, 2e-3).lhs)
         assert lhss[0] > lhss[1] > 0.0
         assert lhss[1] <= lhss[0] * 1e-1
+
+    def test_source_terms_match_per_level_oracle(self, unit_domain, unit_basis):
+        # schedules switching at different times in the two runs: the terms
+        # taken per pair of segments equal the per-level grid sums of the
+        # convolution and of the f differences
+        def schedule(times, values, ripple):
+            return gk.SourceTerm(times, tuple(
+                sp.cosine_sum_field(unit_domain, c, [((1,), ripple)]) for c in values))
+
+        base, _ = self.make_pair(unit_domain)
+        base = dataclasses.replace(base, f=schedule((0.0, 0.1), (0.2, -0.1), 0.05),
+                                   g=schedule((0.0, 0.07, 0.15), (0.3, -0.2, 0.1), 0.2))
+        other = dataclasses.replace(base, f=schedule((0.0, 0.13), (0.1, 0.25), 0.0),
+                                    g=schedule((0.0, 0.1), (-0.1, 0.2), -0.1))
+        report = an.dependence_experiment(base, other, unit_basis, 0.01)
+        t = gk.record_times(0.01, 0.25)
+        diff = [(base.f.at(s).values - other.f.at(s).values, base.g.at(s).values - other.g.at(s).values)
+                for s in t]
+        f_fields = [sp.Field(fd, unit_domain) for fd, _ in diff]
+        f_dual = [sp.norm_Hm1(sp.to_coeffs(fd, unit_basis)) for fd in f_fields]
+        f_l1 = np.trapezoid([sp.norm_Lp(fd, 1) for fd in f_fields], t)
+        conv, conv_sq = np.zeros(unit_domain.n_grid), [0.0]
+        for k in range(1, len(t)):
+            conv = conv + 0.5 * (t[k] - t[k - 1]) * (diff[k - 1][1] + diff[k][1])
+            conv_sq.append(sp.norm_Lp(sp.Field(conv, unit_domain), 2) ** 2)
+        expected = {
+            "f_L2_dual_plus_L1": math.sqrt(np.trapezoid(np.square(f_dual), t)) + f_l1,
+            "f_L1_sqrt": math.sqrt(f_l1),
+            "conv_g_L2": math.sqrt(np.trapezoid(conv_sq, t)),
+        }
+        assert report.rhs_components == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert expected["conv_g_L2"] > 0.0
 
 
 class TestConvergenceStudy:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import constant_source, make_problem_data, zero_coeffs
+from conftest import constant_source, level_state, make_problem_data, zero_coeffs
 from thermoch import galerkin as gk
 from thermoch import potentials as pot
 from thermoch import spectral as sp
@@ -274,7 +274,7 @@ class TestStep:
 
         monkeypatch.setattr(gk, "step", checked)
         trajectory = gk.simulate(data, unit_basis, 0.02, scheme)
-        assert [rec.t for _, rec in trajectory] == pytest.approx([0.0, 0.02, 0.04, 0.055])
+        assert trajectory.t == pytest.approx([0.0, 0.02, 0.04, 0.055])
         assert sorted(operators) == pytest.approx([0.01, 0.015, 0.02])
         # one operator per step size: the two halves and both full steps share theirs
         assert all(len(ids) == 1 for ids in operators.values())
@@ -312,9 +312,9 @@ class TestStep:
             t_final=0.25,
         )
         errors = []
-        ref = gk.simulate(data, basis, 0.25 / 512)[-1][0]
+        ref = level_state(gk.simulate(data, basis, 0.25 / 512), -1)
         for dt in (0.25 / 16, 0.25 / 32):
-            end = gk.simulate(data, basis, dt)[-1][0]
+            end = level_state(gk.simulate(data, basis, dt), -1)
             errors.append(sp.norm_L2(end.phi - ref.phi))
         assert errors[0] / errors[1] == pytest.approx(2.0, rel=0.35)
 
@@ -335,7 +335,8 @@ class TestSimulate:
         data = make_problem_data(unit_domain, REG, t_final=0.0)
         trajectory = gk.simulate(data, unit_basis, 0.01)
         assert len(trajectory) == 1
-        assert trajectory[0][1].t == 0.0
+        assert trajectory.t.tolist() == [0.0]
+        assert trajectory.phi.shape == (1, unit_basis.n)
 
     def test_deterministic_repetition(self, unit_domain, unit_basis):
         data = make_problem_data(
@@ -345,24 +346,32 @@ class TestSimulate:
         )
         t1 = gk.simulate(data, unit_basis, 1e-2)
         t2 = gk.simulate(data, unit_basis, 1e-2)
-        for (s1, r1), (s2, r2) in zip(t1, t2):
-            assert np.array_equal(s1.phi.values, s2.phi.values)
-            assert np.array_equal(s1.w.values, s2.w.values)
-            assert np.array_equal(s1.v.values, s2.v.values)
-            assert r1.energy == r2.energy
+        for name in ("phi", "w", "v"):
+            assert np.array_equal(getattr(t1, name), getattr(t2, name))
+        assert np.array_equal(t1.record["energy"], t2.record["energy"])
 
     def test_truncated_last_step(self, unit_domain, unit_basis):
         data = make_problem_data(unit_domain, REG, t_final=0.05)
         trajectory = gk.simulate(data, unit_basis, 0.02)
-        times = [rec.t for _, rec in trajectory]
+        times = trajectory.t
         assert times[-1] == pytest.approx(0.05, abs=1e-12)
         assert len(times) == 4  # 0, 0.02, 0.04, 0.05
 
     def test_observers_called_per_record(self, unit_domain, unit_basis):
-        data = make_problem_data(unit_domain, REG, t_final=0.03)
-        seen = []
-        gk.simulate(data, unit_basis, 0.01, observers=[lambda s, r: seen.append(r.t)])
-        assert len(seen) == 4
+        # once per recorded level, positionally, with the state and its
+        # evaluation: the contract that timing harnesses wrap
+        data = make_problem_data(unit_domain, REG, t_final=0.035)
+
+        def observer(*args, **kwargs):
+            assert not kwargs and len(args) == 2
+            state, ev = args
+            assert isinstance(state, gk.GalerkinState) and ev.state is state
+            seen.append(state.t)
+
+        for scheme in gk.SCHEMES:
+            seen = []
+            trajectory = gk.simulate(data, unit_basis, 0.01, scheme, observers=[observer])
+            assert seen == gk.record_times(0.01, 0.035) == trajectory.t.tolist()
 
     def test_step_failure_triggers_halving(self, unit_domain, unit_basis, monkeypatch):
         data = make_problem_data(unit_domain, REG, t_final=0.02)
@@ -377,7 +386,7 @@ class TestSimulate:
 
         monkeypatch.setattr(gk, "step", flaky)
         trajectory = gk.simulate(data, unit_basis, 0.02)
-        assert trajectory[-1][1].t == pytest.approx(0.02)
+        assert trajectory.t[-1] == pytest.approx(0.02)
         assert min(calls) <= 0.01
 
     def test_persistent_failure_preserves_partial_trajectory(
@@ -396,7 +405,8 @@ class TestSimulate:
             gk.simulate(data, unit_basis, 0.01)
         partial = info.value.trajectory
         assert len(partial) == 3  # records at t = 0, 0.01, 0.02
-        assert partial[-1][1].t == pytest.approx(0.02)
+        assert partial.t[-1] == pytest.approx(0.02)
+        assert all(col.shape[0] == 3 for col in partial.record.values())
 
     @pytest.mark.parametrize("scheme", gk.SCHEMES)
     def test_non_finite_step_is_a_typed_failure(self, unit_domain, unit_basis, scheme, monkeypatch):
@@ -417,7 +427,7 @@ class TestSimulate:
             gk.simulate(data, unit_basis, 0.01, scheme)
         partial = info.value.trajectory
         assert len(partial) == 3  # the blow-up bisects down to the floor, then aborts
-        assert all(np.isfinite(state.phi.values).all() for state, _ in partial)
+        assert np.isfinite(partial.phi).all()
 
 
 class TestSharedEvaluation:
@@ -482,9 +492,12 @@ class TestSharedEvaluation:
         trajectory = gk.simulate(data, unit_basis, 0.01, gk.BACKWARD_EULER)
         monkeypatch.undo()
         assert solved_in_evaluate == [True] + [False] * 5  # only the initial state is solved again
-        for state, record in trajectory:
-            fresh = gk.compute_record(original(state, data, sources), data, record.mean_phi_exact)
-            assert fresh == record
+        for k in range(len(trajectory)):
+            fresh = original(level_state(trajectory, k), data, sources)
+            assert np.array_equal(fresh.mu.values, trajectory.mu[k])
+            assert fresh.bulk == trajectory.bulk[k]
+            assert sp.norm_Lp(fresh.xi, 1) == trajectory.xi_L1[k]
+            assert sp.norm_Lp(fresh.xi, 6) == trajectory.xi_L6[k]
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_stacked_record_matches_spectral_oracle(self, dim):
@@ -496,23 +509,25 @@ class TestSharedEvaluation:
             g=constant_source(sp.cosine_sum_field(domain, -0.2, [((0,) * (dim - 1) + (1,), 0.1)])),
         )
         rng = np.random.default_rng(dim)
-        state = gk.GalerkinState(
-            0.3, *(sp.Coeffs(0.3 * rng.standard_normal(basis.n), basis) for _ in range(3))
-        )
-        ev = evaluate(state, data)
-        record = gk.compute_record(ev, data, 0.25)
-        oracle = conftest.spectral_record(ev, data, 0.25)
-        assert record.norms.keys() == oracle.norms.keys()
-        for name in ("t", "mean_phi", "mean_phi_exact", "energy", "dissipation_mu", "dissipation_w", "source_power"):
-            assert getattr(record, name) == pytest.approx(getattr(oracle, name), rel=1e-14, abs=0.0)
-        for key, value in oracle.norms.items():
-            assert record.norms[key] == pytest.approx(value, rel=1e-14, abs=0.0)
+        evs = [
+            evaluate(gk.GalerkinState(0.1 * k, *(sp.Coeffs(0.3 * rng.standard_normal(basis.n), basis)
+                                                 for _ in range(3))), data)
+            for k in range(3)
+        ]
+        means = [0.25, -0.1, 0.4]
+        record = gk.compute_record(conftest.stack_levels(evs, means), data,
+                                   (data.f.project(basis), data.g.project(basis)))
+        for k, (ev, mean) in enumerate(zip(evs, means)):
+            oracle = conftest.spectral_record(ev, data, mean)
+            assert list(record) == list(oracle)
+            for key, value in oracle.items():
+                assert record[key][k] == pytest.approx(value, rel=1e-14, abs=0.0), key
 
     @pytest.mark.parametrize("dt, times", [(0.1, [0.0, 0.1, 0.2, 0.25]), (0.05, [0.0, 0.05, 0.1, 0.15, 0.2, 0.25])])
     def test_record_times_are_the_simulated_ones(self, unit_domain, unit_basis, dt, times):
         data = make_problem_data(unit_domain, REG, t_final=0.25)
         assert gk.record_times(dt, 0.25) == pytest.approx(times, abs=1e-15)
-        assert [rec.t for _, rec in gk.simulate(data, unit_basis, dt)] == gk.record_times(dt, 0.25)
+        assert gk.simulate(data, unit_basis, dt).t.tolist() == gk.record_times(dt, 0.25)
 
     @pytest.mark.parametrize("spec", [REG, LOG, OBS], ids=lambda spec: spec.kind)
     def test_shared_values_equal_pointwise_functions(self, unit_domain, unit_basis, spec):
@@ -557,7 +572,7 @@ class TestScalarReductions:
         )
         errors = []
         for dt in (1e-2, 5e-3):
-            state, _ = gk.simulate(data, basis, dt)[-1]
+            state = level_state(gk.simulate(data, basis, dt), -1)
             c = c0 * math.exp(-1.0)
             v_exact = w1 + g0 + lam * (c0 - c)
             errors.append(abs(sp.mean_value(state.v) - v_exact))
@@ -578,7 +593,7 @@ class TestScalarReductions:
                 phi0=phi0, t_final=0.2,
             )
             trajectory = gk.simulate(data, basis, 2e-3, scheme)
-            grid = sp.to_field(trajectory[-1][0].phi).values
+            grid = sp.to_field(level_state(trajectory, -1).phi).values
             assert np.isfinite(grid).all()
             assert np.abs(grid).max() <= 1.5  # stays near the physical range
 
@@ -599,10 +614,10 @@ class TestSeparationDynamics:
         # energy decays monotonically after the initial transient
         basis, data = self._unstable_setup(REG, 0.05)
         trajectory = gk.simulate(data, basis, 2e-2)
-        energies = [rec.energy for _, rec in trajectory]
-        assert all(b <= a + 1e-6 for a, b in zip(energies[5:], energies[6:]))
+        energies = trajectory.record["energy"]
+        assert np.diff(energies[5:]).max() <= 1e-6
         assert energies[-1] < energies[0] - 1.0
-        final = sp.to_field(trajectory[-1][0].phi).values
+        final = sp.to_field(level_state(trajectory, -1).phi).values
         assert 0.9 <= np.abs(final).max() <= 1.1
         import thermoch.analysis as an
 
@@ -613,7 +628,7 @@ class TestSeparationDynamics:
         # excursion of order eps * |pi| at the saturated plateaus
         basis, data = self._unstable_setup(OBS, 0.05)
         trajectory = gk.simulate(data, basis, 1e-2)
-        final = sp.to_field(trajectory[-1][0].phi).values
+        final = sp.to_field(level_state(trajectory, -1).phi).values
         assert np.abs(final).max() <= 1.0 + 10.0 * 0.05
         assert np.abs(final).max() >= 0.9
 
@@ -631,7 +646,7 @@ class TestConcurrency:
                 t_final=0.1,
             )
             trajectory = gk.simulate(data, basis, 2e-3)
-            return trajectory[-1][0].phi.values
+            return trajectory.phi[-1]
 
         amplitudes = [0.05, 0.1, 0.15, 0.2]
         serial = [run(a) for a in amplitudes]
@@ -648,9 +663,7 @@ class TestTwoDimensional:
         phi0 = sp.cosine_sum_field(domain, 0.2, [((1, 0), 0.1), ((1, 1), 0.05)])
         data = make_problem_data(domain, REG, phi0=phi0, t_final=0.1)
         trajectory = gk.simulate(data, basis, 2e-3)
-        assert all(
-            math.isfinite(v) for _, rec in trajectory for v in rec.norms.values()
-        )
+        assert all(np.isfinite(col).all() for col in trajectory.record.values())
         import thermoch.analysis as an
 
         assert an.mean_law_check(trajectory, data).max_error_discrete <= 1e-12
@@ -666,7 +679,7 @@ class TestTwoDimensional:
                 domain, REG, phi0=sp.constant_field(0.3, domain), t_final=0.2,
             )
             trajectory = gk.simulate(data, basis, 0.01)
-            means.append([rec.mean_phi for _, rec in trajectory])
+            means.append(trajectory.record["mean_phi"])
         assert np.allclose(means[0], means[1], atol=1e-13)
 
 
@@ -704,8 +717,8 @@ class TestEnergy:
             )
 
         trajectory = gk.simulate(data, unit_basis, 0.01)
-        for state, rec in trajectory[:3]:
-            assert rec.energy == pytest.approx(oracle(state), abs=1e-8)
+        for k in range(3):
+            assert trajectory.record["energy"][k] == pytest.approx(oracle(level_state(trajectory, k)), abs=1e-8)
 
     def test_identity_along_exact_flow(self, unit_domain):
         # dE/dt + dissipation - source vanishes for the continuous-time system;
@@ -719,12 +732,10 @@ class TestEnergy:
         )
 
         def residual_at_midpoint(dt):
-            traj = gk.simulate(data, basis, dt)
-            recs = [r for _, r in traj]
-            k = len(recs) // 2
-            dE = (recs[k + 1].energy - recs[k - 1].energy) / (recs[k + 1].t - recs[k - 1].t)
-            mid = recs[k]
-            return abs(dE + mid.dissipation_mu + mid.dissipation_w - mid.source_power)
+            rec = gk.simulate(data, basis, dt).record
+            k = len(rec["t"]) // 2
+            dE = (rec["energy"][k + 1] - rec["energy"][k - 1]) / (rec["t"][k + 1] - rec["t"][k - 1])
+            return abs(dE + rec["dissipation_mu"][k] + rec["dissipation_w"][k] - rec["source_power"][k])
 
         r_coarse = residual_at_midpoint(1e-3)
         r_fine = residual_at_midpoint(25e-5)
@@ -742,19 +753,10 @@ class TestEnergy:
         )
 
         def max_defect(dt):
-            trajectory = gk.simulate(data, basis, dt)
-            acc, prev, g_prev, worst = 0.0, None, None, -np.inf
-            for _, rec in trajectory:
-                if prev is not None:
-                    acc += 0.5 * (rec.t - prev.t) * (
-                        prev.dissipation_mu + prev.dissipation_w
-                        + rec.dissipation_mu + rec.dissipation_w
-                    )
-                g = rec.energy + acc
-                if g_prev is not None:
-                    worst = max(worst, g - g_prev)
-                g_prev, prev = g, rec
-            return worst
+            rec = gk.simulate(data, basis, dt).record
+            dissipation = rec["dissipation_mu"] + rec["dissipation_w"]
+            acc = np.concatenate(([0.0], np.cumsum(0.5 * np.diff(rec["t"]) * (dissipation[:-1] + dissipation[1:]))))
+            return np.diff(rec["energy"] + acc).max()
 
         coarse, fine = max_defect(2e-3), max_defect(1e-3)
         assert coarse <= 40.0 * 2e-3
@@ -772,5 +774,5 @@ class TestEnergy:
         trajectory = gk.simulate(data, unit_basis, 0.01)
         band = gk.compatibility_quantities(data)
         lo, hi = band["-rho - (mean phi0)^-"], band["rho + (mean phi0)^+"]
-        for _, rec in trajectory:
-            assert lo - 1e-12 <= rec.mean_phi <= hi + 1e-12
+        mean = trajectory.record["mean_phi"]
+        assert (lo - 1e-12 <= mean).all() and (mean <= hi + 1e-12).all()

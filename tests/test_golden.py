@@ -1,0 +1,143 @@
+"""Golden artifacts: every command's CSV and summary.json against stored copies.
+
+Each case runs ``thermoch`` in-process on a shipped config (or a one-line
+edit of it) and compares every column of its CSV with the stored artifact
+within 1e-12 of the column's scale (the largest magnitude in it), and every
+float of its summary.json but the wall time within 1e-12 of itself.  Other
+values compare exactly.
+
+Regenerate the stored artifacts, only when a change is meant to move them:
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import csv
+import gzip
+import io as textio
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from thermoch import io_cli as io
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+RTOL = 1e-12
+
+DEMO = "configs/demo.ini"
+# name -> (argv before the output flags, {config: (text, replacement)}, files)
+CASES = {
+    "simulate_demo": (["simulate", DEMO], {}, ("trajectory.csv", "summary.json")),
+    "simulate_logarithmic": (["simulate", "configs/logarithmic.ini"], {}, ("trajectory.csv", "summary.json")),
+    "simulate_benchmark": (["simulate", "configs/benchmark.ini"], {}, ("trajectory.csv", "summary.json")),
+    "simulate_demo_backward_euler": (
+        ["simulate", DEMO], {DEMO: ("scheme = semi_implicit", "scheme = backward_euler")},
+        ("trajectory.csv", "summary.json"),
+    ),
+    "converge_modes_demo": (["converge", "modes", DEMO], {}, ("convergence.csv",)),
+    "converge_dt_benchmark": (["converge", "dt", "configs/benchmark.ini"], {}, ("convergence.csv",)),
+    "depend_demo_f": (
+        ["depend", DEMO, "demo_f.ini"], {"demo_f.ini": ("f = 0.2 ; 0.5: -0.2", "f = 0.25 ; 0.4: -0.1")},
+        ("dependence.csv",),
+    ),
+}
+
+
+def run_case(name: str, workdir: Path) -> Path:
+    """Run case ``name`` with its edited configs written to ``workdir``; returns its output directory."""
+    argv, edits, _ = CASES[name]
+    argv = list(argv)
+    for config, (old, new) in edits.items():
+        text = (ROOT / DEMO).read_text(encoding="utf-8")
+        assert old in text, f"{old!r} is not in {DEMO}"
+        path = workdir / Path(config).name
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        argv[argv.index(config)] = str(path)
+    argv = [str(ROOT / a) if a.endswith(".ini") and not Path(a).is_absolute() else a for a in argv]
+    out = workdir / "out"
+    assert io.main(argv + ["--output-dir", str(out), "--quiet"]) == 0
+    return out
+
+
+def _stored(name: str, file: str) -> str:
+    path = GOLDEN / name / file
+    if file == "trajectory.csv":
+        return gzip.decompress(path.with_suffix(".csv.gz").read_bytes()).decode("utf-8")
+    return path.read_text(encoding="utf-8")
+
+
+def _table(text: str) -> tuple[list[str], np.ndarray]:
+    rows = list(csv.reader(textio.StringIO(text)))
+    return rows[0], np.array([[float(x) if x else np.nan for x in r] for r in rows[1:]])
+
+
+def _assert_columns_close(got: np.ndarray, expected: np.ndarray, header: list[str]) -> None:
+    assert got.shape == expected.shape
+    for j, key in enumerate(header):
+        scale = np.nanmax(np.abs(expected[:, j]), initial=0.0)
+        assert np.array_equal(np.isnan(got[:, j]), np.isnan(expected[:, j])), key
+        err = np.nanmax(np.abs(got[:, j] - expected[:, j]), initial=0.0)
+        assert err <= RTOL * scale, f"column {key}: {err:.3e} > {RTOL} * {scale:.3e}"
+
+
+def _leaves(obj, prefix=""):
+    """(path, value) of every scalar in a JSON document."""
+    if isinstance(obj, (dict, list)):
+        for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _leaves(value, f"{prefix}/{key}")
+    else:
+        yield prefix, obj
+
+
+def _assert_summary_close(got: dict, expected: dict) -> None:
+    got.pop("wall_time_s", None)
+    got_leaves, exp_leaves = dict(_leaves(got)), dict(_leaves(expected))
+    assert got_leaves.keys() == exp_leaves.keys()
+    for key, value in exp_leaves.items():
+        new = got_leaves[key]
+        if isinstance(value, float):
+            assert abs(new - value) <= RTOL * abs(value), f"{key}: {new} vs {value}"
+        else:
+            assert new == value, key
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_matches_golden(name, tmp_path):
+    out = run_case(name, tmp_path)
+    for file in CASES[name][2]:
+        text = (out / file).read_text(encoding="utf-8")
+        if file == "summary.json":
+            _assert_summary_close(json.loads(text), json.loads(_stored(name, file)))
+        else:
+            header, got = _table(text)
+            stored_header, expected = _table(_stored(name, file))
+            assert header == stored_header
+            _assert_columns_close(got, expected, header)
+
+
+def regenerate(workroot: Path) -> None:
+    for name, (_, _, files) in CASES.items():
+        workdir = workroot / name
+        workdir.mkdir(parents=True)
+        out = run_case(name, workdir)
+        (GOLDEN / name).mkdir(parents=True, exist_ok=True)
+        for file in files:
+            data = (out / file).read_bytes()
+            if file == "summary.json":
+                summary = json.loads(data)
+                del summary["wall_time_s"]
+                (GOLDEN / name / file).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+            elif file == "trajectory.csv":
+                (GOLDEN / name / (file + ".gz")).write_bytes(gzip.compress(data, mtime=0))
+            else:
+                (GOLDEN / name / file).write_bytes(data)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        regenerate(Path(tmp))

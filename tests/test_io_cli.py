@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import platform
 import struct
@@ -533,9 +534,15 @@ class TestCli:
         code = io.main(["simulate", str(cfg), "--output-dir", str(out), "--quiet"])
         assert code == 3
         rows = (out / "trajectory.csv").read_text().splitlines()
-        assert len(rows) == 7  # header + records at t = 0 .. 0.05
+        # the header and exactly the levels before the failing step
+        assert [float(r.split(",")[0]) for r in rows[1:]] == galerkin.record_times(0.01, 0.05)
         summary = json.loads((out / "summary.json").read_text())
+        assert summary["n_records"] == 6
         assert any("forced" in v for v in summary["violations"])
+        # the monitors still ran on the partial trajectory
+        assert summary["mean_law"]["max_error_discrete"] <= 1e-12
+        assert math.isfinite(summary["energy_residual"])
+        assert all(math.isfinite(v) for v in summary["realized_norms"].values())
 
     def test_verify_violations_exit_nonzero(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, FULL)

@@ -156,15 +156,17 @@ class TestTransforms:
         domain = sp.BoxDomain((1.0,), 64)
         small = sp.build_basis(domain, 4)
         big = sp.build_basis(domain, 9)
-        c = sp.Coeffs([1.0, 2.0, 3.0, 4.0], small)
-        e = sp.embed(c, big)
-        assert np.allclose(e.values[:4], c.values) and np.allclose(e.values[4:], 0.0)
+        c = np.array([1.0, 2.0, 3.0, 4.0])
+        e = sp.embed(c, small, big)
+        assert np.array_equal(e[:4], c) and np.array_equal(e[4:], np.zeros(5))
+        rows = np.arange(12.0).reshape(3, 4)
+        assert np.array_equal(sp.embed(rows, small, big), np.hstack((rows, np.zeros((3, 5)))))
 
     def test_embed_requires_nested_bases(self):
         small = sp.build_basis(sp.BoxDomain((2.0,), 64), 4)
         big = sp.build_basis(sp.BoxDomain((1.0,), 64), 9)
         with pytest.raises(ValueError):
-            sp.embed(sp.Coeffs([1.0, 0.0, 0.0, 0.0], small), big)
+            sp.embed(np.array([1.0, 0.0, 0.0, 0.0]), small, big)
 
 
 def oracle_gaps(basis, rng):
