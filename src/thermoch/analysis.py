@@ -30,12 +30,6 @@ def _trapz(values: np.ndarray, times: np.ndarray) -> float:
     return float(np.trapezoid(values, times))
 
 
-def _squares(rows: np.ndarray, basis: SpectralBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of a (k x n) coefficient array: the sums of c^2 and of lambda c^2."""
-    sq = np.square(rows)
-    return sq.sum(axis=1), sq @ basis.eigenvalues
-
-
 @dataclass(frozen=True)
 class MeanLawReport:
     """Scheme-consistency and continuum errors of the simulated mean."""
@@ -93,7 +87,7 @@ def apriori_monitor(trajectory: Trajectory, data: ProblemData, mean_tol: float =
         f"outside [{band_lo:.12g}, {band_hi:.12g}]"
         for k, j in np.argwhere(np.column_stack((~np.isfinite(values), outside))).tolist()
     ]
-    w_l2, w_grad = _squares(trajectory.w, trajectory.basis)
+    w_l2, w_grad = spectral.row_squares(trajectory.w, trajectory.basis.eigenvalues)
     realized = {
         "phi_Linf_dual": float(rec["phi_dual"].max()),
         "phi_L2_H1": math.sqrt(_trapz(rec["phi_H1"] ** 2, t)),
@@ -158,12 +152,12 @@ def dependence_experiment(
     _check_shared_data(data1, data2)
     traj1 = galerkin.simulate(data1, basis, dt, scheme)
     traj2 = galerkin.simulate(data2, basis, dt, scheme)
-    times, domain = traj1.t, basis.domain
+    times, domain, lam = traj1.t, basis.domain, basis.eigenvalues
 
     dphi = traj1.phi - traj2.phi
-    phi_l2, phi_grad = _squares(dphi, basis)
-    w_l2, w_grad = _squares(traj1.w - traj2.w, basis)
-    v_l2, _ = _squares(traj1.v - traj2.v, basis)
+    phi_l2, phi_grad = spectral.row_squares(dphi, lam)
+    w_l2, w_grad = spectral.row_squares(traj1.w - traj2.w, lam)
+    v_l2 = spectral.row_squares(traj1.v - traj2.v, lam)[0]
     lhs_components = {
         "phi_Linf_dual": float(spectral.norm_Hm1_rows(dphi, basis).max()),
         "phi_L2_H1": math.sqrt(_trapz(phi_l2 + phi_grad, times)),
@@ -173,9 +167,8 @@ def dependence_experiment(
     lhs = sum(lhs_components.values())
 
     f_diffs, f_which = _differences(data1.f, data2.f, times)
-    f_fields = [spectral.Field(d, domain) for d in f_diffs]
-    f_dual = np.array([spectral.norm_Hm1(spectral.to_coeffs(fd, basis)) for fd in f_fields])[f_which]
-    f_l1 = np.array([spectral.norm_Lp(fd, 1) for fd in f_fields])[f_which]
+    f_dual = spectral.norm_Hm1_rows(np.array([spectral.to_coeffs(d, basis) for d in f_diffs]), basis)[f_which]
+    f_l1 = np.array([spectral.norm_Lp(d, domain, 1) for d in f_diffs])[f_which]
 
     # conv(t_k) = sum_j c_kj g_j over the distinct differences g_j, with c the
     # cumulative trapezoid weights; |conv|^2 = w c^T (G G^T) c.

@@ -67,14 +67,13 @@ def solve_elliptic(problem: EllipticProblem, start: Optional[Coeffs] = None) -> 
     """
     basis = problem.basis
     lam = basis.eigenvalues
-    h_c = spectral.to_coeffs(problem.h, basis).values
+    h_c = spectral.project(problem.h, basis).values
     h_norm = float(np.linalg.norm(h_c))
 
     def evaluate(u):
         """R(u) and the regularized graph from one resolvent solve; Phi(u) on demand."""
-        grid = spectral.to_field(Coeffs(u, basis)).values
-        reg = potentials.regularize(problem.potential, problem.eps, grid)
-        nl = spectral.to_coeffs(Field(reg.value, basis.domain), basis).values
+        reg = potentials.regularize(problem.potential, problem.eps, spectral.to_field(u, basis))
+        nl = spectral.to_coeffs(reg.value, basis)
 
         @functools.cache
         def objective():
@@ -116,7 +115,8 @@ def solve_elliptic(problem: EllipticProblem, start: Optional[Coeffs] = None) -> 
 
 def check_L6_bound(problem: EllipticProblem, sol: EllipticSolution) -> tuple[float, float, bool]:
     """Compare ||yosida(u)||_6 against ||h||_6 with a small discretization slack."""
-    lhs = spectral.norm_Lp(Field(sol.reg.value, problem.basis.domain), 6)
-    rhs = spectral.norm_Lp(problem.h, 6)
+    domain = problem.basis.domain
+    lhs = spectral.norm_Lp(sol.reg.value, domain, 6)
+    rhs = spectral.norm_Lp(problem.h.values, domain, 6)
     return lhs, rhs, lhs <= rhs * (1.0 + _L6_SLACK)
 

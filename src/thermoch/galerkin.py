@@ -12,9 +12,12 @@ yosida(phi) + pi(phi) + a onto the span.  Mode 1 carries the exact scalar
 mean law  mean' + gamma mean = f_mean.  The nonlinearity, mu and the energy
 of a state come from one resolvent solve (``evaluate``), which the step
 leaving the state and its record share; pi(phi) = -L phi and a enter by
-Parseval.  ``simulate`` builds the step constants once per step size and
-returns the run as a ``Trajectory`` of per-level columns, whose record
-``compute_record`` makes once, after the last level.
+Parseval.  ``evaluate``, ``step`` and the Newton closures take and return
+bare (n,) coefficient and (N,) grid arrays; ``GalerkinState`` is the
+projected initial data only.  ``simulate`` builds the step constants once
+per step size, allocates the ``Trajectory`` columns of all ``record_times``
+before the first step, writes each level's row in place and makes the
+record (``compute_record``) once, after the last level.
 
 Two first-order schemes are provided: ``semi_implicit`` treats all linear
 terms implicitly through an exact per-mode 3x3 elimination and freezes the
@@ -96,7 +99,7 @@ class SourceTerm:
 
     def project(self, basis: SpectralBasis) -> SourceTerm:
         """The same schedule with each field replaced by its coefficients."""
-        return SourceTerm(self.times, tuple(spectral.to_coeffs(f, basis) for f in self.fields))
+        return SourceTerm(self.times, tuple(spectral.project(f, basis) for f in self.fields))
 
 
 @dataclass(frozen=True)
@@ -164,101 +167,76 @@ class GalerkinState:
 def project_initial_data(data: ProblemData, basis: SpectralBasis) -> GalerkinState:
     """Orthogonally project the initial fields after the compatibility check."""
     check_compatibility(data)
-    return GalerkinState(
-        t=0.0,
-        phi=spectral.to_coeffs(data.phi0, basis),
-        w=spectral.to_coeffs(data.w0, basis),
-        v=spectral.to_coeffs(data.w1, basis),
-    )
-
-
-@dataclass(frozen=True)
-class Evaluation:
-    """A state and what its step and record need, from one resolvent solve.
-
-    ``f``, ``g``: projected sources at ``state.t``; ``nl``: projected
-    yosida(phi) + pi(phi) + a; ``mu`` = A phi + nl - b v; ``xi``: yosida(phi)
-    on the grid; ``bulk``: integral of beta_hat_eps(phi) + pi_hat(phi) + a phi.
-    """
-
-    state: GalerkinState
-    f: Coeffs
-    g: Coeffs
-    nl: Coeffs
-    mu: Coeffs
-    xi: Field
-    bulk: float
+    return GalerkinState(0.0, *(spectral.project(f, basis) for f in (data.phi0, data.w0, data.w1)))
 
 
 def _nonlinearity(
-    phi: Coeffs, data: ProblemData, reg: Optional[Regularization] = None
-) -> tuple[Regularization, Coeffs]:
+    phi: np.ndarray, data: ProblemData, basis: SpectralBasis, reg: Optional[Regularization] = None
+) -> tuple[Regularization, np.ndarray]:
     """The regularized graph at the grid values of phi and the projected
     NL(phi) = P yosida(phi) - L phi + a sqrt(|Omega|) e_1 (pi(phi) = -L phi and
     a lie in the span).  ``reg``, when given, is that graph already solved.
     """
-    basis = phi.basis
     if reg is None:
-        grid = spectral.to_field(phi).values
-        reg = potentials.regularize(data.potential, data.eps, grid)
-    nl = spectral.to_coeffs(Field(reg.value, basis.domain), basis).values
-    nl -= data.potential.pi_lipschitz * phi.values
+        reg = potentials.regularize(data.potential, data.eps, spectral.to_field(phi, basis))
+    nl = spectral.to_coeffs(reg.value, basis)
+    nl -= data.potential.pi_lipschitz * phi
     nl[0] += data.params.a * math.sqrt(basis.domain.measure)
-    return reg, Coeffs(nl, basis)
+    return reg, nl
 
 
 def evaluate(
-    state: GalerkinState,
-    data: ProblemData,
-    sources: tuple[SourceTerm, SourceTerm],
+    phi: np.ndarray, v: np.ndarray, data: ProblemData, basis: SpectralBasis,
     reg: Optional[Regularization] = None,
-) -> Evaluation:
-    """Evaluate ``state`` once; ``sources`` are f and g projected onto its basis.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Evaluate the state with coefficients phi and v = w' once: returns
+    (nl, mu, xi, bulk) from one resolvent solve.
 
-    ``reg`` is the regularized graph at the grid values of ``state.phi``
+    nl: projected yosida(phi) + pi(phi) + a; mu = A phi + nl - b v; xi:
+    yosida(phi) on the grid; bulk: integral of beta_hat_eps(phi) + pi_hat(phi)
+    + a phi.  ``reg`` is the regularized graph at the grid values of phi
     when the step that produced the state has already solved it (see ``step``).
     """
-    p, spec, basis = data.params, data.potential, state.phi.basis
-    phi, measure = state.phi.values, basis.domain.measure
-    reg, nl = _nonlinearity(state.phi, data, reg)
+    p, spec, measure = data.params, data.potential, basis.domain.measure
+    reg, nl = _nonlinearity(phi, data, basis, reg)
     # Parseval: int pi_hat(phi) = pi_hat(0) |Omega| - (L/2) |phi|^2, int a phi = a sqrt(|Omega|) phi_1.
     bulk = (basis.quadrature_weight * reg.primitive_sum() + spec.pi_hat_at_zero * measure
             - 0.5 * spec.pi_lipschitz * float(phi @ phi) + p.a * math.sqrt(measure) * float(phi[0]))
-    f, g = sources
-    return Evaluation(
-        state=state,
-        f=f.at(state.t),
-        g=g.at(state.t),
-        nl=nl,
-        mu=Coeffs(basis.eigenvalues * phi + nl.values - p.b * state.v.values, basis),
-        xi=Field(reg.value, basis.domain),
-        bulk=bulk,
-    )
+    return nl, basis.eigenvalues * phi + nl - p.b * v, reg.value, bulk
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """The recorded levels of a run as columns: row k of every array is level k.
 
-    ``phi``, ``w``, ``v``, ``mu``: (levels x n) coefficients; ``mean_exact``:
-    the exact mean law; ``bulk``: see ``Evaluation``; ``xi_L1``, ``xi_L6``:
-    grid norms of yosida(phi); ``record``: what ``compute_record`` makes of them.
+    ``coeffs``: (levels x 4 x n), the coefficients of phi, w, v and mu of
+    each level, which the properties of those names view as (levels x n)
+    columns; ``mean_exact``: the exact mean law; ``bulk``, ``xi_L1``,
+    ``xi_L6``: the bulk energy and the grid norms of yosida(phi) (see
+    ``evaluate``); ``record``: what ``compute_record`` makes of them.
     """
 
     basis: SpectralBasis
     t: np.ndarray
-    phi: np.ndarray
-    w: np.ndarray
-    v: np.ndarray
-    mu: np.ndarray
+    coeffs: np.ndarray
     mean_exact: np.ndarray
     bulk: np.ndarray
     xi_L1: np.ndarray
     xi_L6: np.ndarray
     record: dict[str, np.ndarray]
 
+    phi = property(lambda self: self.coeffs[:, 0])
+    w = property(lambda self: self.coeffs[:, 1])
+    v = property(lambda self: self.coeffs[:, 2])
+    mu = property(lambda self: self.coeffs[:, 3])
+
     def __len__(self) -> int:
         return self.t.size
+
+    def head(self, k: int) -> Trajectory:
+        """The first k levels as views of these columns, with an empty record."""
+        columns = (getattr(self, f.name)[:k] for f in dataclasses.fields(self) if f.name not in ("basis", "record"))
+        return Trajectory(self.basis, *columns, record={})
 
 
 def compute_record(
@@ -270,15 +248,19 @@ def compute_record(
     energy = 1/2 |grad phi|^2 + int (beta_hat_eps + pi_hat)(phi) + a int phi
     + b/(2 lambda) |v|^2 + b kappa2/(2 lambda) |grad w|^2; along the exact
     coefficient flow  d(energy)/dt + dissipation_mu + dissipation_w = source_power.
-    The coefficient norms come from the squared [phi, w, v, mu], stacked
-    (levels x 4 x n): the sums of lambda c^2 from one product with the
-    eigenvalues, the sums of c^2 from the sums over the last axis.
+    The coefficient norms come from ``spectral.row_squares`` of [phi, w, v, mu]
+    and the source power from the same blocks of levels, so no temporary is
+    as large as a column.
     """
-    p, basis, lam = data.params, traj.basis, traj.basis.eigenvalues
-    sq = np.square(np.stack((traj.phi, traj.w, traj.v, traj.mu), axis=1))
-    grad_phi, grad_w, grad_v, grad_mu = (sq @ lam).T
-    l2_phi, _, l2_v, l2_mu = sq.sum(axis=2).T
-    f, g = (np.stack([c.values for c in s.fields])[s.segment(traj.t)] for s in sources)
+    p, basis = data.params, traj.basis
+    l2, grad = spectral.row_squares(traj.coeffs, basis.eigenvalues)
+    grad_phi, grad_w, grad_v, grad_mu = grad.T
+    l2_phi, _, l2_v, l2_mu = l2.T
+    (f, f_seg), (g, g_seg) = ((np.array([c.values for c in s.fields]), s.segment(traj.t)) for s in sources)
+    power = np.empty(len(traj))
+    for s in spectral.row_blocks(len(traj)):
+        power[s] = (np.vecdot(f[f_seg[s]] - p.gamma * traj.phi[s], traj.mu[s])
+                    + p.b / p.lambda_latent * np.vecdot(g[g_seg[s]], traj.v[s]))
     return {
         "t": traj.t,
         "mean_phi": traj.phi[:, 0] / math.sqrt(basis.domain.measure),
@@ -291,8 +273,7 @@ def compute_record(
         ),
         "dissipation_mu": grad_mu,
         "dissipation_w": p.b * p.kappa1 / p.lambda_latent * grad_v,
-        "source_power": (np.vecdot(f - p.gamma * traj.phi, traj.mu)
-                         + p.b / p.lambda_latent * np.vecdot(g, traj.v)),
+        "source_power": power,
         "phi_H1": np.sqrt(l2_phi + grad_phi),
         "phi_dual": spectral.norm_Hm1_rows(traj.phi, basis),
         "dtw_L2": np.sqrt(l2_v),
@@ -303,26 +284,14 @@ def compute_record(
     }
 
 
-def rhs(ev: Evaluation, data: ProblemData) -> tuple[Coeffs, Coeffs, Coeffs]:
-    """Time derivatives (phi', w', v') at the evaluated state."""
-    p = data.params
-    state = ev.state
-    dphi = ev.f - spectral.apply_stiffness(ev.mu) - p.gamma * state.phi
-    dw = state.v
-    dv = (
-        ev.g
-        - spectral.apply_stiffness(p.kappa1 * state.v + p.kappa2 * state.w)
-        - p.lambda_latent * dphi
-    )
-    return dphi, dw, dv
-
-
 @dataclass(frozen=True)
 class StepOperator:
-    """Per-mode constants of a step of size dt; eliminating w+ = w + dt v+ and
-    v+ = (c3 - lambda phi+)/d3 leaves  diag phi+ + dt lam NL-term = base, with
+    """Per-mode constants of a step of size dt on ``basis``; eliminating
+    w+ = w + dt v+ and v+ = (c3 - lambda phi+)/d3 leaves
+    diag phi+ + dt lam NL-term = base, with
     c3 = v + dt g + lambda phi - dt kappa2 lam w,  base = phi + dt f + coupling c3."""
 
+    basis: SpectralBasis
     dt: float
     d3: np.ndarray
     diag: np.ndarray
@@ -341,22 +310,23 @@ def step_operator(basis: SpectralBasis, params: PhysicalParams, dt: float) -> St
         parts = (d3, diag, dt_lam * p.b / d3, dt * p.kappa2 * lam, dt_lam)
     finite = all(np.isfinite(x).all() for x in parts)
     require((finite, f"(2.11) dt = {dt} is too large: the step operator is not finite"))
-    return StepOperator(dt, *parts)
+    return StepOperator(basis, dt, *parts)
 
 
-def _step_rhs(ev: Evaluation, data: ProblemData, op: StepOperator):
+def _step_rhs(phi, w, v, f, g, data: ProblemData, op: StepOperator):
     """The vectors c3 and base of the eliminated system (see StepOperator)."""
-    p, state, dt = data.params, ev.state, op.dt
-    c3 = state.v.values + dt * ev.g.values + p.lambda_latent * state.phi.values - op.dt_kappa2_lam * state.w.values
-    return c3, state.phi.values + dt * ev.f.values + op.coupling * c3
+    p, dt = data.params, op.dt
+    c3 = v + dt * g + p.lambda_latent * phi - op.dt_kappa2_lam * w
+    return c3, phi + dt * f + op.coupling * c3
 
 
-def _semi_implicit_phi(ev, op, base):
-    return (base - op.dt_lam * ev.nl.values) / op.diag
+def _semi_implicit_phi(nl, op, base):
+    return (base - op.dt_lam * nl) / op.diag
 
 
-def _backward_euler_phi(ev, data, op, base):
-    """Damped Newton-Krylov on the reduced residual R(p) = diag p + dt lam NL(p) - base.
+def _backward_euler_phi(nl, data, op, base):
+    """Damped Newton-Krylov on the reduced residual R(p) = diag p + dt lam NL(p) - base,
+    from the semi-implicit step of the state whose nonlinearity is ``nl``.
 
     Mode 1 is linear and decoupled (lam_1 = 0): it keeps its closed form
     base_1 / diag_1 from the semi-implicit first iterate.  Dividing the other
@@ -365,12 +335,12 @@ def _backward_euler_phi(ev, data, op, base):
     exceeds diag / lam (long domains, large dt), which MINRES handles.
     Returns the new phi and the regularized graph at its grid values.
     """
-    basis = ev.state.phi.basis
-    dt, lam, diag = op.dt, basis.eigenvalues, op.diag
+    basis, dt, diag = op.basis, op.dt, op.diag
+    lam = basis.eigenvalues
 
     def evaluate(p_vec):
-        reg, nl = _nonlinearity(Coeffs(p_vec, basis), data)
-        return newton.Iterate(p_vec, diag * p_vec + op.dt_lam * nl.values - base, None, reg)
+        reg, nl_p = _nonlinearity(p_vec, data, basis)
+        return newton.Iterate(p_vec, diag * p_vec + op.dt_lam * nl_p - base, None, reg)
 
     def direction(it, rtol):
         s = dt * (it.reg.slope() - data.potential.pi_lipschitz)
@@ -381,7 +351,7 @@ def _backward_euler_phi(ev, data, op, base):
         return step, krylov, np.concatenate(([0.0], weights / lam[1:]))
 
     target = _NEWTON_TOL * (1.0 + float(np.linalg.norm(base)))
-    p_vec = _semi_implicit_phi(ev, op, base)
+    p_vec = _semi_implicit_phi(nl, op, base)
     it = newton.solve(evaluate, direction, p_vec, target, target, StepFailure)[0]
     return it.x, it.reg
 
@@ -395,30 +365,28 @@ def check_step(dt: float, scheme: str) -> None:
 
 
 def step(
-    ev: Evaluation, data: ProblemData, dt: float, scheme: str = SEMI_IMPLICIT,
-    operator: Optional[StepOperator] = None,
-) -> tuple[GalerkinState, Optional[Regularization]]:
-    """Advance the evaluated state one time step with the chosen first-order scheme.
+    phi: np.ndarray, w: np.ndarray, v: np.ndarray, nl: np.ndarray, f: np.ndarray, g: np.ndarray,
+    data: ProblemData, op: StepOperator, scheme: str = SEMI_IMPLICIT,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[Regularization]]:
+    """Advance the state (phi, w, v) one step of size op.dt with the chosen first-order scheme.
 
-    ``operator`` is the ``step_operator`` of dt, built here when not given.
-    Returns the new state and, for ``backward_euler``, the regularized graph
-    at its phi, which the last Newton iterate solved and ``evaluate`` can
-    reuse (None for ``semi_implicit``).  Raises StepFailure when the new phi
-    is not finite, for either scheme.
+    ``nl`` is the state's projected nonlinearity (from ``evaluate``), f and g
+    the projected sources over the step and ``op`` the ``step_operator`` of
+    the step size.  Returns the new phi, w and v and, for ``backward_euler``,
+    the regularized graph at the new phi, which the last Newton iterate solved
+    and ``evaluate`` can reuse (None for ``semi_implicit``).  Raises
+    StepFailure when the new phi is not finite, for either scheme.
     """
-    check_step(dt, scheme)
-    state, basis = ev.state, ev.state.phi.basis
-    op = operator if operator is not None else step_operator(basis, data.params, dt)
-    c3, base = _step_rhs(ev, data, op)
+    check_step(op.dt, scheme)
+    c3, base = _step_rhs(phi, w, v, f, g, data, op)
     if scheme == SEMI_IMPLICIT:
-        phi_new, reg = _semi_implicit_phi(ev, op, base), None
+        phi_new, reg = _semi_implicit_phi(nl, op, base), None
     else:
-        phi_new, reg = _backward_euler_phi(ev, data, op, base)
+        phi_new, reg = _backward_euler_phi(nl, data, op, base)
     if not np.isfinite(phi_new).all():
-        raise StepFailure(f"non-finite phi after a {scheme} step of {dt} at t = {state.t}")
+        raise StepFailure(f"non-finite phi after a {scheme} step of {op.dt}")
     v_new = (c3 - data.params.lambda_latent * phi_new) / op.d3
-    w_new = state.w.values + dt * v_new
-    return GalerkinState(state.t + dt, Coeffs(phi_new, basis), Coeffs(w_new, basis), Coeffs(v_new, basis)), reg
+    return phi_new, w + op.dt * v_new, v_new, reg
 
 
 def record_times(dt: float, t_final: float) -> list[float]:
@@ -435,16 +403,20 @@ def simulate(
     basis: SpectralBasis,
     dt: float,
     scheme: str = SEMI_IMPLICIT,
-    observers: Sequence[Callable[[GalerkinState, Evaluation], None]] = (),
+    observers: Sequence[Callable[[int, Trajectory], None]] = (),
 ) -> Trajectory:
     """Run from the projected initial data to t_final with fixed dt.
 
-    The final step is truncated to land exactly on t_final.  A failing step is
-    bisected down to 1e-8 * t_final before the run is abandoned; on abandon a
-    RunFailure carrying the partial trajectory is raised.  A dt whose step
-    operator is not finite raises ConfigurationError before any step.
-    Each observer is called with every recorded state and its evaluation.
-    Deterministic for a given configuration.
+    The levels are the ``record_times``: the final step is truncated to land
+    exactly on t_final, and the columns of all levels are allocated before the
+    first step.  A failing step is bisected down to 1e-8 * t_final before the
+    run is abandoned; the substeps are not recorded.  On abandon a RunFailure
+    carrying the levels before the failure is raised.  A dt whose step
+    operator is not finite raises ConfigurationError before any step.  Each
+    observer is called as ``observer(k, traj)`` right after level k is
+    written into ``traj``, the returned Trajectory, whose rows 0..k are then
+    filled and whose record is still empty.  Deterministic for a given
+    configuration.
     """
     check_step(dt, scheme)
     gamma = data.params.gamma
@@ -452,45 +424,52 @@ def simulate(
     state = project_initial_data(data, basis)
     sources = (data.f.project(basis), data.g.project(basis))
     f_means = SourceTerm(data.f.times, tuple(map(spectral.field_mean, data.f.fields)))  # per segment
-    mean_exact = spectral.mean_value(state.phi)
     floor = max(_DT_FLOOR_FACTOR * data.t_final, 1e-300)
-    levels = []  # the Trajectory columns but the record, per level
+    times = record_times(dt, data.t_final)
+    levels = len(times)
+    traj = Trajectory(basis, np.array(times), np.empty((levels, 4, basis.n)), *np.empty((4, levels)), record={})
 
-    def advance(ev, h):
+    def advance(t, phi, w, v, nl, h):
         """Cover [t, t+h], bisecting the interval on step failures; returns what ``step`` returns."""
         if h not in operators:
             operators[h] = step_operator(basis, data.params, h)
         try:
-            return step(ev, data, h, scheme, operators[h])
+            return step(phi, w, v, nl, sources[0].at(t).values, sources[1].at(t).values,
+                        data, operators[h], scheme)
         except StepFailure:
             if h / 2.0 < floor:
                 raise
-            mid, reg = advance(ev, h / 2.0)
-            return advance(evaluate(mid, data, sources, reg), h / 2.0)
+            phi, w, v, reg = advance(t, phi, w, v, nl, h / 2.0)
+            return advance(t + h / 2.0, phi, w, v, evaluate(phi, v, data, basis, reg)[0], h / 2.0)
 
-    def emit(st, me, reg=None):
-        ev = evaluate(st, data, sources, reg)
-        levels.append((st.t, st.phi.values, st.w.values, st.v.values, ev.mu.values, me, ev.bulk,
-                       spectral.norm_Lp(ev.xi, 1), spectral.norm_Lp(ev.xi, 6)))
+    def emit(k, phi, w, v, mean_exact, reg=None):
+        """Write level k into the columns; returns its projected nonlinearity."""
+        nl, mu, xi, bulk = evaluate(phi, v, data, basis, reg)
+        traj.coeffs[k] = phi, w, v, mu
+        traj.mean_exact[k], traj.bulk[k] = mean_exact, bulk
+        traj.xi_L1[k] = spectral.norm_Lp(xi, basis.domain, 1)
+        traj.xi_L6[k] = spectral.norm_Lp(xi, basis.domain, 6)
         for obs in observers:
-            obs(st, ev)
-        return ev
+            obs(k, traj)
+        return nl
 
-    def trajectory():
-        traj = Trajectory(basis, *map(np.array, zip(*levels)), record={})
-        return dataclasses.replace(traj, record=compute_record(traj, data, sources))
+    def finish(run):
+        run.record.update(compute_record(run, data, sources))
+        return run
 
-    ev = emit(state, mean_exact)
-    while state.t < data.t_final - 1e-12 * max(data.t_final, 1.0):
-        h = min(dt, data.t_final - state.t)
-        f_mean = f_means.at(state.t)
+    phi, w, v = state.phi.values, state.w.values, state.v.values
+    mean_exact = spectral.mean_value(state.phi)
+    nl = emit(0, phi, w, v, mean_exact)
+    for k in range(1, levels):
+        t = times[k - 1]
+        h = min(dt, data.t_final - t)
         try:
-            state, reg = advance(ev, h)
+            phi, w, v, reg = advance(t, phi, w, v, nl, h)
         except StepFailure as exc:
             raise RunFailure(
-                f"step failed at t = {state.t} after dt halvings: {exc}", trajectory()
+                f"step failed at t = {t} after dt halvings: {exc}", finish(traj.head(k))
             ) from exc
         decay = math.exp(-gamma * h)
-        mean_exact = mean_exact * decay + (f_mean / gamma) * (1.0 - decay)
-        ev = emit(state, mean_exact, reg)
-    return trajectory()
+        mean_exact = mean_exact * decay + (f_means.at(t) / gamma) * (1.0 - decay)
+        nl = emit(k, phi, w, v, mean_exact, reg)
+    return finish(traj)

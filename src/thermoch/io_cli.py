@@ -554,7 +554,7 @@ def elliptic_suite(
     for _ in range(trials):
         vals = np.zeros(basis.n)
         vals[:n_active] = rng.standard_normal(n_active)
-        h = spectral.to_field(Coeffs(vals, basis))
+        h = Field(spectral.to_field(vals, basis), domain)
         problem = elliptic.EllipticProblem(basis, spec, eps, h)
         sol = elliptic.solve_elliptic(problem)
         metrics["residual"] = max(metrics["residual"], sol.residual)
@@ -562,7 +562,7 @@ def elliptic_suite(
         metrics["l6_excess"] = max(metrics["l6_excess"], lhs - rhs * (1.0 + 1e-6))
         if not ok:
             violations.append(f"6-norm bound violated: {lhs:.12g} > {rhs:.12g}")
-        alt = elliptic.solve_elliptic(problem, start=spectral.to_coeffs(h, basis))
+        alt = elliptic.solve_elliptic(problem, start=spectral.project(h, basis))
         work = work + sol.counters + alt.counters
         gap = spectral.norm_L2(sol.u - alt.u)
         metrics["start_gap"] = max(metrics["start_gap"], gap)

@@ -29,7 +29,7 @@ import numpy as np
 from . import spectral
 from .errors import NumericFailure
 from .potentials import Regularization
-from .spectral import Coeffs, Field, SpectralBasis
+from .spectral import SpectralBasis
 
 _MAX_ITER = 80
 _MAX_HALVINGS = 60
@@ -147,14 +147,18 @@ def krylov_solve(
 
     def apply(v):
         full[pinned:] = v
-        grid = spectral.to_field(Coeffs(full, basis)).values
-        return a * v + spectral.to_coeffs(Field(s * grid, basis.domain), basis).values[pinned:]
+        return a * v + spectral.to_coeffs(s * spectral.to_field(full, basis), basis)[pinned:]
 
     m = a + max(float(s.mean()), 0.0)
     x, iterations = minres(apply, b, m, rtol, basis.n)
     d = np.zeros(basis.n)
     d[pinned:] = x
     return d, iterations, 1.0 / np.sqrt(m)
+
+
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm of a real vector: what np.linalg.norm computes for it, with less dispatch."""
+    return math.sqrt(x @ x)
 
 
 def solve(
@@ -184,7 +188,7 @@ def solve(
     it = evaluate(x)
     prev_norm = math.inf
     for _ in range(_MAX_ITER):
-        res_norm = float(np.linalg.norm(it.residual))
+        res_norm = _norm(it.residual)
         if res_norm <= target or (res_norm <= contract and res_norm > 0.5 * prev_norm):
             return it, counters
         # Eisenstat-Walker choice 2 (gamma = 0.9, alpha = 2); their safeguard
@@ -197,12 +201,12 @@ def solve(
         if not np.isfinite(step).all():
             raise failure("Newton-Krylov step is not finite")
         descent = float(step @ it.residual)
-        weighted = float(np.linalg.norm(weights * it.residual))
+        weighted = _norm(weights * it.residual)
         alpha = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = evaluate(it.x + alpha * step)
             # The residual test is cheap; the merit is computed only when it fails.
-            if float(np.linalg.norm(weights * trial.residual)) < weighted or (
+            if _norm(weights * trial.residual) < weighted or (
                 it.merit is not None and trial.merit() <= it.merit() + 1e-4 * alpha * descent
             ):
                 it = trial

@@ -16,6 +16,15 @@ weights are a product over axes too, so the Gram matrix of the basis
 (``gram_matrix``) factors into per-axis Gram matrices.  No n x N matrix of sampled
 eigenfunctions is ever formed; the Newton solvers apply their Jacobians
 through the transforms.
+
+The transforms (``to_coeffs``, ``to_field``) and ``norm_Lp`` work on bare
+arrays: (N,) grid samples and (n,) coefficients of a basis, which is what
+the time stepper and the Newton loops pass.  ``Field`` and ``Coeffs``
+tie such arrays to their domain or basis at the API boundary (initial data,
+sources, verify suites), where ``project`` checks a Field's domain.  Per-row
+norms of (levels x n) coefficient columns (``row_squares``,
+``norm_Hm1_rows``) square ROW_BLOCK rows at a time, so they never hold a
+second copy of the columns.
 """
 
 from __future__ import annotations
@@ -31,6 +40,8 @@ from .errors import MeanDomainError, require
 
 # Relative tolerance for zero-mean membership when inverting the Laplacian.
 MEAN_TOL = 1e-10
+# Rows squared at a time by the per-row norms of coefficient columns.
+ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -115,23 +126,23 @@ def field_mean(f: Field) -> float:
     return float(f.values.mean())
 
 
-def norm_Lp(f: Field, p: float) -> float:
-    """Quadrature p-norm; p = inf is the grid max of |values|.
+def norm_Lp(values: np.ndarray, domain: BoxDomain, p: float) -> float:
+    """Quadrature p-norm of grid samples on ``domain``; p = inf is the grid max of |values|.
 
     p = 1 is w sum |x| and p = 6 is (w sq @ (sq sq))^(1/6) with sq = x^2: no
     pointwise power.  Other p take w sum |x|^p.
     """
     if p == np.inf:
-        return float(np.abs(f.values).max(initial=0.0))
+        return float(np.abs(values).max(initial=0.0))
     if p < 1.0:
         raise ValueError(f"p must be >= 1, got {p}")
-    w = f.domain.cell_weight
+    w = domain.cell_weight
     if p == 1:
-        return float(w * np.abs(f.values).sum())
+        return float(w * np.abs(values).sum())
     if p == 6:
-        sq = np.square(f.values)
+        sq = np.square(values)
         return float((w * (sq @ (sq * sq))) ** (1.0 / 6.0))
-    return float((w * np.abs(f.values) ** p).sum() ** (1.0 / p))
+    return float((w * np.abs(values) ** p).sum() ** (1.0 / p))
 
 
 def _axis_eigenfunctions(k_max: int, x: np.ndarray, L: float) -> np.ndarray:
@@ -249,37 +260,43 @@ def _require_same_basis(a: Coeffs, b: Coeffs) -> None:
         raise ValueError("coefficient vectors use different bases")
 
 
-def to_coeffs(f: Field, basis: SpectralBasis) -> Coeffs:
-    """Project a grid field onto the span (quadrature inner products).
+def to_coeffs(values: np.ndarray, basis: SpectralBasis) -> np.ndarray:
+    """Project the N grid samples ``values`` onto the span (quadrature inner
+    products); returns a new (n,) array.
 
     With per-axis factors C0 (and C1) this is w C0 f in 1-D and w C0 F C1^T
     in 2-D, F being the samples on the M x M grid.  The weight w scales the
     n outputs: the same floats as weighting the N samples when w is a power of 2.
+    Samples of another grid size raise ValueError.
     """
-    if f.domain != basis.domain:
-        raise ValueError("field and basis live on different domains")
     C0, m = basis.axis_factors[0], basis.domain.grid_points_per_axis
     if basis.domain.dim == 1:
-        out = C0 @ f.values
+        out = C0 @ values
     else:
         # Associated as (F^T C0^T)^T C1^T, the BLAS summation order that the
         # stored reference trajectories were made with.
-        out = (f.values.reshape(m, m).T @ C0.T).T @ basis.axis_factors[1].T
+        out = (values.reshape(m, m).T @ C0.T).T @ basis.axis_factors[1].T
     out = out.ravel()[basis.mode_index]  # a new array
     out *= basis.quadrature_weight
-    return Coeffs(out, basis)
+    return out
 
 
-def to_field(c: Coeffs) -> Field:
-    """Evaluate the spectral element on the quadrature grid: C0^T g in 1-D, C0^T G C1 in 2-D."""
-    basis = c.basis
+def to_field(coeffs: np.ndarray, basis: SpectralBasis) -> np.ndarray:
+    """The (N,) grid values of the spectral element with coefficients ``coeffs``:
+    C0^T g in 1-D, C0^T G C1 in 2-D."""
     tensor = np.zeros(tuple(C.shape[0] for C in basis.axis_factors))
-    tensor.reshape(-1)[basis.mode_index] = c.values  # a view; several times cheaper than .flat
+    tensor.reshape(-1)[basis.mode_index] = coeffs  # a view; several times cheaper than .flat
     if basis.domain.dim == 1:
-        (C0,) = basis.axis_factors
-        return Field(C0.T @ tensor, basis.domain)
+        return basis.axis_factors[0].T @ tensor
     C0, C1 = basis.axis_factors
-    return Field(C0.T @ tensor @ C1, basis.domain)
+    return (C0.T @ tensor @ C1).ravel()
+
+
+def project(f: Field, basis: SpectralBasis) -> Coeffs:
+    """The Coeffs of the Field ``f`` on ``basis``; a field on another domain raises ValueError."""
+    if f.domain != basis.domain:
+        raise ValueError("field and basis live on different domains")
+    return Coeffs(to_coeffs(f.values, basis), basis)
 
 
 def mean_value(c: Coeffs) -> float:
@@ -296,29 +313,34 @@ def norm_L2(c: Coeffs) -> float:
     return float(np.linalg.norm(c.values))
 
 
-def grad_norm(c: Coeffs) -> float:
-    """L2 norm of the gradient: sqrt(sum lambda_j c_j^2)."""
-    return math.sqrt(float((c.basis.eigenvalues * c.values**2).sum()))
-
-
-def norm_H1(c: Coeffs) -> float:
-    return math.sqrt(float(((1.0 + c.basis.eigenvalues) * c.values**2).sum()))
-
-
 def norm_Hm1(c: Coeffs) -> float:
     """Dual norm: sqrt(sum_{j>=2} c_j^2/lambda_j + mean^2)."""
     return float(norm_Hm1_rows(c.values[None], c.basis)[0])
 
 
+def row_blocks(k: int):
+    """Slices of ROW_BLOCK rows that cover k rows."""
+    return (slice(i, i + ROW_BLOCK) for i in range(0, k, ROW_BLOCK))
+
+
+def row_squares(rows: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sums of c^2 and of lam c^2 over the last axis of a (levels x ... x n)
+    array of coefficients, squared ROW_BLOCK levels at a time."""
+    l2, weighted = np.empty((2, *rows.shape[:-1]))
+    for s in row_blocks(len(rows)):
+        sq = np.square(rows[s])
+        sq.sum(axis=-1, out=l2[s])
+        np.matmul(sq, lam, out=weighted[s])
+    return l2, weighted
+
+
 def norm_Hm1_rows(rows: np.ndarray, basis: SpectralBasis) -> np.ndarray:
     """The dual norm of each row of a (k x n) array of coefficients."""
+    dual, lam = np.empty(len(rows)), basis.eigenvalues[1:]
+    for s in row_blocks(len(rows)):
+        (np.square(rows[s, 1:]) / lam).sum(axis=1, out=dual[s])
     mean = rows[:, 0] / math.sqrt(basis.domain.measure)
-    return np.sqrt((np.square(rows[:, 1:]) / basis.eigenvalues[1:]).sum(axis=1) + mean**2)
-
-
-def apply_stiffness(c: Coeffs) -> Coeffs:
-    """Apply the (diagonal) negative Laplacian: c_j -> lambda_j c_j."""
-    return Coeffs(c.basis.eigenvalues * c.values, c.basis)
+    return np.sqrt(dual + mean**2)
 
 
 def solve_poisson(psi: Coeffs) -> Coeffs:

@@ -23,6 +23,11 @@ def zero_coeffs(basis):
     return sp.Coeffs(np.zeros(basis.n), basis)
 
 
+def grid_values(c):
+    """The grid values of the Coeffs c, as a Field."""
+    return sp.Field(sp.to_field(c.values, c.basis), c.basis.domain)
+
+
 def constant_source(f):
     return gk.SourceTerm(times=(0.0,), fields=(f,))
 
@@ -88,7 +93,7 @@ def pi_hat(spec, r):
 
 
 def pointwise_bulk(reg, a, weight):
-    """Oracle for ``galerkin.Evaluation.bulk``: the quadrature of the pointwise
+    """Oracle for the bulk of ``galerkin.evaluate``: the quadrature of the pointwise
     array beta_hat_eps(r) + pi_hat(r) + a r, and the quadrature of the moduli
     of its three terms (the scale of its rounding error)."""
     terms = (reg.primitive(), pi_hat(reg.spec, reg.r), a * reg.r)
@@ -96,43 +101,84 @@ def pointwise_bulk(reg, a, weight):
 
 
 def pointwise_nonlinearity(reg, a, basis):
-    """Oracle for ``galerkin.Evaluation.nl``: the projection of the pointwise
+    """Oracle for the nl of ``galerkin.evaluate``: the projection of the pointwise
     array yosida(r) + pi(r) + a, and sqrt(|Omega|) times the largest sum of
     the moduli of its three terms, which bounds every coefficient (the scale
     of its rounding error)."""
     terms = (reg.value, pi(reg.spec, reg.r), np.full_like(reg.r, a))
     moduli = sum(np.abs(t) for t in terms)
-    nl = sp.to_coeffs(sp.Field(sum(terms), basis.domain), basis)
-    return nl.values, float(moduli.max()) * math.sqrt(basis.domain.measure)
+    nl = sp.to_coeffs(sum(terms), basis)
+    return nl, float(moduli.max()) * math.sqrt(basis.domain.measure)
 
 
-def spectral_record(ev, data, mean_exact):
+def grad_norm(c):
+    """L2 norm of the gradient: sqrt(sum lambda_j c_j^2)."""
+    return math.sqrt(float((c.basis.eigenvalues * c.values**2).sum()))
+
+
+def norm_H1(c):
+    return math.sqrt(float(((1.0 + c.basis.eigenvalues) * c.values**2).sum()))
+
+
+def evaluate(state, data):
+    """``galerkin.evaluate`` of a ``GalerkinState``: (nl, mu, xi, bulk)."""
+    return gk.evaluate(state.phi.values, state.v.values, data, state.phi.basis)
+
+
+def sources_at(state, data):
+    """The projected f and g at the time of ``state``."""
+    return tuple(s.project(state.phi.basis).at(state.t).values for s in (data.f, data.g))
+
+
+def step_state(state, data, dt, scheme=gk.SEMI_IMPLICIT):
+    """One ``galerkin.step`` of a ``GalerkinState``: the new state and the step's regularized graph."""
+    basis = state.phi.basis
+    op = gk.step_operator(basis, data.params, dt)
+    *new, reg = gk.step(state.phi.values, state.w.values, state.v.values, evaluate(state, data)[0],
+                        *sources_at(state, data), data, op, scheme)
+    return gk.GalerkinState(state.t + dt, *(sp.Coeffs(x, basis) for x in new)), reg
+
+
+def rhs(state, data):
+    """Oracle for the steps: the time derivatives (phi', w', v') at ``state``, as Coeffs."""
+    p, basis = data.params, state.phi.basis
+    lam = basis.eigenvalues
+    f, g = sources_at(state, data)
+    dphi = f - lam * evaluate(state, data)[1] - p.gamma * state.phi.values
+    dv = g - lam * (p.kappa1 * state.v.values + p.kappa2 * state.w.values) - p.lambda_latent * dphi
+    return sp.Coeffs(dphi, basis), state.v, sp.Coeffs(dv, basis)
+
+
+def spectral_record(state, data, mean_exact):
     """Oracle for one level of ``galerkin.compute_record``: every term from
     the norms and inner products of ``spectral``, the dual norm from its sum."""
-    p, state = data.params, ev.state
-    lam = state.phi.basis.eigenvalues
+    p, basis = data.params, state.phi.basis
+    lam = basis.eigenvalues
+    _, mu_values, xi, bulk = evaluate(state, data)
+    mu = sp.Coeffs(mu_values, basis)
+    f, g = (sp.Coeffs(x, basis) for x in sources_at(state, data))
     return {
         "t": state.t,
         "mean_phi": sp.mean_value(state.phi),
         "mean_phi_exact": mean_exact,
         "energy": (
-            0.5 * sp.grad_norm(state.phi) ** 2
-            + ev.bulk
+            0.5 * grad_norm(state.phi) ** 2
+            + bulk
             + 0.5 * p.b / p.lambda_latent * sp.norm_L2(state.v) ** 2
-            + 0.5 * p.b * p.kappa2 / p.lambda_latent * sp.grad_norm(state.w) ** 2
+            + 0.5 * p.b * p.kappa2 / p.lambda_latent * grad_norm(state.w) ** 2
         ),
-        "dissipation_mu": sp.grad_norm(ev.mu) ** 2,
-        "dissipation_w": p.b * p.kappa1 / p.lambda_latent * sp.grad_norm(state.v) ** 2,
-        "source_power": sp.inner(ev.f - p.gamma * state.phi, ev.mu)
-        + (p.b / p.lambda_latent) * sp.inner(ev.g, state.v),
-        "phi_H1": sp.norm_H1(state.phi),
+        "dissipation_mu": grad_norm(mu) ** 2,
+        "dissipation_w": p.b * p.kappa1 / p.lambda_latent * grad_norm(state.v) ** 2,
+        "source_power": sp.inner(f - p.gamma * state.phi, mu)
+        + (p.b / p.lambda_latent) * sp.inner(g, state.v),
+        "phi_H1": norm_H1(state.phi),
         "phi_dual": math.sqrt(float((state.phi.values[1:] ** 2 / lam[1:]).sum())
                               + sp.mean_value(state.phi) ** 2),
         "dtw_L2": sp.norm_L2(state.v),
-        "grad_w_L2": sp.grad_norm(state.w),
-        "xi_L1": sp.norm_Lp(ev.xi, 1),
-        "xi_L6": sp.norm_Lp(ev.xi, 6),
-        "mu_H1": sp.norm_H1(ev.mu),
+        "grad_w_L2": grad_norm(state.w),
+        "xi_L1": sp.norm_Lp(xi, basis.domain, 1),
+        "xi_L6": sp.norm_Lp(xi, basis.domain, 6),
+        "mu_H1": norm_H1(mu),
     }
 
 
@@ -141,24 +187,23 @@ def level_state(traj, k):
     return gk.GalerkinState(float(traj.t[k]), *(sp.Coeffs(x[k], traj.basis) for x in (traj.phi, traj.w, traj.v)))
 
 
-def stack_levels(evs, mean_exact):
-    """A ``galerkin.Trajectory`` (without its record) of the evaluated states ``evs``."""
-    states = [ev.state for ev in evs]
+def stack_levels(states, data, mean_exact):
+    """A ``galerkin.Trajectory`` (without its record) of ``states``."""
+    basis = states[0].phi.basis
+    evs = [evaluate(s, data) for s in states]
     return gk.Trajectory(
-        states[0].phi.basis,
+        basis,
         np.array([s.t for s in states]),
-        *(np.array([getattr(s, name).values for s in states]) for name in ("phi", "w", "v")),
-        np.array([ev.mu.values for ev in evs]),
+        np.array([(s.phi.values, s.w.values, s.v.values, ev[1]) for s, ev in zip(states, evs)]),
         np.array(mean_exact, dtype=float),
-        np.array([ev.bulk for ev in evs]),
-        np.array([sp.norm_Lp(ev.xi, 1) for ev in evs]),
-        np.array([sp.norm_Lp(ev.xi, 6) for ev in evs]),
+        np.array([ev[3] for ev in evs]),
+        *(np.array([sp.norm_Lp(ev[2], basis.domain, p) for ev in evs]) for p in (1, 6)),
         record={},
     )
 
 
 def pow_norm_Lp(f, p):
-    """Oracle for ``spectral.norm_Lp`` at finite p: the quadrature of |values|^p, to the 1/p."""
+    """Oracle for ``spectral.norm_Lp`` at finite p of the Field f: the quadrature of |values|^p, to the 1/p."""
     return float((f.domain.cell_weight * np.abs(f.values) ** p).sum() ** (1.0 / p))
 
 
@@ -298,11 +343,12 @@ def reduced_jacobian(basis, data, dt, lam, diag, reg):
     return np.diag(diag[1:] / lam[1:]) + dt * (E * (w * slope)) @ E.T
 
 
-def dense_backward_euler_phi(ev, data, dt, lam, diag, base):
+def dense_backward_euler_phi(nl, data, op, base):
     """Oracle for ``galerkin._backward_euler_phi``: damped Newton on
     R(p) = diag p + dt lam NL(p) - base with dense transforms, the dense
     Jacobian and LU solves, from the semi-implicit step."""
-    basis = ev.state.phi.basis
+    basis, dt, diag = op.basis, op.dt, op.diag
+    lam = basis.eigenvalues
     E, w = dense_eigenfunctions(basis), basis.quadrature_weight
 
     def residual(p_vec):
@@ -310,7 +356,7 @@ def dense_backward_euler_phi(ev, data, dt, lam, diag, base):
         nl = E @ (w * (reg.value + pi(data.potential, reg.r) + data.params.a))
         return diag * p_vec + dt * lam * nl - base, reg
 
-    p_vec = (base - dt * lam * ev.nl.values) / diag
+    p_vec = (base - dt * lam * nl) / diag
     r_vec, reg = residual(p_vec)
     target = gk._NEWTON_TOL * (1.0 + float(np.linalg.norm(base)))
     for _ in range(50):

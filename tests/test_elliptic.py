@@ -3,6 +3,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from conftest import grid_values
 from thermoch import elliptic as el
 from thermoch import potentials as pot
 from thermoch import spectral as sp
@@ -42,9 +43,9 @@ def h2_surrogate(problem, sol):
     yosida(u) - h pointwise on the grid); ``h2_spectral`` is
     sqrt(sum (1 + lambda_j)^2 u_j^2).
     """
-    lap = sp.Field(sol.reg.value - problem.h.values, problem.basis.domain)
+    lap = sol.reg.value - problem.h.values
     h2 = float(np.sqrt((((1.0 + problem.basis.eigenvalues) ** 2) * sol.u.values**2).sum()))
-    return SurrogateNorms(h2_spectral=h2, laplacian_L6=sp.norm_Lp(lap, 6))
+    return SurrogateNorms(h2_spectral=h2, laplacian_L6=sp.norm_Lp(lap, problem.basis.domain, 6))
 
 
 class TestSolve:
@@ -62,7 +63,7 @@ class TestSolve:
         calls = count_merit_calls(monkeypatch)
         vals = np.zeros(basis.n)
         vals[:8] = np.random.default_rng(0).standard_normal(8)
-        h = sp.to_field(sp.Coeffs(vals, basis))
+        h = grid_values(sp.Coeffs(vals, basis))
         sol = el.solve_elliptic(el.EllipticProblem(basis, REG, 0.1, h))
         assert sol.counters.line_search_halvings >= 2
         assert calls
@@ -100,7 +101,7 @@ class TestSolve:
         for delta in (1e-2, 1e-4):
             vals = np.zeros(basis.n)
             vals[1] = delta
-            problem = el.EllipticProblem(basis, REG, 0.2, sp.to_field(sp.Coeffs(vals, basis)))
+            problem = el.EllipticProblem(basis, REG, 0.2, grid_values(sp.Coeffs(vals, basis)))
             u = el.solve_elliptic(problem).u
             ratios.append(u.values[1] / (delta * gain))
         assert ratios[1] == pytest.approx(1.0, rel=1e-6)
@@ -111,11 +112,16 @@ class TestSolve:
         rng = np.random.default_rng(10)
         vals = np.zeros(basis.n)
         vals[:6] = 0.8 * rng.standard_normal(6)
-        h = sp.to_field(sp.Coeffs(vals, basis))
+        h = grid_values(sp.Coeffs(vals, basis))
         problem = el.EllipticProblem(basis, spec, eps, h)
         u_zero = el.solve_elliptic(problem).u
-        u_h = el.solve_elliptic(problem, start=sp.to_coeffs(h, basis)).u
+        u_h = el.solve_elliptic(problem, start=sp.project(h, basis)).u
         assert sp.norm_L2(u_zero - u_h) <= 1e-8
+
+    def test_data_from_another_domain_rejected(self, basis):
+        h = sp.constant_field(2.0, sp.BoxDomain((2.0,), 64))
+        with pytest.raises(ValueError, match="different domains"):
+            el.solve_elliptic(el.EllipticProblem(basis, REG, 0.2, h))
 
     def test_comparison_principle_constants(self, basis):
         # scalar reduction: larger constant data gives the larger constant solution
@@ -152,7 +158,7 @@ class TestL6Bound:
         for _ in range(20):
             vals = np.zeros(basis.n)
             vals[:8] = rng.standard_normal(8)
-            problem = el.EllipticProblem(basis, spec, eps, sp.to_field(sp.Coeffs(vals, basis)))
+            problem = el.EllipticProblem(basis, spec, eps, grid_values(sp.Coeffs(vals, basis)))
             sol = el.solve_elliptic(problem)
             lhs, rhs, ok = el.check_L6_bound(problem, sol)
             assert ok, (spec.kind, lhs, rhs)
@@ -174,11 +180,11 @@ class TestSurrogates:
     def test_mode_scaling(self, basis):
         # ||Laplace u||_6 ~ lambda_2 |u_2| ||e_2||_6 for small amplitudes
         lam2 = basis.eigenvalues[1]
-        e2_l6 = sp.norm_Lp(sp.to_field(sp.Coeffs(np.eye(basis.n)[1], basis)), 6)
+        e2_l6 = sp.norm_Lp(sp.to_field(np.eye(basis.n)[1], basis), basis.domain, 6)
         for delta, rel in ((1e-2, 0.1), (1e-4, 1e-3)):
             vals = np.zeros(basis.n)
             vals[1] = delta
-            problem = el.EllipticProblem(basis, REG, 0.2, sp.to_field(sp.Coeffs(vals, basis)))
+            problem = el.EllipticProblem(basis, REG, 0.2, grid_values(sp.Coeffs(vals, basis)))
             sol = el.solve_elliptic(problem)
             norms = h2_surrogate(problem, sol)
             predicted = lam2 * abs(sol.u.values[1]) * e2_l6

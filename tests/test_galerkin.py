@@ -1,11 +1,14 @@
 import collections
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import conftest
-from conftest import constant_source, level_state, make_problem_data, zero_coeffs
+from conftest import (
+    constant_source, evaluate, level_state, make_problem_data, rhs, step_state, zero_coeffs,
+)
 from thermoch import galerkin as gk
 from thermoch import potentials as pot
 from thermoch import spectral as sp
@@ -14,11 +17,6 @@ from thermoch.errors import CompatibilityError, ConfigurationError, RunFailure, 
 REG = pot.regular_potential()
 LOG = pot.logarithmic_potential(2.0)
 OBS = pot.double_obstacle_potential(1.0)
-
-
-def evaluate(state, data):
-    basis = state.phi.basis
-    return gk.evaluate(state, data, (data.f.project(basis), data.g.project(basis)))
 
 
 class TestParams:
@@ -96,9 +94,20 @@ class TestProjection:
         phi0 = sp.cosine_sum_field(unit_domain, 0.1, [((2,), 0.3), ((25,), 0.2)])
         data = make_problem_data(unit_domain, REG, phi0=phi0)
         state = gk.project_initial_data(data, unit_basis)
-        assert sp.norm_L2(state.phi) <= sp.norm_Lp(phi0, 2) + 1e-12
+        assert sp.norm_L2(state.phi) <= sp.norm_Lp(phi0.values, unit_domain, 2) + 1e-12
         # the resolved content is kept exactly
         assert state.phi.values[2] == pytest.approx(0.3 / math.sqrt(2.0), abs=1e-12)
+
+    def test_data_from_another_domain_rejected(self, unit_basis):
+        # The same 64 samples on twice the length: projected onto the unit
+        # basis they would take the wrong weight and eigenvalues.
+        other = sp.BoxDomain((2.0,), 64)
+        data = make_problem_data(other, REG, phi0=sp.constant_field(0.3, other))
+        for run in (lambda: gk.project_initial_data(data, unit_basis),
+                    lambda: data.f.project(unit_basis),
+                    lambda: gk.simulate(data, unit_basis, 0.5)):
+            with pytest.raises(ValueError, match="different domains"):
+                run()
 
 
 class TestMuReconstruction:
@@ -108,11 +117,11 @@ class TestMuReconstruction:
             t=0.0,
             phi=zero_coeffs(unit_basis),
             w=zero_coeffs(unit_basis),
-            v=sp.to_coeffs(sp.constant_field(0.2, unit_domain), unit_basis),
+            v=sp.project(sp.constant_field(0.2, unit_domain), unit_basis),
         )
-        rec = evaluate(state, data)
-        assert sp.mean_value(rec.mu) == pytest.approx(-0.1, abs=1e-14)
-        assert np.abs(rec.mu.values[1:]).max() <= 1e-13
+        mu = evaluate(state, data)[1]
+        assert sp.mean_value(sp.Coeffs(mu, unit_basis)) == pytest.approx(-0.1, abs=1e-14)
+        assert np.abs(mu[1:]).max() <= 1e-13
 
     def test_linearization_slope(self, unit_domain, unit_basis):
         # mu_2 / phi_2 tends to lambda_2 + yosida'(0) + pi'(0) as phi_2 -> 0
@@ -127,7 +136,7 @@ class TestMuReconstruction:
                 t=0.0, phi=sp.Coeffs(vals, unit_basis),
                 w=zero_coeffs(unit_basis), v=zero_coeffs(unit_basis),
             )
-            slopes.append(evaluate(state, data).mu.values[1] / amp)
+            slopes.append(evaluate(state, data)[1][1] / amp)
         assert slopes[1] == pytest.approx(expected, rel=1e-6)
         assert abs(slopes[1] - expected) <= abs(slopes[0] - expected) + 1e-12
 
@@ -135,12 +144,12 @@ class TestMuReconstruction:
         data = make_problem_data(unit_domain, OBS, eps=0.5)
         state = gk.GalerkinState(
             t=0.0,
-            phi=sp.to_coeffs(sp.constant_field(0.5, unit_domain), unit_basis),
+            phi=sp.project(sp.constant_field(0.5, unit_domain), unit_basis),
             w=zero_coeffs(unit_basis),
             v=zero_coeffs(unit_basis),
         )
-        rec = evaluate(state, data)
-        assert np.all(rec.xi.values == 0.0)
+        xi = evaluate(state, data)[2]
+        assert np.all(xi == 0.0)
 
     def test_xi_matches_pointwise_regularization(self, unit_domain, unit_basis):
         data = make_problem_data(unit_domain, REG, eps=0.3)
@@ -149,9 +158,9 @@ class TestMuReconstruction:
             t=0.0, phi=sp.Coeffs(0.1 * rng.standard_normal(unit_basis.n), unit_basis),
             w=zero_coeffs(unit_basis), v=zero_coeffs(unit_basis),
         )
-        rec = evaluate(state, data)
-        grid = sp.to_field(state.phi).values
-        assert np.array_equal(rec.xi.values, pot.yosida(REG, 0.3, grid))
+        xi = evaluate(state, data)[2]
+        grid = sp.to_field(state.phi.values, unit_basis)
+        assert np.array_equal(xi, pot.yosida(REG, 0.3, grid))
 
 
 class TestRhs:
@@ -161,7 +170,7 @@ class TestRhs:
             t=0.0, phi=zero_coeffs(unit_basis),
             w=zero_coeffs(unit_basis), v=zero_coeffs(unit_basis),
         )
-        dphi, dw, dv = gk.rhs(evaluate(state, data), data)
+        dphi, dw, dv = rhs(state, data)
         for c in (dphi, dw, dv):
             assert np.abs(c.values).max() <= 1e-14
 
@@ -174,11 +183,11 @@ class TestRhs:
         )
         state = gk.GalerkinState(
             t=0.0,
-            phi=sp.to_coeffs(sp.constant_field(c0, unit_domain), unit_basis),
-            w=sp.to_coeffs(sp.constant_field(0.4, unit_domain), unit_basis),
-            v=sp.to_coeffs(sp.constant_field(0.1, unit_domain), unit_basis),
+            phi=sp.project(sp.constant_field(c0, unit_domain), unit_basis),
+            w=sp.project(sp.constant_field(0.4, unit_domain), unit_basis),
+            v=sp.project(sp.constant_field(0.1, unit_domain), unit_basis),
         )
-        dphi, dw, dv = gk.rhs(evaluate(state, data), data)
+        dphi, dw, dv = rhs(state, data)
         assert sp.mean_value(dphi) == pytest.approx(f_bar - gamma * c0, abs=1e-12)
         assert sp.mean_value(dw) == pytest.approx(0.1, abs=1e-14)
         assert sp.mean_value(dv) == pytest.approx(
@@ -193,11 +202,11 @@ class TestRhs:
             t=0.0, phi=sp.Coeffs(vals, unit_basis),
             w=zero_coeffs(unit_basis), v=zero_coeffs(unit_basis),
         )
-        ev = evaluate(state, data)
-        dphi, _, _ = gk.rhs(ev, data)
+        mu = evaluate(state, data)[1]
+        dphi, _, _ = rhs(state, data)
         lam2 = unit_basis.eigenvalues[1]
         assert dphi.values[1] == pytest.approx(
-            -lam2 * ev.mu.values[1] - 1.0 * vals[1], rel=1e-12
+            -lam2 * mu[1] - 1.0 * vals[1], rel=1e-12
         )
 
 
@@ -209,7 +218,7 @@ class TestStep:
             t=0.0, phi=zero_coeffs(unit_basis),
             w=zero_coeffs(unit_basis), v=zero_coeffs(unit_basis),
         )
-        out, _ = gk.step(evaluate(state, data), data, 0.01, scheme)
+        out, _ = step_state(state, data, 0.01, scheme)
         assert out.t == pytest.approx(0.01)
         for c in (out.phi, out.w, out.v):
             assert np.abs(c.values).max() <= 1e-13
@@ -225,7 +234,7 @@ class TestStep:
         state = gk.project_initial_data(data, unit_basis)
         mean = sp.mean_value(state.phi)
         for _ in range(5):
-            state, _ = gk.step(evaluate(state, data), data, dt, scheme)
+            state, _ = step_state(state, data, dt, scheme)
             mean = (mean + dt * f_bar) / (1.0 + gamma * dt)
             assert sp.mean_value(state.phi) == pytest.approx(mean, abs=1e-13)
 
@@ -233,9 +242,9 @@ class TestStep:
         data = make_problem_data(unit_domain, REG)
         state = gk.project_initial_data(data, unit_basis)
         with pytest.raises(ValueError):
-            gk.step(evaluate(state, data), data, -0.1)
+            step_state(state, data, -0.1)
         with pytest.raises(ValueError):
-            gk.step(evaluate(state, data), data, 0.1, "leapfrog")
+            step_state(state, data, 0.1, "leapfrog")
 
     def test_non_finite_step_operator_is_a_configuration_error(self, unit_domain, unit_basis):
         # dt^2 overflows; no numpy warning may escape (they are errors here)
@@ -258,19 +267,21 @@ class TestStep:
         original = gk.step
         operators = collections.defaultdict(set)
 
-        def checked(ev, dat, dt, scheme, operator):
-            if ev.state.t == 0.0 and dt == 0.02:
+        def checked(phi, w, v, nl, f, g, dat, operator, scheme):
+            dt = operator.dt
+            if np.array_equal(phi, first_phi) and dt == 0.02:
                 raise StepFailure("forced")
             operators[dt].add(id(operator))
-            cached, reg = original(ev, dat, dt, scheme, operator)
-            fresh, fresh_reg = original(ev, dat, dt, scheme)
-            assert operator.dt == dt and cached.t == fresh.t
-            for a, b in ((cached.phi, fresh.phi), (cached.w, fresh.w), (cached.v, fresh.v)):
-                assert np.array_equal(a.values, b.values)
+            *cached, reg = original(phi, w, v, nl, f, g, dat, operator, scheme)
+            *fresh, fresh_reg = original(phi, w, v, nl, f, g, dat, gk.step_operator(unit_basis, dat.params, dt), scheme)
+            for a, b in zip(cached, fresh):
+                assert np.array_equal(a, b)
             assert (reg is None) == (fresh_reg is None)
             if reg is not None:
                 assert np.array_equal(reg.value, fresh_reg.value)
-            return cached, reg
+            return *cached, reg
+
+        first_phi = gk.project_initial_data(data, unit_basis).phi.values
 
         monkeypatch.setattr(gk, "step", checked)
         trajectory = gk.simulate(data, unit_basis, 0.02, scheme)
@@ -292,10 +303,10 @@ class TestStep:
             w1=sp.constant_field(0.05, unit_domain),
         )
         state = gk.project_initial_data(data, unit_basis)
-        dphi, dw, dv = gk.rhs(evaluate(state, data), data)
+        dphi, dw, dv = rhs(state, data)
         gaps = []
         for dt in (1e-4, 5e-5):
-            out, _ = gk.step(evaluate(state, data), data, dt, scheme)
+            out, _ = step_state(state, data, dt, scheme)
             gap = max(
                 sp.norm_L2(out.phi - (state.phi + dt * dphi)),
                 sp.norm_L2(out.w - (state.w + dt * dw)),
@@ -326,7 +337,7 @@ class TestStep:
             t_final=0.1,
         )
         state = gk.project_initial_data(data, unit_basis)
-        out, _ = gk.step(evaluate(state, data), data, 1e-4, scheme)
+        out, _ = step_state(state, data, 1e-4, scheme)
         assert np.isfinite(out.phi.values).all()
 
 
@@ -358,47 +369,60 @@ class TestSimulate:
         assert len(times) == 4  # 0, 0.02, 0.04, 0.05
 
     def test_observers_called_per_record(self, unit_domain, unit_basis):
-        # once per recorded level, positionally, with the state and its
-        # evaluation: the contract that timing harnesses wrap
+        # once per recorded level, positionally, with the level index and the
+        # trajectory whose rows up to it are written: the contract that timing
+        # harnesses wrap
         data = make_problem_data(unit_domain, REG, t_final=0.035)
 
         def observer(*args, **kwargs):
             assert not kwargs and len(args) == 2
-            state, ev = args
-            assert isinstance(state, gk.GalerkinState) and ev.state is state
-            seen.append(state.t)
+            k, traj = args
+            assert isinstance(traj, gk.Trajectory) and not traj.record
+            seen.append((k, traj, traj.t[k], traj.coeffs[k].copy(), traj.xi_L6[k]))
 
         for scheme in gk.SCHEMES:
             seen = []
             trajectory = gk.simulate(data, unit_basis, 0.01, scheme, observers=[observer])
-            assert seen == gk.record_times(0.01, 0.035) == trajectory.t.tolist()
+            assert [k for k, *_ in seen] == list(range(len(trajectory)))
+            assert [t for _, _, t, _, _ in seen] == gk.record_times(0.01, 0.035) == trajectory.t.tolist()
+            for k, traj, _, coeffs, xi_L6 in seen:
+                assert traj is trajectory
+                assert np.array_equal(coeffs, trajectory.coeffs[k]) and xi_L6 == trajectory.xi_L6[k]
 
     def test_step_failure_triggers_halving(self, unit_domain, unit_basis, monkeypatch):
-        data = make_problem_data(unit_domain, REG, t_final=0.02)
+        # Every step is bisected; (0.2 + 0.05) + 0.05 rounds to 0.3, not to the
+        # recorded 0.2 + 0.1 = 0.30000000000000004: the levels take the record times.
+        data = make_problem_data(unit_domain, REG, t_final=0.4)
         original = gk.step
         calls = []
 
-        def flaky(ev, dat, dt, *args):
+        def flaky(*args):
+            dt = args[7].dt
             calls.append(dt)
-            if dt > 0.015:
+            if dt > 0.075:
                 raise StepFailure("forced")
-            return original(ev, dat, dt, *args)
+            return original(*args)
 
         monkeypatch.setattr(gk, "step", flaky)
-        trajectory = gk.simulate(data, unit_basis, 0.02)
-        assert trajectory.t[-1] == pytest.approx(0.02)
-        assert min(calls) <= 0.01
+        trajectory = gk.simulate(data, unit_basis, 0.1)
+        times = gk.record_times(0.1, 0.4)
+        assert len(trajectory) == len(times) == 5
+        assert trajectory.t.tolist() == times
+        assert all(col.shape[0] == 5 for col in trajectory.record.values())
+        assert len(calls) == 12 and sum(dt <= 0.05 for dt in calls) == 8  # each step tried, then halved
 
     def test_persistent_failure_preserves_partial_trajectory(
         self, unit_domain, unit_basis, monkeypatch
     ):
         data = make_problem_data(unit_domain, REG, t_final=1.0)
         original = gk.step
+        calls = []
 
-        def failing(ev, dat, dt, *args):
-            if ev.state.t >= 0.02 - 1e-12:
+        def failing(*args):
+            calls.append(args[7].dt)
+            if len(calls) > 2:  # every step from t = 0.02 on, and its bisections
                 raise StepFailure("forced")
-            return original(ev, dat, dt, *args)
+            return original(*args)
 
         monkeypatch.setattr(gk, "step", failing)
         with pytest.raises(RunFailure) as info:
@@ -409,14 +433,60 @@ class TestSimulate:
         assert all(col.shape[0] == 3 for col in partial.record.values())
 
     @pytest.mark.parametrize("scheme", gk.SCHEMES)
+    def test_level_loop_constructs_no_wrappers(self, unit_domain, unit_basis, scheme, monkeypatch):
+        # Coeffs, Field and GalerkinState are made at the API boundary only
+        # (the initial projection and the sources): as many of them for 100
+        # levels as for 10.
+        counts = collections.Counter()
+        for cls in (sp.Coeffs, sp.Field, gk.GalerkinState):
+            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                counts[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        f = gk.SourceTerm((0.0, 0.05), (sp.constant_field(0.2, unit_domain), sp.constant_field(-0.2, unit_domain)))
+        made = []
+        for t_final in (0.1, 1.0):
+            data = make_problem_data(
+                unit_domain, LOG, f=f, phi0=sp.cosine_sum_field(unit_domain, 0.1, [((1,), 0.3)]), t_final=t_final,
+            )
+            counts.clear()
+            assert len(gk.simulate(data, unit_basis, 0.01, scheme)) == round(100 * t_final) + 1
+            made.append(dict(counts))
+        assert made[0] == made[1] and made[0]["Coeffs"] > 0
+
+    def test_peak_memory_is_the_stored_columns(self, unit_domain):
+        # 2,001 levels of 128 modes: the columns take 8.5 MB, and nothing
+        # else simulate allocates comes near half of that (no per-level list,
+        # no stacked copy, the record in blocks of levels).
+        domain = sp.BoxDomain((1.0,), 256)
+        basis = sp.build_basis(domain, 128)
+        data = make_problem_data(
+            domain, REG, f=gk.SourceTerm((0.0, 0.5), (sp.constant_field(0.2, domain), sp.constant_field(-0.2, domain))),
+            phi0=sp.cosine_sum_field(domain, 0.1, [((1,), 0.2), ((3,), 0.05)]), t_final=2.0,
+        )
+        tracemalloc.start()
+        try:
+            traj = gk.simulate(data, basis, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == 2001
+        stored = traj.coeffs.nbytes + sum(x.nbytes for x in (traj.t, traj.mean_exact, traj.bulk, traj.xi_L1, traj.xi_L6))
+        stored += sum(x.nbytes for k, x in traj.record.items() if k not in ("t", "mean_phi_exact", "xi_L1", "xi_L6"))
+        assert peak <= 1.5 * stored
+
+    @pytest.mark.parametrize("scheme", gk.SCHEMES)
     def test_non_finite_step_is_a_typed_failure(self, unit_domain, unit_basis, scheme, monkeypatch):
         data = make_problem_data(unit_domain, REG, t_final=1.0)
         name = {gk.SEMI_IMPLICIT: "_semi_implicit_phi", gk.BACKWARD_EULER: "_backward_euler_phi"}[scheme]
         original = getattr(gk, name)
+        calls = []
 
-        def blow_up(ev, *args):
-            out = original(ev, *args)
-            if ev.state.t < 0.02 - 1e-12:
+        def blow_up(*args):
+            out = original(*args)
+            calls.append(None)
+            if len(calls) <= 2:  # the steps to t = 0.01 and 0.02
                 return out
             if scheme == gk.SEMI_IMPLICIT:
                 return np.full_like(out, np.nan)
@@ -463,9 +533,9 @@ class TestSharedEvaluation:
         counted(sp, "to_field")
         to_coeffs = sp.to_coeffs
 
-        def recording(field, basis):
-            projected.append(field)
-            return to_coeffs(field, basis)
+        def recording(values, basis):
+            projected.append(values)
+            return to_coeffs(values, basis)
 
         monkeypatch.setattr(sp, "to_coeffs", recording)
         n_steps = 10
@@ -474,30 +544,29 @@ class TestSharedEvaluation:
         assert counts["resolvent"] == n_steps + 1
         assert counts["to_field"] == n_steps + 1
         for field in f.fields + g.fields:
-            assert sum(x is field for x in projected) == 1
+            assert sum(x is field.values for x in projected) == 1
 
     def test_backward_euler_record_reuses_the_last_newton_solve(self, unit_domain, unit_basis, monkeypatch):
         data = make_problem_data(
             unit_domain, LOG, phi0=sp.cosine_sum_field(unit_domain, 0.1, [((1,), 0.3)]), t_final=0.05,
         )
-        sources = (data.f.project(unit_basis), data.g.project(unit_basis))
         solved_in_evaluate = []
         original = gk.evaluate
 
-        def counted(state, data, sources, reg=None):
+        def counted(phi, v, data, basis, reg=None):
             solved_in_evaluate.append(reg is None)
-            return original(state, data, sources, reg)
+            return original(phi, v, data, basis, reg)
 
         monkeypatch.setattr(gk, "evaluate", counted)
         trajectory = gk.simulate(data, unit_basis, 0.01, gk.BACKWARD_EULER)
         monkeypatch.undo()
         assert solved_in_evaluate == [True] + [False] * 5  # only the initial state is solved again
         for k in range(len(trajectory)):
-            fresh = original(level_state(trajectory, k), data, sources)
-            assert np.array_equal(fresh.mu.values, trajectory.mu[k])
-            assert fresh.bulk == trajectory.bulk[k]
-            assert sp.norm_Lp(fresh.xi, 1) == trajectory.xi_L1[k]
-            assert sp.norm_Lp(fresh.xi, 6) == trajectory.xi_L6[k]
+            _, mu, xi, bulk = original(trajectory.phi[k], trajectory.v[k], data, unit_basis)
+            assert np.array_equal(mu, trajectory.mu[k])
+            assert bulk == trajectory.bulk[k]
+            assert sp.norm_Lp(xi, unit_domain, 1) == trajectory.xi_L1[k]
+            assert sp.norm_Lp(xi, unit_domain, 6) == trajectory.xi_L6[k]
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_stacked_record_matches_spectral_oracle(self, dim):
@@ -509,16 +578,15 @@ class TestSharedEvaluation:
             g=constant_source(sp.cosine_sum_field(domain, -0.2, [((0,) * (dim - 1) + (1,), 0.1)])),
         )
         rng = np.random.default_rng(dim)
-        evs = [
-            evaluate(gk.GalerkinState(0.1 * k, *(sp.Coeffs(0.3 * rng.standard_normal(basis.n), basis)
-                                                 for _ in range(3))), data)
+        states = [
+            gk.GalerkinState(0.1 * k, *(sp.Coeffs(0.3 * rng.standard_normal(basis.n), basis) for _ in range(3)))
             for k in range(3)
         ]
         means = [0.25, -0.1, 0.4]
-        record = gk.compute_record(conftest.stack_levels(evs, means), data,
+        record = gk.compute_record(conftest.stack_levels(states, data, means), data,
                                    (data.f.project(basis), data.g.project(basis)))
-        for k, (ev, mean) in enumerate(zip(evs, means)):
-            oracle = conftest.spectral_record(ev, data, mean)
+        for k, (state, mean) in enumerate(zip(states, means)):
+            oracle = conftest.spectral_record(state, data, mean)
             assert list(record) == list(oracle)
             for key, value in oracle.items():
                 assert record[key][k] == pytest.approx(value, rel=1e-14, abs=0.0), key
@@ -538,24 +606,24 @@ class TestSharedEvaluation:
             t=0.0, phi=sp.Coeffs(0.6 * rng.standard_normal(unit_basis.n), unit_basis),
             w=zero_coeffs(unit_basis), v=zero_coeffs(unit_basis),
         )
-        grid = sp.to_field(state.phi).values
+        grid = sp.to_field(state.phi.values, unit_basis)
         assert np.abs(grid).max() > 1.0  # both sides of the obstacle and log edges
-        ev = evaluate(state, data)
+        ev_nl, _, xi, ev_bulk = evaluate(state, data)
         reg = pot.regularize(spec, eps, grid)
-        assert np.array_equal(ev.xi.values, pot.yosida(spec, eps, grid))
+        assert np.array_equal(xi, pot.yosida(spec, eps, grid))
         assert np.array_equal(reg.value, pot.yosida(spec, eps, grid))
         # pi(phi) = -L phi, pi_hat(phi) = pi_hat(0) - (L/2) phi^2 and a by Parseval.
         phi, root = state.phi.values, math.sqrt(unit_domain.measure)
-        nl = sp.to_coeffs(ev.xi, unit_basis).values - spec.pi_lipschitz * phi
+        nl = sp.to_coeffs(xi, unit_basis) - spec.pi_lipschitz * phi
         nl[0] += a * root
-        assert np.array_equal(ev.nl.values, nl)
+        assert np.array_equal(ev_nl, nl)
         bulk = (
             unit_basis.quadrature_weight * reg.primitive_sum()
             + spec.pi_hat_at_zero * unit_domain.measure
             - 0.5 * spec.pi_lipschitz * float(phi @ phi)
             + a * root * float(phi[0])
         )
-        assert ev.bulk == bulk
+        assert ev_bulk == bulk
 
 
 class TestScalarReductions:
@@ -593,7 +661,7 @@ class TestScalarReductions:
                 phi0=phi0, t_final=0.2,
             )
             trajectory = gk.simulate(data, basis, 2e-3, scheme)
-            grid = sp.to_field(level_state(trajectory, -1).phi).values
+            grid = sp.to_field(trajectory.phi[-1], basis)
             assert np.isfinite(grid).all()
             assert np.abs(grid).max() <= 1.5  # stays near the physical range
 
@@ -617,7 +685,7 @@ class TestSeparationDynamics:
         energies = trajectory.record["energy"]
         assert np.diff(energies[5:]).max() <= 1e-6
         assert energies[-1] < energies[0] - 1.0
-        final = sp.to_field(level_state(trajectory, -1).phi).values
+        final = sp.to_field(trajectory.phi[-1], basis)
         assert 0.9 <= np.abs(final).max() <= 1.1
         import thermoch.analysis as an
 
@@ -628,7 +696,7 @@ class TestSeparationDynamics:
         # excursion of order eps * |pi| at the saturated plateaus
         basis, data = self._unstable_setup(OBS, 0.05)
         trajectory = gk.simulate(data, basis, 1e-2)
-        final = sp.to_field(level_state(trajectory, -1).phi).values
+        final = sp.to_field(trajectory.phi[-1], basis)
         assert np.abs(final).max() <= 1.0 + 10.0 * 0.05
         assert np.abs(final).max() >= 0.9
 
@@ -703,17 +771,17 @@ class TestEnergy:
 
         def oracle(state):
             p = data.params
-            grid = sp.to_field(state.phi).values
+            grid = sp.to_field(state.phi.values, state.phi.basis)
             w_quad = state.phi.basis.quadrature_weight
             bulk = sum(
                 w_quad * (primitive_quadrature(r) + 0.25 * (1 - 2 * r**2) + p.a * r)
                 for r in grid
             )
             return (
-                0.5 * sp.grad_norm(state.phi) ** 2
+                0.5 * conftest.grad_norm(state.phi) ** 2
                 + bulk
                 + 0.5 * p.b / p.lambda_latent * sp.norm_L2(state.v) ** 2
-                + 0.5 * p.b * p.kappa2 / p.lambda_latent * sp.grad_norm(state.w) ** 2
+                + 0.5 * p.b * p.kappa2 / p.lambda_latent * conftest.grad_norm(state.w) ** 2
             )
 
         trajectory = gk.simulate(data, unit_basis, 0.01)

@@ -6,8 +6,9 @@ within 1e-12 of the column's scale (the largest magnitude in it), and every
 float of its summary.json but the wall time within 1e-12 of itself.  Other
 values compare exactly.
 
-Regenerate the stored artifacts, only when a change is meant to move them:
-    PYTHONPATH=src python tests/test_golden.py
+Regenerate the stored artifacts, only when a change is meant to move them
+(all cases, or the named ones):
+    PYTHONPATH=src python tests/test_golden.py [case ...]
 """
 
 from __future__ import annotations
@@ -28,19 +29,25 @@ GOLDEN = ROOT / "tests" / "golden"
 RTOL = 1e-12
 
 DEMO = "configs/demo.ini"
-# name -> (argv before the output flags, {config: (text, replacement)}, files)
+SQUARE = "tests/golden/square_semi.ini"
+# name -> (argv before the output flags, {config: (source config, text, replacement)}, files)
 CASES = {
     "simulate_demo": (["simulate", DEMO], {}, ("trajectory.csv", "summary.json")),
     "simulate_logarithmic": (["simulate", "configs/logarithmic.ini"], {}, ("trajectory.csv", "summary.json")),
     "simulate_benchmark": (["simulate", "configs/benchmark.ini"], {}, ("trajectory.csv", "summary.json")),
     "simulate_demo_backward_euler": (
-        ["simulate", DEMO], {DEMO: ("scheme = semi_implicit", "scheme = backward_euler")},
+        ["simulate", DEMO], {DEMO: (DEMO, "scheme = semi_implicit", "scheme = backward_euler")},
+        ("trajectory.csv", "summary.json"),
+    ),
+    "simulate_square_semi": (["simulate", SQUARE], {}, ("trajectory.csv", "summary.json")),
+    "simulate_square_semi_backward_euler": (
+        ["simulate", SQUARE], {SQUARE: (SQUARE, "scheme = semi_implicit", "scheme = backward_euler")},
         ("trajectory.csv", "summary.json"),
     ),
     "converge_modes_demo": (["converge", "modes", DEMO], {}, ("convergence.csv",)),
     "converge_dt_benchmark": (["converge", "dt", "configs/benchmark.ini"], {}, ("convergence.csv",)),
     "depend_demo_f": (
-        ["depend", DEMO, "demo_f.ini"], {"demo_f.ini": ("f = 0.2 ; 0.5: -0.2", "f = 0.25 ; 0.4: -0.1")},
+        ["depend", DEMO, "demo_f.ini"], {"demo_f.ini": (DEMO, "f = 0.2 ; 0.5: -0.2", "f = 0.25 ; 0.4: -0.1")},
         ("dependence.csv",),
     ),
 }
@@ -50,9 +57,9 @@ def run_case(name: str, workdir: Path) -> Path:
     """Run case ``name`` with its edited configs written to ``workdir``; returns its output directory."""
     argv, edits, _ = CASES[name]
     argv = list(argv)
-    for config, (old, new) in edits.items():
-        text = (ROOT / DEMO).read_text(encoding="utf-8")
-        assert old in text, f"{old!r} is not in {DEMO}"
+    for config, (source, old, new) in edits.items():
+        text = (ROOT / source).read_text(encoding="utf-8")
+        assert old in text, f"{old!r} is not in {source}"
         path = workdir / Path(config).name
         path.write_text(text.replace(old, new), encoding="utf-8")
         argv[argv.index(config)] = str(path)
@@ -118,8 +125,9 @@ def test_matches_golden(name, tmp_path):
             _assert_columns_close(got, expected, header)
 
 
-def regenerate(workroot: Path) -> None:
-    for name, (_, _, files) in CASES.items():
+def regenerate(workroot: Path, names: list[str]) -> None:
+    for name in names:
+        files = CASES[name][2]
         workdir = workroot / name
         workdir.mkdir(parents=True)
         out = run_case(name, workdir)
@@ -137,7 +145,8 @@ def regenerate(workroot: Path) -> None:
 
 
 if __name__ == "__main__":
+    import sys
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        regenerate(Path(tmp))
+        regenerate(Path(tmp), sys.argv[1:] or list(CASES))

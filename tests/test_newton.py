@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from conftest import (
     dense_backward_euler_phi,
     dense_elliptic_solve,
+    evaluate,
+    grid_values,
     make_problem_data,
     reduced_jacobian,
+    sources_at,
 )
 from thermoch import elliptic as el
 from thermoch import galerkin as gk
@@ -84,7 +87,7 @@ class TestMinres:
 )
 def test_elliptic_solve_matches_dense_oracle(kind, dim, eps, amplitude, seed):
     basis = BASES[dim]
-    h = sp.to_field(_random_coeffs(basis, seed, amplitude))
+    h = grid_values(_random_coeffs(basis, seed, amplitude))
     problem = el.EllipticProblem(basis, POTENTIALS[kind], eps, h)
     sol = el.solve_elliptic(problem)
     gap = np.linalg.norm(sol.u.values - dense_elliptic_solve(problem))
@@ -93,14 +96,14 @@ def test_elliptic_solve_matches_dense_oracle(kind, dim, eps, amplitude, seed):
 
 
 def _step_inputs(basis, data, phi, dt, seed):
-    """A random state with the given phi, its evaluation and the step's elimination constants."""
+    """A random state with the given phi: its projected nonlinearity and the step's elimination constants."""
     rng = np.random.default_rng(seed)
     w = sp.Coeffs(0.1 * rng.standard_normal(basis.n) / (1.0 + basis.eigenvalues), basis)
     v = sp.Coeffs(0.1 * rng.standard_normal(basis.n) / (1.0 + basis.eigenvalues), basis)
     state = gk.GalerkinState(0.0, phi, w, v)
-    ev = gk.evaluate(state, data, (data.f.project(basis), data.g.project(basis)))
     op = gk.step_operator(basis, data.params, dt)
-    return ev, op, gk._step_rhs(ev, data, op)[1]
+    base = gk._step_rhs(phi.values, w.values, v.values, *sources_at(state, data), data, op)[1]
+    return evaluate(state, data)[0], op, base
 
 
 @settings(max_examples=30, deadline=None)
@@ -117,9 +120,9 @@ def test_backward_euler_step_matches_dense_oracle(kind, dim, dt, mean, amplitude
     data = make_problem_data(basis.domain, POTENTIALS[kind])
     phi = _random_coeffs(basis, seed, amplitude)
     phi = sp.Coeffs(phi.values + np.eye(basis.n)[0] * mean * math.sqrt(basis.domain.measure), basis)
-    ev, op, base = _step_inputs(basis, data, phi, dt, seed)
-    p, _ = gk._backward_euler_phi(ev, data, op, base)
-    p_ref = dense_backward_euler_phi(ev, data, dt, basis.eigenvalues, op.diag, base)
+    nl, op, base = _step_inputs(basis, data, phi, dt, seed)
+    p, _ = gk._backward_euler_phi(nl, data, op, base)
+    p_ref = dense_backward_euler_phi(nl, data, op, base)
     assert np.linalg.norm(p - p_ref) <= gk._NEWTON_TOL * (1.0 + np.linalg.norm(base))
     assert p[0] == base[0] / op.diag[0]
 
@@ -131,11 +134,11 @@ def test_indefinite_backward_euler_step_matches_dense_oracle(seed):
     domain = sp.BoxDomain((math.pi,), 32)
     basis = sp.build_basis(domain, 12)
     data = make_problem_data(domain, pot.logarithmic_potential(5.0))
-    phi = sp.to_coeffs(sp.cosine_sum_field(domain, 0.1, [((1,), 0.3), ((2,), 0.1)]), basis)
-    ev, op, base = _step_inputs(basis, data, phi, 1.0, seed)
-    p, _ = gk._backward_euler_phi(ev, data, op, base)
-    p_ref = dense_backward_euler_phi(ev, data, 1.0, basis.eigenvalues, op.diag, base)
+    phi = sp.project(sp.cosine_sum_field(domain, 0.1, [((1,), 0.3), ((2,), 0.1)]), basis)
+    nl, op, base = _step_inputs(basis, data, phi, 1.0, seed)
+    p, _ = gk._backward_euler_phi(nl, data, op, base)
+    p_ref = dense_backward_euler_phi(nl, data, op, base)
     for coeffs in (phi.values, p_ref):
-        reg = pot.regularize(data.potential, data.eps, sp.to_field(sp.Coeffs(coeffs, basis)).values)
+        reg = pot.regularize(data.potential, data.eps, sp.to_field(coeffs, basis))
         assert np.linalg.eigvalsh(reduced_jacobian(basis, data, 1.0, basis.eigenvalues, op.diag, reg)).min() < -1.0
     assert np.linalg.norm(p - p_ref) <= gk._NEWTON_TOL * (1.0 + np.linalg.norm(base))

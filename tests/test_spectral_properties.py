@@ -2,7 +2,7 @@
 L1 and L6 norms agree with their oracles."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mesh_cosine_sum_field, pow_norm_Lp
@@ -22,6 +22,9 @@ def bases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(basis=bases(), seed=st.integers(0, 2**32 - 1))
+# One mode on 39 points: the weight 1/39 is no power of two, and the only
+# coefficient, a mean of 39 normal samples, cancels to 7.8e-5.
+@example(basis=sp.build_basis(sp.BoxDomain((1.0,), 39), 1), seed=1)
 def test_factored_transforms_match_dense_oracle(basis, seed):
     assert max(oracle_gaps(basis, np.random.default_rng(seed))) <= 1e-13
 
@@ -54,4 +57,4 @@ def small_fields(draw):
 @given(f=small_fields(), p=st.sampled_from([1, 6]))
 def test_L1_and_L6_norms_match_pow_oracle(f, p):
     oracle = pow_norm_Lp(f, p)
-    assert abs(sp.norm_Lp(f, p) - oracle) <= 1e-13 * oracle
+    assert abs(sp.norm_Lp(f.values, f.domain, p) - oracle) <= 1e-13 * oracle
