@@ -48,7 +48,7 @@ def mean_law_check(trajectory: Trajectory, data: ProblemData) -> MeanLawReport:
     """
     gamma, t = data.params.gamma, trajectory.t
     means = trajectory.record["mean_phi"]
-    f_means = np.array([spectral.field_mean(f) for f in data.f.fields])[data.f.segment(t[:-1])]
+    f_means = data.f.means()[data.f.segment(t[:-1])]
     mean, err_d = float(means[0]), 0.0
     for h, f_mean, cur in zip(np.diff(t).tolist(), f_means.tolist(), means[1:].tolist()):
         mean = (mean + h * f_mean) / (1.0 + gamma * h)

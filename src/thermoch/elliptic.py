@@ -28,7 +28,7 @@ import numpy as np
 from . import newton, potentials, spectral
 from .errors import NumericFailure
 from .potentials import PotentialSpec, Regularization
-from .spectral import Coeffs, Field, SpectralBasis
+from .spectral import Field, SpectralBasis
 
 _TOL_FACTOR = 1e-13
 _L6_SLACK = 1e-6
@@ -48,17 +48,17 @@ class EllipticProblem:
 
 @dataclass(frozen=True)
 class EllipticSolution:
-    """The solution ``u`` with its residual norm, the regularized graph at u's
-    grid values and the solver's work counts."""
+    """The coefficients ``u`` of the solution with its residual norm, the
+    regularized graph at u's grid values and the solver's work counts."""
 
-    u: Coeffs
+    u: np.ndarray
     residual: float
     reg: Regularization
     counters: newton.Counters
 
 
-def solve_elliptic(problem: EllipticProblem, start: Optional[Coeffs] = None) -> EllipticSolution:
-    """Solve the spectral problem from ``start`` (default 0).
+def solve_elliptic(problem: EllipticProblem, start: Optional[np.ndarray] = None) -> EllipticSolution:
+    """Solve the spectral problem from the coefficients ``start`` (default 0).
 
     The iteration drives ||R(u)|| to 1e-13 (1 + ||h||) and, when the
     stiffness-scaled roundoff floor sits above that, accepts a stagnated
@@ -67,7 +67,7 @@ def solve_elliptic(problem: EllipticProblem, start: Optional[Coeffs] = None) -> 
     """
     basis = problem.basis
     lam = basis.eigenvalues
-    h_c = spectral.project(problem.h, basis).values
+    h_c = spectral.project(problem.h, basis)
     h_norm = float(np.linalg.norm(h_c))
 
     def evaluate(u):
@@ -104,13 +104,13 @@ def solve_elliptic(problem: EllipticProblem, start: Optional[Coeffs] = None) -> 
             shift = max(shift * 100.0, scale)
         raise NumericFailure("could not produce a descent direction")
 
-    u = np.zeros(basis.n) if start is None else np.array(start.values, dtype=float)
+    u = np.zeros(basis.n) if start is None else np.array(start, dtype=float)
     it, counters = newton.solve(
         evaluate, direction, u,
         _TOL_FACTOR * (1.0 + h_norm), 1e-10 * (1.0 + h_norm), NumericFailure,
     )
     residual = float(np.linalg.norm(it.residual))
-    return EllipticSolution(Coeffs(it.x, basis), residual, it.reg, counters)
+    return EllipticSolution(it.x, residual, it.reg, counters)
 
 
 def check_L6_bound(problem: EllipticProblem, sol: EllipticSolution) -> tuple[float, float, bool]:

@@ -12,12 +12,12 @@ yosida(phi) + pi(phi) + a onto the span.  Mode 1 carries the exact scalar
 mean law  mean' + gamma mean = f_mean.  The nonlinearity, mu and the energy
 of a state come from one resolvent solve (``evaluate``), which the step
 leaving the state and its record share; pi(phi) = -L phi and a enter by
-Parseval.  ``evaluate``, ``step`` and the Newton closures take and return
-bare (n,) coefficient and (N,) grid arrays; ``GalerkinState`` is the
-projected initial data only.  ``simulate`` builds the step constants once
-per step size, allocates the ``Trajectory`` columns of all ``record_times``
-before the first step, writes each level's row in place and makes the
-record (``compute_record``) once, after the last level.
+Parseval.  Coefficients are bare (n,) arrays beside their basis and grid
+values bare (N,) arrays, from the projected initial data and sources
+through ``evaluate``, ``step`` and the Newton closures.  ``simulate`` builds
+the step constants once per step size, allocates the ``Trajectory`` columns
+of all ``record_times`` before the first step, writes each level's row in
+place and makes the record (``compute_record``) once, after the last level.
 
 Two first-order schemes are provided: ``semi_implicit`` treats all linear
 terms implicitly through an exact per-mode 3x3 elimination and freezes the
@@ -31,10 +31,10 @@ mean+ = (mean + dt f_mean) / (1 + gamma dt)  for the mean.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -42,7 +42,7 @@ import numpy as np
 from . import newton, potentials, spectral
 from .errors import CompatibilityError, RunFailure, StepFailure, require
 from .potentials import PotentialSpec, Regularization
-from .spectral import Coeffs, Field, SpectralBasis
+from .spectral import Field, SpectralBasis
 
 SEMI_IMPLICIT = "semi_implicit"
 BACKWARD_EULER = "backward_euler"
@@ -86,20 +86,30 @@ class SourceTerm:
         if any(t1 <= t0 for t0, t1 in zip(self.times, self.times[1:])):
             raise ValueError("segment start times must be strictly increasing")
 
+    @cached_property
+    def _later_starts(self) -> np.ndarray:
+        """times[1:] as an array, whose searchsorted method skips the microseconds
+        of numpy's dispatch on every per-step lookup."""
+        return np.array(self.times[1:])
+
     def at(self, t: float) -> Field:
-        idx = bisect.bisect_right(self.times, t) - 1
-        return self.fields[max(idx, 0)]
+        return self.fields[self.segment(t)]
 
     def segment(self, t: np.ndarray) -> np.ndarray:
-        """Index into ``fields`` of the field that holds at each of the times ``t``."""
-        return np.maximum(np.searchsorted(self.times, t, side="right") - 1, 0)
+        """Index into ``fields`` of the field that holds at each of the times ``t``
+        (the first one before 0): how many later segments have started by t."""
+        return self._later_starts.searchsorted(t, side="right")
 
     def sup_norm(self) -> float:
         return max(float(np.abs(f.values).max(initial=0.0)) for f in self.fields)
 
-    def project(self, basis: SpectralBasis) -> SourceTerm:
-        """The same schedule with each field replaced by its coefficients."""
-        return SourceTerm(self.times, tuple(spectral.project(f, basis) for f in self.fields))
+    def means(self) -> np.ndarray:
+        """The quadrature mean of each field, one per segment."""
+        return np.array([spectral.field_mean(f) for f in self.fields])
+
+    def project(self, basis: SpectralBasis) -> np.ndarray:
+        """The coefficients of each field on ``basis``, one row per segment."""
+        return np.array([spectral.project(f, basis) for f in self.fields])
 
 
 @dataclass(frozen=True)
@@ -154,20 +164,11 @@ def check_compatibility(data: ProblemData) -> None:
         raise CompatibilityError("\n".join(bad))
 
 
-@dataclass(frozen=True)
-class GalerkinState:
-    """Time plus coefficient triple; all vectors share one basis."""
-
-    t: float
-    phi: Coeffs
-    w: Coeffs
-    v: Coeffs
-
-
-def project_initial_data(data: ProblemData, basis: SpectralBasis) -> GalerkinState:
-    """Orthogonally project the initial fields after the compatibility check."""
+def project_initial_data(data: ProblemData, basis: SpectralBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coefficients (phi, w, v) of the initial fields, orthogonally
+    projected after the compatibility check."""
     check_compatibility(data)
-    return GalerkinState(0.0, *(spectral.project(f, basis) for f in (data.phi0, data.w0, data.w1)))
+    return tuple(spectral.project(f, basis) for f in (data.phi0, data.w0, data.w1))
 
 
 def _nonlinearity(
@@ -240,10 +241,11 @@ class Trajectory:
 
 
 def compute_record(
-    traj: Trajectory, data: ProblemData, sources: tuple[SourceTerm, SourceTerm]
+    traj: Trajectory, data: ProblemData, sources: tuple[np.ndarray, np.ndarray]
 ) -> dict[str, np.ndarray]:
     """The record columns of the levels of ``traj`` (its own ``record`` unread),
-    in CSV order; ``sources`` are f and g projected onto its basis.
+    in CSV order; ``sources`` are ``data.f`` and ``data.g`` projected onto its
+    basis (``SourceTerm.project``).
 
     energy = 1/2 |grad phi|^2 + int (beta_hat_eps + pi_hat)(phi) + a int phi
     + b/(2 lambda) |v|^2 + b kappa2/(2 lambda) |grad w|^2; along the exact
@@ -256,7 +258,7 @@ def compute_record(
     l2, grad = spectral.row_squares(traj.coeffs, basis.eigenvalues)
     grad_phi, grad_w, grad_v, grad_mu = grad.T
     l2_phi, _, l2_v, l2_mu = l2.T
-    (f, f_seg), (g, g_seg) = ((np.array([c.values for c in s.fields]), s.segment(traj.t)) for s in sources)
+    (f, g), f_seg, g_seg = sources, data.f.segment(traj.t), data.g.segment(traj.t)
     power = np.empty(len(traj))
     for s in spectral.row_blocks(len(traj)):
         power[s] = (np.vecdot(f[f_seg[s]] - p.gamma * traj.phi[s], traj.mu[s])
@@ -300,8 +302,12 @@ class StepOperator:
     dt_lam: np.ndarray
 
 
+def _positive_dt(dt: float) -> tuple[bool, str]:
+    return dt > 0.0, f"(2.11) dt must be positive, got {dt}"
+
+
 def step_operator(basis: SpectralBasis, params: PhysicalParams, dt: float) -> StepOperator:
-    """The step constants for dt; ConfigurationError if any of them is not finite."""
+    """The step constants for dt; ConfigurationError unless dt > 0 and all of them are finite."""
     p, lam = params, basis.eigenvalues
     with np.errstate(all="ignore"):  # a huge dt overflows; reported below
         d3 = 1.0 + dt * p.kappa1 * lam + dt * dt * p.kappa2 * lam
@@ -309,7 +315,7 @@ def step_operator(basis: SpectralBasis, params: PhysicalParams, dt: float) -> St
         diag = 1.0 + dt * p.gamma + dt * lam**2 + dt_lam * p.b * p.lambda_latent / d3
         parts = (d3, diag, dt_lam * p.b / d3, dt * p.kappa2 * lam, dt_lam)
     finite = all(np.isfinite(x).all() for x in parts)
-    require((finite, f"(2.11) dt = {dt} is too large: the step operator is not finite"))
+    require(_positive_dt(dt), (finite, f"(2.11) dt = {dt} is too large: the step operator is not finite"))
     return StepOperator(basis, dt, *parts)
 
 
@@ -357,11 +363,9 @@ def _backward_euler_phi(nl, data, op, base):
 
 
 def check_step(dt: float, scheme: str) -> None:
-    """Raise ConfigurationError unless dt > 0 and ``scheme`` is one of SCHEMES."""
-    require(
-        (dt > 0.0, f"(2.11) dt must be positive, got {dt}"),
-        (scheme in SCHEMES, f"(2.11) scheme must be one of {SCHEMES}, got '{scheme}'"),
-    )
+    """Raise ConfigurationError unless dt > 0 and ``scheme`` is one of SCHEMES:
+    the check of a run's step before any basis or step operator is built."""
+    require(_positive_dt(dt), (scheme in SCHEMES, f"(2.11) scheme must be one of {SCHEMES}, got '{scheme}'"))
 
 
 def step(
@@ -375,14 +379,16 @@ def step(
     the step size.  Returns the new phi, w and v and, for ``backward_euler``,
     the regularized graph at the new phi, which the last Newton iterate solved
     and ``evaluate`` can reuse (None for ``semi_implicit``).  Raises
-    StepFailure when the new phi is not finite, for either scheme.
+    StepFailure when the new phi is not finite, for either scheme, and
+    ConfigurationError for a scheme that is not one of SCHEMES.
     """
-    check_step(op.dt, scheme)
     c3, base = _step_rhs(phi, w, v, f, g, data, op)
     if scheme == SEMI_IMPLICIT:
         phi_new, reg = _semi_implicit_phi(nl, op, base), None
-    else:
+    elif scheme == BACKWARD_EULER:
         phi_new, reg = _backward_euler_phi(nl, data, op, base)
+    else:
+        check_step(op.dt, scheme)  # raises: the scheme is unknown
     if not np.isfinite(phi_new).all():
         raise StepFailure(f"non-finite phi after a {scheme} step of {op.dt}")
     v_new = (c3 - data.params.lambda_latent * phi_new) / op.d3
@@ -416,14 +422,16 @@ def simulate(
     observer is called as ``observer(k, traj)`` right after level k is
     written into ``traj``, the returned Trajectory, whose rows 0..k are then
     filled and whose record is still empty.  Deterministic for a given
-    configuration.
+    configuration and BLAS thread count: ``xi_L6`` is one BLAS dot over the
+    grid (``spectral.norm_Lp``), which OpenBLAS splits across threads on
+    large grids, so its last bits can depend on the thread count.
     """
     check_step(dt, scheme)
     gamma = data.params.gamma
     operators = {dt: step_operator(basis, data.params, dt)}  # by step size
-    state = project_initial_data(data, basis)
+    phi, w, v = project_initial_data(data, basis)
     sources = (data.f.project(basis), data.g.project(basis))
-    f_means = SourceTerm(data.f.times, tuple(map(spectral.field_mean, data.f.fields)))  # per segment
+    f_means = data.f.means()
     floor = max(_DT_FLOOR_FACTOR * data.t_final, 1e-300)
     times = record_times(dt, data.t_final)
     levels = len(times)
@@ -434,7 +442,7 @@ def simulate(
         if h not in operators:
             operators[h] = step_operator(basis, data.params, h)
         try:
-            return step(phi, w, v, nl, sources[0].at(t).values, sources[1].at(t).values,
+            return step(phi, w, v, nl, sources[0][data.f.segment(t)], sources[1][data.g.segment(t)],
                         data, operators[h], scheme)
         except StepFailure:
             if h / 2.0 < floor:
@@ -457,8 +465,7 @@ def simulate(
         run.record.update(compute_record(run, data, sources))
         return run
 
-    phi, w, v = state.phi.values, state.w.values, state.v.values
-    mean_exact = spectral.mean_value(state.phi)
+    mean_exact = float(phi[0]) / math.sqrt(basis.domain.measure)
     nl = emit(0, phi, w, v, mean_exact)
     for k in range(1, levels):
         t = times[k - 1]
@@ -470,6 +477,6 @@ def simulate(
                 f"step failed at t = {t} after dt halvings: {exc}", finish(traj.head(k))
             ) from exc
         decay = math.exp(-gamma * h)
-        mean_exact = mean_exact * decay + (f_means.at(t) / gamma) * (1.0 - decay)
+        mean_exact = mean_exact * decay + (f_means[data.f.segment(t)] / gamma) * (1.0 - decay)
         nl = emit(k, phi, w, v, mean_exact, reg)
     return finish(traj)

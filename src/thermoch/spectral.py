@@ -17,11 +17,11 @@ weights are a product over axes too, so the Gram matrix of the basis
 eigenfunctions is ever formed; the Newton solvers apply their Jacobians
 through the transforms.
 
-The transforms (``to_coeffs``, ``to_field``) and ``norm_Lp`` work on bare
-arrays: (N,) grid samples and (n,) coefficients of a basis, which is what
-the time stepper and the Newton loops pass.  ``Field`` and ``Coeffs``
-tie such arrays to their domain or basis at the API boundary (initial data,
-sources, verify suites), where ``project`` checks a Field's domain.  Per-row
+Coefficients are bare (n,) arrays, always passed beside their basis, and
+grid samples bare (N,) arrays: the transforms (``to_coeffs``, ``to_field``),
+``project``, ``solve_poisson`` and ``norm_Lp`` take and return them.
+``Field`` ties samples to their domain where parsed data enters (initial
+data, sources), and ``project`` checks that domain.  Per-row
 norms of (levels x n) coefficient columns (``row_squares``,
 ``norm_Hm1_rows``) square ROW_BLOCK rows at a time, so they never hold a
 second copy of the columns.
@@ -231,35 +231,6 @@ def gram_matrix(basis: SpectralBasis) -> np.ndarray:
     return gram
 
 
-@dataclass(frozen=True)
-class Coeffs:
-    """Coordinates of an element of the span in the eigenfunction basis."""
-
-    values: np.ndarray
-    basis: SpectralBasis
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float).ravel())
-        if self.values.size != self.basis.n:
-            raise ValueError(f"expected {self.basis.n} coefficients, got {self.values.size}")
-
-    def __add__(self, other: "Coeffs") -> "Coeffs":
-        _require_same_basis(self, other)
-        return Coeffs(self.values + other.values, self.basis)
-
-    def __sub__(self, other: "Coeffs") -> "Coeffs":
-        _require_same_basis(self, other)
-        return Coeffs(self.values - other.values, self.basis)
-
-    def __rmul__(self, scalar: float) -> "Coeffs":
-        return Coeffs(float(scalar) * self.values, self.basis)
-
-
-def _require_same_basis(a: Coeffs, b: Coeffs) -> None:
-    if a.basis is not b.basis and a.basis != b.basis:
-        raise ValueError("coefficient vectors use different bases")
-
-
 def to_coeffs(values: np.ndarray, basis: SpectralBasis) -> np.ndarray:
     """Project the N grid samples ``values`` onto the span (quadrature inner
     products); returns a new (n,) array.
@@ -292,30 +263,11 @@ def to_field(coeffs: np.ndarray, basis: SpectralBasis) -> np.ndarray:
     return (C0.T @ tensor @ C1).ravel()
 
 
-def project(f: Field, basis: SpectralBasis) -> Coeffs:
-    """The Coeffs of the Field ``f`` on ``basis``; a field on another domain raises ValueError."""
+def project(f: Field, basis: SpectralBasis) -> np.ndarray:
+    """The (n,) coefficients of the Field ``f`` on ``basis``; a field on another domain raises ValueError."""
     if f.domain != basis.domain:
         raise ValueError("field and basis live on different domains")
-    return Coeffs(to_coeffs(f.values, basis), basis)
-
-
-def mean_value(c: Coeffs) -> float:
-    """Mean over the box: first coefficient divided by sqrt(|Omega|)."""
-    return float(c.values[0]) / math.sqrt(c.basis.domain.measure)
-
-
-def inner(a: Coeffs, b: Coeffs) -> float:
-    _require_same_basis(a, b)
-    return float(a.values @ b.values)
-
-
-def norm_L2(c: Coeffs) -> float:
-    return float(np.linalg.norm(c.values))
-
-
-def norm_Hm1(c: Coeffs) -> float:
-    """Dual norm: sqrt(sum_{j>=2} c_j^2/lambda_j + mean^2)."""
-    return float(norm_Hm1_rows(c.values[None], c.basis)[0])
+    return to_coeffs(f.values, basis)
 
 
 def row_blocks(k: int):
@@ -343,22 +295,20 @@ def norm_Hm1_rows(rows: np.ndarray, basis: SpectralBasis) -> np.ndarray:
     return np.sqrt(dual + mean**2)
 
 
-def solve_poisson(psi: Coeffs) -> Coeffs:
-    """Invert the Neumann Laplacian on a zero-mean element.
+def solve_poisson(psi: np.ndarray, basis: SpectralBasis) -> np.ndarray:
+    """Invert the Neumann Laplacian on the zero-mean element with coefficients ``psi``.
 
     Returns the unique zero-mean u with lambda_j u_j = psi_j (j >= 2); input
     whose mean exceeds MEAN_TOL relative to its L2 norm is rejected with
     MeanDomainError.
     """
-    if abs(psi.values[0]) > MEAN_TOL * max(norm_L2(psi), 1e-300):
+    if abs(psi[0]) > MEAN_TOL * max(float(np.linalg.norm(psi)), 1e-300):
         raise MeanDomainError(
-            f"operand must have zero mean: mean = {mean_value(psi):.3e}"
+            f"operand must have zero mean: mean = {float(psi[0]) / math.sqrt(basis.domain.measure):.3e}"
         )
-    out = np.zeros_like(psi.values)
-    lam = psi.basis.eigenvalues
-    if psi.basis.n > 1:
-        out[1:] = psi.values[1:] / lam[1:]
-    return Coeffs(out, psi.basis)
+    out = np.zeros_like(psi)
+    out[1:] = psi[1:] / basis.eigenvalues[1:]
+    return out
 
 
 def embed(rows: np.ndarray, basis: SpectralBasis, larger: SpectralBasis) -> np.ndarray:

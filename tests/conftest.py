@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -19,13 +20,22 @@ def unit_basis(unit_domain):
     return sp.build_basis(unit_domain, 16)
 
 
-def zero_coeffs(basis):
-    return sp.Coeffs(np.zeros(basis.n), basis)
+# A time level: the coefficient arrays of phi, w and v at time t, on ``basis``.
+State = namedtuple("State", "t phi w v basis")
 
 
-def grid_values(c):
-    """The grid values of the Coeffs c, as a Field."""
-    return sp.Field(sp.to_field(c.values, c.basis), c.basis.domain)
+def zero_state(basis):
+    return State(0.0, np.zeros(basis.n), np.zeros(basis.n), np.zeros(basis.n), basis)
+
+
+def initial_state(data, basis):
+    """``galerkin.project_initial_data`` as the State at t = 0."""
+    return State(0.0, *gk.project_initial_data(data, basis), basis)
+
+
+def grid_values(c, basis):
+    """The grid values of the coefficients c on ``basis``, as a Field."""
+    return sp.Field(sp.to_field(c, basis), basis.domain)
 
 
 def constant_source(f):
@@ -111,90 +121,97 @@ def pointwise_nonlinearity(reg, a, basis):
     return nl, float(moduli.max()) * math.sqrt(basis.domain.measure)
 
 
-def grad_norm(c):
+def mean_value(c, basis):
+    """The mean over the box of the element with coefficients c: c_1 / sqrt(|Omega|)."""
+    return float(c[0]) / math.sqrt(basis.domain.measure)
+
+
+def grad_norm(c, basis):
     """L2 norm of the gradient: sqrt(sum lambda_j c_j^2)."""
-    return math.sqrt(float((c.basis.eigenvalues * c.values**2).sum()))
+    return math.sqrt(float((basis.eigenvalues * c**2).sum()))
 
 
-def norm_H1(c):
-    return math.sqrt(float(((1.0 + c.basis.eigenvalues) * c.values**2).sum()))
+def norm_H1(c, basis):
+    return math.sqrt(float(((1.0 + basis.eigenvalues) * c**2).sum()))
+
+
+def norm_Hm1(c, basis):
+    """The dual norm of the coefficients c, from ``spectral.norm_Hm1_rows``."""
+    return float(sp.norm_Hm1_rows(c[None], basis)[0])
 
 
 def evaluate(state, data):
-    """``galerkin.evaluate`` of a ``GalerkinState``: (nl, mu, xi, bulk)."""
-    return gk.evaluate(state.phi.values, state.v.values, data, state.phi.basis)
+    """``galerkin.evaluate`` of a State: (nl, mu, xi, bulk)."""
+    return gk.evaluate(state.phi, state.v, data, state.basis)
 
 
 def sources_at(state, data):
     """The projected f and g at the time of ``state``."""
-    return tuple(s.project(state.phi.basis).at(state.t).values for s in (data.f, data.g))
+    return tuple(s.project(state.basis)[s.segment(state.t)] for s in (data.f, data.g))
 
 
 def step_state(state, data, dt, scheme=gk.SEMI_IMPLICIT):
-    """One ``galerkin.step`` of a ``GalerkinState``: the new state and the step's regularized graph."""
-    basis = state.phi.basis
-    op = gk.step_operator(basis, data.params, dt)
-    *new, reg = gk.step(state.phi.values, state.w.values, state.v.values, evaluate(state, data)[0],
+    """One ``galerkin.step`` of a State: the new State and the step's regularized graph."""
+    op = gk.step_operator(state.basis, data.params, dt)
+    *new, reg = gk.step(state.phi, state.w, state.v, evaluate(state, data)[0],
                         *sources_at(state, data), data, op, scheme)
-    return gk.GalerkinState(state.t + dt, *(sp.Coeffs(x, basis) for x in new)), reg
+    return State(state.t + dt, *new, state.basis), reg
 
 
 def rhs(state, data):
-    """Oracle for the steps: the time derivatives (phi', w', v') at ``state``, as Coeffs."""
-    p, basis = data.params, state.phi.basis
-    lam = basis.eigenvalues
+    """Oracle for the steps: the time derivatives (phi', w', v') at ``state``."""
+    p, lam = data.params, state.basis.eigenvalues
     f, g = sources_at(state, data)
-    dphi = f - lam * evaluate(state, data)[1] - p.gamma * state.phi.values
-    dv = g - lam * (p.kappa1 * state.v.values + p.kappa2 * state.w.values) - p.lambda_latent * dphi
-    return sp.Coeffs(dphi, basis), state.v, sp.Coeffs(dv, basis)
+    dphi = f - lam * evaluate(state, data)[1] - p.gamma * state.phi
+    dv = g - lam * (p.kappa1 * state.v + p.kappa2 * state.w) - p.lambda_latent * dphi
+    return dphi, state.v, dv
 
 
 def spectral_record(state, data, mean_exact):
     """Oracle for one level of ``galerkin.compute_record``: every term from
-    the norms and inner products of ``spectral``, the dual norm from its sum."""
-    p, basis = data.params, state.phi.basis
+    per-level norms and inner products, the dual norm from its sum."""
+    p, basis = data.params, state.basis
     lam = basis.eigenvalues
-    _, mu_values, xi, bulk = evaluate(state, data)
-    mu = sp.Coeffs(mu_values, basis)
-    f, g = (sp.Coeffs(x, basis) for x in sources_at(state, data))
+    _, mu, xi, bulk = evaluate(state, data)
+    f, g = sources_at(state, data)
     return {
         "t": state.t,
-        "mean_phi": sp.mean_value(state.phi),
+        "mean_phi": mean_value(state.phi, basis),
         "mean_phi_exact": mean_exact,
         "energy": (
-            0.5 * grad_norm(state.phi) ** 2
+            0.5 * grad_norm(state.phi, basis) ** 2
             + bulk
-            + 0.5 * p.b / p.lambda_latent * sp.norm_L2(state.v) ** 2
-            + 0.5 * p.b * p.kappa2 / p.lambda_latent * grad_norm(state.w) ** 2
+            + 0.5 * p.b / p.lambda_latent * np.linalg.norm(state.v) ** 2
+            + 0.5 * p.b * p.kappa2 / p.lambda_latent * grad_norm(state.w, basis) ** 2
         ),
-        "dissipation_mu": grad_norm(mu) ** 2,
-        "dissipation_w": p.b * p.kappa1 / p.lambda_latent * grad_norm(state.v) ** 2,
-        "source_power": sp.inner(f - p.gamma * state.phi, mu)
-        + (p.b / p.lambda_latent) * sp.inner(g, state.v),
-        "phi_H1": norm_H1(state.phi),
-        "phi_dual": math.sqrt(float((state.phi.values[1:] ** 2 / lam[1:]).sum())
-                              + sp.mean_value(state.phi) ** 2),
-        "dtw_L2": sp.norm_L2(state.v),
-        "grad_w_L2": grad_norm(state.w),
+        "dissipation_mu": grad_norm(mu, basis) ** 2,
+        "dissipation_w": p.b * p.kappa1 / p.lambda_latent * grad_norm(state.v, basis) ** 2,
+        "source_power": float((f - p.gamma * state.phi) @ mu)
+        + (p.b / p.lambda_latent) * float(g @ state.v),
+        "phi_H1": norm_H1(state.phi, basis),
+        "phi_dual": math.sqrt(float((state.phi[1:] ** 2 / lam[1:]).sum())
+                              + mean_value(state.phi, basis) ** 2),
+        "dtw_L2": np.linalg.norm(state.v),
+        "grad_w_L2": grad_norm(state.w, basis),
         "xi_L1": sp.norm_Lp(xi, basis.domain, 1),
         "xi_L6": sp.norm_Lp(xi, basis.domain, 6),
-        "mu_H1": norm_H1(mu),
+        "mu_H1": norm_H1(mu, basis),
     }
 
 
 def level_state(traj, k):
-    """Level k of a ``galerkin.Trajectory`` as a state."""
-    return gk.GalerkinState(float(traj.t[k]), *(sp.Coeffs(x[k], traj.basis) for x in (traj.phi, traj.w, traj.v)))
+    """Level k of a ``galerkin.Trajectory`` as a State."""
+    return State(float(traj.t[k]), traj.phi[k], traj.w[k], traj.v[k], traj.basis)
 
 
 def stack_levels(states, data, mean_exact):
     """A ``galerkin.Trajectory`` (without its record) of ``states``."""
-    basis = states[0].phi.basis
+    basis = states[0].basis
     evs = [evaluate(s, data) for s in states]
     return gk.Trajectory(
         basis,
         np.array([s.t for s in states]),
-        np.array([(s.phi.values, s.w.values, s.v.values, ev[1]) for s, ev in zip(states, evs)]),
+        np.array([(s.phi, s.w, s.v, ev[1]) for s, ev in zip(states, evs)]),
         np.array(mean_exact, dtype=float),
         np.array([ev[3] for ev in evs]),
         *(np.array([sp.norm_Lp(ev[2], basis.domain, p) for ev in evs]) for p in (1, 6)),
@@ -205,10 +222,6 @@ def stack_levels(states, data, mean_exact):
 def pow_norm_Lp(f, p):
     """Oracle for ``spectral.norm_Lp`` at finite p of the Field f: the quadrature of |values|^p, to the 1/p."""
     return float((f.domain.cell_weight * np.abs(f.values) ** p).sum() ** (1.0 / p))
-
-
-def coeffs_allclose(a, b, tol=1e-12):
-    return np.allclose(a.values, b.values, rtol=0.0, atol=tol)
 
 
 def sampled_spec_violations(spec, r_grid, tol=1e-9):
@@ -298,7 +311,7 @@ def dense_elliptic_solve(problem, start=None):
         )
         return lam * u + E @ (w * reg.value) - h_c, objective, reg
 
-    u = np.zeros(basis.n) if start is None else np.array(start.values, dtype=float)
+    u = np.zeros(basis.n) if start is None else np.array(start, dtype=float)
     res, val, reg = evaluate(u)
     prev_norm = np.inf
     for _ in range(80):

@@ -12,6 +12,7 @@ from conftest import (
     dense_elliptic_solve,
     evaluate,
     grid_values,
+    State,
     make_problem_data,
     reduced_jacobian,
     sources_at,
@@ -36,7 +37,7 @@ BASES = {
 def _random_coeffs(basis, seed, amplitude, active=6):
     vals = np.zeros(basis.n)
     vals[:active] = amplitude * np.random.default_rng(seed).standard_normal(active)
-    return sp.Coeffs(vals, basis)
+    return vals
 
 
 class TestMinres:
@@ -87,10 +88,10 @@ class TestMinres:
 )
 def test_elliptic_solve_matches_dense_oracle(kind, dim, eps, amplitude, seed):
     basis = BASES[dim]
-    h = grid_values(_random_coeffs(basis, seed, amplitude))
+    h = grid_values(_random_coeffs(basis, seed, amplitude), basis)
     problem = el.EllipticProblem(basis, POTENTIALS[kind], eps, h)
     sol = el.solve_elliptic(problem)
-    gap = np.linalg.norm(sol.u.values - dense_elliptic_solve(problem))
+    gap = np.linalg.norm(sol.u - dense_elliptic_solve(problem))
     assert gap <= 1e-10  # coefficient 2-norm = L2 norm (Parseval)
     assert sol.counters.newton_iterations >= 1
 
@@ -98,11 +99,10 @@ def test_elliptic_solve_matches_dense_oracle(kind, dim, eps, amplitude, seed):
 def _step_inputs(basis, data, phi, dt, seed):
     """A random state with the given phi: its projected nonlinearity and the step's elimination constants."""
     rng = np.random.default_rng(seed)
-    w = sp.Coeffs(0.1 * rng.standard_normal(basis.n) / (1.0 + basis.eigenvalues), basis)
-    v = sp.Coeffs(0.1 * rng.standard_normal(basis.n) / (1.0 + basis.eigenvalues), basis)
-    state = gk.GalerkinState(0.0, phi, w, v)
+    w, v = (0.1 * rng.standard_normal(basis.n) / (1.0 + basis.eigenvalues) for _ in range(2))
+    state = State(0.0, phi, w, v, basis)
     op = gk.step_operator(basis, data.params, dt)
-    base = gk._step_rhs(phi.values, w.values, v.values, *sources_at(state, data), data, op)[1]
+    base = gk._step_rhs(phi, w, v, *sources_at(state, data), data, op)[1]
     return evaluate(state, data)[0], op, base
 
 
@@ -119,7 +119,7 @@ def test_backward_euler_step_matches_dense_oracle(kind, dim, dt, mean, amplitude
     basis = BASES[dim]
     data = make_problem_data(basis.domain, POTENTIALS[kind])
     phi = _random_coeffs(basis, seed, amplitude)
-    phi = sp.Coeffs(phi.values + np.eye(basis.n)[0] * mean * math.sqrt(basis.domain.measure), basis)
+    phi = phi + np.eye(basis.n)[0] * mean * math.sqrt(basis.domain.measure)
     nl, op, base = _step_inputs(basis, data, phi, dt, seed)
     p, _ = gk._backward_euler_phi(nl, data, op, base)
     p_ref = dense_backward_euler_phi(nl, data, op, base)
@@ -138,7 +138,7 @@ def test_indefinite_backward_euler_step_matches_dense_oracle(seed):
     nl, op, base = _step_inputs(basis, data, phi, 1.0, seed)
     p, _ = gk._backward_euler_phi(nl, data, op, base)
     p_ref = dense_backward_euler_phi(nl, data, op, base)
-    for coeffs in (phi.values, p_ref):
+    for coeffs in (phi, p_ref):
         reg = pot.regularize(data.potential, data.eps, sp.to_field(coeffs, basis))
         assert np.linalg.eigvalsh(reduced_jacobian(basis, data, 1.0, basis.eigenvalues, op.diag, reg)).min() < -1.0
     assert np.linalg.norm(p - p_ref) <= gk._NEWTON_TOL * (1.0 + np.linalg.norm(base))

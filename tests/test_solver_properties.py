@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import evaluate, make_problem_data, pointwise_bulk, pointwise_nonlinearity, zero_coeffs
+from conftest import evaluate, make_problem_data, pointwise_bulk, pointwise_nonlinearity, zero_state
 from thermoch import galerkin as gk
 from thermoch import io_cli
 from thermoch import potentials as pot
@@ -98,12 +98,9 @@ def test_parseval_terms_match_pointwise_oracle(kind, basis, log_eps, a, amplitud
     eps = 10.0**log_eps
     data = make_problem_data(basis.domain, SPECS[kind], eps=eps, a=a)
     rng = np.random.default_rng(seed)
-    state = gk.GalerkinState(
-        t=0.0, phi=sp.Coeffs(amplitude * rng.standard_normal(basis.n), basis),
-        w=zero_coeffs(basis), v=zero_coeffs(basis),
-    )
+    state = zero_state(basis)._replace(phi=amplitude * rng.standard_normal(basis.n))
     ev_nl, _, _, ev_bulk = evaluate(state, data)
-    reg = pot.regularize(SPECS[kind], eps, sp.to_field(state.phi.values, basis))
+    reg = pot.regularize(SPECS[kind], eps, sp.to_field(state.phi, basis))
     nl, nl_scale = pointwise_nonlinearity(reg, a, basis)
     assert np.abs(ev_nl - nl).max() <= 1e-13 * nl_scale
     bulk, bulk_scale = pointwise_bulk(reg, a, basis.quadrature_weight)
