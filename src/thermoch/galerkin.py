@@ -92,9 +92,6 @@ class SourceTerm:
         of numpy's dispatch on every per-step lookup."""
         return np.array(self.times[1:])
 
-    def at(self, t: float) -> Field:
-        return self.fields[self.segment(t)]
-
     def segment(self, t: np.ndarray) -> np.ndarray:
         """Index into ``fields`` of the field that holds at each of the times ``t``
         (the first one before 0): how many later segments have started by t."""

@@ -30,6 +30,7 @@ import ctypes
 import dataclasses
 import json
 import math
+import random
 import re
 import sys
 import time
@@ -373,7 +374,18 @@ def parse_config(path: str | Path) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# verification suites (randomized sweeps; seeded and deterministic)
+# verification suites (randomized sweeps from a seeded random.Random, not numpy.random)
+
+
+def uniforms(rng: random.Random, k: int) -> np.ndarray:
+    """``k`` uniforms on [0, 1), each of 53 random bits, from one ``randbytes`` call."""
+    return (np.frombuffer(rng.randbytes(8 * k), "<u8") >> 11) * 2.0**-53
+
+
+def standard_normals(rng: random.Random, k: int) -> np.ndarray:
+    """``k`` standard normals by Box-Muller from ``2k`` uniforms of ``rng``."""
+    u, v = uniforms(rng, 2 * k).reshape(2, k)
+    return np.sqrt(-2.0 * np.log1p(-u)) * np.cos(2.0 * np.pi * v)
 
 
 def bisection_resolvent(spec: PotentialSpec, eps: float, r, iters: int = 120):
@@ -419,16 +431,16 @@ def potentials_suite(
     spec: PotentialSpec,
     eps_values: Sequence[float],
     n_samples: int,
-    rng: np.random.Generator,
+    rng: random.Random,
     tol: float = 1e-10,
 ) -> tuple[list[str], dict[str, float]]:
-    """Sampled regularization properties: monotone, 1/eps-Lipschitz, zero at 0,
+    """At 0 and ``n_samples`` uniforms of ``rng``: monotone, 1/eps-Lipschitz, zero at 0,
     dominated by the minimal section, envelope sandwich, oracle agreement."""
     violations: list[str] = []
     d_lo, d_hi = spec.domain
     lo = d_lo - 1.5 if math.isfinite(d_lo) else -3.0
     hi = d_hi + 1.5 if math.isfinite(d_hi) else 3.0
-    r = np.sort(np.concatenate([rng.uniform(lo, hi, n_samples), [0.0]]))
+    r = np.sort(np.concatenate([lo + (hi - lo) * uniforms(rng, n_samples), [0.0]]))
     interior = (r > d_lo + 1e-9) & (r < d_hi - 1e-9) if math.isfinite(d_hi) else np.ones(r.shape, bool)
 
     metrics = {"monotone_defect": 0.0, "lipschitz_excess": 0.0, "zero_at_zero": 0.0,
@@ -478,16 +490,16 @@ def potentials_suite(
 
 
 def spectral_suite(
-    basis: SpectralBasis, rng: np.random.Generator, n_vectors: int = 8
+    basis: SpectralBasis, rng: random.Random, n_vectors: int = 8
 ) -> tuple[list[str], dict[str, float]]:
-    """Orthonormality of the sampled basis and the inverse-Laplacian identities."""
+    """Orthonormality of the sampled basis; inverse-Laplacian identities on normals of ``rng``."""
     violations: list[str] = []
     gram = spectral.gram_matrix(basis) - np.eye(basis.n)
     metrics = {"orthonormality": float(np.abs(gram).max()),
                "symmetry": 0.0, "energy_identity": 0.0, "time_identity": 0.0}
 
     def random_zero_mean():
-        vals = rng.standard_normal(basis.n)
+        vals = standard_normals(rng, basis.n)
         vals[0] = 0.0
         norm = np.linalg.norm(vals)
         return vals / norm if norm > 0 else vals
@@ -526,10 +538,11 @@ def elliptic_suite(
     basis: SpectralBasis,
     spec: PotentialSpec,
     eps: float,
-    rng: np.random.Generator,
+    rng: random.Random,
     trials: int = 20,
 ) -> tuple[list[str], dict[str, float]]:
-    """Constant-data equality, randomized 6-norm bound, two-start agreement.
+    """Constant-data equality; 6-norm bound and two-start agreement on ``trials``
+    right-hand sides with normal coefficients from ``rng`` on the first min(n, 8) modes.
 
     The metrics also carry the Newton, Krylov and line-search counts summed
     over every solve.
@@ -550,7 +563,7 @@ def elliptic_suite(
     n_active = min(basis.n, 8)
     for _ in range(trials):
         vals = np.zeros(basis.n)
-        vals[:n_active] = rng.standard_normal(n_active)
+        vals[:n_active] = standard_normals(rng, n_active)
         h = Field(spectral.to_field(vals, basis), domain)
         problem = elliptic.EllipticProblem(basis, spec, eps, h)
         sol = elliptic.solve_elliptic(problem)
@@ -652,7 +665,7 @@ def run_simulate(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
 
 def run_verify(cfg: RunConfig, target: str, outdir: Path, quiet: bool, seed: int) -> int:
     started = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     if target == "potentials":
         eps_values = cfg.schedule or [0.5, 0.1, 0.02]
         violations, metrics = potentials_suite(cfg.potential, eps_values, cfg.samples, rng)

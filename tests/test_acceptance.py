@@ -7,6 +7,7 @@ are asserted against wall-clock measurements of the work itself.
 import dataclasses
 import json
 import math
+import random
 import time
 
 import numpy as np
@@ -38,7 +39,7 @@ def test_criterion_1_yosida_suite():
     all_violations = []
     metrics = {}
     for spec in (REG, LOG, OBS):
-        rng = np.random.default_rng(1)
+        rng = random.Random(1)
         violations, m = io.potentials_suite(spec, eps_values, 10_000, rng, tol=1e-10)
         all_violations += [f"{spec.kind}: {v}" for v in violations]
         metrics[spec.kind] = max(v for k, v in m.items() if k != "interior_bound_C0")
@@ -53,7 +54,7 @@ def test_criterion_2_inverse_laplacian_suite():
     all_violations = []
     for lengths, grid, n in cases:
         basis = sp.build_basis(sp.BoxDomain(lengths, grid), n)
-        rng = np.random.default_rng(n)
+        rng = random.Random(n)
         violations, _ = io.spectral_suite(basis, rng)
         all_violations += [f"n={n} dim={len(lengths)}: {v}" for v in violations]
         with pytest.raises(MeanDomainError):
@@ -218,7 +219,7 @@ def test_criterion_8_elliptic_bound():
     all_violations = []
     worst = {}
     for spec, eps in ((REG, 0.2), (LOG, 0.1), (OBS, 0.5)):
-        rng = np.random.default_rng(8)
+        rng = random.Random(8)
         violations, metrics = io.elliptic_suite(basis, spec, eps, rng, trials=20)
         all_violations += [f"{spec.kind}: {v}" for v in violations]
         worst[spec.kind] = metrics

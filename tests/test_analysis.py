@@ -100,7 +100,7 @@ class TestMeanLaw:
         mean, err_d = means[0], 0.0
         for k in range(1, len(t)):
             h = t[k] - t[k - 1]
-            mean = (mean + h * sp.field_mean(f.at(t[k - 1]))) / (1.0 + 1.3 * h)
+            mean = (mean + h * sp.field_mean(f.fields[f.segment(t[k - 1])])) / (1.0 + 1.3 * h)
             err_d = max(err_d, abs(means[k] - mean))
         err_c = max(abs(m - e) for m, e in zip(means, trajectory.mean_exact.tolist()))
         report = an.mean_law_check(trajectory, data)
@@ -290,8 +290,11 @@ class TestDependence:
                                     g=schedule((0.0, 0.1), (-0.1, 0.2), -0.1))
         report = an.dependence_experiment(base, other, unit_basis, 0.01)
         t = gk.record_times(0.01, 0.25)
-        diff = [(base.f.at(s).values - other.f.at(s).values, base.g.at(s).values - other.g.at(s).values)
-                for s in t]
+
+        def at(src, s):
+            return src.fields[src.segment(s)].values
+
+        diff = [(at(base.f, s) - at(other.f, s), at(base.g, s) - at(other.g, s)) for s in t]
         f_dual = [norm_Hm1(sp.to_coeffs(fd, unit_basis), unit_basis) for fd, _ in diff]
         f_l1 = np.trapezoid([sp.norm_Lp(fd, unit_domain, 1) for fd, _ in diff], t)
         conv, conv_sq = np.zeros(unit_domain.n_grid), [0.0]

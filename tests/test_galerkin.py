@@ -37,10 +37,8 @@ class TestSourceTerm:
             times=(0.0, 0.5),
             fields=(sp.constant_field(1.0, unit_domain), sp.constant_field(2.0, unit_domain)),
         )
-        assert src.at(0.0).values[0] == 1.0
-        assert src.at(0.499).values[0] == 1.0
-        assert src.at(0.5).values[0] == 2.0
-        assert src.at(9.0).values[0] == 2.0
+        for t, value in ((0.0, 1.0), (0.499, 1.0), (0.5, 2.0), (9.0, 2.0)):
+            assert src.fields[src.segment(t)].values[0] == value
         assert src.sup_norm() == 2.0
 
     def test_segment_validation(self, unit_domain):
