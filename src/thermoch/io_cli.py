@@ -9,13 +9,17 @@ Validation failures carry exactly one assumption tag from {(2.5), (2.11),
 (2.12), (2.13), (2.14)}; a-priori monitors name (4.31).  This module only
 rejects values that are not finite numbers and a ``dim`` that disagrees with
 the lengths; every other rule is stated once, by the constructor or check of
-the quantity it constrains, and ``validate_config`` collects their messages
-from the objects the commands then run on.  All floating-point
-output is serialized with 17 significant digits so repeated runs with the
-same BLAS thread count are byte-identical (summary.json additionally records
-wall time); ``xi_L6`` and ``beta_L2_L6`` come from one BLAS dot over the
-grid, which OpenBLAS may split across threads, so their last bits can
-differ between thread counts.
+the quantity it constrains.  ``config_from_sections`` builds each object a
+config describes once, collecting the messages of the rules they break, and
+the commands run on the objects it built.  The ``run_*`` drivers return a
+command's summary payload; ``main`` writes every artifact and the summary
+envelope into the output directory.
+
+All floating-point output is serialized with 17 significant digits so
+repeated runs with the same BLAS thread count are byte-identical
+(summary.json additionally records wall time); ``xi_L6`` and ``beta_L2_L6``
+come from one BLAS dot over the grid, which OpenBLAS may split across
+threads, so their last bits can differ between thread counts.
 
 Exit codes: 0 success, 2 validation error, 3 numeric failure, 4 I/O error.
 A problem too large to allocate (a ``MemoryError``) is a (2.11) validation
@@ -34,8 +38,7 @@ import random
 import re
 import sys
 import time
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -185,123 +188,22 @@ def _parse_numbers(items: Sequence[tuple[str, str]], tag: str, kind: type = floa
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Canonical configuration; equality compares the canonical key-values.
+    """A config: its canonical sections and the objects built from them.
 
-    Each object the config describes is built on first use and kept, so the
-    commands run on the objects ``validate_config`` built.
+    Equality compares the sections only; ``summary.json`` echoes them.
     """
 
-    sections: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
-
-    def get(self, section: str, key: str) -> str:
-        for name, items in self.sections:
-            if name == section:
-                for k, v in items:
-                    if k == key:
-                        return v
-        raise KeyError(f"[{section}] {key}")
-
-    def as_dict(self) -> dict[str, dict[str, str]]:
-        return {name: dict(items) for name, items in self.sections}
-
-    def _numbers(self, section: str, keys: Sequence[str], tag: str, kind: type = float) -> list:
-        return _parse_numbers([(f"{section}.{k}", self.get(section, k)) for k in keys], tag, kind)
-
-    # -- builders ----------------------------------------------------------
-
-    @cached_property
-    def params(self) -> PhysicalParams:
-        keys = ("gamma", "a", "b", "kappa1", "kappa2", "lambda")
-        return PhysicalParams(*self._numbers("physics", keys, "(2.5)"))
-
-    @cached_property
-    def basis(self) -> SpectralBasis:
-        (dim,) = self._numbers("domain", ("dim",), "(2.12)", int)
-        lengths = _parse_numbers(
-            [("domain.lengths", x) for x in self.get("domain", "lengths").split(",")], "(2.12)"
-        )
-        grid, n_modes = self._numbers("domain", ("grid", "n_modes"), "(2.11)", int)
-        # dim only restates the number of lengths; BoxDomain owns the rule on it.
-        require((dim == len(lengths), f"(2.12) dim = {dim} but {len(lengths)} lengths given"))
-        return spectral.build_basis(BoxDomain(tuple(lengths), grid), n_modes)
-
-    @cached_property
-    def potential(self) -> PotentialSpec:
-        c1, c2 = self._numbers("potential", ("c1", "c2"), "(2.11)")
-        kind = self.get("potential", "kind")
-        if kind == "regular":
-            return potentials.regular_potential()
-        if kind == "logarithmic":
-            return potentials.logarithmic_potential(c1)
-        if kind == "double_obstacle":
-            return potentials.double_obstacle_potential(c2)
-        raise ConfigurationError(f"(2.11) unknown potential kind '{kind}'")
-
-    @cached_property
-    def eps(self) -> float:
-        (eps,) = self._numbers("potential", ("eps",), "(2.11)")
-        require(potentials.eps_rule(eps))
-        return eps
-
-    @cached_property
-    def dt(self) -> float:
-        (dt,) = self._numbers("time", ("dt",), "(2.11)")
-        galerkin.check_step(dt, self.scheme())
-        return dt
-
-    def scheme(self) -> str:
-        return self.get("time", "scheme")
-
-    def _count(self, key: str, least: int) -> int:
-        (count,) = self._numbers("experiment", (key,), "(2.11)", int)
-        require((count >= least, f"(2.11) experiment.{key} must be >= {least}, got {count}"))
-        return count
-
-    @cached_property
-    def trials(self) -> int:
-        """Random right-hand sides of ``verify elliptic``."""
-        return self._count("trials", 0)
-
-    @cached_property
-    def samples(self) -> int:
-        """Sample points of ``verify potentials``."""
-        return self._count("samples", 1)
-
-    @cached_property
-    def schedule(self) -> list[float]:
-        text = self.get("experiment", "schedule").strip()
-        items = [("experiment.schedule", x) for x in text.split(",")] if text else []
-        return _parse_numbers(items, "(2.11)")
-
-    def problem_data(self) -> ProblemData:
-        """The problem data; each data expression is parsed once per config."""
-        return self._problem_data
-
-    @cached_property
-    def _problem_data(self) -> ProblemData:
-        domain = self.basis.domain
-        return ProblemData(
-            params=self.params,
-            potential=self.potential,
-            eps=self.eps,
-            phi0=parse_field_expr(self.get("data", "phi0"), domain),
-            w0=parse_field_expr(self.get("data", "w0"), domain),
-            w1=parse_field_expr(self.get("data", "w1"), domain),
-            f=parse_source_expr(self.get("data", "f"), domain),
-            g=parse_source_expr(self.get("data", "g"), domain),
-            t_final=self._numbers("time", ("t_final",), "(2.11)")[0],
-        )
-
-    def warnings(self) -> list[str]:
-        out = []
-        if self.params.a <= 0.0:
-            out.append(
-                "warning: a <= 0 accepted although the positivity assumption lists it"
-            )
-        return out
+    sections: dict[str, dict[str, str]]
+    data: ProblemData = field(compare=False)
+    basis: SpectralBasis = field(compare=False)
+    dt: float = field(compare=False)
+    scheme: str = field(compare=False)
+    trials: int = field(compare=False)  # random right-hand sides of ``verify elliptic``
+    samples: int = field(compare=False)  # sample points of ``verify potentials``
+    schedule: list[float] = field(compare=False)
 
 
-def _canonical_sections(raw: dict[str, dict[str, str]]) -> tuple:
+def _canonical_sections(raw: dict[str, dict[str, str]]) -> dict[str, dict[str, str]]:
     merged: dict[str, dict[str, str]] = {}
     for section, defaults in DEFAULTS.items():
         merged[section] = dict(defaults)
@@ -314,41 +216,100 @@ def _canonical_sections(raw: dict[str, dict[str, str]]) -> tuple:
             if k not in merged[name]:
                 raise ConfigParseError(f"unknown key '{key}' in section [{section}]")
             merged[name][k] = value.strip()
-    return tuple(
-        (name, tuple(sorted(merged[name].items()))) for name in sorted(merged)
-    )
-
-
-# Builders in reporting order, all checked before the data and compatibility stage.
-_STAGES = ("params", "basis", "potential", "eps", "dt", "trials", "samples", "schedule")
-
-
-def validate_config(cfg: RunConfig) -> list[str]:
-    """Build every object of ``cfg``, collecting the tagged message of each violated rule.
-
-    The data expressions and the compatibility band are checked only when
-    every other object builds.
-    """
-    messages: list[str] = []
-    for stage in _STAGES:
-        try:
-            getattr(cfg, stage)
-        except ConfigurationError as exc:
-            messages.extend(str(exc).splitlines())
-    if not messages:
-        try:
-            galerkin.check_compatibility(cfg.problem_data())
-        except ConfigurationError as exc:
-            messages.extend(str(exc).splitlines())
-    return messages
+    return {name: dict(sorted(merged[name].items())) for name in sorted(merged)}
 
 
 def config_from_sections(raw: dict[str, dict[str, str]]) -> RunConfig:
-    cfg = RunConfig(sections=_canonical_sections(raw))
-    problems = validate_config(cfg)
-    if problems:
-        raise ConfigurationError("\n".join(problems))
-    return cfg
+    """Canonicalize ``raw`` and build every object it describes.
+
+    Each object whose rule is broken contributes the tagged lines of its
+    ConfigurationError, in the order built; the data expressions and the
+    compatibility band are built only when every other object builds.
+    Raises one ConfigurationError with all the lines.
+    """
+    sections = _canonical_sections(raw)
+    messages: list[str] = []
+
+    def build(make):
+        try:
+            return make()
+        except ConfigurationError as exc:
+            messages.extend(str(exc).splitlines())
+
+    def numbers(section: str, keys: Sequence[str], tag: str, kind: type = float) -> list:
+        return _parse_numbers([(f"{section}.{k}", sections[section][k]) for k in keys], tag, kind)
+
+    def make_basis() -> SpectralBasis:
+        (dim,) = numbers("domain", ("dim",), "(2.12)", int)
+        lengths = _parse_numbers(
+            [("domain.lengths", x) for x in sections["domain"]["lengths"].split(",")], "(2.12)"
+        )
+        grid, n_modes = numbers("domain", ("grid", "n_modes"), "(2.11)", int)
+        # dim only restates the number of lengths; BoxDomain owns the rule on it.
+        require((dim == len(lengths), f"(2.12) dim = {dim} but {len(lengths)} lengths given"))
+        return spectral.build_basis(BoxDomain(tuple(lengths), grid), n_modes)
+
+    def make_potential() -> PotentialSpec:
+        c1, c2 = numbers("potential", ("c1", "c2"), "(2.11)")
+        kind = sections["potential"]["kind"]
+        if kind == "regular":
+            return potentials.regular_potential()
+        if kind == "logarithmic":
+            return potentials.logarithmic_potential(c1)
+        if kind == "double_obstacle":
+            return potentials.double_obstacle_potential(c2)
+        raise ConfigurationError(f"(2.11) unknown potential kind '{kind}'")
+
+    def make_eps() -> float:
+        (eps,) = numbers("potential", ("eps",), "(2.11)")
+        require(potentials.eps_rule(eps))
+        return eps
+
+    def make_dt() -> float:
+        (dt,) = numbers("time", ("dt",), "(2.11)")
+        galerkin.check_step(dt, scheme)
+        return dt
+
+    def make_count(key: str, least: int) -> int:
+        (count,) = numbers("experiment", (key,), "(2.11)", int)
+        require((count >= least, f"(2.11) experiment.{key} must be >= {least}, got {count}"))
+        return count
+
+    def make_data() -> ProblemData:
+        domain, text = basis.domain, sections["data"]
+        data = ProblemData(
+            params=params,
+            potential=potential,
+            eps=eps,
+            phi0=parse_field_expr(text["phi0"], domain),
+            w0=parse_field_expr(text["w0"], domain),
+            w1=parse_field_expr(text["w1"], domain),
+            f=parse_source_expr(text["f"], domain),
+            g=parse_source_expr(text["g"], domain),
+            t_final=numbers("time", ("t_final",), "(2.11)")[0],
+        )
+        galerkin.check_compatibility(data)
+        return data
+
+    scheme = sections["time"]["scheme"]
+    schedule_text = sections["experiment"]["schedule"].strip()
+    params = build(lambda: PhysicalParams(
+        *numbers("physics", ("gamma", "a", "b", "kappa1", "kappa2", "lambda"), "(2.5)")
+    ))
+    basis = build(make_basis)
+    potential = build(make_potential)
+    eps = build(make_eps)
+    dt = build(make_dt)
+    trials = build(lambda: make_count("trials", 0))
+    samples = build(lambda: make_count("samples", 1))
+    schedule = build(lambda: _parse_numbers(
+        [("experiment.schedule", x) for x in schedule_text.split(",")] if schedule_text else [],
+        "(2.11)",
+    ))
+    data = None if messages else build(make_data)
+    if messages:
+        raise ConfigurationError("\n".join(messages))
+    return RunConfig(sections, data, basis, dt, scheme, trials, samples, schedule)
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -618,113 +579,51 @@ def write_summary_json(path: Path, payload: dict) -> None:
 # experiment drivers
 
 
-def _prepare_outdir(cfg: Optional[RunConfig], override: Optional[str]) -> Path:
-    directory = override or (cfg.get("output", "directory") if cfg else "out")
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def run_simulate(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
-    started = time.perf_counter()
-    data = cfg.problem_data()
-    failure = None
+def run_simulate(cfg: RunConfig) -> tuple[dict, galerkin.Trajectory, Optional[str]]:
+    """The summary payload, the trajectory (partial after a numeric failure)
+    and the failure's message, or None."""
+    data, failure = cfg.data, None
     try:
-        trajectory = galerkin.simulate(data, cfg.basis, cfg.dt, cfg.scheme())
+        trajectory = galerkin.simulate(data, cfg.basis, cfg.dt, cfg.scheme)
     except RunFailure as exc:
-        # preserve partial artifacts before reporting the numeric failure
-        trajectory = exc.trajectory
-        failure = str(exc)
+        trajectory, failure = exc.trajectory, str(exc)
     report = analysis.apriori_monitor(trajectory, data)
-    mean_report = analysis.mean_law_check(trajectory, data)
-    write_trajectory_csv(outdir / "trajectory.csv", trajectory)
-    write_summary_json(
-        outdir / "summary.json",
-        {
-            "config": cfg.as_dict(),
-            "experiment": "simulate",
-            "n_records": len(trajectory),
-            "violations": report.violations + ([failure] if failure else []),
-            "realized_norms": report.realized,
-            "mean_law": {
-                "max_error_discrete": mean_report.max_error_discrete,
-                "max_error_continuum": mean_report.max_error_continuum,
-            },
-            "energy_residual": analysis.energy_identity_residual(trajectory),
-            "warnings": cfg.warnings(),
-            "wall_time_s": time.perf_counter() - started,
-        },
-    )
-    if failure is not None:
-        print(f"numeric failure: {failure}", file=sys.stderr)
-        return EXIT_NUMERIC
-    if not quiet:
-        print(f"simulate: {len(trajectory)} records -> {outdir}")
-    return EXIT_OK
+    payload = {
+        "n_records": len(trajectory),
+        "violations": report.violations + ([failure] if failure else []),
+        "realized_norms": report.realized,
+        "mean_law": dataclasses.asdict(analysis.mean_law_check(trajectory, data)),
+        "energy_residual": analysis.energy_identity_residual(trajectory),
+        "warnings": (
+            ["warning: a <= 0 accepted although the positivity assumption lists it"]
+            if data.params.a <= 0.0 else []
+        ),
+    }
+    return payload, trajectory, failure
 
 
-def run_verify(cfg: RunConfig, target: str, outdir: Path, quiet: bool, seed: int) -> int:
-    started = time.perf_counter()
+def run_verify(cfg: RunConfig, target: str, seed: int) -> dict:
     rng = random.Random(seed)
     if target == "potentials":
         eps_values = cfg.schedule or [0.5, 0.1, 0.02]
-        violations, metrics = potentials_suite(cfg.potential, eps_values, cfg.samples, rng)
+        violations, metrics = potentials_suite(cfg.data.potential, eps_values, cfg.samples, rng)
     elif target == "spectral":
         violations, metrics = spectral_suite(cfg.basis, rng)
-    elif target == "elliptic":
-        violations, metrics = elliptic_suite(cfg.basis, cfg.potential, cfg.eps, rng, cfg.trials)
     else:
-        raise ConfigurationError(f"(2.11) unknown verify target '{target}'")
-    write_summary_json(
-        outdir / "summary.json",
-        {
-            "config": cfg.as_dict(),
-            "experiment": f"verify {target}",
-            "violations": violations,
-            "metrics": metrics,
-            "seed": seed,
-            "wall_time_s": time.perf_counter() - started,
-        },
-    )
-    if not quiet:
-        status = "ok" if not violations else f"{len(violations)} violations"
-        print(f"verify {target}: {status} -> {outdir}")
-    return EXIT_OK if not violations else EXIT_NUMERIC
+        violations, metrics = elliptic_suite(cfg.basis, cfg.data.potential, cfg.data.eps, rng, cfg.trials)
+    return {"violations": violations, "metrics": metrics, "seed": seed}
 
 
-def run_converge(cfg: RunConfig, vary: str, outdir: Path, quiet: bool) -> int:
-    started = time.perf_counter()
-    kind = {"modes": analysis.MODE_COUNT, "eps": analysis.EPSILON, "dt": analysis.TIME_STEP}[vary]
-    schedule = cfg.schedule
-    if not schedule:
-        defaults = {
-            "modes": [4.0, 8.0, 16.0, 32.0],
-            "eps": [0.2, 0.1, 0.05, 0.025],
-            "dt": [1e-2, 5e-3, 2.5e-3],
-        }
-        schedule = defaults[vary]
-    rows = analysis.convergence_study(
-        kind, schedule, cfg.problem_data(), cfg.basis, cfg.dt, cfg.scheme()
-    )
-    write_table_csv(outdir / "convergence.csv", rows)
-    write_summary_json(
-        outdir / "summary.json",
-        {
-            "config": cfg.as_dict(),
-            "experiment": f"converge {vary}",
-            "schedule": schedule,
-            "rows": rows,
-            "wall_time_s": time.perf_counter() - started,
-        },
-    )
-    if not quiet:
-        print(f"converge {vary}: {len(rows)} rows -> {outdir}")
-    return EXIT_OK
+def run_converge(cfg: RunConfig, vary: str) -> dict:
+    defaults = {"modes": [4.0, 8.0, 16.0, 32.0], "eps": [0.2, 0.1, 0.05, 0.025], "dt": [1e-2, 5e-3, 2.5e-3]}
+    schedule = cfg.schedule or defaults[vary]
+    rows = analysis.convergence_study(vary, schedule, cfg.data, cfg.basis, cfg.dt, cfg.scheme)
+    return {"schedule": schedule, "rows": rows}
 
 
-def run_depend(cfg1: RunConfig, cfg2: RunConfig, outdir: Path, quiet: bool) -> int:
-    started = time.perf_counter()
-    d1, d2 = cfg1.as_dict(), cfg2.as_dict()
+def run_depend(cfg1: RunConfig, cfg2: RunConfig) -> tuple[dict, dict[str, float]]:
+    """The summary payload and the one row of ``dependence.csv``."""
+    d1, d2 = cfg1.sections, cfg2.sections
     for section, keys in (
         ("domain", None), ("physics", None), ("potential", None), ("time", None),
         ("data", ("phi0", "w0", "w1")),
@@ -735,36 +634,13 @@ def run_depend(cfg1: RunConfig, cfg2: RunConfig, outdir: Path, quiet: bool) -> i
                     f"(2.11) dependence pair must share [{section}] {key}: "
                     f"'{d1[section][key]}' vs '{d2[section][key]}'"
                 )
-    data1 = cfg1.problem_data()
-    # Re-anchor on the first config's potential object so identity comparison
-    # reflects the required shared structure.
-    data2 = dataclasses.replace(cfg2.problem_data(), potential=data1.potential)
     report = analysis.dependence_experiment(
-        data1, data2, cfg1.basis, cfg1.dt, cfg1.scheme()
+        cfg1.data, cfg2.data.f, cfg2.data.g, cfg1.basis, cfg1.dt, cfg1.scheme
     )
-    rows = [
-        {"lhs": report.lhs, "empirical_K2": report.empirical_K2,
-         **{f"lhs_{k}": v for k, v in report.lhs_components.items()},
-         **{f"rhs_{k}": v for k, v in report.rhs_components.items()}}
-    ]
-    write_table_csv(outdir / "dependence.csv", rows)
-    write_summary_json(
-        outdir / "summary.json",
-        {
-            "config": cfg1.as_dict(),
-            "config_pair": cfg2.as_dict(),
-            "experiment": "depend",
-            "lhs": report.lhs,
-            "lhs_components": report.lhs_components,
-            "rhs_components": report.rhs_components,
-            "empirical_K2": report.empirical_K2,
-            "xi_L1_runs": list(report.xi_L1_runs),
-            "wall_time_s": time.perf_counter() - started,
-        },
-    )
-    if not quiet:
-        print(f"depend: lhs = {report.lhs:.6g} -> {outdir}")
-    return EXIT_OK
+    row = {"lhs": report.lhs, "empirical_K2": report.empirical_K2,
+           **{f"lhs_{k}": v for k, v in report.lhs_components.items()},
+           **{f"rhs_{k}": v for k, v in report.rhs_components.items()}}
+    return {"config_pair": d2, **dataclasses.asdict(report)}, row
 
 
 # ---------------------------------------------------------------------------
@@ -842,19 +718,47 @@ def _keep_freed_heap() -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command: its artifacts and ``summary.json`` go to the output directory."""
     _keep_freed_heap()
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
-        outdir = _prepare_outdir(cfg, args.output_dir)
+        outdir = Path(args.output_dir or cfg.sections["output"]["directory"])
+        outdir.mkdir(parents=True, exist_ok=True)
+        cfg2 = parse_config(args.config2) if args.command == "depend" else None
+        started = time.perf_counter()
+        code, failure = EXIT_OK, None
         if args.command == "simulate":
-            return run_simulate(cfg, outdir, args.quiet)
-        if args.command == "verify":
-            return run_verify(cfg, args.target, outdir, args.quiet, args.seed)
-        if args.command == "converge":
-            return run_converge(cfg, args.vary, outdir, args.quiet)
-        cfg2 = parse_config(args.config2)
-        return run_depend(cfg, cfg2, outdir, args.quiet)
+            experiment = "simulate"
+            payload, trajectory, failure = run_simulate(cfg)
+            write_trajectory_csv(outdir / "trajectory.csv", trajectory)
+            progress = f"{len(trajectory)} records"
+        elif args.command == "verify":
+            experiment = f"verify {args.target}"
+            payload = run_verify(cfg, args.target, args.seed)
+            violations = payload["violations"]
+            progress = f"{len(violations)} violations" if violations else "ok"
+            code = EXIT_NUMERIC if violations else EXIT_OK
+        elif args.command == "converge":
+            experiment = f"converge {args.vary}"
+            payload = run_converge(cfg, args.vary)
+            write_table_csv(outdir / "convergence.csv", payload["rows"])
+            progress = f"{len(payload['rows'])} rows"
+        else:
+            experiment = "depend"
+            payload, row = run_depend(cfg, cfg2)
+            write_table_csv(outdir / "dependence.csv", [row])
+            progress = f"lhs = {payload['lhs']:.6g}"
+        write_summary_json(outdir / "summary.json", {
+            "config": cfg.sections, "experiment": experiment, **payload,
+            "wall_time_s": time.perf_counter() - started,
+        })
+        if failure is not None:
+            print(f"numeric failure: {failure}", file=sys.stderr)
+            return EXIT_NUMERIC
+        if not args.quiet:
+            print(f"{experiment}: {progress} -> {outdir}")
+        return code
     except (ConfigParseError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

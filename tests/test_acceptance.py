@@ -168,7 +168,7 @@ def test_criterion_6_continuous_dependence():
         domain, REG, eps=0.1,
         phi0=sp.cosine_sum_field(domain, 0.1, [((1,), 0.2)]), t_final=0.5,
     )
-    identical = an.dependence_experiment(base, base, basis, 2e-3)
+    identical = an.dependence_experiment(base, base.f, base.g, basis, 2e-3)
     ok = identical.lhs <= 1e-12
 
     k2s, lhss = [], []
@@ -176,7 +176,7 @@ def test_criterion_6_continuous_dependence():
         perturbed = dataclasses.replace(
             base, f=constant_source(sp.constant_field(delta, domain))
         )
-        rep = an.dependence_experiment(base, perturbed, basis, 2e-3)
+        rep = an.dependence_experiment(base, perturbed.f, perturbed.g, basis, 2e-3)
         k2s.append(rep.empirical_K2)
         lhss.append(rep.lhs)
     ok = ok and max(k2s) / min(k2s) <= 10.0

@@ -30,6 +30,7 @@ RTOL = 1e-12
 
 DEMO = "configs/demo.ini"
 SQUARE = "tests/golden/square_semi.ini"
+ELLIPTIC = "tests/golden/elliptic_2d.ini"
 # name -> (argv before the output flags, {config: (source config, text, replacement)}, files)
 CASES = {
     "simulate_demo": (["simulate", DEMO], {}, ("trajectory.csv", "summary.json")),
@@ -44,12 +45,20 @@ CASES = {
         ["simulate", SQUARE], {SQUARE: (SQUARE, "scheme = semi_implicit", "scheme = backward_euler")},
         ("trajectory.csv", "summary.json"),
     ),
-    "converge_modes_demo": (["converge", "modes", DEMO], {}, ("convergence.csv",)),
-    "converge_dt_benchmark": (["converge", "dt", "configs/benchmark.ini"], {}, ("convergence.csv",)),
+    "converge_modes_demo": (["converge", "modes", DEMO], {}, ("convergence.csv", "summary.json")),
+    "converge_dt_benchmark": (
+        ["converge", "dt", "configs/benchmark.ini"], {}, ("convergence.csv", "summary.json"),
+    ),
     "depend_demo_f": (
         ["depend", DEMO, "demo_f.ini"], {"demo_f.ini": (DEMO, "f = 0.2 ; 0.5: -0.2", "f = 0.25 ; 0.4: -0.1")},
-        ("dependence.csv",),
+        ("dependence.csv", "summary.json"),
     ),
+    "verify_elliptic_2d_seed0": (["verify", "elliptic", ELLIPTIC, "--seed", "0"], {}, ("summary.json",)),
+    "verify_elliptic_2d_seed1": (["verify", "elliptic", ELLIPTIC, "--seed", "1"], {}, ("summary.json",)),
+    "verify_potentials_logarithmic": (
+        ["verify", "potentials", "configs/logarithmic.ini"], {}, ("summary.json",),
+    ),
+    "verify_spectral_demo": (["verify", "spectral", DEMO], {}, ("summary.json",)),
 }
 
 

@@ -151,15 +151,14 @@ class TestExpressions:
 class TestParseConfig:
     def test_minimal_with_defaults(self, tmp_path):
         cfg = io.parse_config(write_config(tmp_path, MINIMAL))
-        assert cfg.get("physics", "gamma") == "1.0"
-        assert cfg.get("data", "phi0") == "0.3"
-        assert cfg.scheme() == "semi_implicit"
-        data = cfg.problem_data()
-        assert data.params.gamma == 1.0
+        assert cfg.sections["physics"]["gamma"] == "1.0"
+        assert cfg.sections["data"]["phi0"] == "0.3"
+        assert cfg.scheme == "semi_implicit"
+        assert cfg.data.params.gamma == 1.0
 
     def test_round_trip_equality(self, tmp_path):
         cfg = io.parse_config(write_config(tmp_path, FULL))
-        again = io.config_from_sections(cfg.as_dict())
+        again = io.config_from_sections(cfg.sections)
         assert cfg == again
 
     def test_gamma_zero_rejected(self, tmp_path):
@@ -572,13 +571,25 @@ class TestCli:
         assert summary["lhs"] > 0.0
         assert (out / "dependence.csv").exists()
 
-    def test_depend_requires_shared_initial_data(self, tmp_path):
+    @pytest.mark.parametrize("section, key, old, new", [
+        ("data", "phi0", "0.1 + 0.2*cos(1)", "0.3"),
+        ("time", "dt", "0.01", "0.02"),
+        ("time", "scheme", "semi_implicit", "backward_euler"),
+        ("potential", "eps", "0.1", "0.2"),
+        ("data", "w0", "0.0", "0.05"),
+    ], ids=["phi0", "dt", "scheme", "eps", "w0"])
+    def test_depend_requires_shared_initial_data(self, tmp_path, capsys, section, key, old, new):
+        # The config pair's check is the only guard of these keys:
+        # dependence_experiment takes one problem and a second pair of sources.
         cfg1 = write_config(tmp_path, FULL, "a.ini")
-        cfg2 = write_config(
-            tmp_path, FULL.replace("phi0 = 0.1 + 0.2*cos(1)", "phi0 = 0.3"), "b.ini"
-        )
-        code = io.main(["depend", str(cfg1), str(cfg2), "--quiet"])
+        cfg2 = write_config(tmp_path, FULL.replace(f"{key} = {old}", f"{key} = {new}"), "b.ini")
+        out = tmp_path / "dep"
+        code = io.main(["depend", str(cfg1), str(cfg2), "--output-dir", str(out), "--quiet"])
         assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: (2.11) dependence pair must share [{section}] {key}: '{old}' vs '{new}'"
+        ]
+        assert not (out / "summary.json").exists()
 
     def test_run_failure_preserves_partial_artifacts(self, tmp_path, monkeypatch):
         from thermoch import galerkin as gk
