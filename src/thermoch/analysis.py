@@ -24,6 +24,7 @@ MODE_COUNT = "modes"
 EPSILON = "eps"
 TIME_STEP = "dt"
 STUDY_KINDS = (MODE_COUNT, EPSILON, TIME_STEP)
+_MEAN_TOL = 1e-9  # rounding slack of the (4.31) mean band
 
 
 def _trapz(values: np.ndarray, times: np.ndarray) -> float:
@@ -70,7 +71,7 @@ class AprioriReport:
     realized: dict[str, float]
 
 
-def apriori_monitor(trajectory: Trajectory, data: ProblemData, mean_tol: float = 1e-9) -> AprioriReport:
+def apriori_monitor(trajectory: Trajectory, data: ProblemData) -> AprioriReport:
     """Scan a trajectory for non-finite monitors and mean-band violations,
     and collect the realized norm inventory of the boundedness estimates."""
     band = galerkin.compatibility_quantities(data)
@@ -80,7 +81,7 @@ def apriori_monitor(trajectory: Trajectory, data: ProblemData, mean_tol: float =
     names = [k for k in rec if k not in ("t", "mean_phi_exact")]
     values = np.column_stack([rec[k] for k in names])
     mean = rec["mean_phi"]
-    outside = ~((band_lo - mean_tol <= mean) & (mean <= band_hi + mean_tol))
+    outside = ~((band_lo - _MEAN_TOL <= mean) & (mean <= band_hi + _MEAN_TOL))
     violations = [
         f"non-finite {names[j]} = {values[k, j]} at t = {t[k]}" if j < len(names) else
         f"(4.31) mean band violated at t = {t[k]}: {mean[k]:.12g} "

@@ -31,7 +31,7 @@ from .potentials import PotentialSpec, Regularization
 from .spectral import Field, SpectralBasis
 
 _TOL_FACTOR = 1e-13
-_L6_SLACK = 1e-6
+L6_SLACK = 1e-6  # relative slack of the 6-norm bound for discretization error
 
 
 @dataclass(frozen=True)
@@ -118,5 +118,5 @@ def check_L6_bound(problem: EllipticProblem, sol: EllipticSolution) -> tuple[flo
     domain = problem.basis.domain
     lhs = spectral.norm_Lp(sol.reg.value, domain, 6)
     rhs = spectral.norm_Lp(problem.h.values, domain, 6)
-    return lhs, rhs, lhs <= rhs * (1.0 + _L6_SLACK)
+    return lhs, rhs, lhs <= rhs * (1.0 + L6_SLACK)
 

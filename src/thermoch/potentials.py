@@ -5,8 +5,9 @@ beta_hat >= 0 with beta_hat(0) = 0 (possibly +inf outside a domain interval)
 and a quadratic pi_hat(r) = pi_hat(0) - (L/2) r^2 whose derivative -L r is
 Lipschitz; a potential keeps just those two constants.  The multivalued
 monotone graph beta = d(beta_hat) is represented through its minimal section
-beta_min_section, and regularized by the resolvent (I + eps*beta)^(-1) and
-the induced Lipschitz approximation ``yosida``.
+beta_min_section, and regularized by the resolvent J = (I + eps*beta)^(-1) and
+the induced Lipschitz approximation (r - J) / eps, both read from one
+``regularize`` solve.
 
 Three prototypes are provided, each with an exact resolvent kernel:
 
@@ -25,11 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import CompatibilityError, NumericFailure, require
+from .errors import NumericFailure, require
 
 # Edge offset keeping the entropy's logarithms finite at the ends of [-1, 1].
 _EDGE = 1e-15
@@ -278,58 +279,3 @@ def regularize(spec: PotentialSpec, eps: float, r) -> Regularization:
     j = resolvent(spec, eps, r_arr)
     return Regularization(spec, eps, r_arr, j, (r_arr - j) / eps)
 
-
-def yosida(spec: PotentialSpec, eps: float, r):
-    """Lipschitz regularization (r - resolvent(r)) / eps of the graph."""
-    value = regularize(spec, eps, r).value
-    return float(value) if np.ndim(r) == 0 else value
-
-
-@dataclass(frozen=True)
-class InteriorBoundConstants:
-    """Sampled constants for the interior lower bound of the regularized graph.
-
-    Records the smallest C0 >= 0 such that, on every sampled (eps, r, r0) with
-    r0 in [r_lo, r_hi], yosida(r)*(r - r0) >= delta0*|yosida(r)| - C0.
-    This is a numeric estimate over the supplied grids, not a proof.
-    """
-
-    r_lo: float
-    r_hi: float
-    delta0: float
-    C0: float
-
-
-def interior_bound_constants(
-    spec: PotentialSpec,
-    r_lo: float,
-    r_hi: float,
-    delta0: float,
-    eps_grid: Sequence[float],
-    r_grid: Sequence[float],
-) -> InteriorBoundConstants:
-    """Estimate the offset constant of the interior inequality by a grid sweep.
-
-    Requires r_lo - delta0 and r_hi + delta0 to lie in the interior of
-    D(beta); raises CompatibilityError otherwise.  For each sampled r the
-    expression delta0*|b| - b*(r - r0) is linear in r0, so only the endpoint
-    values r0 in {r_lo, r_hi} are evaluated.
-    """
-    if delta0 <= 0.0:
-        raise ValueError(f"delta0 must be positive, got {delta0}")
-    if r_lo > r_hi:
-        raise ValueError(f"empty admissible range: r_lo={r_lo} > r_hi={r_hi}")
-    for endpoint in (r_lo - delta0, r_hi + delta0):
-        if not spec.interior_contains(endpoint):
-            raise CompatibilityError(
-                f"(2.14) interior condition fails: {endpoint} is not interior to "
-                f"D(beta) = ({spec.domain[0]}, {spec.domain[1]})"
-            )
-    r = np.asarray(list(r_grid), dtype=float)
-    worst = 0.0
-    for eps in eps_grid:
-        b = yosida(spec, float(eps), r)
-        for r0 in (r_lo, r_hi):
-            gap = delta0 * np.abs(b) - b * (r - r0)
-            worst = max(worst, float(gap.max(initial=0.0)))
-    return InteriorBoundConstants(r_lo=r_lo, r_hi=r_hi, delta0=delta0, C0=worst)

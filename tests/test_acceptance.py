@@ -40,7 +40,7 @@ def test_criterion_1_yosida_suite():
     metrics = {}
     for spec in (REG, LOG, OBS):
         rng = random.Random(1)
-        violations, m = io.potentials_suite(spec, eps_values, 10_000, rng, tol=1e-10)
+        violations, m = io.potentials_suite(spec, eps_values, 10_000, rng)
         all_violations += [f"{spec.kind}: {v}" for v in violations]
         metrics[spec.kind] = max(v for k, v in m.items() if k != "interior_bound_C0")
     elapsed = time.perf_counter() - started

@@ -142,7 +142,7 @@ class TestMuReconstruction:
         state = zero_state(unit_basis)._replace(phi=0.1 * rng.standard_normal(unit_basis.n))
         xi = evaluate(state, data)[2]
         grid = sp.to_field(state.phi, unit_basis)
-        assert np.array_equal(xi, pot.yosida(REG, 0.3, grid))
+        assert np.array_equal(xi, pot.regularize(REG, 0.3, grid).value)
 
 
 class TestRhs:
@@ -584,8 +584,7 @@ class TestSharedEvaluation:
         assert np.abs(grid).max() > 1.0  # both sides of the obstacle and log edges
         ev_nl, _, xi, ev_bulk = evaluate(state, data)
         reg = pot.regularize(spec, eps, grid)
-        assert np.array_equal(xi, pot.yosida(spec, eps, grid))
-        assert np.array_equal(reg.value, pot.yosida(spec, eps, grid))
+        assert np.array_equal(xi, reg.value)
         # pi(phi) = -L phi, pi_hat(phi) = pi_hat(0) - (L/2) phi^2 and a by Parseval.
         phi, root = state.phi, math.sqrt(unit_domain.measure)
         nl = sp.to_coeffs(xi, unit_basis) - spec.pi_lipschitz * phi
@@ -739,7 +738,7 @@ class TestEnergy:
 
         def primitive_quadrature(r, n=400):
             s = np.linspace(0.0, r, 2 * n + 1)
-            y = pot.yosida(REG, 0.2, s)
+            y = pot.regularize(REG, 0.2, s).value
             h = r / (2 * n) if r != 0.0 else 0.0
             return h / 3.0 * (y[0] + y[-1] + 4.0 * y[1::2].sum() + 2.0 * y[2:-1:2].sum())
 

@@ -29,12 +29,13 @@ GOLDEN = ROOT / "tests" / "golden"
 RTOL = 1e-12
 
 DEMO = "configs/demo.ini"
+LOG = "configs/logarithmic.ini"
 SQUARE = "tests/golden/square_semi.ini"
 ELLIPTIC = "tests/golden/elliptic_2d.ini"
 # name -> (argv before the output flags, {config: (source config, text, replacement)}, files)
 CASES = {
     "simulate_demo": (["simulate", DEMO], {}, ("trajectory.csv", "summary.json")),
-    "simulate_logarithmic": (["simulate", "configs/logarithmic.ini"], {}, ("trajectory.csv", "summary.json")),
+    "simulate_logarithmic": (["simulate", LOG], {}, ("trajectory.csv", "summary.json")),
     "simulate_benchmark": (["simulate", "configs/benchmark.ini"], {}, ("trajectory.csv", "summary.json")),
     "simulate_demo_backward_euler": (
         ["simulate", DEMO], {DEMO: (DEMO, "scheme = semi_implicit", "scheme = backward_euler")},
@@ -55,8 +56,11 @@ CASES = {
     ),
     "verify_elliptic_2d_seed0": (["verify", "elliptic", ELLIPTIC, "--seed", "0"], {}, ("summary.json",)),
     "verify_elliptic_2d_seed1": (["verify", "elliptic", ELLIPTIC, "--seed", "1"], {}, ("summary.json",)),
-    "verify_potentials_logarithmic": (
-        ["verify", "potentials", "configs/logarithmic.ini"], {}, ("summary.json",),
+    "verify_potentials_logarithmic": (["verify", "potentials", LOG], {}, ("summary.json",)),
+    "verify_potentials_demo": (["verify", "potentials", DEMO], {}, ("summary.json",)),
+    "verify_potentials_double_obstacle": (
+        ["verify", "potentials", LOG], {LOG: (LOG, "kind = logarithmic", "kind = double_obstacle")},
+        ("summary.json",),
     ),
     "verify_spectral_demo": (["verify", "spectral", DEMO], {}, ("summary.json",)),
 }

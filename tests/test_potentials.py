@@ -1,13 +1,14 @@
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 
 from conftest import pi_hat, reference_logarithmic_resolvent, sampled_spec_violations
 from thermoch import potentials as pot
-from thermoch.errors import CompatibilityError, NumericFailure
-from thermoch.io_cli import bisection_resolvent
+from thermoch.errors import NumericFailure
+from thermoch.io_cli import bisection_resolvent, potentials_suite, uniforms
 
 REG = pot.regular_potential()
 LOG = pot.logarithmic_potential(2.0)
@@ -129,22 +130,22 @@ class TestResolvent:
 
 class TestYosida:
     def test_double_obstacle_value(self):
-        assert pot.yosida(OBS, 0.5, 2.0) == pytest.approx(2.0, abs=1e-15)
+        assert pot.regularize(OBS, 0.5, 2.0).value == pytest.approx(2.0, abs=1e-15)
 
     def test_regular_against_oracle(self):
         eps = 0.5
         oracle = (2.0 - bisection_resolvent(REG, eps, 2.0)) / eps
-        assert abs(pot.yosida(REG, eps, 2.0) - oracle) <= 1e-10
+        assert abs(pot.regularize(REG, eps, 2.0).value - oracle) <= 1e-10
 
     def test_logarithmic_zero_at_zero(self):
-        assert pot.yosida(LOG, 0.1, 0.0) == 0.0
+        assert pot.regularize(LOG, 0.1, 0.0).value == 0.0
 
     @pytest.mark.parametrize("spec", PROTOTYPES, ids=lambda s: s.kind)
     def test_monotone_and_lipschitz(self, spec):
         rng = np.random.default_rng(7)
         r = np.sort(rng.uniform(-3.0, 3.0, 500))
         for eps in (0.8, 0.2, 0.05):
-            y = pot.yosida(spec, eps, r)
+            y = pot.regularize(spec, eps, r).value
             dy, dr = np.diff(y), np.diff(r)
             assert (dy >= -1e-10).all()
             assert (np.abs(dy) <= dr / eps + 1e-10).all()
@@ -157,7 +158,7 @@ class TestYosida:
         r = rng.uniform(lo, hi, 500)
         for eps in (0.8, 0.2, 0.05):
             assert (
-                np.abs(pot.yosida(spec, eps, r)) <= np.abs(spec.beta_min_section(r)) + 1e-10
+                np.abs(pot.regularize(spec, eps, r).value) <= np.abs(spec.beta_min_section(r)) + 1e-10
             ).all()
 
 
@@ -176,7 +177,7 @@ class TestYosidaPrimitive:
         expected = 0.25 * j**4 + (2.0 - j) ** 2 / (2.0 * eps)
         value = pot.regularize(REG, eps, 2.0).primitive()
         assert value == pytest.approx(expected, abs=1e-12)
-        quad = simpson(lambda s: pot.yosida(REG, eps, s), 0.0, 2.0)
+        quad = simpson(lambda s: pot.regularize(REG, eps, s).value, 0.0, 2.0)
         assert value == pytest.approx(quad, abs=1e-8)
 
     @pytest.mark.parametrize("spec", PROTOTYPES, ids=lambda s: s.kind)
@@ -200,35 +201,29 @@ class TestYosidaDerivative:
     def test_matches_finite_difference(self, spec):
         eps, h = 0.2, 1e-6
         for r in (-1.3, -0.4, 0.0, 0.6, 2.1):
-            fd = (pot.yosida(spec, eps, r + h) - pot.yosida(spec, eps, r - h)) / (2 * h)
+            fd = (pot.regularize(spec, eps, r + h).value - pot.regularize(spec, eps, r - h).value) / (2 * h)
             assert pot.regularize(spec, eps, r).slope() == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
 class TestInteriorBound:
-    def test_double_obstacle_zero_constant(self):
-        result = pot.interior_bound_constants(
-            OBS, -0.5, 0.5, 0.4, eps_grid=[0.9, 0.5, 0.1, 0.01],
-            r_grid=np.linspace(-4, 4, 4001),
-        )
-        assert result.C0 == 0.0
+    """``interior_bound_C0`` of ``potentials_suite``: the least C0 >= 0 with b r >= |b| / 4 - C0."""
 
     def test_regular_matches_brute_force(self):
-        eps_grid = [0.9, 0.5, 0.1]
-        r_grid = np.linspace(-3, 3, 1201)
-        result = pot.interior_bound_constants(REG, 0.0, 0.0, 0.5, eps_grid, r_grid)
+        eps_values, n = [0.9, 0.5, 0.1], 1200
+        _, metrics = potentials_suite(REG, eps_values, n, random.Random(3))
+        # The suite's samples: n uniforms on [-3, 3) and r = 0.
+        samples = [*(-3.0 + 6.0 * uniforms(random.Random(3), n)).tolist(), 0.0]
         worst = 0.0
-        for eps in eps_grid:
-            for r in r_grid:
-                b = pot.yosida(REG, eps, float(r))
-                worst = max(worst, 0.5 * abs(b) - b * r)
-        assert result.C0 >= 0.0
-        assert result.C0 == pytest.approx(max(worst, 0.0), abs=1e-12)
+        for eps in eps_values:
+            for r in samples:
+                b = float(pot.regularize(REG, eps, r).value)
+                worst = max(worst, 0.25 * abs(b) - b * r)
+        assert worst > 0.0
+        assert metrics["interior_bound_C0"] == pytest.approx(worst, abs=1e-12)
 
-    def test_logarithmic_interior_violation(self):
-        with pytest.raises(CompatibilityError):
-            pot.interior_bound_constants(
-                LOG, -0.5, 0.5, 0.6, eps_grid=[0.5], r_grid=[0.0]
-            )
+    def test_double_obstacle_zero_constant(self):
+        _, metrics = potentials_suite(OBS, [0.9, 0.5, 0.1, 0.01], 4000, random.Random(0))
+        assert metrics["interior_bound_C0"] == 0.0
 
 
 class TestSpecs:
