@@ -113,10 +113,8 @@ def solve_elliptic(problem: EllipticProblem, start: Optional[np.ndarray] = None)
     return EllipticSolution(it.x, residual, it.reg, counters)
 
 
-def check_L6_bound(problem: EllipticProblem, sol: EllipticSolution) -> tuple[float, float, bool]:
-    """Compare ||yosida(u)||_6 against ||h||_6 with a small discretization slack."""
+def check_L6_bound(problem: EllipticProblem, sol: EllipticSolution) -> tuple[float, float]:
+    """The two sides of ||yosida(u)||_6 <= ||h||_6, which holds up to ``L6_SLACK``."""
     domain = problem.basis.domain
-    lhs = spectral.norm_Lp(sol.reg.value, domain, 6)
-    rhs = spectral.norm_Lp(problem.h.values, domain, 6)
-    return lhs, rhs, lhs <= rhs * (1.0 + L6_SLACK)
+    return spectral.norm_Lp(sol.reg.value, domain, 6), spectral.norm_Lp(problem.h.values, domain, 6)
 

@@ -13,7 +13,9 @@ the quantity it constrains.  ``config_from_sections`` builds each object a
 config describes once, collecting the messages of the rules they break, and
 the commands run on the objects it built.  The ``run_*`` drivers return a
 command's summary payload; ``main`` writes every artifact and the summary
-envelope into the output directory.
+envelope into the output directory.  ``main`` parses its command line with
+``getopt.gnu_getopt`` against ``COMMANDS``; ``USAGE`` is the whole help text.
+getopt words only its errors through gettext, so a run never imports ``locale``.
 
 All floating-point output is serialized with 17 significant digits so
 repeated runs with the same BLAS thread count are byte-identical
@@ -28,10 +30,11 @@ error.
 
 from __future__ import annotations
 
-import argparse
 import configparser
 import ctypes
 import dataclasses
+import gc
+import getopt
 import json
 import math
 import random
@@ -204,9 +207,7 @@ class RunConfig:
 
 
 def _canonical_sections(raw: dict[str, dict[str, str]]) -> dict[str, dict[str, str]]:
-    merged: dict[str, dict[str, str]] = {}
-    for section, defaults in DEFAULTS.items():
-        merged[section] = dict(defaults)
+    merged = {section: dict(defaults) for section, defaults in DEFAULTS.items()}
     for section, items in raw.items():
         name = section.strip().lower()
         if name not in merged:
@@ -502,7 +503,7 @@ def elliptic_suite(
     problem = elliptic.EllipticProblem(basis, spec, eps, spectral.constant_field(2.0, domain))
     sol = elliptic.solve_elliptic(problem)
     work = sol.counters
-    lhs, rhs, _ = elliptic.check_L6_bound(problem, sol)
+    lhs, rhs = elliptic.check_L6_bound(problem, sol)
     metrics["const_gap"] = abs(lhs - rhs)
     metrics["residual"] = sol.residual
     if metrics["const_gap"] > 1e-12 * max(1.0, rhs):
@@ -516,7 +517,7 @@ def elliptic_suite(
         problem = elliptic.EllipticProblem(basis, spec, eps, h)
         sol = elliptic.solve_elliptic(problem)
         metrics["residual"] = max(metrics["residual"], sol.residual)
-        lhs, rhs, _ = elliptic.check_L6_bound(problem, sol)
+        lhs, rhs = elliptic.check_L6_bound(problem, sol)
         excess = lhs - rhs * (1.0 + elliptic.L6_SLACK)
         metrics["l6_excess"] = max(metrics["l6_excess"], excess)
         if excess > 0.0:
@@ -544,16 +545,9 @@ def write_trajectory_csv(path: Path, trajectory: galerkin.Trajectory) -> None:
 
 
 def write_table_csv(path: Path, rows: list[dict[str, float]]) -> None:
-    keys: list[str] = []
-    for row in rows:
-        for k in row:
-            if k not in keys:
-                keys.append(k)
-    lines = [",".join(keys)]
-    for row in rows:
-        lines.append(
-            ",".join(format_float(row[k]) if k in row else "" for k in keys)
-        )
+    """One column per key of any row, in order of first appearance; a missing value is empty."""
+    keys = list(dict.fromkeys(k for row in rows for k in row))
+    lines = [",".join(keys)] + [",".join(format_float(row[k]) if k in row else "" for k in keys) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -635,55 +629,56 @@ def run_depend(cfg1: RunConfig, cfg2: RunConfig) -> tuple[dict, dict[str, float]
 # command line
 
 
-def _unsigned(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must be an unsigned 64-bit value, got {text}")
-    return value
+USAGE = """\
+usage: thermoch [-h] [--output-dir DIR] [--quiet] [--seed N] COMMAND ...
+
+  simulate <config>                               run one simulation
+  verify   potentials|spectral|elliptic <config>  randomized verification suite
+  converge modes|eps|dt <config>                  refinement study
+  depend   <config1> <config2>                    two-run dependence experiment
+
+Flags go before or after the command:
+  --output-dir DIR  override the config's [output] directory
+  --quiet           suppress the progress line
+  --seed N          seed of the verify sweeps, 0 <= N < 2**64 (default 0)
+  -h, --help        print this help and exit
+"""
+
+# Each command's positional slots: the choices of a keyword, or None for a config path.
+COMMANDS: dict[str, tuple[Optional[tuple[str, ...]], ...]] = {
+    "simulate": (None,),
+    "verify": (("potentials", "spectral", "elliptic"), None),
+    "converge": (("modes", "eps", "dt"), None),
+    "depend": (None, None),
+}
 
 
-def _global_flags(suppress: bool) -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    kw = {"default": argparse.SUPPRESS} if suppress else {}
-    common.add_argument(
-        "--output-dir", dest="output_dir",
-        **(kw or {"default": None}), help="override [output] directory",
-    )
-    common.add_argument(
-        "--quiet", action="store_true",
-        **(kw or {"default": False}), help="suppress progress output",
-    )
-    common.add_argument(
-        "--seed", type=_unsigned, **(kw or {"default": 0}), help="seed for randomized sweeps"
-    )
-    return common
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="thermoch",
-        description="Spectral simulator and verification harness for a "
-        "conserved phase-field system with mass source and thermal memory.",
-        parents=[_global_flags(suppress=False)],
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    flags = [_global_flags(suppress=True)]
-
-    p = sub.add_parser("simulate", help="run a single simulation", parents=flags)
-    p.add_argument("config")
-
-    p = sub.add_parser("verify", help="run a randomized verification suite", parents=flags)
-    p.add_argument("target", choices=["potentials", "spectral", "elliptic"])
-    p.add_argument("config")
-
-    p = sub.add_parser("converge", help="refinement study", parents=flags)
-    p.add_argument("vary", choices=["modes", "eps", "dt"])
-    p.add_argument("config")
-
-    p = sub.add_parser("depend", help="two-run continuous-dependence experiment", parents=flags)
-    p.add_argument("config")
-    p.add_argument("config2")
-    return parser
+def parse_command_line(argv: Sequence[str]) -> tuple[str, Optional[str], list[str], dict[str, str]]:
+    """``(command, keyword or None, config paths, flags)`` of ``argv``.  ``-h`` prints
+    ``USAGE`` and exits 0; any other fault prints it and the error to stderr and exits 2."""
+    try:
+        opts, operands = getopt.gnu_getopt(argv, "h", ["help", "output-dir=", "quiet", "seed="])
+        flags = dict(opts)
+        if "-h" in flags or "--help" in flags:
+            print(USAGE, end="")
+            raise SystemExit(0)
+        if not operands or operands[0] not in COMMANDS:
+            raise getopt.GetoptError(f"the command must be one of {', '.join(COMMANDS)}")
+        command, *operands = operands
+        slots = COMMANDS[command]
+        if len(operands) != len(slots):
+            raise getopt.GetoptError(f"{command} takes {len(slots)} arguments, got {len(operands)}")
+        for choices, operand in zip(slots, operands):
+            if choices and operand not in choices:
+                raise getopt.GetoptError(f"{command} takes one of {', '.join(choices)}, got '{operand}'")
+        seed = flags.setdefault("--seed", "0")
+        if not (seed.isdecimal() and int(seed) < 2**64):
+            raise getopt.GetoptError(f"--seed must be an unsigned 64-bit integer, got '{seed}'")
+    except getopt.GetoptError as exc:
+        print(f"{USAGE}thermoch: error: {exc.msg}", file=sys.stderr)
+        raise SystemExit(2) from None
+    keyword = operands.pop(0) if slots[0] else None
+    return command, keyword, operands, flags
 
 
 def _keep_freed_heap() -> None:
@@ -708,28 +703,29 @@ def _keep_freed_heap() -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command: its artifacts and ``summary.json`` go to the output directory."""
     _keep_freed_heap()
-    args = _build_parser().parse_args(argv)
+    gc.freeze()  # keep collections off the objects alive at entry, the import-time heap, until main ends
     try:
-        cfg = parse_config(args.config)
-        outdir = Path(args.output_dir or cfg.sections["output"]["directory"])
+        command, keyword, configs, flags = parse_command_line(sys.argv[1:] if argv is None else list(argv))
+        cfg = parse_config(configs[0])
+        outdir = Path(flags.get("--output-dir") or cfg.sections["output"]["directory"])
         outdir.mkdir(parents=True, exist_ok=True)
-        cfg2 = parse_config(args.config2) if args.command == "depend" else None
+        cfg2 = parse_config(configs[1]) if command == "depend" else None
         started = time.perf_counter()
         code, failure = EXIT_OK, None
-        if args.command == "simulate":
+        if command == "simulate":
             experiment = "simulate"
             payload, trajectory, failure = run_simulate(cfg)
             write_trajectory_csv(outdir / "trajectory.csv", trajectory)
             progress = f"{len(trajectory)} records"
-        elif args.command == "verify":
-            experiment = f"verify {args.target}"
-            payload = run_verify(cfg, args.target, args.seed)
+        elif command == "verify":
+            experiment = f"verify {keyword}"
+            payload = run_verify(cfg, keyword, int(flags["--seed"]))
             violations = payload["violations"]
             progress = f"{len(violations)} violations" if violations else "ok"
             code = EXIT_NUMERIC if violations else EXIT_OK
-        elif args.command == "converge":
-            experiment = f"converge {args.vary}"
-            payload = run_converge(cfg, args.vary)
+        elif command == "converge":
+            experiment = f"converge {keyword}"
+            payload = run_converge(cfg, keyword)
             write_table_csv(outdir / "convergence.csv", payload["rows"])
             progress = f"{len(payload['rows'])} rows"
         else:
@@ -744,7 +740,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if failure is not None:
             print(f"numeric failure: {failure}", file=sys.stderr)
             return EXIT_NUMERIC
-        if not args.quiet:
+        if "--quiet" not in flags:
             print(f"{experiment}: {progress} -> {outdir}")
         return code
     except (ConfigParseError, ConfigurationError) as exc:
@@ -759,6 +755,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

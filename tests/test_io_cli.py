@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -47,12 +48,14 @@ from thermoch import io_cli
 sys.exit(io_cli.main(["simulate", sys.argv[1], "--output-dir", sys.argv[2], "--quiet"]))
 """
 
-# Runs ``main`` in a fresh process and prints whether numpy.random was imported.
+# Runs ``main`` in a fresh process and prints which of the modules that a
+# command has no use for were imported, and the collector's freeze count.
 IMPORT_PROBE = """
-import sys
+import gc, json, sys
 from thermoch import io_cli
 code = io_cli.main(sys.argv[1:])
-print("numpy.random" in sys.modules)
+loaded = [name for name in ("numpy.random", "locale", "argparse") if name in sys.modules]
+print(json.dumps({"loaded": loaded, "frozen": gc.get_freeze_count()}))
 sys.exit(code)
 """
 
@@ -102,6 +105,20 @@ def write_config(tmp_path, text, name="cfg.ini"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def run_import_probe(tmp_path, argv):
+    """``IMPORT_PROBE``'s report on ``main(argv + configs + flags)`` in a fresh process."""
+    cfg = write_config(tmp_path, FULL + "\n[experiment]\ntrials = 2\nsamples = 100\n")
+    configs = [str(cfg)] * (2 if argv == ["depend"] else 1)
+    env = {**os.environ, "PYTHONPATH": str(Path(io.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, *argv, *configs,
+         "--output-dir", str(tmp_path / "out"), "--quiet"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
 
 
 class TestExpressions:
@@ -498,7 +515,9 @@ class TestCli:
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert done.returncode == 0, done.stderr
-        assert "usage: thermoch" in done.stdout
+        assert done.stdout == io.USAGE
+        readme = (Path(io.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+        assert f"```\n{io.USAGE}```\n" in readme  # the README's command-line block is the help text
 
     @pytest.mark.parametrize(
         "argv",
@@ -509,16 +528,67 @@ class TestCli:
     def test_command_never_imports_numpy_random(self, tmp_path, argv):
         # The seeded sweeps draw from random.Random: importing numpy.random
         # would add 11-18 ms to a ~40 ms verify elliptic process.
-        cfg = write_config(tmp_path, FULL + "\n[experiment]\ntrials = 2\nsamples = 100\n")
-        configs = [str(cfg)] * (2 if argv == ["depend"] else 1)
-        env = {**os.environ, "PYTHONPATH": str(Path(io.__file__).parents[1])}
-        done = subprocess.run(
-            [sys.executable, "-c", IMPORT_PROBE, *argv, *configs,
-             "--output-dir", str(tmp_path / "out"), "--quiet"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["False"]
+        assert "numpy.random" not in run_import_probe(tmp_path, argv)["loaded"]
+
+    @pytest.mark.parametrize("argv", [["simulate"], ["verify", "elliptic"]], ids="-".join)
+    def test_command_line_never_imports_locale_or_argparse(self, tmp_path, argv):
+        # getopt reaches gettext, and through it locale, only to word an error.
+        assert run_import_probe(tmp_path, argv) == {"loaded": [], "frozen": 0}
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [(["simulate", "{cfg}"], 0), (["simulate", "{bad}"], 2),
+         (["verify", "spectral", "{cfg}", "--seed", str(2**64)], 2), (["--help"], 0)],
+        ids=["exit-0", "bad-config", "seed-2**64", "help"],
+    )
+    def test_main_leaves_nothing_frozen(self, tmp_path, monkeypatch, argv, code):
+        # main freezes the heap it was called with; in-process callers keep their collector.
+        cfg, bad = write_config(tmp_path, FULL), write_config(tmp_path, "[physics]\ngamma = 0\n", "bad.ini")
+        frozen = []
+        run_simulate = io.run_simulate
+        monkeypatch.setattr(io, "run_simulate", lambda c: frozen.append(gc.get_freeze_count()) or run_simulate(c))
+        argv = [a.format(cfg=cfg, bad=bad) for a in argv] + ["--output-dir", str(tmp_path / "out"), "--quiet"]
+        try:
+            result = io.main(argv)
+        except SystemExit as exc:
+            result = exc.code
+        assert result == code
+        assert gc.get_freeze_count() == 0
+        # run_simulate ran, on the exit-0 line only, with the heap of the caller frozen.
+        assert [n > 0 for n in frozen] == ([True] if argv[0] == "simulate" and code == 0 else [])
+
+    @pytest.mark.parametrize(
+        "argv,code,stream",
+        [
+            (["--quiet", "--output-dir", "{out}", "--seed", "3", "verify", "spectral", "{cfg}"], 0, None),
+            (["verify", "spectral", "{cfg}", "--output-dir={out}", "--quiet"], 0, None),
+            (["nosuch", "{cfg}"], 2, "err"),
+            (["verify", "nosuch", "{cfg}"], 2, "err"),
+            (["converge", "nosuch", "{cfg}"], 2, "err"),
+            (["simulate"], 2, "err"),
+            (["simulate", "{cfg}", "{cfg}"], 2, "err"),
+            (["simulate", "{cfg}", "--nosuch"], 2, "err"),
+            (["verify", "spectral", "{cfg}", "--seed", "-1"], 2, "err"),
+            (["simulate", "{cfg}", "-h"], 0, "out"),
+        ],
+        ids=["flags-first", "output-dir-equals", "unknown-command", "verify-nosuch",
+             "converge-nosuch", "missing-config", "extra-positional", "unknown-flag",
+             "negative-seed", "help-after-command"],
+    )
+    def test_command_line_parity(self, tmp_path, capsys, argv, code, stream):
+        cfg, out = write_config(tmp_path, FULL), tmp_path / "out"
+        try:
+            result = io.main([a.format(cfg=cfg, out=out) for a in argv])
+        except SystemExit as exc:
+            result = exc.code
+        assert result == code
+        captured = capsys.readouterr()
+        if stream is None:
+            assert json.loads((out / "summary.json").read_text())["experiment"] == "verify spectral"
+        else:
+            assert getattr(captured, stream).startswith("usage: thermoch")
+        if stream == "err":
+            assert "thermoch: error: " in captured.err
 
     @pytest.mark.skipif(
         sys.platform != "linux" or platform.libc_ver()[0] != "glibc", reason="needs glibc"
