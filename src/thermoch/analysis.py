@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,10 +19,7 @@ from .errors import require
 from .galerkin import ProblemData, SourceTerm, Trajectory
 from .spectral import SpectralBasis
 
-MODE_COUNT = "modes"
-EPSILON = "eps"
-TIME_STEP = "dt"
-STUDY_KINDS = (MODE_COUNT, EPSILON, TIME_STEP)
+STUDY_KINDS = ("modes", "eps", "dt")
 _MEAN_TOL = 1e-9  # rounding slack of the (4.31) mean band
 
 
@@ -31,16 +27,10 @@ def _trapz(values: np.ndarray, times: np.ndarray) -> float:
     return float(np.trapezoid(values, times))
 
 
-@dataclass(frozen=True)
-class MeanLawReport:
-    """Scheme-consistency and continuum errors of the simulated mean."""
-
-    max_error_discrete: float
-    max_error_continuum: float
-
-
-def mean_law_check(trajectory: Trajectory, data: ProblemData) -> MeanLawReport:
-    """Replay the implicit-Euler mean recursion and the exponential solution.
+def mean_law_check(trajectory: Trajectory, data: ProblemData) -> dict[str, float]:
+    """Replay the implicit-Euler mean recursion and the exponential solution:
+    the simulated mean's largest errors against each, ``max_error_discrete``
+    and ``max_error_continuum``.
 
     The discrete comparison reproduces the scheme's own scalar reduction and
     must agree to roundoff; the continuum comparison against the exact
@@ -55,7 +45,7 @@ def mean_law_check(trajectory: Trajectory, data: ProblemData) -> MeanLawReport:
         mean = (mean + h * f_mean) / (1.0 + gamma * h)
         err_d = max(err_d, abs(cur - mean))
     err_c = float(np.abs(means - trajectory.mean_exact).max())
-    return MeanLawReport(max_error_discrete=err_d, max_error_continuum=err_c)
+    return {"max_error_discrete": err_d, "max_error_continuum": err_c}
 
 
 def energy_identity_residual(trajectory: Trajectory) -> float:
@@ -65,15 +55,10 @@ def energy_identity_residual(trajectory: Trajectory) -> float:
     return abs(float(rec["energy"][-1] - rec["energy"][0]) + _trapz(integrand, rec["t"]))
 
 
-@dataclass(frozen=True)
-class AprioriReport:
-    violations: list[str]
-    realized: dict[str, float]
-
-
-def apriori_monitor(trajectory: Trajectory, data: ProblemData) -> AprioriReport:
+def apriori_monitor(trajectory: Trajectory, data: ProblemData) -> tuple[list[str], dict[str, float]]:
     """Scan a trajectory for non-finite monitors and mean-band violations,
-    and collect the realized norm inventory of the boundedness estimates."""
+    and collect the realized norm inventory of the boundedness estimates:
+    returns (violations, realized)."""
     band = galerkin.compatibility_quantities(data)
     band_lo = band["-rho - (mean phi0)^-"]
     band_hi = band["rho + (mean phi0)^+"]
@@ -98,18 +83,7 @@ def apriori_monitor(trajectory: Trajectory, data: ProblemData) -> AprioriReport:
         "w_H1_L2": math.sqrt(_trapz(w_l2 + rec["dtw_L2"] ** 2, t)),
         "w_Linf_H1": math.sqrt(float((w_l2 + w_grad).max())),
     }
-    return AprioriReport(violations=violations, realized=realized)
-
-
-@dataclass(frozen=True)
-class DependenceReport:
-    """Realized two-run difference norms in the continuous-dependence shape."""
-
-    lhs: float
-    rhs_components: dict[str, float]
-    empirical_K2: float
-    lhs_components: dict[str, float]
-    xi_L1_runs: tuple[float, float]
+    return violations, realized
 
 
 def _differences(s1: SourceTerm, s2: SourceTerm, t: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -126,9 +100,12 @@ def dependence_experiment(
     basis: SpectralBasis,
     dt: float,
     scheme: str = galerkin.SEMI_IMPLICIT,
-) -> DependenceReport:
+) -> dict:
     """Run ``data1`` and the same problem with the sources ``f2`` and ``g2``,
-    and measure the difference against the change of the sources.
+    and measure the difference against the change of the sources: the
+    realized difference norms ``lhs`` (with ``lhs_components``) and source
+    norms ``rhs_components``, their ratio ``empirical_K2``, and each run's
+    time integral of ||yosida(phi)||_1, ``xi_L1_runs``.
 
     The sources are piecewise constant in time, so their differences take
     one value per pair of schedule segments: the f norms are taken once per
@@ -174,15 +151,13 @@ def dependence_experiment(
     rhs_total = sum(rhs_components.values())
     k2 = lhs / rhs_total if rhs_total > 0.0 else float("nan")
 
-    xi1 = apriori_monitor(traj1, data1).realized["beta_L1_Q"]
-    xi2 = apriori_monitor(traj2, data2).realized["beta_L1_Q"]
-    return DependenceReport(
-        lhs=lhs,
-        rhs_components=rhs_components,
-        empirical_K2=k2,
-        lhs_components=lhs_components,
-        xi_L1_runs=(xi1, xi2),
-    )
+    return {
+        "lhs": lhs,
+        "rhs_components": rhs_components,
+        "empirical_K2": k2,
+        "lhs_components": lhs_components,
+        "xi_L1_runs": [_trapz(traj.record["xi_L1"], times) for traj in (traj1, traj2)],
+    }
 
 
 def convergence_study(
@@ -211,7 +186,7 @@ def convergence_study(
     ))
 
     rows: list[dict[str, float]] = []
-    if kind == MODE_COUNT:
+    if kind == "modes":
         require((
             all(float(n).is_integer() for n in schedule),
             f"(2.11) a modes schedule must hold integers, got {list(schedule)}",
@@ -229,21 +204,16 @@ def convergence_study(
             rows.append({"n": n, "error_Linf_dual": float(spectral.norm_Hm1_rows(padded - ref_phi, ref_basis).max())})
         return rows
 
-    if kind == EPSILON:
-        runs = []
-        for eps in schedule:
-            d = dataclasses.replace(data, eps=float(eps))
+    if kind == "eps":
+        members = [dataclasses.replace(data, eps=float(eps)) for eps in schedule]  # checked before any run
+        phis = []
+        for d in members:
             traj = galerkin.simulate(d, basis, dt, scheme)
-            runs.append((float(eps), traj.phi, apriori_monitor(traj, d).realized))
-        for i, (eps, phi, realized) in enumerate(runs):
-            row = {
-                "eps": eps,
-                "beta_L1_Q": realized["beta_L1_Q"],
-                "beta_L2_L6": realized["beta_L2_L6"],
-            }
-            if i + 1 < len(runs):
-                row["diff_Linf_dual"] = float(spectral.norm_Hm1_rows(phi - runs[i + 1][1], basis).max())
-            rows.append(row)
+            realized = apriori_monitor(traj, d)[1]
+            rows.append({"eps": d.eps, "beta_L1_Q": realized["beta_L1_Q"], "beta_L2_L6": realized["beta_L2_L6"]})
+            phis.append(traj.phi)
+        for row, phi, next_phi in zip(rows, phis, phis[1:]):
+            row["diff_Linf_dual"] = float(spectral.norm_Hm1_rows(phi - next_phi, basis).max())
         return rows
 
     # Compare on the coarser grid, matching each of its records to the

@@ -79,7 +79,7 @@ def solve_elliptic(problem: EllipticProblem, start: Optional[np.ndarray] = None)
         def objective():
             return (
                 0.5 * float((lam * u**2).sum())
-                + basis.quadrature_weight * reg.primitive_sum()
+                + basis.domain.cell_weight * reg.primitive_sum()
                 - float(h_c @ u)
             )
 

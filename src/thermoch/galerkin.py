@@ -102,7 +102,7 @@ class SourceTerm:
 
     def means(self) -> np.ndarray:
         """The quadrature mean of each field, one per segment."""
-        return np.array([spectral.field_mean(f) for f in self.fields])
+        return np.array([float(f.values.mean()) for f in self.fields])
 
     def project(self, basis: SpectralBasis) -> np.ndarray:
         """The coefficients of each field on ``basis``, one row per segment."""
@@ -111,7 +111,10 @@ class SourceTerm:
 
 @dataclass(frozen=True)
 class ProblemData:
-    """Complete problem description: constants, potential, sources, initial data."""
+    """Complete problem description: constants, potential, sources, initial data.
+
+    Construction checks eps, t_final and sup|f|, then raises CompatibilityError
+    unless every ``compatibility_quantities`` value is interior to D(beta) (2.14)."""
 
     params: PhysicalParams
     potential: PotentialSpec
@@ -129,17 +132,21 @@ class ProblemData:
             (self.t_final >= 0.0, f"(2.11) t_final must be >= 0, got {self.t_final}"),
             (math.isfinite(self.f.sup_norm()), "(2.13) source amplitude sup|f| must be finite"),
         )
-
-
-def rho(data: ProblemData) -> float:
-    """Source amplitude ratio sup|f| / gamma driving the admissible mean band."""
-    return data.f.sup_norm() / data.params.gamma
+        lo, hi = self.potential.domain
+        bad = [
+            f"(2.14) compatibility: {name} = {value:.6g} not interior to D(beta) = ({lo}, {hi})"
+            for name, value in compatibility_quantities(self).items()
+            if not lo < value < hi
+        ]
+        if bad:
+            raise CompatibilityError("\n".join(bad))
 
 
 def compatibility_quantities(data: ProblemData) -> dict[str, float]:
-    """The four quantities that must lie in the interior of D(beta)."""
-    phi0_mean = spectral.field_mean(data.phi0)
-    r = rho(data)
+    """The four quantities that must lie in the interior of D(beta), with
+    rho = sup|f| / gamma the source amplitude ratio driving the mean band."""
+    phi0_mean = float(data.phi0.values.mean())
+    r = data.f.sup_norm() / data.params.gamma
     return {
         "min phi0": float(data.phi0.values.min()),
         "max phi0": float(data.phi0.values.max()),
@@ -148,23 +155,8 @@ def compatibility_quantities(data: ProblemData) -> dict[str, float]:
     }
 
 
-def check_compatibility(data: ProblemData) -> None:
-    """Raise CompatibilityError naming each quantity outside the interior of D(beta)."""
-    lo, hi = data.potential.domain
-    bad = [
-        f"(2.14) compatibility: {name} = {value:.6g} not interior to "
-        f"D(beta) = ({lo}, {hi})"
-        for name, value in compatibility_quantities(data).items()
-        if not data.potential.interior_contains(value)
-    ]
-    if bad:
-        raise CompatibilityError("\n".join(bad))
-
-
 def project_initial_data(data: ProblemData, basis: SpectralBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The coefficients (phi, w, v) of the initial fields, orthogonally
-    projected after the compatibility check."""
-    check_compatibility(data)
+    """The coefficients (phi, w, v) of the initial fields, orthogonally projected."""
     return tuple(spectral.project(f, basis) for f in (data.phi0, data.w0, data.w1))
 
 
@@ -198,7 +190,7 @@ def evaluate(
     p, spec, measure = data.params, data.potential, basis.domain.measure
     reg, nl = _nonlinearity(phi, data, basis, reg)
     # Parseval: int pi_hat(phi) = pi_hat(0) |Omega| - (L/2) |phi|^2, int a phi = a sqrt(|Omega|) phi_1.
-    bulk = (basis.quadrature_weight * reg.primitive_sum() + spec.pi_hat_at_zero * measure
+    bulk = (basis.domain.cell_weight * reg.primitive_sum() + spec.pi_hat_at_zero * measure
             - 0.5 * spec.pi_lipschitz * float(phi @ phi) + p.a * math.sqrt(measure) * float(phi[0]))
     return nl, basis.eigenvalues * phi + nl - p.b * v, reg.value, bulk
 
@@ -414,8 +406,9 @@ def simulate(
     exactly on t_final, and the columns of all levels are allocated before the
     first step.  A failing step is bisected down to 1e-8 * t_final before the
     run is abandoned; the substeps are not recorded.  On abandon a RunFailure
-    carrying the levels before the failure is raised.  A dt whose step
-    operator is not finite raises ConfigurationError before any step.  Each
+    carrying the levels before the failure is raised.  A dt <= 0 or a dt whose
+    step operator is not finite raises ConfigurationError before any step,
+    and a scheme not among SCHEMES at the first step.  Each
     observer is called as ``observer(k, traj)`` right after level k is
     written into ``traj``, the returned Trajectory, whose rows 0..k are then
     filled and whose record is still empty.  Deterministic for a given
@@ -423,7 +416,6 @@ def simulate(
     grid (``spectral.norm_Lp``), which OpenBLAS splits across threads on
     large grids, so its last bits can depend on the thread count.
     """
-    check_step(dt, scheme)
     gamma = data.params.gamma
     operators = {dt: step_operator(basis, data.params, dt)}  # by step size
     phi, w, v = project_initial_data(data, basis)

@@ -278,7 +278,7 @@ def config_from_sections(raw: dict[str, dict[str, str]]) -> RunConfig:
 
     def make_data() -> ProblemData:
         domain, text = basis.domain, sections["data"]
-        data = ProblemData(
+        return ProblemData(
             params=params,
             potential=potential,
             eps=eps,
@@ -289,8 +289,6 @@ def config_from_sections(raw: dict[str, dict[str, str]]) -> RunConfig:
             g=parse_source_expr(text["g"], domain),
             t_final=numbers("time", ("t_final",), "(2.11)")[0],
         )
-        galerkin.check_compatibility(data)
-        return data
 
     scheme = sections["time"]["scheme"]
     schedule_text = sections["experiment"]["schedule"].strip()
@@ -401,7 +399,9 @@ def potentials_suite(
 ) -> tuple[list[str], dict[str, float]]:
     """At 0 and ``n_samples`` uniforms of ``rng``: monotone, 1/eps-Lipschitz, zero at 0,
     dominated by the minimal section, envelope sandwich, oracle agreement; and
-    ``interior_bound_C0``, the least C0 >= 0 with yosida(r) r >= |yosida(r)| / 4 - C0."""
+    ``interior_bound_C0``, the least C0 >= 0 with yosida(r) r >= |yosida(r)| / 4 - C0.
+    Every eps is checked against ``potentials.eps_rule`` before a sample is drawn."""
+    require(*map(potentials.eps_rule, eps_values))
     checks = {
         "monotone_defect": "yosida not monotone",
         "lipschitz_excess": "yosida exceeds the 1/eps Lipschitz bound",
@@ -569,12 +569,12 @@ def run_simulate(cfg: RunConfig) -> tuple[dict, galerkin.Trajectory, Optional[st
         trajectory = galerkin.simulate(data, cfg.basis, cfg.dt, cfg.scheme)
     except RunFailure as exc:
         trajectory, failure = exc.trajectory, str(exc)
-    report = analysis.apriori_monitor(trajectory, data)
+    violations, realized = analysis.apriori_monitor(trajectory, data)
     payload = {
         "n_records": len(trajectory),
-        "violations": report.violations + ([failure] if failure else []),
-        "realized_norms": report.realized,
-        "mean_law": dataclasses.asdict(analysis.mean_law_check(trajectory, data)),
+        "violations": violations + ([failure] if failure else []),
+        "realized_norms": realized,
+        "mean_law": analysis.mean_law_check(trajectory, data),
         "energy_residual": analysis.energy_identity_residual(trajectory),
         "warnings": (
             ["warning: a <= 0 accepted although the positivity assumption lists it"]
@@ -619,10 +619,10 @@ def run_depend(cfg1: RunConfig, cfg2: RunConfig) -> tuple[dict, dict[str, float]
     report = analysis.dependence_experiment(
         cfg1.data, cfg2.data.f, cfg2.data.g, cfg1.basis, cfg1.dt, cfg1.scheme
     )
-    row = {"lhs": report.lhs, "empirical_K2": report.empirical_K2,
-           **{f"lhs_{k}": v for k, v in report.lhs_components.items()},
-           **{f"rhs_{k}": v for k, v in report.rhs_components.items()}}
-    return {"config_pair": d2, **dataclasses.asdict(report)}, row
+    row = {"lhs": report["lhs"], "empirical_K2": report["empirical_K2"],
+           **{f"lhs_{k}": v for k, v in report["lhs_components"].items()},
+           **{f"rhs_{k}": v for k, v in report["rhs_components"].items()}}
+    return {"config_pair": d2, **report}, row
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +648,7 @@ Flags go before or after the command:
 COMMANDS: dict[str, tuple[Optional[tuple[str, ...]], ...]] = {
     "simulate": (None,),
     "verify": (("potentials", "spectral", "elliptic"), None),
-    "converge": (("modes", "eps", "dt"), None),
+    "converge": (analysis.STUDY_KINDS, None),
     "depend": (None, None),
 }
 

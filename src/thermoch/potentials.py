@@ -47,21 +47,18 @@ class PotentialSpec:
 
     The callables are vectorized over numpy arrays; pi_hat(r) =
     pi_hat_at_zero - (pi_lipschitz / 2) r^2.  ``domain`` is the closed hull
-    of D(beta); use +-inf for unbounded sides.  ``kind`` names one of the
-    three prototypes, whose exact resolvent kernel and closed-form Yosida
-    slope this module keeps; callers reach them through ``resolvent`` and
-    ``Regularization.slope``.
+    of D(beta); use +-inf for unbounded sides.  ``kernel(eps, r)`` is the
+    exact resolvent J and ``slope(eps, r, J)`` the closed-form Yosida slope;
+    callers reach them through ``resolvent`` and ``Regularization.slope``.
     """
 
-    kind: str
     beta_hat: Callable[[np.ndarray], np.ndarray]
     pi_lipschitz: float
     pi_hat_at_zero: float
     domain: tuple[float, float]
     beta_min_section: Callable[[np.ndarray], np.ndarray]
-
-    def interior_contains(self, r: float) -> bool:
-        return self.domain[0] < r < self.domain[1]
+    kernel: Callable[[float, np.ndarray], np.ndarray]
+    slope: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
 
 
 def _regular_resolvent(eps, r):
@@ -82,11 +79,11 @@ def _regular_slope(eps, r, j):
 def regular_potential() -> PotentialSpec:
     """Quartic double well, convex part r^4/4, perturbation slope -r."""
     return PotentialSpec(
-        kind="regular",
         beta_hat=lambda r: 0.25 * np.square(np.square(np.asarray(r, dtype=float))),
         pi_lipschitz=1.0, pi_hat_at_zero=0.25,
         domain=(-np.inf, np.inf),
         beta_min_section=lambda r: np.square(r) * np.asarray(r, dtype=float),
+        kernel=_regular_resolvent, slope=_regular_slope,
     )
 
 
@@ -180,11 +177,11 @@ def logarithmic_potential(c1: float) -> PotentialSpec:
     """Entropic double well on (-1, 1); requires c1 > 1 for nonconvexity."""
     require((c1 > 1.0, f"(2.11) logarithmic potential requires c1 > 1, got {c1}"))
     return PotentialSpec(
-        kind="logarithmic",
         beta_hat=_entropy,
         pi_lipschitz=2.0 * c1, pi_hat_at_zero=0.0,
         domain=(-1.0, 1.0),
         beta_min_section=_entropy_slope,
+        kernel=_logarithmic_resolvent, slope=_logarithmic_slope,
     )
 
 
@@ -197,29 +194,16 @@ def double_obstacle_potential(c2: float) -> PotentialSpec:
     """Indicator of [-1, 1] plus the concave perturbation -c2 r^2."""
     require((c2 > 0.0, f"(2.11) double obstacle potential requires c2 > 0, got {c2}"))
     return PotentialSpec(
-        kind="double_obstacle",
         beta_hat=lambda r: np.where(np.abs(np.asarray(r, dtype=float)) <= 1.0, 0.0, np.inf),
         pi_lipschitz=2.0 * c2, pi_hat_at_zero=0.0,
         domain=(-1.0, 1.0),
         beta_min_section=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+        kernel=lambda eps, r: np.clip(r, -1.0, 1.0), slope=_obstacle_slope,
     )
 
 
-# The exact resolvent kernel (eps, r) -> J and the Yosida slope (eps, r, J) of each kind.
-_KERNELS = {
-    "regular": _regular_resolvent,
-    "logarithmic": _logarithmic_resolvent,
-    "double_obstacle": lambda eps, r: np.clip(r, -1.0, 1.0),
-}
-_SLOPES = {
-    "regular": _regular_slope,
-    "logarithmic": _logarithmic_slope,
-    "double_obstacle": _obstacle_slope,
-}
-
-
 def eps_rule(eps: float) -> tuple[bool, str]:
-    """The rule on the regularization parameter, eps in (0, 1), as ``errors.require`` takes it."""
+    """The rule eps in (0, 1), as ``errors.require`` takes it; checked where eps enters, not per solve."""
     return 0.0 < eps < 1.0, f"(2.11) eps must lie in (0, 1), got {eps}"
 
 
@@ -227,12 +211,11 @@ def resolvent(spec: PotentialSpec, eps: float, r):
     """Solve y + eps*beta(y) = r for the unique y in the closure of D(beta).
 
     Runs the exact kernel of the potential (see the module docstring),
-    accurate to a few ulps of max(1, |r|).  Vectorized over ``r``; a scalar
-    r gives a float.
+    accurate to a few ulps of max(1, |r|), for eps in (0, 1) (``eps_rule``).
+    Vectorized over ``r``; a scalar r gives a float.
     """
-    require(eps_rule(eps))
     r_arr = np.asarray(r, dtype=float)
-    y = _KERNELS[spec.kind](eps, r_arr)
+    y = spec.kernel(eps, r_arr)
     return float(y) if r_arr.ndim == 0 else y
 
 
@@ -270,7 +253,7 @@ class Regularization:
         Closed form per potential, finite everywhere; the double obstacle case
         is piecewise exact: 0 inside [-1, 1], 1/eps outside.
         """
-        return _SLOPES[self.spec.kind](self.eps, self.r, self.j)
+        return self.spec.slope(self.eps, self.r, self.j)
 
 
 def regularize(spec: PotentialSpec, eps: float, r) -> Regularization:

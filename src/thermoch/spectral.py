@@ -104,7 +104,7 @@ def cosine_sum_field(
     constant: float = 0.0,
     terms: Sequence[tuple[tuple[int, ...], float]] = (),
 ) -> Field:
-    """Field c0 + sum_k a_k prod_d cos(k_d pi x_d / L_d) (plain cosines).
+    """Field c0 + sum_k a_k prod_d cos(k_d pi x_d / L_d), one k_d per axis (plain cosines).
 
     Each term is the outer product of its per-axis cosines on the axis nodes,
     the first scaled by a_k: the same products, in the same order, as on the
@@ -113,36 +113,22 @@ def cosine_sum_field(
     axes = domain.grid_axes()
     out = np.full(domain.n_grid, float(constant))
     for mode, amp in terms:
-        if len(mode) != domain.dim:
-            raise ValueError(f"mode {mode} does not match dim {domain.dim}")
         factors = [np.cos(k * math.pi * x / L) for k, x, L in zip(mode, axes, domain.lengths)]
         factors[0] = float(amp) * factors[0]
         out += reduce(np.multiply.outer, factors).ravel()
     return Field(out, domain)
 
 
-def field_mean(f: Field) -> float:
-    """Quadrature mean value (exact for band-limited samples)."""
-    return float(f.values.mean())
-
-
 def norm_Lp(values: np.ndarray, domain: BoxDomain, p: float) -> float:
-    """Quadrature p-norm of grid samples on ``domain``; p = inf is the grid max of |values|.
-
-    p = 1 is w sum |x| and p = 6 is (w sq @ (sq sq))^(1/6) with sq = x^2: no
-    pointwise power.  Other p take w sum |x|^p.
-    """
-    if p == np.inf:
-        return float(np.abs(values).max(initial=0.0))
-    if p < 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
+    """Quadrature p-norm of grid samples on ``domain``: w sum |x| for p = 1 and, with sq = x^2,
+    (w sq @ (sq sq))^(1/6) for p = 6, with no pointwise power; other p raise ValueError."""
     w = domain.cell_weight
     if p == 1:
         return float(w * np.abs(values).sum())
     if p == 6:
         sq = np.square(values)
         return float((w * (sq @ (sq * sq))) ** (1.0 / 6.0))
-    return float((w * np.abs(values) ** p).sum() ** (1.0 / p))
+    raise ValueError(f"p must be 1 or 6, got {p}")
 
 
 def _axis_eigenfunctions(k_max: int, x: np.ndarray, L: float) -> np.ndarray:
@@ -171,10 +157,6 @@ class SpectralBasis:
     @property
     def n(self) -> int:
         return len(self.modes)
-
-    @property
-    def quadrature_weight(self) -> float:
-        return self.domain.cell_weight
 
 
 def build_basis(domain: BoxDomain, n: int) -> SpectralBasis:
@@ -248,7 +230,7 @@ def to_coeffs(values: np.ndarray, basis: SpectralBasis) -> np.ndarray:
         # stored reference trajectories were made with.
         out = (values.reshape(m, m).T @ C0.T).T @ basis.axis_factors[1].T
     out = out.ravel()[basis.mode_index]  # a new array
-    out *= basis.quadrature_weight
+    out *= basis.domain.cell_weight
     return out
 
 

@@ -250,7 +250,7 @@ def sampled_spec_violations(spec, r_grid, tol=1e-9):
         if float(np.nanmax(gap)) > tol:
             violations.append(f"beta_hat midpoint convexity violated by {np.nanmax(gap)}")
 
-    if not spec.interior_contains(0.0) and not (lo <= 0.0 <= hi):
+    if not lo <= 0.0 <= hi:
         violations.append("0 does not belong to D(beta)")
     elif float(np.abs(spec.beta_min_section(np.array(0.0)))) > tol:
         violations.append("beta_min_section(0) != 0")
@@ -299,7 +299,7 @@ def dense_elliptic_solve(problem, start=None):
     """Oracle for ``elliptic.solve_elliptic``: the same damped Newton iteration
     with dense transforms, the dense Jacobian and LU solves; returns u's coefficients."""
     basis = problem.basis
-    E, w, lam = dense_eigenfunctions(basis), basis.quadrature_weight, basis.eigenvalues
+    E, w, lam = dense_eigenfunctions(basis), basis.domain.cell_weight, basis.eigenvalues
     h_c = E @ (w * problem.h.values)
     h_norm = float(np.linalg.norm(h_c))
     target, contract = 1e-13 * (1.0 + h_norm), 1e-10 * (1.0 + h_norm)
@@ -351,7 +351,7 @@ def dense_elliptic_solve(problem, start=None):
 def reduced_jacobian(basis, data, dt, lam, diag, reg):
     """Dense backward-Euler Newton matrix at ``reg``, rows 2..n divided by lambda, mode 1 dropped:
     diag(diag / lam) + dt P diag(s - L) P^T, symmetric."""
-    E, w = dense_eigenfunctions(basis)[1:], basis.quadrature_weight
+    E, w = dense_eigenfunctions(basis)[1:], basis.domain.cell_weight
     slope = reg.slope() - data.potential.pi_lipschitz
     return np.diag(diag[1:] / lam[1:]) + dt * (E * (w * slope)) @ E.T
 
@@ -362,7 +362,7 @@ def dense_backward_euler_phi(nl, data, op, base):
     Jacobian and LU solves, from the semi-implicit step."""
     basis, dt, diag = op.basis, op.dt, op.diag
     lam = basis.eigenvalues
-    E, w = dense_eigenfunctions(basis), basis.quadrature_weight
+    E, w = dense_eigenfunctions(basis), basis.domain.cell_weight
 
     def residual(p_vec):
         reg = pot.regularize(data.potential, data.eps, E.T @ p_vec)

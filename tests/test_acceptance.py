@@ -24,6 +24,7 @@ from thermoch.errors import MeanDomainError
 REG = pot.regular_potential()
 LOG = pot.logarithmic_potential(2.0)
 OBS = pot.double_obstacle_potential(1.0)
+KINDS = {"regular": REG, "logarithmic": LOG, "double_obstacle": OBS}
 
 
 def report(number: int, ok: bool, budget_s: float, elapsed: float, detail: str):
@@ -38,11 +39,11 @@ def test_criterion_1_yosida_suite():
     eps_values = [0.5, 0.1, 0.02]
     all_violations = []
     metrics = {}
-    for spec in (REG, LOG, OBS):
+    for kind, spec in KINDS.items():
         rng = random.Random(1)
         violations, m = io.potentials_suite(spec, eps_values, 10_000, rng)
-        all_violations += [f"{spec.kind}: {v}" for v in violations]
-        metrics[spec.kind] = max(v for k, v in m.items() if k != "interior_bound_C0")
+        all_violations += [f"{kind}: {v}" for v in violations]
+        metrics[kind] = max(v for k, v in m.items() if k != "interior_bound_C0")
     elapsed = time.perf_counter() - started
     detail = f"worst defect {max(metrics.values()):.2e}; {all_violations or 'no violations'}"
     report(1, not all_violations, 5.0, elapsed, detail)
@@ -75,8 +76,8 @@ def test_criterion_3_mean_value_law():
     for dt in (1e-2, 5e-3, 2.5e-3):
         trajectory = gk.simulate(data, basis, dt)
         rep = an.mean_law_check(trajectory, data)
-        discrete.append(rep.max_error_discrete)
-        continuum.append(rep.max_error_continuum)
+        discrete.append(rep["max_error_discrete"])
+        continuum.append(rep["max_error_continuum"])
         assert trajectory.mean_exact == pytest.approx(0.5 * np.exp(-trajectory.t), abs=1e-10)
     slopes = [math.log2(a / b) for a, b in zip(continuum, continuum[1:])]
     ok = max(discrete) <= 1e-12 and all(abs(s - 1.0) <= 0.2 for s in slopes)
@@ -169,7 +170,7 @@ def test_criterion_6_continuous_dependence():
         phi0=sp.cosine_sum_field(domain, 0.1, [((1,), 0.2)]), t_final=0.5,
     )
     identical = an.dependence_experiment(base, base.f, base.g, basis, 2e-3)
-    ok = identical.lhs <= 1e-12
+    ok = identical["lhs"] <= 1e-12
 
     k2s, lhss = [], []
     for delta in (1e-1, 1e-2, 1e-3):
@@ -177,14 +178,14 @@ def test_criterion_6_continuous_dependence():
             base, f=constant_source(sp.constant_field(delta, domain))
         )
         rep = an.dependence_experiment(base, perturbed.f, perturbed.g, basis, 2e-3)
-        k2s.append(rep.empirical_K2)
-        lhss.append(rep.lhs)
+        k2s.append(rep["empirical_K2"])
+        lhss.append(rep["lhs"])
     ok = ok and max(k2s) / min(k2s) <= 10.0
     ok = ok and lhss[0] > lhss[1] > lhss[2] > 0.0
     elapsed = time.perf_counter() - started
     report(
         6, ok, 120.0, elapsed,
-        f"identical lhs {identical.lhs:.1e}, K2 spread {max(k2s) / min(k2s):.2f}, "
+        f"identical lhs {identical['lhs']:.1e}, K2 spread {max(k2s) / min(k2s):.2f}, "
         f"lhs {[f'{x:.2e}' for x in lhss]}",
     )
 
@@ -196,9 +197,9 @@ def test_criterion_7_eps_sweep():
     schedule = [0.2, 0.1, 0.05, 0.025]
     ok = True
     details = []
-    for spec in (REG, LOG):
+    for kind in ("regular", "logarithmic"):
         data = make_problem_data(
-            domain, spec, eps=0.1,
+            domain, KINDS[kind], eps=0.1,
             phi0=sp.cosine_sum_field(domain, 0.0, [((1,), 0.2)]), t_final=0.25,
         )
         rows = an.convergence_study("eps", schedule, data, basis, 1e-3)
@@ -208,7 +209,7 @@ def test_criterion_7_eps_sweep():
             values = [row[key] for row in rows]
             spread = max(values) / max(min(values), 1e-300)
             ok = ok and spread <= 10.0
-            details.append(f"{spec.kind}:{key} x{spread:.2f}")
+            details.append(f"{kind}:{key} x{spread:.2f}")
     elapsed = time.perf_counter() - started
     report(7, ok, 180.0, elapsed, "; ".join(details))
 
@@ -218,11 +219,11 @@ def test_criterion_8_elliptic_bound():
     basis = sp.build_basis(sp.BoxDomain((1.0,), 64), 16)
     all_violations = []
     worst = {}
-    for spec, eps in ((REG, 0.2), (LOG, 0.1), (OBS, 0.5)):
+    for kind, eps in (("regular", 0.2), ("logarithmic", 0.1), ("double_obstacle", 0.5)):
         rng = random.Random(8)
-        violations, metrics = io.elliptic_suite(basis, spec, eps, rng, trials=20)
-        all_violations += [f"{spec.kind}: {v}" for v in violations]
-        worst[spec.kind] = metrics
+        violations, metrics = io.elliptic_suite(basis, KINDS[kind], eps, rng, trials=20)
+        all_violations += [f"{kind}: {v}" for v in violations]
+        worst[kind] = metrics
     ok = not all_violations
     ok = ok and all(m["const_gap"] <= 1e-12 for m in worst.values())
     ok = ok and all(m["start_gap"] <= 1e-8 for m in worst.values())

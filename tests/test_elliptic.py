@@ -162,7 +162,7 @@ class TestL6Bound:
             problem = el.EllipticProblem(basis, spec, eps, grid_values(vals, basis))
             sol = el.solve_elliptic(problem)
             lhs, rhs = el.check_L6_bound(problem, sol)
-            assert lhs <= rhs * (1 + el.L6_SLACK), (spec.kind, lhs, rhs)
+            assert lhs <= rhs * (1 + el.L6_SLACK), (lhs, rhs)
 
 
 class TestSurrogates:

@@ -47,6 +47,7 @@ CASES = {
         ("trajectory.csv", "summary.json"),
     ),
     "converge_modes_demo": (["converge", "modes", DEMO], {}, ("convergence.csv", "summary.json")),
+    "converge_eps_demo": (["converge", "eps", DEMO], {}, ("convergence.csv", "summary.json")),
     "converge_dt_benchmark": (
         ["converge", "dt", "configs/benchmark.ini"], {}, ("convergence.csv", "summary.json"),
     ),

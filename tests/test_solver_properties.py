@@ -84,7 +84,7 @@ def small_bases(draw):
     kind=st.sampled_from(sorted(SPECS)),
     # Lengths that make the quadrature weight no power of two, so the
     # projections round differently from the grid sums.
-    basis=small_bases().filter(lambda b: math.frexp(b.quadrature_weight)[0] != 0.5),
+    basis=small_bases().filter(lambda b: math.frexp(b.domain.cell_weight)[0] != 0.5),
     log_eps=st.floats(-8.0, math.log10(0.999)),
     # Zero or of modulus at least 1e-100, where a times the quadrature weights is a normal float.
     a=st.one_of(st.just(0.0), st.floats(1e-100, 2.0), st.floats(-2.0, -1e-100)),
@@ -103,7 +103,7 @@ def test_parseval_terms_match_pointwise_oracle(kind, basis, log_eps, a, amplitud
     reg = pot.regularize(SPECS[kind], eps, sp.to_field(state.phi, basis))
     nl, nl_scale = pointwise_nonlinearity(reg, a, basis)
     assert np.abs(ev_nl - nl).max() <= 1e-13 * nl_scale
-    bulk, bulk_scale = pointwise_bulk(reg, a, basis.quadrature_weight)
+    bulk, bulk_scale = pointwise_bulk(reg, a, basis.domain.cell_weight)
     assert abs(ev_bulk - bulk) <= 1e-13 * bulk_scale
 
 
@@ -143,5 +143,5 @@ def test_mean_recursion_under_piecewise_sources(schedule, gamma, dt, phi_mean, s
     mean = means[0]
     for k in range(1, len(t)):
         h = t[k] - t[k - 1]
-        mean = (mean + h * sp.field_mean(f.fields[f.segment(t[k - 1])])) / (1.0 + gamma * h)
+        mean = (mean + h * float(f.fields[f.segment(t[k - 1])].values.mean())) / (1.0 + gamma * h)
         assert abs(means[k] - mean) <= 1e-13

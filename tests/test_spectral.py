@@ -98,7 +98,7 @@ class TestBasis:
     )
     def test_orthonormality(self, domain, n):
         basis = sp.build_basis(domain, n)
-        E, w = dense_eigenfunctions(basis), basis.quadrature_weight
+        E, w = dense_eigenfunctions(basis), basis.domain.cell_weight
         dense = (E * w) @ E.T
         gram = sp.gram_matrix(basis)
         assert np.abs(gram - dense).max() <= 1e-14
@@ -184,7 +184,7 @@ def oracle_gaps(basis, rng):
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., section
     4.2): the coefficient itself can cancel to far below that scale.
     """
-    E, w = dense_eigenfunctions(basis), basis.quadrature_weight
+    E, w = dense_eigenfunctions(basis), basis.domain.cell_weight
     f = rng.standard_normal(basis.domain.n_grid)
     c = rng.standard_normal(basis.n)
 
@@ -272,14 +272,14 @@ class TestMeanValue:
         vals = np.zeros(unit_basis.n)
         vals[3] = 2.0
         assert mean_value(vals, unit_basis) == 0.0
-        assert sp.field_mean(grid_values(vals, unit_basis)) == pytest.approx(0.0, abs=1e-15)
+        assert grid_values(vals, unit_basis).values.mean() == pytest.approx(0.0, abs=1e-15)
 
     def test_rescaling_with_measure(self):
         basis = sp.build_basis(sp.BoxDomain((4.0,), 16), 2)
         vals = np.zeros(2)
         vals[0] = 2.0
         assert mean_value(vals, basis) == pytest.approx(1.0, abs=1e-14)
-        assert sp.field_mean(grid_values(vals, basis)) == pytest.approx(1.0, abs=1e-14)
+        assert grid_values(vals, basis).values.mean() == pytest.approx(1.0, abs=1e-14)
 
 
 class TestPoissonInverse:
@@ -345,17 +345,20 @@ class TestNorms:
         domain = sp.BoxDomain((8.0,), 32)
         f = sp.constant_field(2.0, domain).values
         assert sp.norm_Lp(f, domain, 6) == pytest.approx(2.0 * 8.0 ** (1 / 6), rel=1e-14)
-        assert sp.norm_Lp(f, domain, np.inf) == 2.0
 
     def test_lp_against_closed_form_integral(self, unit_domain):
-        # int_0^1 cos^6(pi x) dx = 5/16 and int_0^1 cos^2(pi x) dx = 1/2
+        # int_0^1 cos^6(pi x) dx = 5/16; the midpoint sum of |cos(pi x)| on M
+        # nodes symmetric about 1/2 is 1 / (M sin(pi / 2M)) (it tends to 2 / pi)
         f = sp.cosine_sum_field(unit_domain, 0.0, [((1,), 1.0)]).values
         assert sp.norm_Lp(f, unit_domain, 6) == pytest.approx((5.0 / 16.0) ** (1 / 6), abs=1e-8)
-        assert sp.norm_Lp(f, unit_domain, 2) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        m = unit_domain.grid_points_per_axis
+        assert sp.norm_Lp(f, unit_domain, 1) == pytest.approx(1.0 / (m * math.sin(math.pi / (2 * m))), abs=1e-12)
 
     def test_lp_requires_p_at_least_one(self, unit_domain):
-        with pytest.raises(ValueError):
-            sp.norm_Lp(np.ones(unit_domain.n_grid), unit_domain, 0.5)
+        # p = 1 and p = 6 are the norms the diagnostics take; every other p raises
+        for p in (0.5, 2, np.inf):
+            with pytest.raises(ValueError):
+                sp.norm_Lp(np.ones(unit_domain.n_grid), unit_domain, p)
 
 
 class TestPathIdentity:
