@@ -219,7 +219,7 @@ def convergence_study(
     # Compare on the coarser grid, matching each of its records to the
     # nearest record of the next run; checked before anything runs.
     for dt_k in schedule:
-        galerkin.check_step(float(dt_k), scheme)
+        require(*galerkin.step_rules(float(dt_k), scheme))
     grids = [np.array(galerkin.record_times(float(dt_k), data.t_final)) for dt_k in schedule]
     matches = []
     for t_a, t_b in zip(grids, grids[1:]):

@@ -15,9 +15,10 @@ leaving the state and its record share; pi(phi) = -L phi and a enter by
 Parseval.  Coefficients are bare (n,) arrays beside their basis and grid
 values bare (N,) arrays, from the projected initial data and sources
 through ``evaluate``, ``step`` and the Newton closures.  ``simulate`` builds
-the step constants once per step size, allocates the ``Trajectory`` columns
-of all ``record_times`` before the first step, writes each level's row in
-place and makes the record (``compute_record``) once, after the last level.
+one ``step_operator`` (constants and scheme, checked before level 0) per
+step size, allocates the ``Trajectory`` columns of all ``record_times``
+before the first step, writes each level's row in place and makes the
+record (``compute_record``) once, after the last level.
 
 Two first-order schemes are provided: ``semi_implicit`` treats all linear
 terms implicitly through an exact per-mode 3x3 elimination and freezes the
@@ -277,13 +278,14 @@ def compute_record(
 
 @dataclass(frozen=True)
 class StepOperator:
-    """Per-mode constants of a step of size dt on ``basis``; eliminating
-    w+ = w + dt v+ and v+ = (c3 - lambda phi+)/d3 leaves
+    """A step of size dt with ``scheme`` on ``basis`` and its per-mode constants;
+    eliminating w+ = w + dt v+ and v+ = (c3 - lambda phi+)/d3 leaves
     diag phi+ + dt lam NL-term = base, with
     c3 = v + dt g + lambda phi - dt kappa2 lam w,  base = phi + dt f + coupling c3."""
 
     basis: SpectralBasis
     dt: float
+    scheme: str
     d3: np.ndarray
     diag: np.ndarray
     coupling: np.ndarray
@@ -291,12 +293,15 @@ class StepOperator:
     dt_lam: np.ndarray
 
 
-def _positive_dt(dt: float) -> tuple[bool, str]:
-    return dt > 0.0, f"(2.11) dt must be positive, got {dt}"
+def step_rules(dt: float, scheme: str) -> tuple[tuple[bool, str], tuple[bool, str]]:
+    """The rules dt > 0 and ``scheme`` one of SCHEMES, as ``errors.require`` takes them."""
+    return ((dt > 0.0, f"(2.11) dt must be positive, got {dt}"),
+            (scheme in SCHEMES, f"(2.11) scheme must be one of {SCHEMES}, got '{scheme}'"))
 
 
-def step_operator(basis: SpectralBasis, params: PhysicalParams, dt: float) -> StepOperator:
-    """The step constants for dt; ConfigurationError unless dt > 0 and all of them are finite."""
+def step_operator(basis: SpectralBasis, params: PhysicalParams, dt: float, scheme: str) -> StepOperator:
+    """The step of size dt with ``scheme``; ConfigurationError unless the
+    ``step_rules`` hold and all its constants are finite."""
     p, lam = params, basis.eigenvalues
     with np.errstate(all="ignore"):  # a huge dt overflows; reported below
         d3 = 1.0 + dt * p.kappa1 * lam + dt * dt * p.kappa2 * lam
@@ -304,8 +309,8 @@ def step_operator(basis: SpectralBasis, params: PhysicalParams, dt: float) -> St
         diag = 1.0 + dt * p.gamma + dt * lam**2 + dt_lam * p.b * p.lambda_latent / d3
         parts = (d3, diag, dt_lam * p.b / d3, dt * p.kappa2 * lam, dt_lam)
     finite = all(np.isfinite(x).all() for x in parts)
-    require(_positive_dt(dt), (finite, f"(2.11) dt = {dt} is too large: the step operator is not finite"))
-    return StepOperator(basis, dt, *parts)
+    require(*step_rules(dt, scheme), (finite, f"(2.11) dt = {dt} is too large: the step operator is not finite"))
+    return StepOperator(basis, dt, scheme, *parts)
 
 
 def _step_rhs(phi, w, v, f, g, data: ProblemData, op: StepOperator):
@@ -351,35 +356,26 @@ def _backward_euler_phi(nl, data, op, base):
     return it.x, it.reg
 
 
-def check_step(dt: float, scheme: str) -> None:
-    """Raise ConfigurationError unless dt > 0 and ``scheme`` is one of SCHEMES:
-    the check of a run's step before any basis or step operator is built."""
-    require(_positive_dt(dt), (scheme in SCHEMES, f"(2.11) scheme must be one of {SCHEMES}, got '{scheme}'"))
-
-
 def step(
     phi: np.ndarray, w: np.ndarray, v: np.ndarray, nl: np.ndarray, f: np.ndarray, g: np.ndarray,
-    data: ProblemData, op: StepOperator, scheme: str = SEMI_IMPLICIT,
+    data: ProblemData, op: StepOperator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[Regularization]]:
-    """Advance the state (phi, w, v) one step of size op.dt with the chosen first-order scheme.
+    """Advance the state (phi, w, v) one step of size op.dt with op.scheme.
 
     ``nl`` is the state's projected nonlinearity (from ``evaluate``), f and g
-    the projected sources over the step and ``op`` the ``step_operator`` of
-    the step size.  Returns the new phi, w and v and, for ``backward_euler``,
-    the regularized graph at the new phi, which the last Newton iterate solved
-    and ``evaluate`` can reuse (None for ``semi_implicit``).  Raises
-    StepFailure when the new phi is not finite, for either scheme, and
-    ConfigurationError for a scheme that is not one of SCHEMES.
+    the projected sources over the step and ``op`` the ``step_operator``, which
+    has checked the scheme.  Returns the new phi, w and v and, for
+    ``backward_euler``, the regularized graph at the new phi, which the last
+    Newton iterate solved and ``evaluate`` can reuse (None for
+    ``semi_implicit``).  Raises StepFailure when the new phi is not finite.
     """
     c3, base = _step_rhs(phi, w, v, f, g, data, op)
-    if scheme == SEMI_IMPLICIT:
+    if op.scheme == SEMI_IMPLICIT:
         phi_new, reg = _semi_implicit_phi(nl, op, base), None
-    elif scheme == BACKWARD_EULER:
-        phi_new, reg = _backward_euler_phi(nl, data, op, base)
     else:
-        check_step(op.dt, scheme)  # raises: the scheme is unknown
+        phi_new, reg = _backward_euler_phi(nl, data, op, base)
     if not np.isfinite(phi_new).all():
-        raise StepFailure(f"non-finite phi after a {scheme} step of {op.dt}")
+        raise StepFailure(f"non-finite phi after a {op.scheme} step of {op.dt}")
     v_new = (c3 - data.params.lambda_latent * phi_new) / op.d3
     return phi_new, w + op.dt * v_new, v_new, reg
 
@@ -406,9 +402,9 @@ def simulate(
     exactly on t_final, and the columns of all levels are allocated before the
     first step.  A failing step is bisected down to 1e-8 * t_final before the
     run is abandoned; the substeps are not recorded.  On abandon a RunFailure
-    carrying the levels before the failure is raised.  A dt <= 0 or a dt whose
-    step operator is not finite raises ConfigurationError before any step,
-    and a scheme not among SCHEMES at the first step.  Each
+    carrying the levels before the failure is raised.  A dt <= 0, a scheme
+    not among SCHEMES or a dt whose step operator is not finite raises
+    ConfigurationError before level 0, also when t_final = 0.  Each
     observer is called as ``observer(k, traj)`` right after level k is
     written into ``traj``, the returned Trajectory, whose rows 0..k are then
     filled and whose record is still empty.  Deterministic for a given
@@ -417,7 +413,7 @@ def simulate(
     large grids, so its last bits can depend on the thread count.
     """
     gamma = data.params.gamma
-    operators = {dt: step_operator(basis, data.params, dt)}  # by step size
+    operators = {dt: step_operator(basis, data.params, dt, scheme)}  # by step size
     phi, w, v = project_initial_data(data, basis)
     sources = (data.f.project(basis), data.g.project(basis))
     f_means = data.f.means()
@@ -429,10 +425,10 @@ def simulate(
     def advance(t, phi, w, v, nl, h):
         """Cover [t, t+h], bisecting the interval on step failures; returns what ``step`` returns."""
         if h not in operators:
-            operators[h] = step_operator(basis, data.params, h)
+            operators[h] = step_operator(basis, data.params, h, scheme)
         try:
             return step(phi, w, v, nl, sources[0][data.f.segment(t)], sources[1][data.g.segment(t)],
-                        data, operators[h], scheme)
+                        data, operators[h])
         except StepFailure:
             if h / 2.0 < floor:
                 raise

@@ -21,7 +21,7 @@ once per iterate.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -46,9 +46,6 @@ class Counters:
     newton_iterations: int = 0
     krylov_iterations: int = 0
     line_search_halvings: int = 0
-
-    def __add__(self, other: Counters) -> Counters:
-        return Counters(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
 
 class Iterate(NamedTuple):

@@ -164,8 +164,9 @@ def build_basis(domain: BoxDomain, n: int) -> SpectralBasis:
 
     Modes are multi-indices k with every component at most
     grid_points_per_axis // 2 (anti-aliasing capacity); requesting more modes
-    than the grid can carry is a configuration error.  Ties in the eigenvalue
-    are broken lexicographically, so bases on a common grid are nested.
+    than the grid can carry is a configuration error.  One stable sort of the
+    eigenvalues in C order breaks ties lexicographically, so bases on a common
+    grid are nested.
     """
     cap = domain.grid_points_per_axis // 2
     capacity = (cap + 1) ** domain.dim
@@ -174,12 +175,10 @@ def build_basis(domain: BoxDomain, n: int) -> SpectralBasis:
         (n <= capacity, f"(2.11) n_modes = {n} exceeds the capacity of "
                         f"{capacity} modes on a {domain.grid_points_per_axis}-point-per-axis grid"),
     )
-    # Every multi-index with components in 0..cap, one row per axis.
-    candidates = np.indices((cap + 1,) * domain.dim).reshape(domain.dim, -1)
-    eig = sum((k * math.pi / L) ** 2 for k, L in zip(candidates, domain.lengths))
-    # Sort by eigenvalue, then by mode: lexsort's last key is the primary one.
-    order = np.lexsort((*candidates[::-1], eig))[:n]
-    chosen = candidates[:, order]
+    # The eigenvalues of every mode with components in 0..cap, in C (lexicographic) order.
+    eig = reduce(np.add.outer, [(np.arange(cap + 1) * math.pi / L) ** 2 for L in domain.lengths]).ravel()
+    order = np.argsort(eig, kind="stable")[:n]
+    chosen = np.array(np.unravel_index(order, (cap + 1,) * domain.dim))
     modes = tuple(map(tuple, chosen.T.tolist()))
     eigenvalues = eig[order]
 

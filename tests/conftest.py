@@ -152,9 +152,9 @@ def sources_at(state, data):
 
 def step_state(state, data, dt, scheme=gk.SEMI_IMPLICIT):
     """One ``galerkin.step`` of a State: the new State and the step's regularized graph."""
-    op = gk.step_operator(state.basis, data.params, dt)
+    op = gk.step_operator(state.basis, data.params, dt, scheme)
     *new, reg = gk.step(state.phi, state.w, state.v, evaluate(state, data)[0],
-                        *sources_at(state, data), data, op, scheme)
+                        *sources_at(state, data), data, op)
     return State(state.t + dt, *new, state.basis), reg
 
 

@@ -205,17 +205,20 @@ class TestStep:
 
     def test_unknown_scheme_raises_configuration_error(self, unit_domain, unit_basis):
         data = make_problem_data(unit_domain, REG)
-        phi, w, v = gk.project_initial_data(data, unit_basis)
-        nl, zero = gk.evaluate(phi, v, data, unit_basis)[0], np.zeros(unit_basis.n)
-        op = gk.step_operator(unit_basis, data.params, 0.01)
         with pytest.raises(ConfigurationError, match=r"^\(2\.11\) scheme must be one of .*, got 'leapfrog'$"):
-            gk.step(phi, w, v, nl, zero, zero, data, op, "leapfrog")
+            gk.step_operator(unit_basis, data.params, 0.01, "leapfrog")
+
+    def test_simulate_rejects_unknown_scheme_before_level_0(self, unit_domain, unit_basis):
+        # t_final = 0 records one level and takes no step
+        data = make_problem_data(unit_domain, REG, t_final=0.0)
+        with pytest.raises(ConfigurationError, match=r"^\(2\.11\) scheme must be one of .*, got 'nosuch'$"):
+            gk.simulate(data, unit_basis, 0.1, "nosuch")
 
     @pytest.mark.parametrize("dt", [0.0, -0.1])
     def test_step_operator_rejects_non_positive_dt(self, unit_basis, dt):
         params = gk.PhysicalParams(1.0, 0.0, 1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ConfigurationError, match=rf"^\(2\.11\) dt must be positive, got {dt}$"):
-            gk.step_operator(unit_basis, params, dt)
+            gk.step_operator(unit_basis, params, dt, gk.SEMI_IMPLICIT)
 
     def test_non_finite_step_operator_is_a_configuration_error(self, unit_domain, unit_basis):
         # dt^2 overflows; no numpy warning may escape (they are errors here)
@@ -223,7 +226,7 @@ class TestStep:
         with pytest.raises(ConfigurationError, match=r"\(2\.11\) dt = 1e\+299 is too large"):
             gk.simulate(data, unit_basis, 1e299)
         with pytest.raises(ConfigurationError):
-            gk.step_operator(unit_basis, data.params, 1e299)
+            gk.step_operator(unit_basis, data.params, 1e299, gk.SEMI_IMPLICIT)
 
     @pytest.mark.parametrize("scheme", gk.SCHEMES)
     def test_cached_operator_steps_bit_identical_to_fresh(self, unit_domain, unit_basis, scheme, monkeypatch):
@@ -238,13 +241,14 @@ class TestStep:
         original = gk.step
         operators = collections.defaultdict(set)
 
-        def checked(phi, w, v, nl, f, g, dat, operator, scheme):
+        def checked(phi, w, v, nl, f, g, dat, operator):
             dt = operator.dt
             if np.array_equal(phi, first_phi) and dt == 0.02:
                 raise StepFailure("forced")
             operators[dt].add(id(operator))
-            *cached, reg = original(phi, w, v, nl, f, g, dat, operator, scheme)
-            *fresh, fresh_reg = original(phi, w, v, nl, f, g, dat, gk.step_operator(unit_basis, dat.params, dt), scheme)
+            *cached, reg = original(phi, w, v, nl, f, g, dat, operator)
+            fresh_op = gk.step_operator(unit_basis, dat.params, dt, operator.scheme)
+            *fresh, fresh_reg = original(phi, w, v, nl, f, g, dat, fresh_op)
             for a, b in zip(cached, fresh):
                 assert np.array_equal(a, b)
             assert (reg is None) == (fresh_reg is None)

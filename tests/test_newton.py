@@ -101,7 +101,7 @@ def _step_inputs(basis, data, phi, dt, seed):
     rng = np.random.default_rng(seed)
     w, v = (0.1 * rng.standard_normal(basis.n) / (1.0 + basis.eigenvalues) for _ in range(2))
     state = State(0.0, phi, w, v, basis)
-    op = gk.step_operator(basis, data.params, dt)
+    op = gk.step_operator(basis, data.params, dt, gk.BACKWARD_EULER)
     base = gk._step_rhs(phi, w, v, *sources_at(state, data), data, op)[1]
     return evaluate(state, data)[0], op, base
 

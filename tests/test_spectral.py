@@ -76,6 +76,8 @@ class TestBasis:
             ((1.0, 1.0), 128, 1024),
             ((2.0, 0.7), 33, 200),
             ((3.0, 1.0), 128, 4225),
+            ((1.0, 2.0), 32, 289),
+            ((2.0, 2.0), 16, 81),
         ],
     )
     def test_order_matches_key_sort(self, lengths, grid, n):
