@@ -44,7 +44,7 @@ def mean_law_check(trajectory: Trajectory, data: ProblemData) -> dict[str, float
     for h, f_mean, cur in zip(np.diff(t).tolist(), f_means.tolist(), means[1:].tolist()):
         mean = (mean + h * f_mean) / (1.0 + gamma * h)
         err_d = max(err_d, abs(cur - mean))
-    err_c = float(np.abs(means - trajectory.mean_exact).max())
+    err_c = float(np.abs(means - trajectory.record["mean_phi_exact"]).max())
     return {"max_error_discrete": err_d, "max_error_continuum": err_c}
 
 
@@ -73,7 +73,7 @@ def apriori_monitor(trajectory: Trajectory, data: ProblemData) -> tuple[list[str
         f"outside [{band_lo:.12g}, {band_hi:.12g}]"
         for k, j in np.argwhere(np.column_stack((~np.isfinite(values), outside))).tolist()
     ]
-    w_l2, w_grad = spectral.row_squares(trajectory.w, trajectory.basis.eigenvalues)
+    w_l2, w_grad = trajectory.w_sums.T
     realized = {
         "phi_Linf_dual": float(rec["phi_dual"].max()),
         "phi_L2_H1": math.sqrt(_trapz(rec["phi_H1"] ** 2, t)),
@@ -84,6 +84,14 @@ def apriori_monitor(trajectory: Trajectory, data: ProblemData) -> tuple[list[str
         "w_Linf_H1": math.sqrt(float((w_l2 + w_grad).max())),
     }
     return violations, realized
+
+
+def _simulate_keeping(m: int, data: ProblemData, basis: SpectralBasis, dt: float, scheme: str):
+    """``galerkin.simulate`` of ``data``, and the first m of its columns phi, w and v
+    as an (m x levels x n) array, which an observer copies level by level."""
+    kept = []
+    run = galerkin.simulate(data, basis, dt, scheme, observers=[lambda k, level: kept.append(level[:m].copy())])
+    return run, np.array(kept).swapaxes(0, 1)
 
 
 def _differences(s1: SourceTerm, s2: SourceTerm, t: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -104,7 +112,8 @@ def dependence_experiment(
     """Run ``data1`` and the same problem with the sources ``f2`` and ``g2``,
     and measure the difference against the change of the sources: the
     realized difference norms ``lhs`` (with ``lhs_components``) and source
-    norms ``rhs_components``, their ratio ``empirical_K2``, and each run's
+    norms ``rhs_components``, their ratio ``empirical_K2`` (None when the
+    source norms are 0, as for equal sources or t_final = 0), and each run's
     time integral of ||yosida(phi)||_1, ``xi_L1_runs``.
 
     The sources are piecewise constant in time, so their differences take
@@ -113,14 +122,15 @@ def dependence_experiment(
     of those values whose L2 norms come from their Gram matrix.
     """
     data2 = dataclasses.replace(data1, f=f2, g=g2)
-    traj1 = galerkin.simulate(data1, basis, dt, scheme)
-    traj2 = galerkin.simulate(data2, basis, dt, scheme)
+    traj1, diff = _simulate_keeping(3, data1, basis, dt, scheme)
+    traj2 = galerkin.simulate(data2, basis, dt, scheme, observers=[  # subtracts its phi, w and v level by level
+        lambda k, level: np.subtract(diff[:, k], level[:3], out=diff[:, k])])
     times, domain, lam = traj1.t, basis.domain, basis.eigenvalues
 
-    dphi = traj1.phi - traj2.phi
+    dphi, dw, dv = diff
     phi_l2, phi_grad = spectral.row_squares(dphi, lam)
-    w_l2, w_grad = spectral.row_squares(traj1.w - traj2.w, lam)
-    v_l2 = spectral.row_squares(traj1.v - traj2.v, lam)[0]
+    w_l2, w_grad = spectral.row_squares(dw, lam)
+    v_l2 = spectral.row_squares(dv, lam)[0]
     lhs_components = {
         "phi_Linf_dual": float(spectral.norm_Hm1_rows(dphi, basis).max()),
         "phi_L2_H1": math.sqrt(_trapz(phi_l2 + phi_grad, times)),
@@ -149,7 +159,7 @@ def dependence_experiment(
         "conv_g_L2": math.sqrt(_trapz(np.maximum(conv_sq, 0.0), times)),
     }
     rhs_total = sum(rhs_components.values())
-    k2 = lhs / rhs_total if rhs_total > 0.0 else float("nan")
+    k2 = lhs / rhs_total if rhs_total > 0.0 else None
 
     return {
         "lhs": lhs,
@@ -180,10 +190,11 @@ def convergence_study(
     if kind not in STUDY_KINDS:
         raise ValueError(f"unknown study kind {kind!r}; expected one of {STUDY_KINDS}")
     pairs = list(zip(schedule, schedule[1:]))
-    require((
-        all(b < a for a, b in pairs) or all(b > a for a, b in pairs),
-        f"(2.11) schedule must be strictly monotone, got {list(schedule)}",
-    ))
+    require(
+        (len(schedule) >= 2, f"(2.11) a schedule needs at least two entries, got {list(schedule)}"),
+        (all(b < a for a, b in pairs) or all(b > a for a, b in pairs),
+         f"(2.11) schedule must be strictly monotone, got {list(schedule)}"),
+    )
 
     rows: list[dict[str, float]] = []
     if kind == "modes":
@@ -197,7 +208,7 @@ def convergence_study(
             f"(2.11) a modes schedule must increase to its last entry, the reference; got {sizes}",
         ))
         bases = [spectral.build_basis(basis.domain, n) for n in sizes]
-        phis = [galerkin.simulate(data, b, dt, scheme).phi for b in bases]
+        phis = [_simulate_keeping(1, data, b, dt, scheme)[1][0] for b in bases]
         ref_basis, ref_phi = bases[-1], phis[-1]
         for n, b, phi in zip(sizes[:-1], bases[:-1], phis[:-1]):
             padded = spectral.embed(phi, b, ref_basis)
@@ -208,19 +219,20 @@ def convergence_study(
         members = [dataclasses.replace(data, eps=float(eps)) for eps in schedule]  # checked before any run
         phis = []
         for d in members:
-            traj = galerkin.simulate(d, basis, dt, scheme)
+            traj, (phi,) = _simulate_keeping(1, d, basis, dt, scheme)
             realized = apriori_monitor(traj, d)[1]
             rows.append({"eps": d.eps, "beta_L1_Q": realized["beta_L1_Q"], "beta_L2_L6": realized["beta_L2_L6"]})
-            phis.append(traj.phi)
+            phis.append(phi)
         for row, phi, next_phi in zip(rows, phis, phis[1:]):
             row["diff_Linf_dual"] = float(spectral.norm_Hm1_rows(phi - next_phi, basis).max())
         return rows
 
     # Compare on the coarser grid, matching each of its records to the
     # nearest record of the next run; checked before anything runs.
-    for dt_k in schedule:
-        require(*galerkin.step_rules(float(dt_k), scheme))
-    grids = [np.array(galerkin.record_times(float(dt_k), data.t_final)) for dt_k in schedule]
+    dts = [float(dt_k) for dt_k in schedule]
+    for dt_k in dts:
+        require(*galerkin.step_rules(dt_k, scheme))
+    grids = [np.array(galerkin.record_times(dt_k, data.t_final)) for dt_k in dts]
     matches = []
     for t_a, t_b in zip(grids, grids[1:]):
         idx = [int(np.argmin(np.abs(t_b - t))) for t in t_a]
@@ -230,18 +242,13 @@ def convergence_study(
             "use a dyadic schedule",
         ))
         matches.append(idx)
-    runs = [(float(dt_k), galerkin.simulate(data, basis, float(dt_k), scheme).phi) for dt_k in schedule]
-    diffs = [
-        float(spectral.norm_Hm1_rows(phi_a - phi_b[idx], basis).max())
-        for (_, phi_a), (_, phi_b), idx in zip(runs, runs[1:], matches)
-    ]
-    for i, (dt_k, _) in enumerate(runs):
+    phis = [_simulate_keeping(1, data, basis, dt_k, scheme)[1][0] for dt_k in dts]
+    diffs = [float(spectral.norm_Hm1_rows(a - b[idx], basis).max()) for a, b, idx in zip(phis, phis[1:], matches)]
+    for i, dt_k in enumerate(dts):
         row: dict[str, float] = {"dt": dt_k}
         if i < len(diffs):
             row["diff_to_next"] = diffs[i]
         if i + 1 < len(diffs) and diffs[i + 1] > 0.0:
-            row["slope"] = math.log(diffs[i] / diffs[i + 1]) / math.log(
-                runs[i][0] / runs[i + 1][0]
-            )
+            row["slope"] = math.log(diffs[i] / diffs[i + 1]) / math.log(dts[i] / dts[i + 1])
         rows.append(row)
     return rows

@@ -16,9 +16,10 @@ Parseval.  Coefficients are bare (n,) arrays beside their basis and grid
 values bare (N,) arrays, from the projected initial data and sources
 through ``evaluate``, ``step`` and the Newton closures.  ``simulate`` builds
 one ``step_operator`` (constants and scheme, checked before level 0) per
-step size, allocates the ``Trajectory`` columns of all ``record_times``
-before the first step, writes each level's row in place and makes the
-record (``compute_record``) once, after the last level.
+step size, writes each level's coefficients into a block of
+``spectral.ROW_BLOCK`` rows and folds the block into record columns
+(``compute_record``) as soon as it fills or the run ends: a run keeps its
+record, not its coefficients.
 
 Two first-order schemes are provided: ``semi_implicit`` treats all linear
 terms implicitly through an exact per-mode 3x3 elimination and freezes the
@@ -32,7 +33,6 @@ mean+ = (mean + dt f_mean) / (1 + gamma dt)  for the mean.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -198,82 +198,61 @@ def evaluate(
 
 @dataclass(frozen=True)
 class Trajectory:
-    """The recorded levels of a run as columns: row k of every array is level k.
+    """The record of a run: row k of every column is level k.
 
-    ``coeffs``: (levels x 4 x n), the coefficients of phi, w, v and mu of
-    each level, which the properties of those names view as (levels x n)
-    columns; ``mean_exact``: the exact mean law; ``bulk``, ``xi_L1``,
-    ``xi_L6``: the bulk energy and the grid norms of yosida(phi) (see
-    ``evaluate``); ``record``: what ``compute_record`` makes of them.
+    ``record``: the columns ``compute_record`` makes, in CSV order; ``w_sums``:
+    (levels x 2), the sums of w^2 and of lam w^2 over the modes of each level.
     """
 
-    basis: SpectralBasis
-    t: np.ndarray
-    coeffs: np.ndarray
-    mean_exact: np.ndarray
-    bulk: np.ndarray
-    xi_L1: np.ndarray
-    xi_L6: np.ndarray
     record: dict[str, np.ndarray]
+    w_sums: np.ndarray
 
-    phi = property(lambda self: self.coeffs[:, 0])
-    w = property(lambda self: self.coeffs[:, 1])
-    v = property(lambda self: self.coeffs[:, 2])
-    mu = property(lambda self: self.coeffs[:, 3])
+    t = property(lambda self: self.record["t"])
 
     def __len__(self) -> int:
         return self.t.size
 
-    def head(self, k: int) -> Trajectory:
-        """The first k levels as views of these columns, with an empty record."""
-        columns = (getattr(self, f.name)[:k] for f in dataclasses.fields(self) if f.name not in ("basis", "record"))
-        return Trajectory(self.basis, *columns, record={})
-
 
 def compute_record(
-    traj: Trajectory, data: ProblemData, sources: tuple[np.ndarray, np.ndarray]
-) -> dict[str, np.ndarray]:
-    """The record columns of the levels of ``traj`` (its own ``record`` unread),
-    in CSV order; ``sources`` are ``data.f`` and ``data.g`` projected onto its
-    basis (``SourceTerm.project``).
+    t: np.ndarray, coeffs: np.ndarray, scalars: np.ndarray, data: ProblemData, basis: SpectralBasis,
+    sources: tuple[np.ndarray, np.ndarray],
+) -> Trajectory:
+    """The Trajectory of the levels at the times ``t``, whose coefficients of
+    phi, w, v and mu are ``coeffs`` (levels x 4 x n) and whose exact mean, bulk
+    energy and grid norms ||yosida(phi)||_1 and ||yosida(phi)||_6 (see
+    ``evaluate``) are the rows of ``scalars`` (4 x levels); ``sources`` are
+    ``data.f`` and ``data.g`` projected onto ``basis`` (``SourceTerm.project``).
 
     energy = 1/2 |grad phi|^2 + int (beta_hat_eps + pi_hat)(phi) + a int phi
     + b/(2 lambda) |v|^2 + b kappa2/(2 lambda) |grad w|^2; along the exact
     coefficient flow  d(energy)/dt + dissipation_mu + dissipation_w = source_power.
-    The coefficient norms come from ``spectral.row_squares`` of [phi, w, v, mu]
-    and the source power from the same blocks of levels, so no temporary is
-    as large as a column.
+    The coefficient norms come from ``spectral.row_squares`` of ``coeffs``.
     """
-    p, basis = data.params, traj.basis
-    l2, grad = spectral.row_squares(traj.coeffs, basis.eigenvalues)
+    p = data.params
+    phi, _, v, mu = coeffs.transpose(1, 0, 2)
+    mean_exact, bulk, xi_L1, xi_L6 = scalars
+    l2, grad = spectral.row_squares(coeffs, basis.eigenvalues)
     grad_phi, grad_w, grad_v, grad_mu = grad.T
-    l2_phi, _, l2_v, l2_mu = l2.T
-    (f, g), f_seg, g_seg = sources, data.f.segment(traj.t), data.g.segment(traj.t)
-    power = np.empty(len(traj))
-    for s in spectral.row_blocks(len(traj)):
-        power[s] = (np.vecdot(f[f_seg[s]] - p.gamma * traj.phi[s], traj.mu[s])
-                    + p.b / p.lambda_latent * np.vecdot(g[g_seg[s]], traj.v[s]))
-    return {
-        "t": traj.t,
-        "mean_phi": traj.phi[:, 0] / math.sqrt(basis.domain.measure),
-        "mean_phi_exact": traj.mean_exact,
-        "energy": (
-            0.5 * grad_phi
-            + traj.bulk
-            + 0.5 * p.b / p.lambda_latent * l2_v
-            + 0.5 * p.b * p.kappa2 / p.lambda_latent * grad_w
-        ),
+    l2_phi, l2_w, l2_v, l2_mu = l2.T
+    (f, g), f_seg, g_seg = sources, data.f.segment(t), data.g.segment(t)
+    return Trajectory({
+        "t": t,
+        "mean_phi": phi[:, 0] / math.sqrt(basis.domain.measure),
+        "mean_phi_exact": mean_exact,
+        "energy": (0.5 * grad_phi + bulk + 0.5 * p.b / p.lambda_latent * l2_v
+                   + 0.5 * p.b * p.kappa2 / p.lambda_latent * grad_w),
         "dissipation_mu": grad_mu,
         "dissipation_w": p.b * p.kappa1 / p.lambda_latent * grad_v,
-        "source_power": power,
+        "source_power": (np.vecdot(f[f_seg] - p.gamma * phi, mu)
+                         + p.b / p.lambda_latent * np.vecdot(g[g_seg], v)),
         "phi_H1": np.sqrt(l2_phi + grad_phi),
-        "phi_dual": spectral.norm_Hm1_rows(traj.phi, basis),
+        "phi_dual": spectral.norm_Hm1_rows(phi, basis),
         "dtw_L2": np.sqrt(l2_v),
         "grad_w_L2": np.sqrt(grad_w),
-        "xi_L1": traj.xi_L1,
-        "xi_L6": traj.xi_L6,
+        "xi_L1": xi_L1,
+        "xi_L6": xi_L6,
         "mu_H1": np.sqrt(l2_mu + grad_mu),
-    }
+    }, np.column_stack((l2_w, grad_w)))
 
 
 @dataclass(frozen=True)
@@ -394,33 +373,37 @@ def simulate(
     basis: SpectralBasis,
     dt: float,
     scheme: str = SEMI_IMPLICIT,
-    observers: Sequence[Callable[[int, Trajectory], None]] = (),
+    observers: Sequence[Callable[[int, np.ndarray], None]] = (),
 ) -> Trajectory:
     """Run from the projected initial data to t_final with fixed dt.
 
     The levels are the ``record_times``: the final step is truncated to land
-    exactly on t_final, and the columns of all levels are allocated before the
-    first step.  A failing step is bisected down to 1e-8 * t_final before the
-    run is abandoned; the substeps are not recorded.  On abandon a RunFailure
-    carrying the levels before the failure is raised.  A dt <= 0, a scheme
-    not among SCHEMES or a dt whose step operator is not finite raises
-    ConfigurationError before level 0, also when t_final = 0.  Each
-    observer is called as ``observer(k, traj)`` right after level k is
-    written into ``traj``, the returned Trajectory, whose rows 0..k are then
-    filled and whose record is still empty.  Deterministic for a given
-    configuration and BLAS thread count: ``xi_L6`` is one BLAS dot over the
-    grid (``spectral.norm_Lp``), which OpenBLAS splits across threads on
-    large grids, so its last bits can depend on the thread count.
+    exactly on t_final.  Each level's coefficients of phi, w, v and mu are a
+    row of a block of ``spectral.ROW_BLOCK`` levels, which ``compute_record``
+    folds into the record as soon as it fills or the run ends; the returned
+    Trajectory keeps no coefficients.  A failing step is bisected down to
+    1e-8 * t_final before the run is abandoned; the substeps are not
+    recorded.  On abandon a RunFailure carrying the Trajectory of the levels
+    before the failure is raised.  A dt <= 0, a scheme not among SCHEMES or
+    a dt whose step operator is not finite raises ConfigurationError before
+    level 0, also when t_final = 0.  Each observer is called as
+    ``observer(k, level)`` right after level k is written, where ``level`` is
+    its (4 x n) row of the block, which later levels overwrite: an observer
+    copies what it keeps.  Deterministic for a given configuration and BLAS
+    thread count: ``xi_L6`` is one BLAS dot over the grid
+    (``spectral.norm_Lp``), which OpenBLAS splits across threads on large
+    grids, so its last bits can depend on the thread count.
     """
-    gamma = data.params.gamma
+    gamma, rows = data.params.gamma, spectral.ROW_BLOCK
     operators = {dt: step_operator(basis, data.params, dt, scheme)}  # by step size
     phi, w, v = project_initial_data(data, basis)
     sources = (data.f.project(basis), data.g.project(basis))
     f_means = data.f.means()
     floor = max(_DT_FLOOR_FACTOR * data.t_final, 1e-300)
     times = record_times(dt, data.t_final)
-    levels = len(times)
-    traj = Trajectory(basis, np.array(times), np.empty((levels, 4, basis.n)), *np.empty((4, levels)), record={})
+    block = np.empty((rows, 4, basis.n))  # phi, w, v and mu of the block's levels
+    scalars = np.empty((4, rows))  # their mean_exact, bulk, xi_L1 and xi_L6
+    parts = []  # the Trajectory of each folded block
 
     def advance(t, phi, w, v, nl, h):
         """Cover [t, t+h], bisecting the interval on step failures; returns what ``step`` returns."""
@@ -435,33 +418,40 @@ def simulate(
             phi, w, v, reg = advance(t, phi, w, v, nl, h / 2.0)
             return advance(t + h / 2.0, phi, w, v, evaluate(phi, v, data, basis, reg)[0], h / 2.0)
 
+    def fold(k):
+        """Fold the block's levels below level k into ``parts``."""
+        r = (k - 1) % rows + 1
+        parts.append(compute_record(np.array(times[k - r:k]), block[:r], scalars[:, :r].copy(), data, basis, sources))
+
     def emit(k, phi, w, v, mean_exact, reg=None):
-        """Write level k into the columns; returns its projected nonlinearity."""
+        """Write level k into the block, folding the block once full; returns its projected nonlinearity."""
         nl, mu, xi, bulk = evaluate(phi, v, data, basis, reg)
-        traj.coeffs[k] = phi, w, v, mu
-        traj.mean_exact[k], traj.bulk[k] = mean_exact, bulk
-        traj.xi_L1[k] = spectral.norm_Lp(xi, basis.domain, 1)
-        traj.xi_L6[k] = spectral.norm_Lp(xi, basis.domain, 6)
+        i = k % rows
+        block[i] = phi, w, v, mu
+        scalars[:, i] = mean_exact, bulk, spectral.norm_Lp(xi, basis.domain, 1), spectral.norm_Lp(xi, basis.domain, 6)
         for obs in observers:
-            obs(k, traj)
+            obs(k, block[i])
+        if i == rows - 1:
+            fold(k + 1)
         return nl
 
-    def finish(run):
-        run.record.update(compute_record(run, data, sources))
-        return run
+    def finish(k):
+        """The Trajectory of levels 0..k-1, once the block's levels are folded."""
+        if k % rows:
+            fold(k)
+        return Trajectory({name: np.concatenate([p.record[name] for p in parts]) for name in parts[0].record},
+                          np.concatenate([p.w_sums for p in parts]))
 
     mean_exact = float(phi[0]) / math.sqrt(basis.domain.measure)
     nl = emit(0, phi, w, v, mean_exact)
-    for k in range(1, levels):
+    for k in range(1, len(times)):
         t = times[k - 1]
         h = min(dt, data.t_final - t)
         try:
             phi, w, v, reg = advance(t, phi, w, v, nl, h)
         except StepFailure as exc:
-            raise RunFailure(
-                f"step failed at t = {t} after dt halvings: {exc}", finish(traj.head(k))
-            ) from exc
+            raise RunFailure(f"step failed at t = {t} after dt halvings: {exc}", finish(k)) from exc
         decay = math.exp(-gamma * h)
         mean_exact = mean_exact * decay + (f_means[data.f.segment(t)] / gamma) * (1.0 - decay)
         nl = emit(k, phi, w, v, mean_exact, reg)
-    return finish(traj)
+    return finish(len(times))

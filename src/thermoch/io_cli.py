@@ -88,8 +88,8 @@ class ConfigParseError(ValueError):
 FLOAT_FORMAT = "%.17g"
 
 
-def format_float(x: float) -> str:
-    return FLOAT_FORMAT % float(x)
+def format_float(x: Optional[float]) -> str:
+    return "" if x is None else FLOAT_FORMAT % float(x)
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +544,9 @@ def write_trajectory_csv(path: Path, trajectory: galerkin.Trajectory) -> None:
 
 
 def write_table_csv(path: Path, rows: list[dict[str, float]]) -> None:
-    """One column per key of any row, in order of first appearance; a missing value is empty."""
+    """One column per key of any row, in order of first appearance; a missing or None value is empty."""
     keys = list(dict.fromkeys(k for row in rows for k in row))
-    lines = [",".join(keys)] + [",".join(format_float(row[k]) if k in row else "" for k in keys) for row in rows]
+    lines = [",".join(keys)] + [",".join(format_float(row.get(k)) for k in keys) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

@@ -40,7 +40,7 @@ from .errors import MeanDomainError, require
 
 # Relative tolerance for zero-mean membership when inverting the Laplacian.
 MEAN_TOL = 1e-10
-# Rows squared at a time by the per-row norms of coefficient columns.
+# Rows per block of the per-row norms, and levels per block of ``galerkin.simulate``'s record fold.
 ROW_BLOCK = 64
 
 

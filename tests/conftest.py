@@ -199,23 +199,24 @@ def spectral_record(state, data, mean_exact):
     }
 
 
-def level_state(traj, k):
-    """Level k of a ``galerkin.Trajectory`` as a State."""
-    return State(float(traj.t[k]), traj.phi[k], traj.w[k], traj.v[k], traj.basis)
+def simulate_levels(data, basis, dt, scheme=gk.SEMI_IMPLICIT):
+    """``galerkin.simulate`` of ``data`` and each of its levels as a State,
+    whose coefficients an observer copies."""
+    rows = []
+    traj = gk.simulate(data, basis, dt, scheme, observers=[lambda k, level: rows.append(level[:3].copy())])
+    return traj, [State(float(t), *row, basis) for t, row in zip(traj.t, rows)]
 
 
 def stack_levels(states, data, mean_exact):
-    """A ``galerkin.Trajectory`` (without its record) of ``states``."""
+    """The arguments of ``galerkin.compute_record`` for ``states`` but data and
+    sources: their times, coefficients of phi, w, v and mu, and scalars."""
     basis = states[0].basis
     evs = [evaluate(s, data) for s in states]
-    return gk.Trajectory(
-        basis,
+    return (
         np.array([s.t for s in states]),
         np.array([(s.phi, s.w, s.v, ev[1]) for s, ev in zip(states, evs)]),
-        np.array(mean_exact, dtype=float),
-        np.array([ev[3] for ev in evs]),
-        *(np.array([sp.norm_Lp(ev[2], basis.domain, p) for ev in evs]) for p in (1, 6)),
-        record={},
+        np.array([mean_exact, [ev[3] for ev in evs],
+                  *([sp.norm_Lp(ev[2], basis.domain, p) for ev in evs] for p in (1, 6))], dtype=float),
     )
 
 

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import constant_source, level_state, make_problem_data, mean_value
+from conftest import constant_source, make_problem_data, mean_value, simulate_levels
 from thermoch import analysis as an
 from thermoch import galerkin as gk
 from thermoch import io_cli as io
@@ -78,7 +78,7 @@ def test_criterion_3_mean_value_law():
         rep = an.mean_law_check(trajectory, data)
         discrete.append(rep["max_error_discrete"])
         continuum.append(rep["max_error_continuum"])
-        assert trajectory.mean_exact == pytest.approx(0.5 * np.exp(-trajectory.t), abs=1e-10)
+        assert trajectory.record["mean_phi_exact"] == pytest.approx(0.5 * np.exp(-trajectory.t), abs=1e-10)
     slopes = [math.log2(a / b) for a, b in zip(continuum, continuum[1:])]
     ok = max(discrete) <= 1e-12 and all(abs(s - 1.0) <= 0.2 for s in slopes)
 
@@ -125,7 +125,7 @@ def test_criterion_4_homogeneous_benchmark():
     ok = True
     worst = 0.0
     for dt in (1e-2, 5e-3, 2.5e-3):
-        end_state = level_state(gk.simulate(data, basis, dt), -1)
+        end_state = simulate_levels(data, basis, dt)[1][-1]
         c_err = abs(mean_value(end_state.phi, basis) - c_exact)
         v_err = abs(mean_value(end_state.v, basis) - v_exact)
         worst = max(worst, max(c_err, v_err) / dt)

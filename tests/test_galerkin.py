@@ -7,7 +7,7 @@ import pytest
 
 import conftest
 from conftest import (
-    constant_source, evaluate, initial_state, level_state, make_problem_data, mean_value, pow_norm_Lp, rhs,
+    constant_source, evaluate, initial_state, make_problem_data, mean_value, pow_norm_Lp, rhs, simulate_levels,
     step_state, zero_state,
 )
 from thermoch import galerkin as gk
@@ -298,9 +298,9 @@ class TestStep:
             t_final=0.25,
         )
         errors = []
-        ref = level_state(gk.simulate(data, basis, 0.25 / 512), -1)
+        ref = simulate_levels(data, basis, 0.25 / 512)[1][-1]
         for dt in (0.25 / 16, 0.25 / 32):
-            end = level_state(gk.simulate(data, basis, dt), -1)
+            end = simulate_levels(data, basis, dt)[1][-1]
             errors.append(np.linalg.norm(end.phi - ref.phi))
         assert errors[0] / errors[1] == pytest.approx(2.0, rel=0.35)
 
@@ -321,7 +321,8 @@ class TestSimulate:
         trajectory = gk.simulate(data, unit_basis, 0.01)
         assert len(trajectory) == 1
         assert trajectory.t.tolist() == [0.0]
-        assert trajectory.phi.shape == (1, unit_basis.n)
+        assert all(col.shape == (1,) for col in trajectory.record.values())
+        assert trajectory.w_sums.shape == (1, 2)
 
     def test_deterministic_repetition(self, unit_domain, unit_basis):
         data = make_problem_data(
@@ -329,10 +330,9 @@ class TestSimulate:
             phi0=sp.cosine_sum_field(unit_domain, 0.1, [((2,), 0.2)]),
             t_final=0.2,
         )
-        t1 = gk.simulate(data, unit_basis, 1e-2)
-        t2 = gk.simulate(data, unit_basis, 1e-2)
-        for name in ("phi", "w", "v"):
-            assert np.array_equal(getattr(t1, name), getattr(t2, name))
+        (t1, states1), (t2, states2) = (simulate_levels(data, unit_basis, 1e-2) for _ in range(2))
+        for s1, s2 in zip(states1, states2, strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(s1[1:4], s2[1:4]))
         assert np.array_equal(t1.record["energy"], t2.record["energy"])
 
     def test_truncated_last_step(self, unit_domain, unit_basis):
@@ -344,24 +344,33 @@ class TestSimulate:
 
     def test_observers_called_per_record(self, unit_domain, unit_basis):
         # once per recorded level, positionally, with the level index and the
-        # trajectory whose rows up to it are written: the contract that timing
+        # level's coefficients of phi, w, v and mu: the contract that timing
         # harnesses wrap
         data = make_problem_data(unit_domain, REG, t_final=0.035)
+        sources = (data.f.project(unit_basis), data.g.project(unit_basis))
 
         def observer(*args, **kwargs):
             assert not kwargs and len(args) == 2
-            k, traj = args
-            assert isinstance(traj, gk.Trajectory) and not traj.record
-            seen.append((k, traj, traj.t[k], traj.coeffs[k].copy(), traj.xi_L6[k]))
+            k, level = args
+            assert isinstance(level, np.ndarray) and level.shape == (4, unit_basis.n)
+            seen.append((k, level.copy()))
 
         for scheme in gk.SCHEMES:
             seen = []
             trajectory = gk.simulate(data, unit_basis, 0.01, scheme, observers=[observer])
-            assert [k for k, *_ in seen] == list(range(len(trajectory)))
-            assert [t for _, _, t, _, _ in seen] == gk.record_times(0.01, 0.035) == trajectory.t.tolist()
-            for k, traj, _, coeffs, xi_L6 in seen:
-                assert traj is trajectory
-                assert np.array_equal(coeffs, trajectory.coeffs[k]) and xi_L6 == trajectory.xi_L6[k]
+            assert [k for k, _ in seen] == list(range(len(trajectory)))
+            assert trajectory.t.tolist() == gk.record_times(0.01, 0.035)
+            coeffs = np.array([level for _, level in seen])
+            assert np.array_equal(coeffs[0, :3], gk.project_initial_data(data, unit_basis))
+            evals = [gk.evaluate(phi, v, data, unit_basis) for phi, _, v, _ in coeffs]
+            assert all(np.array_equal(level[3], ev[1]) for level, ev in zip(coeffs, evals))
+            # the record is what compute_record makes of the observed levels
+            rec = trajectory.record
+            scalars = np.array([rec["mean_phi_exact"], [ev[3] for ev in evals], rec["xi_L1"], rec["xi_L6"]])
+            folded = gk.compute_record(trajectory.t, coeffs, scalars, data, unit_basis, sources)
+            for name, col in trajectory.record.items():
+                assert np.array_equal(col, folded.record[name]), name
+            assert np.array_equal(trajectory.w_sums, folded.w_sums)
 
     def test_step_failure_triggers_halving(self, unit_domain, unit_basis, monkeypatch):
         # Every step is bisected; (0.2 + 0.05) + 0.05 rounds to 0.3, not to the
@@ -426,26 +435,26 @@ class TestSimulate:
             assert len(gk.simulate(data, unit_basis, 0.01, scheme)) == round(100 * t_final) + 1
         assert made[0] == made[1] > 0
 
-    def test_peak_memory_is_the_stored_columns(self, unit_domain):
-        # 2,001 levels of 128 modes: the columns take 8.5 MB, and nothing
-        # else simulate allocates comes near half of that (no per-level list,
-        # no stacked copy, the record in blocks of levels).
-        domain = sp.BoxDomain((1.0,), 256)
-        basis = sp.build_basis(domain, 128)
-        data = make_problem_data(
-            domain, REG, f=gk.SourceTerm((0.0, 0.5), (sp.constant_field(0.2, domain), sp.constant_field(-0.2, domain))),
-            phi0=sp.cosine_sum_field(domain, 0.1, [((1,), 0.2), ((3,), 0.05)]), t_final=2.0,
-        )
-        tracemalloc.start()
-        try:
-            traj = gk.simulate(data, basis, 1e-3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(traj) == 2001
-        stored = traj.coeffs.nbytes + sum(x.nbytes for x in (traj.t, traj.mean_exact, traj.bulk, traj.xi_L1, traj.xi_L6))
-        stored += sum(x.nbytes for k, x in traj.record.items() if k not in ("t", "mean_phi_exact", "xi_L1", "xi_L6"))
-        assert peak <= 1.5 * stored
+    def test_peak_memory_does_not_grow_with_the_level_count(self):
+        # 512 modes: a level's coefficients take 16 KB, so keeping them would
+        # make 401 levels peak near 4x the peak of 101; a run keeps its record
+        # (16 floats a level) and one block of 64 levels.
+        domain = sp.BoxDomain((1.0,), 1024)
+        basis = sp.build_basis(domain, 512)
+        peaks = []
+        f = gk.SourceTerm((0.0, 0.05), (sp.constant_field(0.2, domain), sp.constant_field(-0.2, domain)))
+        for t_final in (0.1, 0.4):
+            data = make_problem_data(
+                domain, REG, f=f, phi0=sp.cosine_sum_field(domain, 0.1, [((1,), 0.2), ((3,), 0.05)]), t_final=t_final,
+            )
+            tracemalloc.start()
+            try:
+                traj = gk.simulate(data, basis, 1e-3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(traj) == 401
+        assert peaks[1] <= 1.1 * peaks[0]
 
     @pytest.mark.parametrize("scheme", gk.SCHEMES)
     def test_non_finite_step_is_a_typed_failure(self, unit_domain, unit_basis, scheme, monkeypatch):
@@ -468,7 +477,8 @@ class TestSimulate:
             gk.simulate(data, unit_basis, 0.01, scheme)
         partial = info.value.trajectory
         assert len(partial) == 3  # the blow-up bisects down to the floor, then aborts
-        assert np.isfinite(partial.phi).all()
+        assert all(np.isfinite(col).all() and col.shape == (3,) for col in partial.record.values())
+        assert partial.w_sums.shape == (3, 2) and np.isfinite(partial.w_sums).all()
 
 
 class TestSharedEvaluation:
@@ -529,15 +539,19 @@ class TestSharedEvaluation:
             return original(phi, v, data, basis, reg)
 
         monkeypatch.setattr(gk, "evaluate", counted)
-        trajectory = gk.simulate(data, unit_basis, 0.01, gk.BACKWARD_EULER)
+        levels = []
+        trajectory = gk.simulate(data, unit_basis, 0.01, gk.BACKWARD_EULER,
+                                 observers=[lambda k, level: levels.append(level.copy())])
         monkeypatch.undo()
         assert solved_in_evaluate == [True] + [False] * 5  # only the initial state is solved again
-        for k in range(len(trajectory)):
-            _, mu, xi, bulk = original(trajectory.phi[k], trajectory.v[k], data, unit_basis)
-            assert np.array_equal(mu, trajectory.mu[k])
-            assert bulk == trajectory.bulk[k]
-            assert sp.norm_Lp(xi, unit_domain, 1) == trajectory.xi_L1[k]
-            assert sp.norm_Lp(xi, unit_domain, 6) == trajectory.xi_L6[k]
+        # a fresh solve at every level gives the same mu and the same record, bulk energy included
+        rec, fresh = trajectory.record, [original(phi, v, data, unit_basis) for phi, _, v, _ in levels]
+        assert all(np.array_equal(level[3], mu) for level, (_, mu, _, _) in zip(levels, fresh))
+        scalars = np.array([rec["mean_phi_exact"], [bulk for *_, bulk in fresh],
+                            *([sp.norm_Lp(xi, unit_domain, p) for _, _, xi, _ in fresh] for p in (1, 6))])
+        refolded = gk.compute_record(trajectory.t, np.array(levels), scalars, data, unit_basis,
+                                     (data.f.project(unit_basis), data.g.project(unit_basis))).record
+        assert all(np.array_equal(col, refolded[name]) for name, col in rec.items())
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_stacked_record_matches_spectral_oracle(self, dim):
@@ -554,13 +568,15 @@ class TestSharedEvaluation:
             for k in range(3)
         ]
         means = [0.25, -0.1, 0.4]
-        record = gk.compute_record(conftest.stack_levels(states, data, means), data,
-                                   (data.f.project(basis), data.g.project(basis)))
+        traj = gk.compute_record(*conftest.stack_levels(states, data, means), data, basis,
+                                 (data.f.project(basis), data.g.project(basis)))
         for k, (state, mean) in enumerate(zip(states, means)):
             oracle = conftest.spectral_record(state, data, mean)
-            assert list(record) == list(oracle)
+            assert list(traj.record) == list(oracle)
             for key, value in oracle.items():
-                assert record[key][k] == pytest.approx(value, rel=1e-14, abs=0.0), key
+                assert traj.record[key][k] == pytest.approx(value, rel=1e-14, abs=0.0), key
+            w_sums = (np.linalg.norm(state.w) ** 2, conftest.grad_norm(state.w, basis) ** 2)
+            assert traj.w_sums[k] == pytest.approx(w_sums, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("dt, times", [(0.1, [0.0, 0.1, 0.2, 0.25]), (0.05, [0.0, 0.05, 0.1, 0.15, 0.2, 0.25])])
     def test_record_times_are_the_simulated_ones(self, unit_domain, unit_basis, dt, times):
@@ -607,7 +623,7 @@ class TestScalarReductions:
         )
         errors = []
         for dt in (1e-2, 5e-3):
-            state = level_state(gk.simulate(data, basis, dt), -1)
+            state = simulate_levels(data, basis, dt)[1][-1]
             c = c0 * math.exp(-1.0)
             v_exact = w1 + g0 + lam * (c0 - c)
             errors.append(abs(mean_value(state.v, basis) - v_exact))
@@ -627,8 +643,7 @@ class TestScalarReductions:
                 f=constant_source(sp.constant_field(f_bar, unit_domain)),
                 phi0=phi0, t_final=0.2,
             )
-            trajectory = gk.simulate(data, basis, 2e-3, scheme)
-            grid = sp.to_field(trajectory.phi[-1], basis)
+            grid = sp.to_field(simulate_levels(data, basis, 2e-3, scheme)[1][-1].phi, basis)
             assert np.isfinite(grid).all()
             assert np.abs(grid).max() <= 1.5  # stays near the physical range
 
@@ -648,11 +663,11 @@ class TestSeparationDynamics:
         # unstable mean state: amplitudes grow toward the wells and the
         # energy decays monotonically after the initial transient
         basis, data = self._unstable_setup(REG, 0.05)
-        trajectory = gk.simulate(data, basis, 2e-2)
+        trajectory, states = simulate_levels(data, basis, 2e-2)
         energies = trajectory.record["energy"]
         assert np.diff(energies[5:]).max() <= 1e-6
         assert energies[-1] < energies[0] - 1.0
-        final = sp.to_field(trajectory.phi[-1], basis)
+        final = sp.to_field(states[-1].phi, basis)
         assert 0.9 <= np.abs(final).max() <= 1.1
         import thermoch.analysis as an
 
@@ -662,8 +677,7 @@ class TestSeparationDynamics:
         # the regularized obstacle confines the state to [-1, 1] up to an
         # excursion of order eps * |pi| at the saturated plateaus
         basis, data = self._unstable_setup(OBS, 0.05)
-        trajectory = gk.simulate(data, basis, 1e-2)
-        final = sp.to_field(trajectory.phi[-1], basis)
+        final = sp.to_field(simulate_levels(data, basis, 1e-2)[1][-1].phi, basis)
         assert np.abs(final).max() <= 1.0 + 10.0 * 0.05
         assert np.abs(final).max() >= 0.9
 
@@ -680,8 +694,7 @@ class TestConcurrency:
                 phi0=sp.cosine_sum_field(unit_domain, 0.1, [((1,), amplitude)]),
                 t_final=0.1,
             )
-            trajectory = gk.simulate(data, basis, 2e-3)
-            return trajectory.phi[-1]
+            return simulate_levels(data, basis, 2e-3)[1][-1].phi
 
         amplitudes = [0.05, 0.1, 0.15, 0.2]
         serial = [run(a) for a in amplitudes]
@@ -751,9 +764,9 @@ class TestEnergy:
                 + 0.5 * p.b * p.kappa2 / p.lambda_latent * conftest.grad_norm(state.w, state.basis) ** 2
             )
 
-        trajectory = gk.simulate(data, unit_basis, 0.01)
+        trajectory, states = simulate_levels(data, unit_basis, 0.01)
         for k in range(3):
-            assert trajectory.record["energy"][k] == pytest.approx(oracle(level_state(trajectory, k)), abs=1e-8)
+            assert trajectory.record["energy"][k] == pytest.approx(oracle(states[k]), abs=1e-8)
 
     def test_identity_along_exact_flow(self, unit_domain):
         # dE/dt + dissipation - source vanishes for the continuous-time system;

@@ -29,7 +29,7 @@ faults = []
 simulate = galerkin.simulate
 
 def counted(*args, observers=(), **kwargs):
-    def count(k, traj):
+    def count(k, level):
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
     return simulate(*args, observers=(*observers, count), **kwargs)
 
@@ -510,6 +510,21 @@ class TestCli:
         code = io.main(["converge", vary, str(cfg), "--output-dir", str(tmp_path / "c"), "--quiet"])
         assert code == 2
 
+    @pytest.mark.parametrize("vary, schedule", [("modes", "8"), ("eps", "0.1"), ("dt", "0.01")])
+    def test_converge_one_entry_schedule_exits_2(self, tmp_path, vary, schedule, monkeypatch, capsys):
+        # one entry compares nothing: it is rejected before any run
+        cfg = write_config(tmp_path, FULL + f"\n[experiment]\nschedule = {schedule}\n")
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the schedule was checked")
+
+        monkeypatch.setattr(galerkin, "simulate", no_run)
+        code = io.main(["converge", vary, str(cfg), "--output-dir", str(tmp_path / "c"), "--quiet"])
+        assert code == 2
+        expected = f"error: (2.11) a schedule needs at least two entries, got [{float(schedule)}]\n"
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "c" / "convergence.csv").exists()
+
     def test_verify_potentials_eps_schedule_fault_exits_2(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path, FULL + "\n[experiment]\nschedule = 0.5, 2.0\n")
 
@@ -653,6 +668,24 @@ class TestCli:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["lhs"] > 0.0
         assert (out / "dependence.csv").exists()
+
+    @pytest.mark.parametrize("t_final, f2", [("0.2", "0.0"), ("0.0", "0.05")])
+    def test_depend_without_a_source_change_writes_null(self, tmp_path, t_final, f2):
+        # equal sources, or no time for them to act, leave no ratio: summary.json
+        # holds strict JSON (no NaN token) and dependence.csv an empty cell
+        text = FULL.replace("t_final = 0.2", f"t_final = {t_final}")
+        cfg1 = write_config(tmp_path, text, "a.ini")
+        cfg2 = write_config(tmp_path, text.replace("f = 0.0", f"f = {f2}"), "b.ini")
+        out = tmp_path / "dep"
+        assert io.main(["depend", str(cfg1), str(cfg2), "--output-dir", str(out), "--quiet"]) == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert summary["empirical_K2"] is None and summary["lhs"] == 0.0
+        header, row = (line.split(",") for line in (out / "dependence.csv").read_text().splitlines())
+        assert row[header.index("empirical_K2")] == ""
 
     @pytest.mark.parametrize("section, key, old, new", [
         ("data", "phi0", "0.1 + 0.2*cos(1)", "0.3"),
