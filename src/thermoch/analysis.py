@@ -3,7 +3,9 @@ continuous-dependence and convergence experiments.
 
 Time-integral norms are trapezoid sums over the recorded step grid and
 max-in-time norms are maxima over records, consistent with the first-order
-accuracy of the stepping schemes.
+accuracy of the stepping schemes.  The studies advance their runs
+(``galerkin.Run``) in lockstep and fold the differences of matched levels a
+block at a time: they keep per-level norms, not coefficient columns.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ def mean_law_check(trajectory: Trajectory, data: ProblemData) -> dict[str, float
     """
     gamma, t = data.params.gamma, trajectory.t
     means = trajectory.record["mean_phi"]
-    f_means = data.f.means()[data.f.segment(t[:-1])]
+    f_means = data.f.means()[data.segments(t[:-1])[0]]
     mean, err_d = float(means[0]), 0.0
     for h, f_mean, cur in zip(np.diff(t).tolist(), f_means.tolist(), means[1:].tolist()):
         mean = (mean + h * f_mean) / (1.0 + gamma * h)
@@ -86,19 +88,20 @@ def apriori_monitor(trajectory: Trajectory, data: ProblemData) -> tuple[list[str
     return violations, realized
 
 
-def _simulate_keeping(m: int, data: ProblemData, basis: SpectralBasis, dt: float, scheme: str):
-    """``galerkin.simulate`` of ``data``, and the first m of its columns phi, w and v
-    as an (m x levels x n) array, which an observer copies level by level."""
-    kept = []
-    run = galerkin.simulate(data, basis, dt, scheme, observers=[lambda k, level: kept.append(level[:m].copy())])
-    return run, np.array(kept).swapaxes(0, 1)
-
-
-def _differences(s1: SourceTerm, s2: SourceTerm, t: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """The distinct grid values of s1 - s2 at the times ``t``, and which of them holds at each."""
+def _differences(s1: SourceTerm, s2: SourceTerm, seg1: np.ndarray, seg2: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct grid values of s1 - s2 where their segments are seg1 and seg2, and which of them holds at each."""
     n2 = len(s2.fields)
-    codes, which = np.unique(s1.segment(t) * n2 + s2.segment(t), return_inverse=True)
+    codes, which = np.unique(seg1 * n2 + seg2, return_inverse=True)
     return [s1.fields[c // n2].values - s2.fields[c % n2].values for c in codes.tolist()], which
+
+
+def _lockstep_blocks(runs: list[galerkin.Run]):
+    """Advance ``runs``, on one time grid, in lockstep, and yield the blocks of
+    their pending levels (``Run.block``) each time these fill and at the end."""
+    for (k, _), *_ in zip(*runs):
+        r = len(runs[0].pending)
+        if r == spectral.ROW_BLOCK or k + 1 == len(runs[0].times):
+            yield [run.block[:r] for run in runs]
 
 
 def dependence_experiment(
@@ -122,30 +125,27 @@ def dependence_experiment(
     of those values whose L2 norms come from their Gram matrix.
     """
     data2 = dataclasses.replace(data1, f=f2, g=g2)
-    traj1, diff = _simulate_keeping(3, data1, basis, dt, scheme)
-    traj2 = galerkin.simulate(data2, basis, dt, scheme, observers=[  # subtracts its phi, w and v level by level
-        lambda k, level: np.subtract(diff[:, k], level[:3], out=diff[:, k])])
-    times, domain, lam = traj1.t, basis.domain, basis.eigenvalues
-
-    dphi, dw, dv = diff
-    phi_l2, phi_grad = spectral.row_squares(dphi, lam)
-    w_l2, w_grad = spectral.row_squares(dw, lam)
-    v_l2 = spectral.row_squares(dv, lam)[0]
+    runs = [galerkin.Run(d, basis, dt, scheme) for d in (data1, data2)]
+    domain, lam, times = basis.domain, basis.eigenvalues, np.array(runs[0].times)
+    parts = [(*spectral.row_squares(d, lam), spectral.norm_Hm1_rows(d[:, 0], basis))  # of the phi, w and v differences
+             for d in (b1[:, :3] - b2[:, :3] for b1, b2 in _lockstep_blocks(runs))]
+    (phi_l2, w_l2, v_l2), (phi_grad, w_grad, _), phi_dual = (np.concatenate(c).T for c in zip(*parts))
     lhs_components = {
-        "phi_Linf_dual": float(spectral.norm_Hm1_rows(dphi, basis).max()),
+        "phi_Linf_dual": float(phi_dual.max()),
         "phi_L2_H1": math.sqrt(_trapz(phi_l2 + phi_grad, times)),
         "w_H1_L2": math.sqrt(_trapz(w_l2 + v_l2, times)),
         "w_Linf_H1": math.sqrt(float((w_l2 + w_grad).max())),
     }
     lhs = sum(lhs_components.values())
 
-    f_diffs, f_which = _differences(data1.f, data2.f, times)
+    (f1, g1), (f2, g2) = data1.segments(times), data2.segments(times)
+    f_diffs, f_which = _differences(data1.f, data2.f, f1, f2)
     f_dual = spectral.norm_Hm1_rows(np.array([spectral.to_coeffs(d, basis) for d in f_diffs]), basis)[f_which]
     f_l1 = np.array([spectral.norm_Lp(d, domain, 1) for d in f_diffs])[f_which]
 
     # conv(t_k) = sum_j c_kj g_j over the distinct differences g_j, with c the
     # cumulative trapezoid weights; |conv|^2 = w c^T (G G^T) c.
-    g_diffs, g_which = _differences(data1.g, data2.g, times)
+    g_diffs, g_which = _differences(data1.g, data2.g, g1, g2)
     g, onehot = np.array(g_diffs), np.eye(len(g_diffs))[g_which]
     steps = 0.5 * np.diff(times)[:, None] * (onehot[:-1] + onehot[1:])
     weights = np.cumsum(np.vstack((np.zeros(len(g)), steps)), axis=0)
@@ -166,7 +166,7 @@ def dependence_experiment(
         "rhs_components": rhs_components,
         "empirical_K2": k2,
         "lhs_components": lhs_components,
-        "xi_L1_runs": [_trapz(traj.record["xi_L1"], times) for traj in (traj1, traj2)],
+        "xi_L1_runs": [_trapz(run.trajectory().record["xi_L1"], times) for run in runs],
     }
 
 
@@ -208,42 +208,53 @@ def convergence_study(
             f"(2.11) a modes schedule must increase to its last entry, the reference; got {sizes}",
         ))
         bases = [spectral.build_basis(basis.domain, n) for n in sizes]
-        phis = [_simulate_keeping(1, data, b, dt, scheme)[1][0] for b in bases]
-        ref_basis, ref_phi = bases[-1], phis[-1]
-        for n, b, phi in zip(sizes[:-1], bases[:-1], phis[:-1]):
-            padded = spectral.embed(phi, b, ref_basis)
-            rows.append({"n": n, "error_Linf_dual": float(spectral.norm_Hm1_rows(padded - ref_phi, ref_basis).max())})
-        return rows
+        runs, ref = [galerkin.Run(data, b, dt, scheme) for b in bases], bases[-1]
+        parts = [[spectral.norm_Hm1_rows(spectral.embed(block[:, 0], b, ref) - blocks[-1][:, 0], ref).max()
+                  for block, b in zip(blocks, bases[:-1])]  # each zero-padded coarse phi less the reference phi
+                 for blocks in _lockstep_blocks(runs)]
+        return [{"n": n, "error_Linf_dual": float(e)} for n, e in zip(sizes, np.max(parts, axis=0))]
 
     if kind == "eps":
         members = [dataclasses.replace(data, eps=float(eps)) for eps in schedule]  # checked before any run
-        phis = []
-        for d in members:
-            traj, (phi,) = _simulate_keeping(1, d, basis, dt, scheme)
-            realized = apriori_monitor(traj, d)[1]
+        runs = [galerkin.Run(d, basis, dt, scheme) for d in members]
+        parts = [[spectral.norm_Hm1_rows(a[:, 0] - b[:, 0], basis).max() for a, b in zip(blocks, blocks[1:])]
+                 for blocks in _lockstep_blocks(runs)]
+        for d, run in zip(members, runs):
+            realized = apriori_monitor(run.trajectory(), d)[1]
             rows.append({"eps": d.eps, "beta_L1_Q": realized["beta_L1_Q"], "beta_L2_L6": realized["beta_L2_L6"]})
-            phis.append(phi)
-        for row, phi, next_phi in zip(rows, phis, phis[1:]):
-            row["diff_Linf_dual"] = float(spectral.norm_Hm1_rows(phi - next_phi, basis).max())
+        for row, diff in zip(rows, np.max(parts, axis=0)):
+            row["diff_Linf_dual"] = float(diff)
         return rows
 
-    # Compare on the coarser grid, matching each of its records to the
-    # nearest record of the next run; checked before anything runs.
-    dts = [float(dt_k) for dt_k in schedule]
-    for dt_k in dts:
-        require(*galerkin.step_rules(dt_k, scheme))
-    grids = [np.array(galerkin.record_times(dt_k, data.t_final)) for dt_k in dts]
-    matches = []
-    for t_a, t_b in zip(grids, grids[1:]):
-        idx = [int(np.argmin(np.abs(t_b - t))) for t in t_a]
-        require((
-            max(abs(t_b[j] - t) for j, t in zip(idx, t_a)) <= 1e-9 * max(1.0, data.t_final),
-            f"(2.11) the time grids of dt schedule {list(schedule)} do not nest; "
-            "use a dyadic schedule",
-        ))
-        matches.append(idx)
-    phis = [_simulate_keeping(1, data, basis, dt_k, scheme)[1][0] for dt_k in dts]
-    diffs = [float(spectral.norm_Hm1_rows(a - b[idx], basis).max()) for a, b, idx in zip(phis, phis[1:], matches)]
+    # Compare on the coarser grid, matching each of its records to the record
+    # of the next run at its time; checked before any run starts.
+    runs = [galerkin.Run(data, basis, float(dt_k), scheme) for dt_k in schedule]  # each checks its step
+    dts, grids = [run.dt for run in runs], [np.array(run.times) for run in runs]
+    tol = 1e-9 * max(1.0, data.t_final)
+    matches = [np.searchsorted(t_b, t_a - tol).clip(max=len(t_b) - 1) for t_a, t_b in zip(grids, grids[1:])]
+    require((
+        all(np.abs(t_b[idx] - t_a).max() <= tol for t_a, t_b, idx in zip(grids, grids[1:], matches)),
+        f"(2.11) the time grids of dt schedule {list(schedule)} do not nest; use a dyadic schedule",
+    ))
+    # Run i + 1 advances to the level matched to each level of run i, so every run runs
+    # once; its phi waits in ``fine`` beside run i's pending levels until they are folded.
+    fine, parts = np.empty((len(matches), spectral.ROW_BLOCK, basis.n)), [[] for _ in matches]
+
+    def levels(i):  # run i's phi, level by level, each later run advanced with it
+        finer, j = (levels(i + 1) if i < len(matches) else None), -1
+        for k, level in runs[i]:
+            if finer is not None:
+                while j < matches[i][k]:
+                    j, phi = next(finer)
+                r = len(runs[i].pending)
+                fine[i, r - 1] = phi
+                if r == spectral.ROW_BLOCK or k + 1 == len(runs[i].times):
+                    parts[i].append(spectral.norm_Hm1_rows(runs[i].block[:r, 0] - fine[i, :r], basis).max())
+            yield k, level[0]
+
+    for _ in levels(0):
+        pass
+    diffs = [float(np.max(p)) for p in parts]
     for i, dt_k in enumerate(dts):
         row: dict[str, float] = {"dt": dt_k}
         if i < len(diffs):

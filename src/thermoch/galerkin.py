@@ -14,12 +14,12 @@ of a state come from one resolvent solve (``evaluate``), which the step
 leaving the state and its record share; pi(phi) = -L phi and a enter by
 Parseval.  Coefficients are bare (n,) arrays beside their basis and grid
 values bare (N,) arrays, from the projected initial data and sources
-through ``evaluate``, ``step`` and the Newton closures.  ``simulate`` builds
+through ``evaluate``, ``step`` and the Newton closures.  A ``Run`` builds
 one ``step_operator`` (constants and scheme, checked before level 0) per
-step size, writes each level's coefficients into a block of
-``spectral.ROW_BLOCK`` rows and folds the block into record columns
-(``compute_record``) as soon as it fills or the run ends: a run keeps its
-record, not its coefficients.
+step size and advances one level at a time into a block of
+``spectral.ROW_BLOCK`` levels, which ``compute_record`` folds into record
+columns: a run keeps its record, not its coefficients.  The studies advance
+their runs in lockstep.
 
 Two first-order schemes are provided: ``semi_implicit`` treats all linear
 terms implicitly through an exact per-mode 3x3 elimination and freezes the
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -51,6 +51,7 @@ SCHEMES = (SEMI_IMPLICIT, BACKWARD_EULER)
 
 _NEWTON_TOL = 1e-10
 _DT_FLOOR_FACTOR = 1e-8
+_TIME_SLACK = 1e-12  # relative to max(t_final, 1): the rounding room of the level times' repeated sums
 
 
 @dataclass(frozen=True)
@@ -88,15 +89,10 @@ class SourceTerm:
             raise ValueError("segment start times must be strictly increasing")
 
     @cached_property
-    def _later_starts(self) -> np.ndarray:
+    def later_starts(self) -> np.ndarray:
         """times[1:] as an array, whose searchsorted method skips the microseconds
-        of numpy's dispatch on every per-step lookup."""
+        of numpy's dispatch on every per-step lookup (``ProblemData.segments``)."""
         return np.array(self.times[1:])
-
-    def segment(self, t: np.ndarray) -> np.ndarray:
-        """Index into ``fields`` of the field that holds at each of the times ``t``
-        (the first one before 0): how many later segments have started by t."""
-        return self._later_starts.searchsorted(t, side="right")
 
     def sup_norm(self) -> float:
         return max(float(np.abs(f.values).max(initial=0.0)) for f in self.fields)
@@ -141,6 +137,13 @@ class ProblemData:
         ]
         if bad:
             raise CompatibilityError("\n".join(bad))
+
+    def segments(self, t):
+        """The indices into ``fields`` of the segments of f and g that hold from the times ``t``
+        on: how many later segments have started by t plus ``record_times``' slack, as its
+        repeated sums can land a few ulps below a switch (the first segment before 0)."""
+        t = t + _TIME_SLACK * max(self.t_final, 1.0)
+        return self.f.later_starts.searchsorted(t, side="right"), self.g.later_starts.searchsorted(t, side="right")
 
 
 def compatibility_quantities(data: ProblemData) -> dict[str, float]:
@@ -234,7 +237,7 @@ def compute_record(
     l2, grad = spectral.row_squares(coeffs, basis.eigenvalues)
     grad_phi, grad_w, grad_v, grad_mu = grad.T
     l2_phi, l2_w, l2_v, l2_mu = l2.T
-    (f, g), f_seg, g_seg = sources, data.f.segment(t), data.g.segment(t)
+    (f, g), (f_seg, g_seg) = sources, data.segments(t)
     return Trajectory({
         "t": t,
         "mean_phi": phi[:, 0] / math.sqrt(basis.domain.measure),
@@ -360,12 +363,89 @@ def step(
 
 
 def record_times(dt: float, t_final: float) -> list[float]:
-    """The times ``simulate`` records with step dt > 0: 0, dt, 2 dt, ... by
+    """The times of a run's levels with step dt > 0: 0, dt, 2 dt, ... by
     repeated addition, the last step truncated to land on t_final."""
     times = [0.0]
-    while times[-1] < t_final - 1e-12 * max(t_final, 1.0):
+    while times[-1] < t_final - _TIME_SLACK * max(t_final, 1.0):
         times.append(times[-1] + min(dt, t_final - times[-1]))
     return times
+
+
+class Run:
+    """A run from the projected initial data to t_final with fixed dt, advanced
+    one level at a time by iterating it (once).
+
+    Each level k of the ``record_times`` is written into a row of ``block``
+    and yielded as (k, level): its (4 x n) coefficients of phi, w, v and mu,
+    which later levels overwrite.  ``block[:len(pending)]`` holds the levels
+    since the last fold and ``pending`` their times and scalars, which
+    ``compute_record`` folds once ROW_BLOCK levels wait for the next one, and
+    in ``trajectory``.  A failing step is bisected down to 1e-8 * t_final
+    (the substeps are not recorded); then the run raises a RunFailure
+    carrying the Trajectory of the levels before it.  Construction raises
+    ConfigurationError for a dt <= 0, a scheme not among SCHEMES or a dt
+    whose step operator is not finite.
+    """
+
+    def __init__(self, data: ProblemData, basis: SpectralBasis, dt: float, scheme: str = SEMI_IMPLICIT):
+        self.data, self.basis, self.dt, self.scheme = data, basis, dt, scheme
+        self.operators = {dt: step_operator(basis, data.params, dt, scheme)}  # by step size
+        self.times = record_times(dt, data.t_final)
+        self.block = np.empty((spectral.ROW_BLOCK, 4, basis.n))  # phi, w, v and mu
+        self.pending, self.parts = [], []  # t, mean_exact, bulk, xi_L1 and xi_L6; the Trajectory of each fold
+
+    def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
+        data, basis, times = self.data, self.basis, self.times
+        phi, w, v = project_initial_data(data, basis)
+        self.sources = (data.f.project(basis), data.g.project(basis))
+        gamma, f_means = data.params.gamma, data.f.means()
+        mean_exact, reg = float(phi[0]) / math.sqrt(basis.domain.measure), None
+        for k in range(len(times)):
+            if k:
+                t = times[k - 1]
+                h, seg = min(self.dt, data.t_final - t), data.segments(t)
+                try:
+                    phi, w, v, reg = self._advance(t, phi, w, v, nl, h, seg)
+                except StepFailure as exc:
+                    raise RunFailure(f"step failed at t = {t} after dt halvings: {exc}", self.trajectory()) from exc
+                decay = math.exp(-gamma * h)
+                mean_exact = mean_exact * decay + (f_means[seg[0]] / gamma) * (1.0 - decay)
+            nl, mu, xi, bulk = evaluate(phi, v, data, basis, reg)
+            if len(self.pending) == spectral.ROW_BLOCK:
+                self._fold()
+            level = self.block[len(self.pending)]
+            level[:] = phi, w, v, mu
+            self.pending.append((times[k], mean_exact, bulk, spectral.norm_Lp(xi, basis.domain, 1),
+                                 spectral.norm_Lp(xi, basis.domain, 6)))
+            yield k, level
+
+    def _advance(self, t, phi, w, v, nl, h, seg):
+        """Cover [t, t+h] under the source segments ``seg``, bisecting the interval
+        on step failures; returns what ``step`` returns."""
+        data, operators = self.data, self.operators
+        if h not in operators:
+            operators[h] = step_operator(self.basis, data.params, h, self.scheme)
+        try:
+            return step(phi, w, v, nl, self.sources[0][seg[0]], self.sources[1][seg[1]], data, operators[h])
+        except StepFailure:
+            if h / 2.0 < max(_DT_FLOOR_FACTOR * data.t_final, 1e-300):
+                raise
+            phi, w, v, reg = self._advance(t, phi, w, v, nl, h / 2.0, seg)
+            nl = evaluate(phi, v, data, self.basis, reg)[0]
+            return self._advance(t + h / 2.0, phi, w, v, nl, h / 2.0, data.segments(t + h / 2.0))
+
+    def _fold(self):
+        """Fold the pending levels into ``parts``."""
+        if self.pending:
+            t, *scalars = np.array(self.pending).T
+            self.parts.append(compute_record(t, self.block[:len(t)], scalars, self.data, self.basis, self.sources))
+            self.pending.clear()
+
+    def trajectory(self) -> Trajectory:
+        """The Trajectory of the levels written so far."""
+        self._fold()
+        return Trajectory({name: np.concatenate([p.record[name] for p in self.parts]) for name in self.parts[0].record},
+                          np.concatenate([p.w_sums for p in self.parts]))
 
 
 def simulate(
@@ -375,83 +455,13 @@ def simulate(
     scheme: str = SEMI_IMPLICIT,
     observers: Sequence[Callable[[int, np.ndarray], None]] = (),
 ) -> Trajectory:
-    """Run from the projected initial data to t_final with fixed dt.
-
-    The levels are the ``record_times``: the final step is truncated to land
-    exactly on t_final.  Each level's coefficients of phi, w, v and mu are a
-    row of a block of ``spectral.ROW_BLOCK`` levels, which ``compute_record``
-    folds into the record as soon as it fills or the run ends; the returned
-    Trajectory keeps no coefficients.  A failing step is bisected down to
-    1e-8 * t_final before the run is abandoned; the substeps are not
-    recorded.  On abandon a RunFailure carrying the Trajectory of the levels
-    before the failure is raised.  A dt <= 0, a scheme not among SCHEMES or
-    a dt whose step operator is not finite raises ConfigurationError before
-    level 0, also when t_final = 0.  Each observer is called as
-    ``observer(k, level)`` right after level k is written, where ``level`` is
-    its (4 x n) row of the block, which later levels overwrite: an observer
-    copies what it keeps.  Deterministic for a given configuration and BLAS
-    thread count: ``xi_L6`` is one BLAS dot over the grid
-    (``spectral.norm_Lp``), which OpenBLAS splits across threads on large
-    grids, so its last bits can depend on the thread count.
-    """
-    gamma, rows = data.params.gamma, spectral.ROW_BLOCK
-    operators = {dt: step_operator(basis, data.params, dt, scheme)}  # by step size
-    phi, w, v = project_initial_data(data, basis)
-    sources = (data.f.project(basis), data.g.project(basis))
-    f_means = data.f.means()
-    floor = max(_DT_FLOOR_FACTOR * data.t_final, 1e-300)
-    times = record_times(dt, data.t_final)
-    block = np.empty((rows, 4, basis.n))  # phi, w, v and mu of the block's levels
-    scalars = np.empty((4, rows))  # their mean_exact, bulk, xi_L1 and xi_L6
-    parts = []  # the Trajectory of each folded block
-
-    def advance(t, phi, w, v, nl, h):
-        """Cover [t, t+h], bisecting the interval on step failures; returns what ``step`` returns."""
-        if h not in operators:
-            operators[h] = step_operator(basis, data.params, h, scheme)
-        try:
-            return step(phi, w, v, nl, sources[0][data.f.segment(t)], sources[1][data.g.segment(t)],
-                        data, operators[h])
-        except StepFailure:
-            if h / 2.0 < floor:
-                raise
-            phi, w, v, reg = advance(t, phi, w, v, nl, h / 2.0)
-            return advance(t + h / 2.0, phi, w, v, evaluate(phi, v, data, basis, reg)[0], h / 2.0)
-
-    def fold(k):
-        """Fold the block's levels below level k into ``parts``."""
-        r = (k - 1) % rows + 1
-        parts.append(compute_record(np.array(times[k - r:k]), block[:r], scalars[:, :r].copy(), data, basis, sources))
-
-    def emit(k, phi, w, v, mean_exact, reg=None):
-        """Write level k into the block, folding the block once full; returns its projected nonlinearity."""
-        nl, mu, xi, bulk = evaluate(phi, v, data, basis, reg)
-        i = k % rows
-        block[i] = phi, w, v, mu
-        scalars[:, i] = mean_exact, bulk, spectral.norm_Lp(xi, basis.domain, 1), spectral.norm_Lp(xi, basis.domain, 6)
+    """The Trajectory of the ``Run`` of ``data``, calling each observer as
+    ``observer(k, level)`` on each level it yields.  Deterministic for a given
+    configuration and BLAS thread count: ``xi_L6`` is one BLAS dot over the
+    grid (``spectral.norm_Lp``), which OpenBLAS splits across threads on large
+    grids, so its last bits can depend on the thread count."""
+    run = Run(data, basis, dt, scheme)
+    for k, level in run:
         for obs in observers:
-            obs(k, block[i])
-        if i == rows - 1:
-            fold(k + 1)
-        return nl
-
-    def finish(k):
-        """The Trajectory of levels 0..k-1, once the block's levels are folded."""
-        if k % rows:
-            fold(k)
-        return Trajectory({name: np.concatenate([p.record[name] for p in parts]) for name in parts[0].record},
-                          np.concatenate([p.w_sums for p in parts]))
-
-    mean_exact = float(phi[0]) / math.sqrt(basis.domain.measure)
-    nl = emit(0, phi, w, v, mean_exact)
-    for k in range(1, len(times)):
-        t = times[k - 1]
-        h = min(dt, data.t_final - t)
-        try:
-            phi, w, v, reg = advance(t, phi, w, v, nl, h)
-        except StepFailure as exc:
-            raise RunFailure(f"step failed at t = {t} after dt halvings: {exc}", finish(k)) from exc
-        decay = math.exp(-gamma * h)
-        mean_exact = mean_exact * decay + (f_means[data.f.segment(t)] / gamma) * (1.0 - decay)
-        nl = emit(k, phi, w, v, mean_exact, reg)
-    return finish(len(times))
+            obs(k, level)
+    return run.trajectory()

@@ -21,10 +21,10 @@ Coefficients are bare (n,) arrays, always passed beside their basis, and
 grid samples bare (N,) arrays: the transforms (``to_coeffs``, ``to_field``),
 ``project``, ``solve_poisson`` and ``norm_Lp`` take and return them.
 ``Field`` ties samples to their domain where parsed data enters (initial
-data, sources), and ``project`` checks that domain.  Per-row
-norms of (levels x n) coefficient columns (``row_squares``,
-``norm_Hm1_rows``) square ROW_BLOCK rows at a time, so they never hold a
-second copy of the columns.
+data, sources), and ``project`` checks that domain.  A run folds its levels
+ROW_BLOCK at a time, and the studies their differences with them, so the
+per-row norms (``row_squares``, ``norm_Hm1_rows``) never see more than
+ROW_BLOCK rows.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import MeanDomainError, require
 
 # Relative tolerance for zero-mean membership when inverting the Laplacian.
 MEAN_TOL = 1e-10
-# Rows per block of the per-row norms, and levels per block of ``galerkin.simulate``'s record fold.
+# Levels per block of a ``galerkin.Run``, which it folds into its record a block at a time.
 ROW_BLOCK = 64
 
 
@@ -251,27 +251,16 @@ def project(f: Field, basis: SpectralBasis) -> np.ndarray:
     return to_coeffs(f.values, basis)
 
 
-def row_blocks(k: int):
-    """Slices of ROW_BLOCK rows that cover k rows."""
-    return (slice(i, i + ROW_BLOCK) for i in range(0, k, ROW_BLOCK))
-
-
 def row_squares(rows: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sums of c^2 and of lam c^2 over the last axis of a (levels x ... x n)
-    array of coefficients, squared ROW_BLOCK levels at a time."""
-    l2, weighted = np.empty((2, *rows.shape[:-1]))
-    for s in row_blocks(len(rows)):
-        sq = np.square(rows[s])
-        sq.sum(axis=-1, out=l2[s])
-        np.matmul(sq, lam, out=weighted[s])
-    return l2, weighted
+    array of coefficients."""
+    sq = np.square(rows)
+    return sq.sum(axis=-1), sq @ lam
 
 
 def norm_Hm1_rows(rows: np.ndarray, basis: SpectralBasis) -> np.ndarray:
     """The dual norm of each row of a (k x n) array of coefficients."""
-    dual, lam = np.empty(len(rows)), basis.eigenvalues[1:]
-    for s in row_blocks(len(rows)):
-        (np.square(rows[s, 1:]) / lam).sum(axis=1, out=dual[s])
+    dual = (np.square(rows[:, 1:]) / basis.eigenvalues[1:]).sum(axis=1)
     mean = rows[:, 0] / math.sqrt(basis.domain.measure)
     return np.sqrt(dual + mean**2)
 

@@ -147,7 +147,7 @@ def evaluate(state, data):
 
 def sources_at(state, data):
     """The projected f and g at the time of ``state``."""
-    return tuple(s.project(state.basis)[s.segment(state.t)] for s in (data.f, data.g))
+    return tuple(s.project(state.basis)[i] for s, i in zip((data.f, data.g), data.segments(state.t)))
 
 
 def step_state(state, data, dt, scheme=gk.SEMI_IMPLICIT):
@@ -200,10 +200,10 @@ def spectral_record(state, data, mean_exact):
 
 
 def simulate_levels(data, basis, dt, scheme=gk.SEMI_IMPLICIT):
-    """``galerkin.simulate`` of ``data`` and each of its levels as a State,
-    whose coefficients an observer copies."""
-    rows = []
-    traj = gk.simulate(data, basis, dt, scheme, observers=[lambda k, level: rows.append(level[:3].copy())])
+    """The Trajectory of the ``galerkin.Run`` of ``data`` and each of its levels as a State."""
+    run = gk.Run(data, basis, dt, scheme)
+    rows = [level[:3].copy() for _, level in run]
+    traj = run.trajectory()
     return traj, [State(float(t), *row, basis) for t, row in zip(traj.t, rows)]
 
 

@@ -1,13 +1,17 @@
 import dataclasses
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import constant_source, make_problem_data, norm_H1, norm_Hm1, pow_norm_Lp, simulate_levels
 from thermoch import analysis as an
 from thermoch import galerkin as gk
+from thermoch import io_cli as io
 from thermoch import potentials as pot
 from thermoch import spectral as sp
 from thermoch.errors import ConfigurationError
@@ -100,11 +104,37 @@ class TestMeanLaw:
         mean, err_d = means[0], 0.0
         for k in range(1, len(t)):
             h = t[k] - t[k - 1]
-            mean = (mean + h * float(f.fields[f.segment(t[k - 1])].values.mean())) / (1.0 + 1.3 * h)
+            mean = (mean + h * float(f.fields[data.segments(t[k - 1])[0]].values.mean())) / (1.0 + 1.3 * h)
             err_d = max(err_d, abs(means[k] - mean))
         err_c = max(abs(m - e) for m, e in zip(means, trajectory.record["mean_phi_exact"].tolist()))
         report = an.mean_law_check(trajectory, data)
         assert (report["max_error_discrete"], report["max_error_continuum"]) == (err_d, err_c)
+
+    def test_source_switch_lands_on_the_level_at_it(self):
+        # configs/demo.ini at dt = 0.00125: the repeated sums put level 400 a few
+        # ulps below the switch of f from 0.2 to -0.2 at t = 0.5, and the step
+        # from it takes the new value, in the scheme and in the exact mean
+        cfg = io.parse_config(Path(__file__).resolve().parents[1] / "configs" / "demo.ini")
+        data, gamma, h = cfg.data, cfg.data.params.gamma, 0.00125
+        rec = gk.simulate(data, cfg.basis, h).record
+        t, means, exact = rec["t"], rec["mean_phi"], rec["mean_phi_exact"]
+        assert 0.5 - 1e-14 < t[400] < 0.5
+        assert means[401] == pytest.approx((means[400] - 0.2 * h) / (1.0 + gamma * h), rel=1e-13)
+        m0, decay = means[0], lambda s: math.exp(-gamma * s)
+        at_switch = m0 * decay(0.5) + 0.2 / gamma * (1.0 - decay(0.5))
+        expected = at_switch * decay(t[401] - 0.5) - 0.2 / gamma * (1.0 - decay(t[401] - 0.5))
+        assert exact[401] == pytest.approx(expected, rel=1e-12)
+        assert an.mean_law_check(gk.Trajectory(rec, np.zeros((len(t), 2))), data)["max_error_discrete"] <= 1e-13
+
+    @given(m=st.integers(2, 2000), data=st.data())
+    def test_a_switch_on_the_grid_holds_from_its_level(self, m, data):
+        # with dt = 1/m and a switch at j/m, the segment lookup that the steps,
+        # the record and the checks share gives the new field from level j on
+        j, domain = data.draw(st.integers(1, m - 1)), sp.BoxDomain((1.0,), 8)
+        f = gk.SourceTerm((0.0, j / m), (sp.constant_field(0.2, domain), sp.constant_field(-0.2, domain)))
+        problem = make_problem_data(domain, REG, f=f, t_final=1.0)
+        times = np.array(gk.record_times(1.0 / m, 1.0))
+        assert problem.segments(times)[0].tolist() == [int(k >= j) for k in range(m + 1)]
 
 
 class TestBenchmark:
@@ -285,7 +315,9 @@ class TestDependence:
         t = gk.record_times(0.01, 0.25)
 
         def at(src, s):
-            return src.fields[src.segment(s)].values
+            # the field at the level's intended time, a multiple of 0.01 that the
+            # repeated sums of record_times miss by a few ulps
+            return src.fields[np.searchsorted(src.times, round(s, 9), side="right") - 1].values
 
         diff = [(at(base.f, s) - at(other.f, s), at(base.g, s) - at(other.g, s)) for s in t]
         f_dual = [norm_Hm1(sp.to_coeffs(fd, unit_basis), unit_basis) for fd, _ in diff]
@@ -328,7 +360,7 @@ class TestConvergenceStudy:
         def no_run(*args, **kwargs):
             raise AssertionError("a run started before the schedule was checked")
 
-        monkeypatch.setattr(gk, "simulate", no_run)
+        monkeypatch.setattr(gk, "project_initial_data", no_run)
         with pytest.raises(ConfigurationError, match=r"\(2\.11\) .* do not nest"):
             an.convergence_study("dt", [1e-2, 3e-3], data, unit_basis, 1e-2)
 
@@ -348,7 +380,7 @@ class TestConvergenceStudy:
         def no_run(*args, **kwargs):
             raise AssertionError("a run started before the schedule was checked")
 
-        monkeypatch.setattr(gk, "simulate", no_run)
+        monkeypatch.setattr(gk, "project_initial_data", no_run)
         with pytest.raises(ConfigurationError, match=r"\(2\.11\) a modes schedule must hold integers"):
             an.convergence_study("modes", [4.7, 8.0], data, unit_basis, 1e-2)
 

@@ -10,6 +10,7 @@ from conftest import (
     constant_source, evaluate, initial_state, make_problem_data, mean_value, pow_norm_Lp, rhs, simulate_levels,
     step_state, zero_state,
 )
+from thermoch import analysis as an
 from thermoch import galerkin as gk
 from thermoch import potentials as pot
 from thermoch import spectral as sp
@@ -37,8 +38,9 @@ class TestSourceTerm:
             times=(0.0, 0.5),
             fields=(sp.constant_field(1.0, unit_domain), sp.constant_field(2.0, unit_domain)),
         )
+        data = make_problem_data(unit_domain, REG, f=src)
         for t, value in ((0.0, 1.0), (0.499, 1.0), (0.5, 2.0), (9.0, 2.0)):
-            assert src.fields[src.segment(t)].values[0] == value
+            assert src.fields[data.segments(t)[0]].values[0] == value
         assert src.sup_norm() == 2.0
 
     def test_segment_validation(self, unit_domain):
@@ -342,35 +344,55 @@ class TestSimulate:
         assert times[-1] == pytest.approx(0.05, abs=1e-12)
         assert len(times) == 4  # 0, 0.02, 0.04, 0.05
 
-    def test_observers_called_per_record(self, unit_domain, unit_basis):
-        # once per recorded level, positionally, with the level index and the
-        # level's coefficients of phi, w, v and mu: the contract that timing
-        # harnesses wrap
+    def test_run_levels_fold_into_the_record(self, unit_domain, unit_basis):
+        # a run yields each level once, in order, as its coefficients of phi,
+        # w, v and mu, and its record is what compute_record makes of them
         data = make_problem_data(unit_domain, REG, t_final=0.035)
         sources = (data.f.project(unit_basis), data.g.project(unit_basis))
-
-        def observer(*args, **kwargs):
-            assert not kwargs and len(args) == 2
-            k, level = args
-            assert isinstance(level, np.ndarray) and level.shape == (4, unit_basis.n)
-            seen.append((k, level.copy()))
-
         for scheme in gk.SCHEMES:
-            seen = []
-            trajectory = gk.simulate(data, unit_basis, 0.01, scheme, observers=[observer])
+            run = gk.Run(data, unit_basis, 0.01, scheme)
+            seen = [(k, level.copy()) for k, level in run]
+            trajectory = run.trajectory()
             assert [k for k, _ in seen] == list(range(len(trajectory)))
-            assert trajectory.t.tolist() == gk.record_times(0.01, 0.035)
+            assert trajectory.t.tolist() == gk.record_times(0.01, 0.035) == run.times
             coeffs = np.array([level for _, level in seen])
+            assert coeffs.shape == (len(trajectory), 4, unit_basis.n)
             assert np.array_equal(coeffs[0, :3], gk.project_initial_data(data, unit_basis))
             evals = [gk.evaluate(phi, v, data, unit_basis) for phi, _, v, _ in coeffs]
             assert all(np.array_equal(level[3], ev[1]) for level, ev in zip(coeffs, evals))
-            # the record is what compute_record makes of the observed levels
             rec = trajectory.record
             scalars = np.array([rec["mean_phi_exact"], [ev[3] for ev in evals], rec["xi_L1"], rec["xi_L6"]])
             folded = gk.compute_record(trajectory.t, coeffs, scalars, data, unit_basis, sources)
             for name, col in trajectory.record.items():
                 assert np.array_equal(col, folded.record[name]), name
             assert np.array_equal(trajectory.w_sums, folded.w_sums)
+
+    def test_observers_called_per_record(self, unit_domain, unit_basis, monkeypatch):
+        # The contract that timing harnesses wrap: each observer is called once
+        # per level, in order, with the level index and the level's (4 x n)
+        # row as two positional arguments, and the last block is folded
+        # (compute_record) only after the last level's observers return; runs
+        # of 5, 64 and 71 levels end in a partial, a full and a second block.
+        events, fold = [], gk.compute_record
+
+        def observer(*args, **kwargs):
+            assert not kwargs and len(args) == 2
+            k, level = args
+            assert isinstance(level, np.ndarray) and level.shape == (4, unit_basis.n)
+            events.append(("level", k))
+
+        def logged(t, *args):
+            events.append(("fold", len(t)))
+            return fold(t, *args)
+
+        monkeypatch.setattr(gk, "compute_record", logged)
+        for t_final, levels in ((0.035, 5), (0.63, 64), (0.7, 71)):
+            events.clear()
+            data = make_problem_data(unit_domain, REG, t_final=t_final)
+            assert len(gk.simulate(data, unit_basis, 0.01, observers=[observer])) == levels
+            assert [k for kind, k in events if kind == "level"] == list(range(levels))
+            assert [n for kind, n in events if kind == "fold"] == [64] * (levels // 64) + [levels % 64] * (levels % 64 > 0)
+            assert events[-2:] == [("level", levels - 1), ("fold", levels % 64 or 64)]
 
     def test_step_failure_triggers_halving(self, unit_domain, unit_basis, monkeypatch):
         # Every step is bisected; (0.2 + 0.05) + 0.05 rounds to 0.3, not to the
@@ -435,13 +457,26 @@ class TestSimulate:
             assert len(gk.simulate(data, unit_basis, 0.01, scheme)) == round(100 * t_final) + 1
         assert made[0] == made[1] > 0
 
-    def test_peak_memory_does_not_grow_with_the_level_count(self):
+    @pytest.mark.parametrize("command, runs", [
+        (lambda data, basis: gk.simulate(data, basis, 1e-3), 1),
+        (lambda data, basis: an.dependence_experiment(data, constant_source(sp.constant_field(0.1, basis.domain)),
+                                                      data.g, basis, 1e-3), 2),
+        (lambda data, basis: an.convergence_study("eps", [0.1, 0.05], data, basis, 1e-3), 2),
+    ], ids=["simulate", "depend", "converge_eps"])
+    def test_peak_memory_does_not_grow_with_the_level_count(self, command, runs, monkeypatch):
         # 512 modes: a level's coefficients take 16 KB, so keeping them would
         # make 401 levels peak near 4x the peak of 101; a run keeps its record
-        # (16 floats a level) and one block of 64 levels.
+        # (16 floats a level) and one block of 64 levels, and a study its
+        # runs' blocks and the per-level norms of their differences.
         domain = sp.BoxDomain((1.0,), 1024)
         basis = sp.build_basis(domain, 512)
-        peaks = []
+        peaks, steps, step = [], collections.Counter(), gk.step
+
+        def counted(*args):
+            steps["calls"] += 1
+            return step(*args)
+
+        monkeypatch.setattr(gk, "step", counted)
         f = gk.SourceTerm((0.0, 0.05), (sp.constant_field(0.2, domain), sp.constant_field(-0.2, domain)))
         for t_final in (0.1, 0.4):
             data = make_problem_data(
@@ -449,11 +484,11 @@ class TestSimulate:
             )
             tracemalloc.start()
             try:
-                traj = gk.simulate(data, basis, 1e-3)
+                command(data, basis)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert len(traj) == 401
+        assert steps["calls"] == runs * (100 + 400)  # every run went to its last level
         assert peaks[1] <= 1.1 * peaks[0]
 
     @pytest.mark.parametrize("scheme", gk.SCHEMES)
@@ -539,9 +574,9 @@ class TestSharedEvaluation:
             return original(phi, v, data, basis, reg)
 
         monkeypatch.setattr(gk, "evaluate", counted)
-        levels = []
-        trajectory = gk.simulate(data, unit_basis, 0.01, gk.BACKWARD_EULER,
-                                 observers=[lambda k, level: levels.append(level.copy())])
+        run = gk.Run(data, unit_basis, 0.01, gk.BACKWARD_EULER)
+        levels = [level.copy() for _, level in run]
+        trajectory = run.trajectory()
         monkeypatch.undo()
         assert solved_in_evaluate == [True] + [False] * 5  # only the initial state is solved again
         # a fresh solve at every level gives the same mu and the same record, bulk energy included

@@ -152,9 +152,9 @@ class TestExpressions:
     def test_schedule(self):
         domain = sp.BoxDomain((1.0,), 16)
         src = io.parse_source_expr("0.5 ; 0.5: 0.2 + 0.1*cos(1)", domain)
-        assert src.fields[src.segment(0.2)].values[0] == 0.5
+        assert src.times == (0.0, 0.5) and np.all(src.fields[0].values == 0.5)
         x = domain.grid_axes()[0]
-        assert np.allclose(src.fields[src.segment(0.7)].values, 0.2 + 0.1 * np.cos(np.pi * x), atol=1e-14)
+        assert np.allclose(src.fields[1].values, 0.2 + 0.1 * np.cos(np.pi * x), atol=1e-14)
 
     @pytest.mark.parametrize(
         "bad",
@@ -506,7 +506,7 @@ class TestCli:
         def no_run(*args, **kwargs):
             raise AssertionError("a run started before the schedule was checked")
 
-        monkeypatch.setattr(galerkin, "simulate", no_run)
+        monkeypatch.setattr(galerkin, "project_initial_data", no_run)
         code = io.main(["converge", vary, str(cfg), "--output-dir", str(tmp_path / "c"), "--quiet"])
         assert code == 2
 
@@ -518,7 +518,7 @@ class TestCli:
         def no_run(*args, **kwargs):
             raise AssertionError("a run started before the schedule was checked")
 
-        monkeypatch.setattr(galerkin, "simulate", no_run)
+        monkeypatch.setattr(galerkin, "project_initial_data", no_run)
         code = io.main(["converge", vary, str(cfg), "--output-dir", str(tmp_path / "c"), "--quiet"])
         assert code == 2
         expected = f"error: (2.11) a schedule needs at least two entries, got [{float(schedule)}]\n"
@@ -735,6 +735,32 @@ class TestCli:
         assert summary["mean_law"]["max_error_discrete"] <= 1e-12
         assert math.isfinite(summary["energy_residual"])
         assert all(math.isfinite(v) for v in summary["realized_norms"].values())
+
+    @pytest.mark.parametrize("argv", [["depend", "{cfg}", "{cfg_f}"], ["converge", "eps", "{cfg}"]],
+                             ids=["depend", "converge-eps"])
+    def test_run_failure_inside_a_study_exits_3(self, tmp_path, monkeypatch, argv):
+        # The runs of a study advance in lockstep, so the forced failure comes
+        # while the other run is part way: the study writes nothing.
+        from thermoch import galerkin as gk
+        from thermoch.errors import StepFailure
+
+        paths = {"{cfg}": write_config(tmp_path, FULL + "\n[experiment]\nschedule = 0.2, 0.1\n"),
+                 "{cfg_f}": write_config(tmp_path, FULL.replace("f = 0.0", "f = 0.1"), "f.ini")}
+        original = gk.step
+        calls = []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) > 25:  # from the 26th step of the two 20-step runs on, and its bisections
+                raise StepFailure("forced")
+            return original(*args)
+
+        monkeypatch.setattr(gk, "step", failing)
+        out = tmp_path / "study"
+        code = io.main([str(paths.get(a, a)) for a in argv] + ["--output-dir", str(out), "--quiet"])
+        assert code == 3
+        assert len(calls) > 25
+        assert list(out.iterdir()) == []
 
     def test_verify_violations_exit_nonzero(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path, FULL)

@@ -143,5 +143,5 @@ def test_mean_recursion_under_piecewise_sources(schedule, gamma, dt, phi_mean, s
     mean = means[0]
     for k in range(1, len(t)):
         h = t[k] - t[k - 1]
-        mean = (mean + h * float(f.fields[f.segment(t[k - 1])].values.mean())) / (1.0 + gamma * h)
+        mean = (mean + h * float(f.fields[data.segments(t[k - 1])[0]].values.mean())) / (1.0 + gamma * h)
         assert abs(means[k] - mean) <= 1e-13
