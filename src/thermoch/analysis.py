@@ -3,9 +3,9 @@ continuous-dependence and convergence experiments.
 
 Time-integral norms are trapezoid sums over the recorded step grid and
 max-in-time norms are maxima over records, consistent with the first-order
-accuracy of the stepping schemes.  The studies advance their runs
-(``galerkin.Run``) in lockstep and fold the differences of matched levels a
-block at a time: they keep per-level norms, not coefficient columns.
+accuracy of the stepping schemes.  The studies difference matched levels of
+their runs (``galerkin.Run``), block by block (``Run.blocks``) on one time
+grid and level by level across grids: they keep norms, not coefficients.
 """
 
 from __future__ import annotations
@@ -95,15 +95,6 @@ def _differences(s1: SourceTerm, s2: SourceTerm, seg1: np.ndarray, seg2: np.ndar
     return [s1.fields[c // n2].values - s2.fields[c % n2].values for c in codes.tolist()], which
 
 
-def _lockstep_blocks(runs: list[galerkin.Run]):
-    """Advance ``runs``, on one time grid, in lockstep, and yield the blocks of
-    their pending levels (``Run.block``) each time these fill and at the end."""
-    for (k, _), *_ in zip(*runs):
-        r = len(runs[0].pending)
-        if r == spectral.ROW_BLOCK or k + 1 == len(runs[0].times):
-            yield [run.block[:r] for run in runs]
-
-
 def dependence_experiment(
     data1: ProblemData,
     f2: SourceTerm,
@@ -128,7 +119,7 @@ def dependence_experiment(
     runs = [galerkin.Run(d, basis, dt, scheme) for d in (data1, data2)]
     domain, lam, times = basis.domain, basis.eigenvalues, np.array(runs[0].times)
     parts = [(*spectral.row_squares(d, lam), spectral.norm_Hm1_rows(d[:, 0], basis))  # of the phi, w and v differences
-             for d in (b1[:, :3] - b2[:, :3] for b1, b2 in _lockstep_blocks(runs))]
+             for d in (b1[:, :3] - b2[:, :3] for b1, b2 in zip(*(run.blocks() for run in runs)))]
     (phi_l2, w_l2, v_l2), (phi_grad, w_grad, _), phi_dual = (np.concatenate(c).T for c in zip(*parts))
     lhs_components = {
         "phi_Linf_dual": float(phi_dual.max()),
@@ -211,14 +202,14 @@ def convergence_study(
         runs, ref = [galerkin.Run(data, b, dt, scheme) for b in bases], bases[-1]
         parts = [[spectral.norm_Hm1_rows(spectral.embed(block[:, 0], b, ref) - blocks[-1][:, 0], ref).max()
                   for block, b in zip(blocks, bases[:-1])]  # each zero-padded coarse phi less the reference phi
-                 for blocks in _lockstep_blocks(runs)]
+                 for blocks in zip(*(run.blocks() for run in runs))]
         return [{"n": n, "error_Linf_dual": float(e)} for n, e in zip(sizes, np.max(parts, axis=0))]
 
     if kind == "eps":
         members = [dataclasses.replace(data, eps=float(eps)) for eps in schedule]  # checked before any run
         runs = [galerkin.Run(d, basis, dt, scheme) for d in members]
         parts = [[spectral.norm_Hm1_rows(a[:, 0] - b[:, 0], basis).max() for a, b in zip(blocks, blocks[1:])]
-                 for blocks in _lockstep_blocks(runs)]
+                 for blocks in zip(*(run.blocks() for run in runs))]
         for d, run in zip(members, runs):
             realized = apriori_monitor(run.trajectory(), d)[1]
             rows.append({"eps": d.eps, "beta_L1_Q": realized["beta_L1_Q"], "beta_L2_L6": realized["beta_L2_L6"]})
@@ -236,9 +227,8 @@ def convergence_study(
         all(np.abs(t_b[idx] - t_a).max() <= tol for t_a, t_b, idx in zip(grids, grids[1:], matches)),
         f"(2.11) the time grids of dt schedule {list(schedule)} do not nest; use a dyadic schedule",
     ))
-    # Run i + 1 advances to the level matched to each level of run i, so every run runs
-    # once; its phi waits in ``fine`` beside run i's pending levels until they are folded.
-    fine, parts = np.empty((len(matches), spectral.ROW_BLOCK, basis.n)), [[] for _ in matches]
+    # Run i + 1 advances to the level matched to each level of run i, so every run runs once.
+    diffs = [0.0] * len(matches)
 
     def levels(i):  # run i's phi, level by level, each later run advanced with it
         finer, j = (levels(i + 1) if i < len(matches) else None), -1
@@ -246,15 +236,11 @@ def convergence_study(
             if finer is not None:
                 while j < matches[i][k]:
                     j, phi = next(finer)
-                r = len(runs[i].pending)
-                fine[i, r - 1] = phi
-                if r == spectral.ROW_BLOCK or k + 1 == len(runs[i].times):
-                    parts[i].append(spectral.norm_Hm1_rows(runs[i].block[:r, 0] - fine[i, :r], basis).max())
+                diffs[i] = max(diffs[i], float(spectral.norm_Hm1_rows(level[None, 0] - phi, basis)[0]))
             yield k, level[0]
 
     for _ in levels(0):
         pass
-    diffs = [float(np.max(p)) for p in parts]
     for i, dt_k in enumerate(dts):
         row: dict[str, float] = {"dt": dt_k}
         if i < len(diffs):

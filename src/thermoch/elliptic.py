@@ -87,14 +87,14 @@ def solve_elliptic(problem: EllipticProblem, start: Optional[np.ndarray] = None)
 
     def direction(it, rtol):
         slope = it.reg.slope()
-        # lambda_max + max(slope) bounds the Jacobian's norm.
-        scale = 1e-10 * (1.0 + float(lam[-1]) + float(slope.max()))
+        top = float(slope.max())  # lambda_max + max(slope) bounds the Jacobian's norm
+        scale = 1e-10 * (1.0 + float(lam[-1]) + top)
         # Levenberg-Marquardt sizing: a shift of ||F|| keeps the step of the
         # otherwise singular mean mode at the length of the residual.  Capped
         # at the ceiling so that at least one solve is tried; with a flat slope
-        # the shifted matrix is SPD, so that solve is a descent direction.
-        flat = float(slope.mean()) <= 0.0
-        shift = min(max(scale, float(np.linalg.norm(it.residual))), 1e6) if flat else 0.0
+        # (max <= 0, as the slope is >= 0) the shifted matrix is SPD, so that
+        # solve is a descent direction.
+        shift = min(max(scale, float(np.linalg.norm(it.residual))), 1e6) if top <= 0.0 else 0.0
         krylov = 0
         while shift <= 1e6:
             step, k, weights = newton.krylov_solve(basis, lam + shift, slope, -it.residual, rtol)

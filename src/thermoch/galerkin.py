@@ -16,10 +16,9 @@ Parseval.  Coefficients are bare (n,) arrays beside their basis and grid
 values bare (N,) arrays, from the projected initial data and sources
 through ``evaluate``, ``step`` and the Newton closures.  A ``Run`` builds
 one ``step_operator`` (constants and scheme, checked before level 0) per
-step size and advances one level at a time into a block of
-``spectral.ROW_BLOCK`` levels, which ``compute_record`` folds into record
-columns: a run keeps its record, not its coefficients.  The studies advance
-their runs in lockstep.
+step size and advances one level at a time into a block of ROW_BLOCK
+levels, which ``compute_record`` folds into record columns: a run keeps its
+record, not its coefficients.  The studies take its levels or its blocks.
 
 Two first-order schemes are provided: ``semi_implicit`` treats all linear
 terms implicitly through an exact per-mode 3x3 elimination and freezes the
@@ -52,6 +51,7 @@ SCHEMES = (SEMI_IMPLICIT, BACKWARD_EULER)
 _NEWTON_TOL = 1e-10
 _DT_FLOOR_FACTOR = 1e-8
 _TIME_SLACK = 1e-12  # relative to max(t_final, 1): the rounding room of the level times' repeated sums
+ROW_BLOCK = 64  # levels per block of a Run, which it folds into its record a block at a time
 
 
 @dataclass(frozen=True)
@@ -375,24 +375,23 @@ class Run:
     """A run from the projected initial data to t_final with fixed dt, advanced
     one level at a time by iterating it (once).
 
-    Each level k of the ``record_times`` is written into a row of ``block``
+    Each level k of the ``record_times`` is written into a row of a block
     and yielded as (k, level): its (4 x n) coefficients of phi, w, v and mu,
-    which later levels overwrite.  ``block[:len(pending)]`` holds the levels
-    since the last fold and ``pending`` their times and scalars, which
-    ``compute_record`` folds once ROW_BLOCK levels wait for the next one, and
-    in ``trajectory``.  A failing step is bisected down to 1e-8 * t_final
-    (the substeps are not recorded); then the run raises a RunFailure
-    carrying the Trajectory of the levels before it.  Construction raises
-    ConfigurationError for a dt <= 0, a scheme not among SCHEMES or a dt
-    whose step operator is not finite.
+    which later levels overwrite.  ``compute_record`` folds the block once
+    ROW_BLOCK levels wait for the next one, and in ``trajectory``; ``blocks``
+    yields each block before it is folded.  A failing step is bisected down
+    to 1e-8 * t_final (the substeps are not recorded); then the run raises a
+    RunFailure carrying the Trajectory of the levels before it.  Construction
+    raises ConfigurationError for a dt <= 0, a scheme not among SCHEMES or a
+    dt whose step operator is not finite.
     """
 
     def __init__(self, data: ProblemData, basis: SpectralBasis, dt: float, scheme: str = SEMI_IMPLICIT):
         self.data, self.basis, self.dt, self.scheme = data, basis, dt, scheme
         self.operators = {dt: step_operator(basis, data.params, dt, scheme)}  # by step size
         self.times = record_times(dt, data.t_final)
-        self.block = np.empty((spectral.ROW_BLOCK, 4, basis.n))  # phi, w, v and mu
-        self.pending, self.parts = [], []  # t, mean_exact, bulk, xi_L1 and xi_L6; the Trajectory of each fold
+        self._block = np.empty((ROW_BLOCK, 4, basis.n))  # phi, w, v and mu
+        self._pending, self.parts = [], []  # t, mean_exact, bulk, xi_L1 and xi_L6; the Trajectory of each fold
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
         data, basis, times = self.data, self.basis, self.times
@@ -411,13 +410,20 @@ class Run:
                 decay = math.exp(-gamma * h)
                 mean_exact = mean_exact * decay + (f_means[seg[0]] / gamma) * (1.0 - decay)
             nl, mu, xi, bulk = evaluate(phi, v, data, basis, reg)
-            if len(self.pending) == spectral.ROW_BLOCK:
+            if len(self._pending) == ROW_BLOCK:
                 self._fold()
-            level = self.block[len(self.pending)]
+            level = self._block[len(self._pending)]
             level[:] = phi, w, v, mu
-            self.pending.append((times[k], mean_exact, bulk, spectral.norm_Lp(xi, basis.domain, 1),
-                                 spectral.norm_Lp(xi, basis.domain, 6)))
+            self._pending.append((times[k], mean_exact, bulk, spectral.norm_Lp(xi, basis.domain, 1),
+                                  spectral.norm_Lp(xi, basis.domain, 6)))
             yield k, level
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        """Iterate the run, yielding its (rows x 4 x n) block of levels each time
+        ROW_BLOCK levels are written, and once more after the last level."""
+        for k, _ in self:
+            if len(self._pending) == ROW_BLOCK or k + 1 == len(self.times):
+                yield self._block[:len(self._pending)]
 
     def _advance(self, t, phi, w, v, nl, h, seg):
         """Cover [t, t+h] under the source segments ``seg``, bisecting the interval
@@ -436,10 +442,10 @@ class Run:
 
     def _fold(self):
         """Fold the pending levels into ``parts``."""
-        if self.pending:
-            t, *scalars = np.array(self.pending).T
-            self.parts.append(compute_record(t, self.block[:len(t)], scalars, self.data, self.basis, self.sources))
-            self.pending.clear()
+        if self._pending:
+            t, *scalars = np.array(self._pending).T
+            self.parts.append(compute_record(t, self._block[:len(t)], scalars, self.data, self.basis, self.sources))
+            self._pending.clear()
 
     def trajectory(self) -> Trajectory:
         """The Trajectory of the levels written so far."""

@@ -21,10 +21,9 @@ Coefficients are bare (n,) arrays, always passed beside their basis, and
 grid samples bare (N,) arrays: the transforms (``to_coeffs``, ``to_field``),
 ``project``, ``solve_poisson`` and ``norm_Lp`` take and return them.
 ``Field`` ties samples to their domain where parsed data enters (initial
-data, sources), and ``project`` checks that domain.  A run folds its levels
-ROW_BLOCK at a time, and the studies their differences with them, so the
-per-row norms (``row_squares``, ``norm_Hm1_rows``) never see more than
-ROW_BLOCK rows.
+data, sources), and ``project`` checks that domain.  The per-row norms
+(``row_squares``, ``norm_Hm1_rows``) take a run's blocks of levels
+(``galerkin.Run``) and the studies' differences of them.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ from .errors import MeanDomainError, require
 
 # Relative tolerance for zero-mean membership when inverting the Laplacian.
 MEAN_TOL = 1e-10
-# Levels per block of a ``galerkin.Run``, which it folds into its record a block at a time.
-ROW_BLOCK = 64
 
 
 @dataclass(frozen=True)

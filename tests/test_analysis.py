@@ -374,6 +374,26 @@ class TestConvergenceStudy:
         assert "slope" in rows[0]
         assert rows[0]["diff_to_next"] > rows[1]["diff_to_next"]
 
+    def test_dt_diff_is_the_max_over_matched_levels(self, unit_domain, unit_basis):
+        # A ratio-4 schedule whose last coarse step is truncated (0.1 -> 0.105):
+        # diff_to_next is the largest dual norm of a coarse phi less the fine phi
+        # at its time, oracle from the phi columns two simulate calls keep.
+        data = make_problem_data(
+            unit_domain, REG, phi0=sp.cosine_sum_field(unit_domain, 0.1, [((1,), 0.2)]), t_final=0.105,
+        )
+        rows = an.convergence_study("dt", [0.01, 0.0025], data, unit_basis, 0.01)
+        columns = []
+        for dt in (0.01, 0.0025):
+            kept = []
+            t = gk.simulate(data, unit_basis, dt, observers=[lambda k, level: kept.append(level[0].copy())]).t
+            columns.append((t, np.array(kept)))
+        (t_c, coarse), (t_f, fine) = columns
+        assert len(t_c) == 12 and t_c[-1] - t_c[-2] == pytest.approx(0.005)
+        matched = np.abs(t_f[None, :] - t_c[:, None]).argmin(axis=1)
+        assert np.abs(t_f[matched] - t_c).max() <= 1e-12
+        assert rows[0]["diff_to_next"] == sp.norm_Hm1_rows(coarse - fine[matched], unit_basis).max()
+        assert rows[0]["diff_to_next"] > 0.0 and "diff_to_next" not in rows[1]
+
     def test_fractional_modes_schedule_rejected_before_any_run(self, unit_domain, unit_basis, monkeypatch):
         data = make_problem_data(unit_domain, REG, t_final=0.1)
 

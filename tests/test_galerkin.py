@@ -367,6 +367,25 @@ class TestSimulate:
                 assert np.array_equal(col, folded.record[name]), name
             assert np.array_equal(trajectory.w_sums, folded.w_sums)
 
+    @pytest.mark.parametrize("t_final,levels", [(0.0, 1), (0.63, 64), (0.64, 65), (1.28, 129)])
+    def test_run_blocks_are_its_levels(self, unit_domain, unit_basis, t_final, levels):
+        # blocks() yields each full block and, after the last level, the partial
+        # one: together they are the levels that a second run yields one by one
+        data = make_problem_data(
+            unit_domain, REG, phi0=sp.cosine_sum_field(unit_domain, 0.1, [((2,), 0.2)]), t_final=t_final,
+        )
+        run, again = gk.Run(data, unit_basis, 0.01), gk.Run(data, unit_basis, 0.01)
+        blocks = [block.copy() for block in run.blocks()]
+        assert len(run.times) == levels
+        assert len(blocks) == math.ceil(levels / gk.ROW_BLOCK)
+        assert all(len(block) == gk.ROW_BLOCK for block in blocks[:-1])
+        assert np.array_equal(np.concatenate(blocks), np.array([level.copy() for _, level in again]))
+        trajectory, expected = run.trajectory(), again.trajectory()
+        assert trajectory.record.keys() == expected.record.keys()
+        for name, col in expected.record.items():
+            assert np.array_equal(trajectory.record[name], col), name
+        assert np.array_equal(trajectory.w_sums, expected.w_sums)
+
     def test_observers_called_per_record(self, unit_domain, unit_basis, monkeypatch):
         # The contract that timing harnesses wrap: each observer is called once
         # per level, in order, with the level index and the level's (4 x n)

@@ -125,13 +125,17 @@ def _assert_summary_close(got: dict, expected: dict) -> None:
             assert new == value, key
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"summary.json holds the non-JSON token {token}")
+
+
 @pytest.mark.parametrize("name", list(CASES))
 def test_matches_golden(name, tmp_path):
     out = run_case(name, tmp_path)
     for file in CASES[name][2]:
         text = (out / file).read_text(encoding="utf-8")
-        if file == "summary.json":
-            _assert_summary_close(json.loads(text), json.loads(_stored(name, file)))
+        if file == "summary.json":  # strict JSON: no NaN or Infinity
+            _assert_summary_close(json.loads(text, parse_constant=_reject_constant), json.loads(_stored(name, file)))
         else:
             header, got = _table(text)
             stored_header, expected = _table(_stored(name, file))

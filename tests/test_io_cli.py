@@ -739,8 +739,8 @@ class TestCli:
     @pytest.mark.parametrize("argv", [["depend", "{cfg}", "{cfg_f}"], ["converge", "eps", "{cfg}"]],
                              ids=["depend", "converge-eps"])
     def test_run_failure_inside_a_study_exits_3(self, tmp_path, monkeypatch, argv):
-        # The runs of a study advance in lockstep, so the forced failure comes
-        # while the other run is part way: the study writes nothing.
+        # The forced failure comes part way through the second run, after the
+        # first has written its levels: the study writes nothing.
         from thermoch import galerkin as gk
         from thermoch.errors import StepFailure
 
