@@ -21,7 +21,8 @@ from .errors import require
 from .galerkin import ProblemData, SourceTerm, Trajectory
 from .spectral import SpectralBasis
 
-STUDY_KINDS = ("modes", "eps", "dt")
+# The study kinds and the default schedule of each.
+SCHEDULES = {"modes": (4.0, 8.0, 16.0, 32.0), "eps": (0.2, 0.1, 0.05, 0.025), "dt": (1e-2, 5e-3, 2.5e-3)}
 _MEAN_TOL = 1e-9  # rounding slack of the (4.31) mean band
 
 
@@ -178,8 +179,8 @@ def convergence_study(
     * dt: schedule of decreasing steps; reports successive differences on the
       coarser time grid and the dyadic slopes.
     """
-    if kind not in STUDY_KINDS:
-        raise ValueError(f"unknown study kind {kind!r}; expected one of {STUDY_KINDS}")
+    if kind not in SCHEDULES:
+        raise ValueError(f"unknown study kind {kind!r}; expected one of {tuple(SCHEDULES)}")
     pairs = list(zip(schedule, schedule[1:]))
     require(
         (len(schedule) >= 2, f"(2.11) a schedule needs at least two entries, got {list(schedule)}"),
@@ -200,9 +201,9 @@ def convergence_study(
         ))
         bases = [spectral.build_basis(basis.domain, n) for n in sizes]
         runs, ref = [galerkin.Run(data, b, dt, scheme) for b in bases], bases[-1]
-        parts = [[spectral.norm_Hm1_rows(spectral.embed(block[:, 0], b, ref) - blocks[-1][:, 0], ref).max()
-                  for block, b in zip(blocks, bases[:-1])]  # each zero-padded coarse phi less the reference phi
-                 for blocks in zip(*(run.blocks() for run in runs))]
+        parts = [[spectral.norm_Hm1_rows(np.pad(c[:, 0], [(0, 0), (0, ref.n - b.n)]) - fine[:, 0], ref).max()
+                  for c, b in zip(coarse, bases)]  # each zero-padded coarse phi less the reference phi
+                 for *coarse, fine in zip(*(run.blocks() for run in runs))]
         return [{"n": n, "error_Linf_dual": float(e)} for n, e in zip(sizes, np.max(parts, axis=0))]
 
     if kind == "eps":

@@ -16,10 +16,6 @@ def require(*rules: tuple[bool, str]) -> None:
         raise ConfigurationError("\n".join(broken))
 
 
-class CompatibilityError(ConfigurationError):
-    """Initial data / source band not compatible with the potential domain."""
-
-
 class NumericFailure(RuntimeError):
     """An iterative solver failed to converge."""
 

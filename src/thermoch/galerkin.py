@@ -40,7 +40,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import newton, potentials, spectral
-from .errors import CompatibilityError, RunFailure, StepFailure, require
+from .errors import RunFailure, StepFailure, require
 from .potentials import PotentialSpec, Regularization
 from .spectral import Field, SpectralBasis
 
@@ -110,8 +110,8 @@ class SourceTerm:
 class ProblemData:
     """Complete problem description: constants, potential, sources, initial data.
 
-    Construction checks eps, t_final and sup|f|, then raises CompatibilityError
-    unless every ``compatibility_quantities`` value is interior to D(beta) (2.14)."""
+    Construction checks eps, t_final and sup|f|, then that every ``compatibility_quantities``
+    value is interior to D(beta) (2.14); each failed check raises ConfigurationError."""
 
     params: PhysicalParams
     potential: PotentialSpec
@@ -130,13 +130,10 @@ class ProblemData:
             (math.isfinite(self.f.sup_norm()), "(2.13) source amplitude sup|f| must be finite"),
         )
         lo, hi = self.potential.domain
-        bad = [
-            f"(2.14) compatibility: {name} = {value:.6g} not interior to D(beta) = ({lo}, {hi})"
+        require(*(
+            (lo < value < hi, f"(2.14) compatibility: {name} = {value:.6g} not interior to D(beta) = ({lo}, {hi})")
             for name, value in compatibility_quantities(self).items()
-            if not lo < value < hi
-        ]
-        if bad:
-            raise CompatibilityError("\n".join(bad))
+        ))
 
     def segments(self, t):
         """The indices into ``fields`` of the segments of f and g that hold from the times ``t``
@@ -463,9 +460,8 @@ def simulate(
 ) -> Trajectory:
     """The Trajectory of the ``Run`` of ``data``, calling each observer as
     ``observer(k, level)`` on each level it yields.  Deterministic for a given
-    configuration and BLAS thread count: ``xi_L6`` is one BLAS dot over the
-    grid (``spectral.norm_Lp``), which OpenBLAS splits across threads on large
-    grids, so its last bits can depend on the thread count."""
+    configuration, also across BLAS thread counts: no sum over the grid is a
+    BLAS dot, which OpenBLAS splits across threads on long vectors."""
     run = Run(data, basis, dt, scheme)
     for k, level in run:
         for obs in observers:

@@ -18,10 +18,8 @@ envelope into the output directory.  ``main`` parses its command line with
 getopt words only its errors through gettext, so a run never imports ``locale``.
 
 All floating-point output is serialized with 17 significant digits so
-repeated runs with the same BLAS thread count are byte-identical
-(summary.json additionally records wall time); ``xi_L6`` and ``beta_L2_L6``
-come from one BLAS dot over the grid, which OpenBLAS may split across
-threads, so their last bits can differ between thread counts.
+repeated runs are byte-identical, also under another BLAS thread count
+(summary.json additionally records wall time).
 
 Exit codes: 0 success, 2 validation error, 3 numeric failure, 4 I/O error.
 A problem too large to allocate (a ``MemoryError``) is a (2.11) validation
@@ -596,8 +594,7 @@ def run_verify(cfg: RunConfig, target: str, seed: int) -> dict:
 
 
 def run_converge(cfg: RunConfig, vary: str) -> dict:
-    defaults = {"modes": [4.0, 8.0, 16.0, 32.0], "eps": [0.2, 0.1, 0.05, 0.025], "dt": [1e-2, 5e-3, 2.5e-3]}
-    schedule = cfg.schedule or defaults[vary]
+    schedule = cfg.schedule or list(analysis.SCHEDULES[vary])
     rows = analysis.convergence_study(vary, schedule, cfg.data, cfg.basis, cfg.dt, cfg.scheme)
     return {"schedule": schedule, "rows": rows}
 
@@ -647,7 +644,7 @@ Flags go before or after the command:
 COMMANDS: dict[str, tuple[Optional[tuple[str, ...]], ...]] = {
     "simulate": (None,),
     "verify": (("potentials", "spectral", "elliptic"), None),
-    "converge": (analysis.STUDY_KINDS, None),
+    "converge": (tuple(analysis.SCHEDULES), None),
     "depend": (None, None),
 }
 
@@ -711,24 +708,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg2 = parse_config(configs[1]) if command == "depend" else None
         started = time.perf_counter()
         code, failure = EXIT_OK, None
+        experiment = f"{command} {keyword}" if keyword else command
         if command == "simulate":
-            experiment = "simulate"
             payload, trajectory, failure = run_simulate(cfg)
             write_trajectory_csv(outdir / "trajectory.csv", trajectory)
             progress = f"{len(trajectory)} records"
         elif command == "verify":
-            experiment = f"verify {keyword}"
             payload = run_verify(cfg, keyword, int(flags["--seed"]))
             violations = payload["violations"]
             progress = f"{len(violations)} violations" if violations else "ok"
             code = EXIT_NUMERIC if violations else EXIT_OK
         elif command == "converge":
-            experiment = f"converge {keyword}"
             payload = run_converge(cfg, keyword)
             write_table_csv(outdir / "convergence.csv", payload["rows"])
             progress = f"{len(payload['rows'])} rows"
         else:
-            experiment = "depend"
             payload, row = run_depend(cfg, cfg2)
             write_table_csv(outdir / "dependence.csv", [row])
             progress = f"lhs = {payload['lhs']:.6g}"

@@ -241,11 +241,12 @@ class Regularization:
         """Sum of ``primitive()`` over a 1-D grid, without its pointwise array.
 
         Uses (r - J)^2 / (2 eps) = (eps / 2) value^2: returns
-        sum beta_hat(J) + (eps / 2) (value @ value).  Agrees with
-        ``primitive().sum()`` to rounding, not bit for bit.
+        sum beta_hat(J) + (eps / 2) sum value^2, both NumPy sums, which no
+        thread count changes.  Agrees with ``primitive().sum()`` to rounding,
+        not bit for bit.
         """
         beta_hat_sum = float(self.spec.beta_hat(self.j).sum())
-        return beta_hat_sum + 0.5 * self.eps * float(self.value @ self.value)
+        return beta_hat_sum + 0.5 * self.eps * float(np.square(self.value).sum())
 
     def slope(self) -> np.ndarray:
         """Derivative of ``value``, beta'(J) / (1 + eps*beta'(J)), used for Newton Jacobians.

@@ -118,13 +118,14 @@ def cosine_sum_field(
 
 def norm_Lp(values: np.ndarray, domain: BoxDomain, p: float) -> float:
     """Quadrature p-norm of grid samples on ``domain``: w sum |x| for p = 1 and, with sq = x^2,
-    (w sq @ (sq sq))^(1/6) for p = 6, with no pointwise power; other p raise ValueError."""
+    (w sum sq (sq sq))^(1/6) for p = 6, with no pointwise power and no BLAS dot, whose
+    threads would split the sum; other p raise ValueError."""
     w = domain.cell_weight
     if p == 1:
         return float(w * np.abs(values).sum())
     if p == 6:
         sq = np.square(values)
-        return float((w * (sq @ (sq * sq))) ** (1.0 / 6.0))
+        return float((w * np.einsum("i,i->", sq, sq * sq)) ** (1.0 / 6.0))
     raise ValueError(f"p must be 1 or 6, got {p}")
 
 
@@ -162,8 +163,8 @@ def build_basis(domain: BoxDomain, n: int) -> SpectralBasis:
     Modes are multi-indices k with every component at most
     grid_points_per_axis // 2 (anti-aliasing capacity); requesting more modes
     than the grid can carry is a configuration error.  One stable sort of the
-    eigenvalues in C order breaks ties lexicographically, so bases on a common
-    grid are nested.
+    eigenvalues in C order breaks ties lexicographically, so the m-mode basis of
+    a domain is the first m modes of any larger one (``converge modes`` zero-pads).
     """
     cap = domain.grid_points_per_axis // 2
     capacity = (cap + 1) ** domain.dim
@@ -276,10 +277,3 @@ def solve_poisson(psi: np.ndarray, basis: SpectralBasis) -> np.ndarray:
     out = np.zeros_like(psi)
     out[1:] = psi[1:] / basis.eigenvalues[1:]
     return out
-
-
-def embed(rows: np.ndarray, basis: SpectralBasis, larger: SpectralBasis) -> np.ndarray:
-    """Zero-pad coefficients of ``basis`` (the last axis of ``rows``) into a larger nested basis on the same grid."""
-    if larger.domain != basis.domain or larger.modes[: basis.n] != basis.modes:
-        raise ValueError("bases are not nested; cannot embed")
-    return np.pad(rows, [(0, 0)] * (rows.ndim - 1) + [(0, larger.n - basis.n)])

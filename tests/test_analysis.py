@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import constant_source, make_problem_data, norm_H1, norm_Hm1, pow_norm_Lp, simulate_levels
@@ -127,6 +127,7 @@ class TestMeanLaw:
         assert an.mean_law_check(gk.Trajectory(rec, np.zeros((len(t), 2))), data)["max_error_discrete"] <= 1e-13
 
     @given(m=st.integers(2, 2000), data=st.data())
+    @settings(deadline=None)
     def test_a_switch_on_the_grid_holds_from_its_level(self, m, data):
         # with dt = 1/m and a switch at j/m, the segment lookup that the steps,
         # the record and the checks share gives the new field from level j on
@@ -393,6 +394,26 @@ class TestConvergenceStudy:
         assert np.abs(t_f[matched] - t_c).max() <= 1e-12
         assert rows[0]["diff_to_next"] == sp.norm_Hm1_rows(coarse - fine[matched], unit_basis).max()
         assert rows[0]["diff_to_next"] > 0.0 and "diff_to_next" not in rows[1]
+
+    def test_modes_error_is_the_max_over_levels_of_the_padded_difference(self, unit_domain):
+        # 71 levels, so the runs cross a 64-level block: error_Linf_dual is the
+        # largest dual norm of a coarse phi, zero-padded, less the reference phi,
+        # oracle from the phi columns three simulate calls keep.
+        data = make_problem_data(
+            unit_domain, REG, phi0=sp.cosine_sum_field(unit_domain, 0.1, [((1,), 0.2), ((6,), 0.05)]), t_final=0.7,
+        )
+        sizes = [4, 8, 16]
+        bases = [sp.build_basis(unit_domain, n) for n in sizes]
+        rows = an.convergence_study("modes", sizes, data, bases[-1], 0.01)
+        kept = {n: [] for n in sizes}
+        for n, basis in zip(sizes, bases):
+            gk.simulate(data, basis, 0.01, observers=[lambda k, level, n=n: kept[n].append(level[0].copy())])
+        ref = np.array(kept[16])
+        assert len(ref) == 71 and [row["n"] for row in rows] == [4, 8]
+        for row, n in zip(rows, sizes):
+            padded = np.hstack((np.array(kept[n]), np.zeros((len(ref), 16 - n))))
+            assert row["error_Linf_dual"] == sp.norm_Hm1_rows(padded - ref, bases[-1]).max()
+        assert rows[0]["error_Linf_dual"] > rows[1]["error_Linf_dual"] > 0.0
 
     def test_fractional_modes_schedule_rejected_before_any_run(self, unit_domain, unit_basis, monkeypatch):
         data = make_problem_data(unit_domain, REG, t_final=0.1)

@@ -14,7 +14,7 @@ from thermoch import analysis as an
 from thermoch import galerkin as gk
 from thermoch import potentials as pot
 from thermoch import spectral as sp
-from thermoch.errors import CompatibilityError, ConfigurationError, RunFailure, StepFailure
+from thermoch.errors import ConfigurationError, RunFailure, StepFailure
 
 REG = pot.regular_potential()
 LOG = pot.logarithmic_potential(2.0)
@@ -65,11 +65,11 @@ class TestCompatibility:
         assert q["rho + (mean phi0)^+"] == pytest.approx(band[1])
 
     def test_logarithmic_initial_range_rejected(self, unit_domain):
-        with pytest.raises(CompatibilityError, match=r"\(2\.14\).*max phi0"):
+        with pytest.raises(ConfigurationError, match=r"\(2\.14\).*max phi0"):
             make_problem_data(unit_domain, LOG, phi0=sp.constant_field(1.0, unit_domain))
 
     def test_source_band_rejected(self, unit_domain):
-        with pytest.raises(CompatibilityError, match=r"\(2\.14\)"):
+        with pytest.raises(ConfigurationError, match=r"\(2\.14\)"):
             make_problem_data(unit_domain, LOG, f=constant_source(sp.constant_field(5.0, unit_domain)))
 
 

@@ -4,7 +4,8 @@ Each case runs ``thermoch`` in-process on a shipped config (or a one-line
 edit of it) and compares every column of its CSV with the stored artifact
 within 1e-12 of the column's scale (the largest magnitude in it), and every
 float of its summary.json but the wall time within 1e-12 of itself.  Other
-values compare exactly.
+values compare exactly.  The 2-D ``square_semi`` input's artifacts must also
+be byte-identical under one and two BLAS threads, in subprocesses.
 
 Regenerate the stored artifacts, only when a change is meant to move them
 (all cases, or the named ones):
@@ -17,6 +18,9 @@ import csv
 import gzip
 import io as textio
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +145,26 @@ def test_matches_golden(name, tmp_path):
             stored_header, expected = _table(_stored(name, file))
             assert header == stored_header
             _assert_columns_close(got, expected, header)
+
+
+@pytest.mark.parametrize("scheme", ["semi_implicit", "backward_euler"])
+def test_artifacts_do_not_depend_on_the_blas_thread_count(scheme, tmp_path):
+    # The 16,384-point grid is large enough for OpenBLAS to split a dot over it
+    # between two threads; the artifacts must not see the split.
+    config = tmp_path / "square.ini"
+    text = (ROOT / SQUARE).read_text(encoding="utf-8")
+    config.write_text(text.replace("scheme = semi_implicit", f"scheme = {scheme}"), encoding="utf-8")
+    artifacts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        argv = [sys.executable, "-m", "thermoch", "simulate", str(config), "--output-dir", str(out), "--quiet"]
+        subprocess.run(argv, env=env, check=True, timeout=120)
+        summary = (out / "summary.json").read_text(encoding="utf-8").splitlines()
+        artifacts.append(((out / "trajectory.csv").read_bytes(), [x for x in summary if '"wall_time_s":' not in x]))
+    assert artifacts[0] == artifacts[1]
+    assert len(artifacts[0][0].splitlines()) == 22 and f'"scheme": "{scheme}"' in "".join(artifacts[0][1])
 
 
 def regenerate(workroot: Path, names: list[str]) -> None:

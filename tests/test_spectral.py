@@ -92,6 +92,20 @@ class TestBasis:
         assert basis.modes == tuple(candidates[:n])
         assert np.array_equal(basis.eigenvalues, [eig(mode) for mode in candidates[:n]])
 
+    @pytest.mark.parametrize("lengths", [(1.0,), (2.0, 1.0), (1.0, 1.0)], ids=["1d", "rect-2:1", "square"])
+    def test_bases_on_one_domain_are_nested(self, lengths):
+        # converge modes zero-pads a coarse basis's coefficients into the reference
+        # basis: every m-mode basis is the first m modes and eigenvalues of a larger one,
+        # also where a cut falls inside a tie such as (1, 0), (0, 1) on the square.
+        domain = sp.BoxDomain(lengths, 16)
+        big = sp.build_basis(domain, 9 ** domain.dim)
+        if domain.dim == 2:
+            assert len(set(big.eigenvalues.tolist())) < big.n  # the sort meets ties
+        for m in range(1, big.n + 1):
+            small = sp.build_basis(domain, m)
+            assert small.modes == big.modes[:m]
+            assert np.array_equal(small.eigenvalues, big.eigenvalues[:m])
+
     @pytest.mark.parametrize(
         "domain,n",
         [(sp.BoxDomain((1.0,), 32), 16), (sp.BoxDomain((1.0, 2.0), 16), 25),
@@ -160,22 +174,6 @@ class TestTransforms:
             for other in (sp.BoxDomain((1.0,), 64), sp.BoxDomain((1.0, 1.0), 8)):
                 with pytest.raises(ValueError):
                     sp.to_coeffs(np.ones(other.n_grid), basis)
-
-    def test_embed(self):
-        domain = sp.BoxDomain((1.0,), 64)
-        small = sp.build_basis(domain, 4)
-        big = sp.build_basis(domain, 9)
-        c = np.array([1.0, 2.0, 3.0, 4.0])
-        e = sp.embed(c, small, big)
-        assert np.array_equal(e[:4], c) and np.array_equal(e[4:], np.zeros(5))
-        rows = np.arange(12.0).reshape(3, 4)
-        assert np.array_equal(sp.embed(rows, small, big), np.hstack((rows, np.zeros((3, 5)))))
-
-    def test_embed_requires_nested_bases(self):
-        small = sp.build_basis(sp.BoxDomain((2.0,), 64), 4)
-        big = sp.build_basis(sp.BoxDomain((1.0,), 64), 9)
-        with pytest.raises(ValueError):
-            sp.embed(np.array([1.0, 0.0, 0.0, 0.0]), small, big)
 
 
 def oracle_gaps(basis, rng):
