@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -81,18 +80,13 @@ class SourceTerm:
     fields: tuple[Field, ...]
 
     def __post_init__(self):
-        if len(self.times) != len(self.fields) or not self.times:
-            raise ValueError("times and fields must be equally sized and nonempty")
-        if self.times[0] != 0.0:
-            raise ValueError(f"first segment must start at 0, got {self.times[0]}")
-        if any(t1 <= t0 for t0, t1 in zip(self.times, self.times[1:])):
-            raise ValueError("segment start times must be strictly increasing")
-
-    @cached_property
-    def later_starts(self) -> np.ndarray:
-        """times[1:] as an array, whose searchsorted method skips the microseconds
-        of numpy's dispatch on every per-step lookup (``ProblemData.segments``)."""
-        return np.array(self.times[1:])
+        times, n = self.times, len(self.fields)
+        require(
+            (0 < len(times) == n, f"(2.11) a source needs one start time per field, got {len(times)} for {n}"),
+            (times[:1] == (0.0,), f"(2.11) a source's first segment must start at 0, got start times {times}"),
+            (all(t0 < t1 for t0, t1 in zip(times, times[1:])),
+             f"(2.11) a source's start times must be strictly increasing, got {times}"),
+        )
 
     def sup_norm(self) -> float:
         return max(float(np.abs(f.values).max(initial=0.0)) for f in self.fields)
@@ -110,8 +104,9 @@ class SourceTerm:
 class ProblemData:
     """Complete problem description: constants, potential, sources, initial data.
 
-    Construction checks eps, t_final and sup|f|, then that every ``compatibility_quantities``
-    value is interior to D(beta) (2.14); each failed check raises ConfigurationError."""
+    Construction checks eps, t_final, sup|f|, sup|g| and that the initial data are finite,
+    then that every ``compatibility_quantities`` value is interior to D(beta) (2.14); each
+    failed check raises ConfigurationError."""
 
     params: PhysicalParams
     potential: PotentialSpec
@@ -128,6 +123,9 @@ class ProblemData:
             potentials.eps_rule(self.eps),
             (self.t_final >= 0.0, f"(2.11) t_final must be >= 0, got {self.t_final}"),
             (math.isfinite(self.f.sup_norm()), "(2.13) source amplitude sup|f| must be finite"),
+            (math.isfinite(self.g.sup_norm()), "(2.13) source amplitude sup|g| must be finite"),
+            *((np.isfinite(x.values).all(), f"(2.14) initial datum {name} must be finite")
+              for name, x in (("phi0", self.phi0), ("w0", self.w0), ("w1", self.w1))),
         )
         lo, hi = self.potential.domain
         require(*(
@@ -140,7 +138,7 @@ class ProblemData:
         on: how many later segments have started by t plus ``record_times``' slack, as its
         repeated sums can land a few ulps below a switch (the first segment before 0)."""
         t = t + _TIME_SLACK * max(self.t_final, 1.0)
-        return self.f.later_starts.searchsorted(t, side="right"), self.g.later_starts.searchsorted(t, side="right")
+        return np.searchsorted(self.f.times[1:], t, side="right"), np.searchsorted(self.g.times[1:], t, side="right")
 
 
 def compatibility_quantities(data: ProblemData) -> dict[str, float]:
@@ -394,12 +392,13 @@ class Run:
         data, basis, times = self.data, self.basis, self.times
         phi, w, v = project_initial_data(data, basis)
         self.sources = (data.f.project(basis), data.g.project(basis))
+        segs = np.column_stack(data.segments(np.array(times[:-1])))  # f's and g's over each step
         gamma, f_means = data.params.gamma, data.f.means()
         mean_exact, reg = float(phi[0]) / math.sqrt(basis.domain.measure), None
         for k in range(len(times)):
             if k:
                 t = times[k - 1]
-                h, seg = min(self.dt, data.t_final - t), data.segments(t)
+                h, seg = min(self.dt, data.t_final - t), segs[k - 1]
                 try:
                     phi, w, v, reg = self._advance(t, phi, w, v, nl, h, seg)
                 except StepFailure as exc:

@@ -7,9 +7,9 @@ and piecewise-constant-in-time schedules ``expr ; t1: expr ; ...``.
 
 Validation failures carry exactly one assumption tag from {(2.5), (2.11),
 (2.12), (2.13), (2.14)}; a-priori monitors name (4.31).  This module only
-rejects values that are not finite numbers and a ``dim`` that disagrees with
-the lengths; every other rule is stated once, by the constructor or check of
-the quantity it constrains.  ``config_from_sections`` builds each object a
+rejects values that are not finite numbers (the switch times of a schedule
+among them) and a ``dim`` that disagrees with the lengths; every other rule
+is stated once, by the constructor or check of the quantity it constrains.  ``config_from_sections`` builds each object a
 config describes once, collecting the messages of the rules they break, and
 the commands run on the objects it built.  The ``run_*`` drivers return a
 command's summary payload; ``main`` writes every artifact and the summary
@@ -19,7 +19,8 @@ getopt words only its errors through gettext, so a run never imports ``locale``.
 
 All floating-point output is serialized with 17 significant digits so
 repeated runs are byte-identical, also under another BLAS thread count
-(summary.json additionally records wall time).
+(summary.json additionally records wall time).  summary.json is strict JSON:
+a non-finite float is written as null.
 
 Exit codes: 0 success, 2 validation error, 3 numeric failure, 4 I/O error.
 A problem too large to allocate (a ``MemoryError``) is a (2.11) validation
@@ -137,28 +138,15 @@ def parse_field_expr(text: str, domain: BoxDomain) -> Field:
     return spectral.cosine_sum_field(domain, constant, terms)
 
 
-def parse_source_expr(text: str, domain: BoxDomain) -> SourceTerm:
-    """Parse a piecewise-constant-in-time schedule of field expressions."""
-    times: list[float] = []
-    fields: list[Field] = []
-    for raw in text.split(";"):
-        seg = raw.strip()
-        if not seg:
-            raise ConfigParseError(f"empty schedule segment in '{text}'")
-        if ":" in seg:
-            t_txt, expr = seg.split(":", 1)
-            try:
-                t0 = float(t_txt)
-            except ValueError as exc:
-                raise ConfigParseError(f"bad segment time '{t_txt.strip()}'") from exc
-        else:
-            t0, expr = 0.0, seg
-        times.append(t0)
-        fields.append(parse_field_expr(expr, domain))
-    try:
-        return SourceTerm(times=tuple(times), fields=tuple(fields))
-    except ValueError as exc:
-        raise ConfigParseError(str(exc)) from exc
+def parse_source_expr(text: str, domain: BoxDomain, key: str) -> SourceTerm:
+    """Parse a piecewise-constant-in-time schedule ``c0 ; t1: c1 ; ...`` of field
+    expressions, whose switch times must be finite numbers (2.11), named ``key`` in messages."""
+    segments = [seg.strip() for seg in text.split(";")]
+    if not all(segments):
+        raise ConfigParseError(f"empty schedule segment in '{text}'")
+    starts = [seg.split(":", 1) if ":" in seg else ("0", seg) for seg in segments]
+    times = _parse_numbers([(f"{key} switch time", t.strip()) for t, _ in starts], "(2.11)")
+    return SourceTerm(tuple(times), tuple(parse_field_expr(expr, domain) for _, expr in starts))
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +270,8 @@ def config_from_sections(raw: dict[str, dict[str, str]]) -> RunConfig:
             phi0=parse_field_expr(text["phi0"], domain),
             w0=parse_field_expr(text["w0"], domain),
             w1=parse_field_expr(text["w1"], domain),
-            f=parse_source_expr(text["f"], domain),
-            g=parse_source_expr(text["g"], domain),
+            f=parse_source_expr(text["f"], domain, "data.f"),
+            g=parse_source_expr(text["g"], domain, "data.g"),
             t_final=numbers("time", ("t_final",), "(2.11)")[0],
         )
 
@@ -548,10 +536,19 @@ def write_table_csv(path: Path, rows: list[dict[str, float]]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def _finite_or_none(obj):
+    """``obj`` with every non-finite float in it, at any depth, replaced by None."""
+    if isinstance(obj, dict):
+        return {key: _finite_or_none(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_none(value) for value in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def write_summary_json(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-    )
+    """``payload`` as strict JSON: a non-finite float is written as null."""
+    text = json.dumps(_finite_or_none(payload), indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from conftest import grid_values, mean_value
 from thermoch import elliptic as el
 from thermoch import potentials as pot
 from thermoch import spectral as sp
+from thermoch.errors import NumericFailure
 
 REG = pot.regular_potential()
 LOG = pot.logarithmic_potential(2.0)
@@ -130,6 +131,23 @@ class TestSolve:
             problem = el.EllipticProblem(basis, REG, 0.2, sp.constant_field(h_val, basis.domain))
             means.append(mean_value(el.solve_elliptic(problem).u, basis))
         assert means[0] < means[1]
+
+    def test_no_descent_direction_raises_after_the_shift_retries(self, basis, monkeypatch):
+        # A Krylov solver that returns the residual itself, an ascent direction:
+        # the shift grows a hundredfold per retry up to its 1e6 ceiling, then the solve fails.
+        shifts = []
+
+        def ascent(basis_, a, s, b, rtol, pinned=0):
+            shifts.append(float(a[0] - basis.eigenvalues[0]))
+            return -b, 1, np.ones(b.size)
+
+        monkeypatch.setattr(el.newton, "krylov_solve", ascent)
+        h = sp.cosine_sum_field(basis.domain, 0.2, [((1,), 1.5)])
+        with pytest.raises(NumericFailure, match="^could not produce a descent direction$"):
+            el.solve_elliptic(el.EllipticProblem(basis, REG, 0.1, h))
+        assert len(shifts) > 2
+        assert all(new == pytest.approx(100.0 * old) for old, new in zip(shifts[1:], shifts[2:]))
+        assert shifts[-1] <= 1e6 < 100.0 * shifts[-1]
 
     def test_nonfinite_rhs_rejected(self, basis):
         bad = np.full(basis.domain.n_grid, np.nan)

@@ -45,10 +45,20 @@ class TestSourceTerm:
 
     def test_segment_validation(self, unit_domain):
         f = sp.constant_field(0.0, unit_domain)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match=r"^\(2\.11\) a source's first segment must start at 0"):
             gk.SourceTerm(times=(0.1,), fields=(f,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match=r"^\(2\.11\) a source's start times must be strictly increasing"):
             gk.SourceTerm(times=(0.0, 0.0), fields=(f, f))
+
+    @pytest.mark.parametrize("times, n_fields", [
+        ((0.0, math.nan), 2), ((0.0, 0.5, math.nan), 3), ((math.nan,), 1), ((), 0), ((0.0,), 2),
+    ], ids=["nan-switch", "nan-last", "nan-start", "empty", "unpaired"])
+    def test_every_schedule_fault_is_one_tagged_line(self, unit_domain, times, n_fields):
+        # "strictly increasing" is stated as t0 < t1, so a NaN time breaks it.
+        fields = (sp.constant_field(0.0, unit_domain),) * n_fields
+        with pytest.raises(ConfigurationError) as info:
+            gk.SourceTerm(times=times, fields=fields)
+        assert all(line.startswith("(2.11) ") for line in str(info.value).splitlines())
 
 
 class TestCompatibility:

@@ -7,18 +7,29 @@ float of its summary.json but the wall time within 1e-12 of itself.  Other
 values compare exactly.  The 2-D ``square_semi`` input's artifacts must also
 be byte-identical under one and two BLAS threads, in subprocesses.
 
+The exact level: ``sha256.json`` holds the sha256 of every artifact (of
+summary.json without the wall time, as stored) and the fingerprint of the
+host that took them: NumPy's version, its OpenBLAS build and the OpenBLAS
+core picked at load time.  On a host with that fingerprint every digest must
+match; elsewhere, CI included, the exact test skips and names both.
+
 Regenerate the stored artifacts, only when a change is meant to move them
-(all cases, or the named ones):
+(all cases, or the named ones), and then the digests of every case, which
+also moves the exact level to this host:
     PYTHONPATH=src python tests/test_golden.py [case ...]
+    PYTHONPATH=src python tests/test_golden.py --exact
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import gzip
+import hashlib
 import io as textio
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +41,7 @@ from thermoch import io_cli as io
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
+EXACT = GOLDEN / "sha256.json"
 RTOL = 1e-12
 
 DEMO = "configs/demo.ini"
@@ -87,6 +99,54 @@ def run_case(name: str, workdir: Path) -> Path:
     return out
 
 
+@pytest.fixture(scope="module")
+def case_output(tmp_path_factory):
+    """The output directory of case ``name``, which runs once per module."""
+    outputs = {}
+
+    def get(name: str) -> Path:
+        if name not in outputs:
+            outputs[name] = run_case(name, tmp_path_factory.mktemp(name))
+        return outputs[name]
+
+    return get
+
+
+def _canonical_summary(data: bytes) -> str:
+    """A summary.json without its wall time, as the golden copies store it."""
+    summary = json.loads(data)
+    del summary["wall_time_s"]
+    return json.dumps(summary, indent=2, sort_keys=True) + "\n"
+
+
+def _digest(out: Path, file: str) -> str:
+    data = (out / file).read_bytes()
+    return hashlib.sha256(_canonical_summary(data).encode() if file == "summary.json" else data).hexdigest()
+
+
+def host_fingerprint() -> dict:
+    """What fixes an artifact's bits besides the code: NumPy's version, the configuration of
+    the OpenBLAS it was built with and the core whose kernels that OpenBLAS picked at load
+    time (None where the library bundled with NumPy cannot be asked)."""
+    core = None
+    for lib in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = (), ctypes.c_char_p
+            core = corename().decode()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "openblas configuration": blas.get("openblas configuration"),
+            "openblas core": core}
+
+
+def _machine() -> str:
+    """The processor, for the record: the fingerprint decides where digests compare."""
+    cpuinfo = Path("/proc/cpuinfo")
+    models = [line.split(":", 1)[1].strip() for line in cpuinfo.read_text().splitlines()
+              if line.startswith("model name")] if cpuinfo.exists() else []
+    return f"{platform.machine()}, {models[0] if models else platform.processor()}, {os.cpu_count()} logical CPUs"
+
+
 def _stored(name: str, file: str) -> str:
     path = GOLDEN / name / file
     if file == "trajectory.csv":
@@ -134,8 +194,8 @@ def _reject_constant(token: str):
 
 
 @pytest.mark.parametrize("name", list(CASES))
-def test_matches_golden(name, tmp_path):
-    out = run_case(name, tmp_path)
+def test_matches_golden(name, case_output):
+    out = case_output(name)
     for file in CASES[name][2]:
         text = (out / file).read_text(encoding="utf-8")
         if file == "summary.json":  # strict JSON: no NaN or Infinity
@@ -145,6 +205,17 @@ def test_matches_golden(name, tmp_path):
             stored_header, expected = _table(_stored(name, file))
             assert header == stored_header
             _assert_columns_close(got, expected, header)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_matches_golden_exactly(name, case_output):
+    stored = json.loads(EXACT.read_text(encoding="utf-8"))
+    host = host_fingerprint()
+    if host != stored["fingerprint"]:
+        pytest.skip(f"the digests were taken on {stored['fingerprint']}; this host is {host}")
+    expected = {f"{name}/{file}": stored["sha256"].get(f"{name}/{file}") for file in CASES[name][2]}
+    got = {f"{name}/{file}": _digest(case_output(name), file) for file in CASES[name][2]}
+    assert got == expected, "an artifact's bits moved; if that is meant, re-take the digests (module docstring)"
 
 
 @pytest.mark.parametrize("scheme", ["semi_implicit", "backward_euler"])
@@ -177,18 +248,29 @@ def regenerate(workroot: Path, names: list[str]) -> None:
         for file in files:
             data = (out / file).read_bytes()
             if file == "summary.json":
-                summary = json.loads(data)
-                del summary["wall_time_s"]
-                (GOLDEN / name / file).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+                (GOLDEN / name / file).write_text(_canonical_summary(data))
             elif file == "trajectory.csv":
                 (GOLDEN / name / (file + ".gz")).write_bytes(gzip.compress(data, mtime=0))
             else:
                 (GOLDEN / name / file).write_bytes(data)
 
 
+def take_digests(workroot: Path) -> None:
+    """Run every case and write its artifacts' digests with this host's fingerprint."""
+    digests = {}
+    for name, (_, _, files) in CASES.items():
+        (workroot / name).mkdir(parents=True)
+        out = run_case(name, workroot / name)
+        digests.update({f"{name}/{file}": _digest(out, file) for file in files})
+    record = {"fingerprint": host_fingerprint(), "machine": _machine(), "sha256": digests}
+    EXACT.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+
+
 if __name__ == "__main__":
-    import sys
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        regenerate(Path(tmp), sys.argv[1:] or list(CASES))
+        if sys.argv[1:] == ["--exact"]:
+            take_digests(Path(tmp))
+        else:
+            regenerate(Path(tmp), sys.argv[1:] or list(CASES))

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -151,7 +152,7 @@ class TestExpressions:
 
     def test_schedule(self):
         domain = sp.BoxDomain((1.0,), 16)
-        src = io.parse_source_expr("0.5 ; 0.5: 0.2 + 0.1*cos(1)", domain)
+        src = io.parse_source_expr("0.5 ; 0.5: 0.2 + 0.1*cos(1)", domain, "data.f")
         assert src.times == (0.0, 0.5) and np.all(src.fields[0].values == 0.5)
         x = domain.grid_axes()[0]
         assert np.allclose(src.fields[1].values, 0.2 + 0.1 * np.cos(np.pi * x), atol=1e-14)
@@ -163,7 +164,7 @@ class TestExpressions:
     def test_malformed_rejected(self, bad):
         domain = sp.BoxDomain((1.0,), 16)
         with pytest.raises(io.ConfigParseError):
-            io.parse_source_expr(bad, domain)
+            io.parse_source_expr(bad, domain, "data.f")
 
 
 class TestParseConfig:
@@ -277,6 +278,9 @@ RULES = [
     ("dt", "(2.11)", [("dt = 0.01", "dt = 0")]),
     ("scheme", "(2.11)", [("scheme = semi_implicit", "scheme = leapfrog")]),
     ("source", "(2.13)", [("f = 0.0", "f = 1e400")]),
+    ("switch-time", "(2.11)", [("f = 0.0", "f = 0.2 ; nan: -0.2")]),
+    ("thermal-source", "(2.13)", [("g = 0.0", "g = 1e999")]),
+    ("initial-w0", "(2.14)", [("w0 = 0.0", "w0 = 1e999")]),
     ("compatibility", "(2.14)", [("kind = regular", "kind = logarithmic\nc1 = 2.0"),
                                  ("phi0 = 0.1 + 0.2*cos(1)", "phi0 = 1.2")]),
 ]
@@ -311,6 +315,29 @@ def test_non_finite_and_unchecked_input_exit_2(tmp_path, capsys, old, new):
     assert lines
     for line in lines:
         assert sum(line.count(tag) for tag in TAGS) == 1, line
+
+
+# A bare float() let a nan switch time through (no switch ever came, and the
+# run exited 0); w0, w1 and g = 1e999 were admitted and exited 3 after bisecting
+# the first step to 3e-11; phi0 = 1e999 was reported as two (2.14) lines.
+@pytest.mark.parametrize("old, new, line", [
+    *(("f = 0.0", f"f = 0.2 ; {t}: -0.2", f"(2.11) data.f switch time must be a finite number, got '{t}'")
+      for t in ("nan", "inf", "1e999", "-inf")),
+    ("f = 0.0", "f = 0.2 ; 0.5: -0.2 ; 0.3: 0.1",
+     "(2.11) a source's start times must be strictly increasing, got (0.0, 0.5, 0.3)"),
+    ("g = 0.0", "g = 0.1: 0.2", "(2.11) a source's first segment must start at 0, got start times (0.1,)"),
+    ("g = 0.0", "g = 0.2 ; 0.1", "(2.11) a source's start times must be strictly increasing, got (0.0, 0.0)"),
+    ("g = 0.0", "g = 0.2 ; soon: -0.2", "(2.11) data.g switch time must be a finite number, got 'soon'"),
+    ("phi0 = 0.1 + 0.2*cos(1)", "phi0 = 1e999", "(2.14) initial datum phi0 must be finite"),
+    ("w0 = 0.0", "w0 = 1e999", "(2.14) initial datum w0 must be finite"),
+    ("w1 = 0.0", "w1 = 1e999*cos(1)", "(2.14) initial datum w1 must be finite"),
+    ("g = 0.0", "g = 0.1 ; 0.05: 1e999", "(2.13) source amplitude sup|g| must be finite"),
+], ids=["switch-nan", "switch-inf", "switch-1e999", "switch--inf", "decreasing", "late-start", "two-at-zero",
+        "switch-word", "phi0", "w0", "w1", "g"])
+def test_bad_data_exits_2_with_one_tagged_line(tmp_path, capsys, old, new, line):
+    cfg = write_config(tmp_path, FULL.replace(old, new))
+    assert io.main(["simulate", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
 
 
 def test_each_data_expression_parsed_once(tmp_path, monkeypatch):
@@ -806,7 +833,79 @@ class TestCli:
         assert summary["violations"] == []
 
 
+class TestSuiteViolations:
+    """Each violation line of the verify suites, forced through ``main``: exit 3 and the exact line."""
+
+    def verify(self, tmp_path, target, trials=None):
+        text = FULL if trials is None else FULL + f"\n[experiment]\ntrials = {trials}\n"
+        out = tmp_path / "v"
+        assert io.main(["verify", target, str(write_config(tmp_path, text)), "--output-dir", str(out), "--quiet"]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        return summary["violations"], summary["metrics"]
+
+    def test_nonzero_mean_operand_accepted(self, tmp_path, monkeypatch):
+        original = sp.solve_poisson
+        monkeypatch.setattr(sp, "solve_poisson", lambda psi, basis: original(np.r_[0.0, psi[1:]], basis))
+        assert self.verify(tmp_path, "spectral")[0] == ["nonzero-mean operand was not rejected"]
+
+    def test_orthonormality_residual(self, tmp_path, monkeypatch):
+        original = sp.gram_matrix
+        monkeypatch.setattr(sp, "gram_matrix", lambda basis: original(basis) + 2e-9 * np.eye(basis.n))
+        violations, metrics = self.verify(tmp_path, "spectral")
+        assert violations == [f"orthonormality residual {metrics['orthonormality']:.3e}"]
+        assert metrics["orthonormality"] == pytest.approx(2e-9)
+
+    def test_identity_residuals(self, tmp_path, monkeypatch):
+        # A dual norm 1e-6 too large breaks both identities that read it, not the symmetry.
+        original = sp.norm_Hm1_rows
+        monkeypatch.setattr(sp, "norm_Hm1_rows", lambda c, basis: (1.0 + 1e-6) * original(c, basis))
+        violations, metrics = self.verify(tmp_path, "spectral")
+        assert violations == [f"{key} residual {metrics[key]:.3e}" for key in ("energy_identity", "time_identity")]
+
+    def test_constant_data_gap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io.elliptic, "check_L6_bound", lambda problem, sol: (1.5, 1.0))
+        assert self.verify(tmp_path, "elliptic", trials=0)[0] == ["constant-data 6-norms differ by 5.000e-01"]
+
+    def test_six_norm_bound(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(io.elliptic, "check_L6_bound", lambda problem, sol: (2.5, 2.0))
+        assert self.verify(tmp_path, "elliptic", trials=1)[0] == [
+            "constant-data 6-norms differ by 5.000e-01", "6-norm bound violated: 2.5 > 2",
+        ]
+
+    def test_newton_starts_disagree(self, tmp_path, monkeypatch):
+        original = io.elliptic.solve_elliptic
+
+        def shifted(problem, start=None):
+            sol = original(problem, start)
+            return sol if start is None else dataclasses.replace(sol, u=sol.u + np.r_[1e-6, np.zeros(sol.u.size - 1)])
+
+        monkeypatch.setattr(io.elliptic, "solve_elliptic", shifted)
+        assert self.verify(tmp_path, "elliptic", trials=2)[0] == ["Newton starts disagree by 1.000e-06"] * 2
+
+
 class TestWriters:
+    def test_summary_writes_non_finite_floats_as_null(self, tmp_path):
+        path = tmp_path / "summary.json"
+        io.write_summary_json(path, {"a": math.nan, "b": [math.inf, 1.5, (-math.inf,)], "c": {"d": np.float64("nan")}})
+        assert json.loads(path.read_text()) == {"a": None, "b": [None, 1.5, [None]], "c": {"d": None}}
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_huge_admitted_phi0_writes_strict_json(self, tmp_path):
+        # The regular potential's D(beta) is R, so (2.14) admits phi0 = 1e100; the
+        # 6-norm of xi overflows, and beta_L2_L6 was written as the token Infinity.
+        text = (Path(__file__).parents[1] / "configs" / "demo.ini").read_text(encoding="utf-8")
+        for key, value in (("phi0", "1e100"), ("t_final", "0.002")):
+            text = "\n".join(f"{key} = {value}" if line.startswith(f"{key} =") else line for line in text.splitlines())
+        out = tmp_path / "huge"
+        assert io.main(["simulate", str(write_config(tmp_path, text)), "--output-dir", str(out), "--quiet"]) == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert summary["realized_norms"]["beta_L2_L6"] is None
+        assert any(v.startswith("non-finite xi_L6 = inf") for v in summary["violations"])
+
     def test_table_column_union(self, tmp_path):
         rows = [{"a": 1.0}, {"a": 2.0, "b": 3.0}]
         path = tmp_path / "t.csv"

@@ -22,6 +22,7 @@ from thermoch import galerkin as gk
 from thermoch import newton
 from thermoch import potentials as pot
 from thermoch import spectral as sp
+from thermoch.errors import NumericFailure
 
 POTENTIALS = {
     "regular": pot.regular_potential(),
@@ -47,6 +48,27 @@ class TestMinres:
         x, iterations = newton.minres(lambda v: A @ v, np.array([1.0, 1.0]), np.ones(2), 1e-14, 10)
         assert np.allclose(x, [1.0, -1.0], rtol=0.0, atol=1e-14)
         assert iterations <= 2
+
+    def test_zero_right_hand_side_returns_zero_without_an_iteration(self):
+        def apply(v):
+            raise AssertionError("no Lanczos step is needed")
+
+        x, iterations = newton.minres(apply, np.zeros(3), np.ones(3), 1e-12, 10)
+        assert iterations == 0 and not x.any()
+
+    def test_stops_when_the_krylov_space_stops_growing(self):
+        # On the zero operator the first Lanczos vector maps to 0: alpha = beta = 0,
+        # so the rotation is undefined and the iteration stops at x = 0.
+        x, iterations = newton.minres(np.zeros_like, np.array([1.0, 2.0]), np.ones(2), 1e-12, 10)
+        assert iterations == 1 and not x.any()
+
+    def test_stops_at_maxiter_with_a_smaller_residual(self):
+        A = np.diag([1.0, 2.0, 3.0, 4.0])
+        b = np.ones(4)
+        x, iterations = newton.minres(lambda v: A @ v, b, np.ones(4), 1e-14, 2)
+        residual = np.linalg.norm(b - A @ x)
+        assert iterations == 2
+        assert 1e-3 < residual < 0.5 * np.linalg.norm(b)  # two steps reduce it, but do not solve
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -142,3 +164,52 @@ def test_indefinite_backward_euler_step_matches_dense_oracle(seed):
         reg = pot.regularize(data.potential, data.eps, sp.to_field(coeffs, basis))
         assert np.linalg.eigvalsh(reduced_jacobian(basis, data, 1.0, basis.eigenvalues, op.diag, reg)).min() < -1.0
     assert np.linalg.norm(p - p_ref) <= gk._NEWTON_TOL * (1.0 + np.linalg.norm(base))
+
+
+class Failed(NumericFailure):
+    """The failure type handed to ``newton.solve``, so that no other error passes for it."""
+
+
+def _iterate(x, residual):
+    return newton.Iterate(x, np.asarray(residual, dtype=float), None, None)
+
+
+class TestSolveFailures:
+    """``newton.solve``'s exits on small synthetic problems."""
+
+    def test_non_finite_step_raises(self):
+        def direction(it, rtol):
+            return np.array([np.nan]), 1, np.ones(1)
+
+        with pytest.raises(Failed, match="^Newton-Krylov step is not finite$"):
+            newton.solve(lambda x: _iterate(x, x), direction, np.ones(1), 1e-12, 1e-12, Failed)
+
+    @staticmethod
+    def stalled(contract):
+        # F = 1 everywhere: no trial decreases the residual, and there is no merit.
+        return newton.solve(lambda x: _iterate(x, [1.0]), lambda it, rtol: (np.ones(1), 0, np.ones(1)),
+                            np.zeros(1), 0.5, contract, Failed)
+
+    def test_stalled_line_search_inside_contract_accepts_the_iterate(self):
+        it, counters = self.stalled(contract=2.0)  # the stalled iterate sits at its roundoff floor
+        assert it.x[0] == 0.0
+        assert (counters.newton_iterations, counters.line_search_halvings) == (1, newton._MAX_HALVINGS)
+
+    def test_stalled_line_search_outside_contract_raises(self):
+        with pytest.raises(Failed, match="^Newton line search stalled$"):
+            self.stalled(contract=0.5)
+
+    def test_iteration_cap_raises(self):
+        # Every full step is accepted but removes only 1 % of F = x.
+        evaluations = []
+
+        def evaluate(x):
+            evaluations.append(x)
+            return _iterate(x, x)
+
+        def direction(it, rtol):
+            return -0.01 * it.x, 0, np.ones(1)
+
+        with pytest.raises(Failed, match=f"^Newton did not converge in {newton._MAX_ITER} iterations$"):
+            newton.solve(evaluate, direction, np.ones(1), 1e-3, 1e-3, Failed)
+        assert len(evaluations) == 1 + newton._MAX_ITER
