@@ -159,18 +159,15 @@ def _parse_numbers(items: Sequence[tuple[str, str]], tag: str, kind: type = floa
     Every text that is not one, including nan and inf, is reported at once:
     a ConfigurationError with one line under ``tag`` per bad value.
     """
-    values, bad = [], []
+    values, rules, noun = [], [], "integer" if kind is int else "number"
     for label, text in items:
         try:
             values.append(kind(text))
             ok = kind is int or math.isfinite(values[-1])
         except ValueError:
             ok = False
-        if not ok:
-            noun = "integer" if kind is int else "number"
-            bad.append(f"{tag} {label} must be a finite {noun}, got '{text}'")
-    if bad:
-        raise ConfigurationError("\n".join(bad))
+        rules.append((ok, f"{tag} {label} must be a finite {noun}, got '{text}'"))
+    require(*rules)
     return values
 
 
@@ -599,16 +596,9 @@ def run_converge(cfg: RunConfig, vary: str) -> dict:
 def run_depend(cfg1: RunConfig, cfg2: RunConfig) -> tuple[dict, dict[str, float]]:
     """The summary payload and the one row of ``dependence.csv``."""
     d1, d2 = cfg1.sections, cfg2.sections
-    for section, keys in (
-        ("domain", None), ("physics", None), ("potential", None), ("time", None),
-        ("data", ("phi0", "w0", "w1")),
-    ):
-        for key in keys or d1[section]:
-            if d1[section][key] != d2[section][key]:
-                raise ConfigurationError(
-                    f"(2.11) dependence pair must share [{section}] {key}: "
-                    f"'{d1[section][key]}' vs '{d2[section][key]}'"
-                )
+    shared = [(s, k) for s in ("domain", "physics", "potential", "time") for k in d1[s]]
+    require(*((d1[s][k] == d2[s][k], f"(2.11) dependence pair must share [{s}] {k}: '{d1[s][k]}' vs '{d2[s][k]}'")
+              for s, k in shared + [("data", "phi0"), ("data", "w0"), ("data", "w1")]))
     report = analysis.dependence_experiment(
         cfg1.data, cfg2.data.f, cfg2.data.g, cfg1.basis, cfg1.dt, cfg1.scheme
     )

@@ -119,13 +119,19 @@ def cosine_sum_field(
 def norm_Lp(values: np.ndarray, domain: BoxDomain, p: float) -> float:
     """Quadrature p-norm of grid samples on ``domain``: w sum |x| for p = 1 and, with sq = x^2,
     (w sum sq (sq sq))^(1/6) for p = 6, with no pointwise power and no BLAS dot, whose
-    threads would split the sum; other p raise ValueError."""
+    threads would split the sum; finite samples whose sum overflows are scaled by max |x|
+    first. Other p raise ValueError."""
     w = domain.cell_weight
     if p == 1:
         return float(w * np.abs(values).sum())
     if p == 6:
-        sq = np.square(values)
-        return float((w * np.einsum("i,i->", sq, sq * sq)) ** (1.0 / 6.0))
+        with np.errstate(over="ignore"):
+            sq = np.square(values)
+            total = w * np.einsum("i,i->", sq, sq * sq)
+        if math.isinf(total) and np.isfinite(values).all():
+            top = float(np.abs(values).max())
+            return top * norm_Lp(values / top, domain, 6)
+        return float(total ** (1.0 / 6.0))
     raise ValueError(f"p must be 1 or 6, got {p}")
 
 

@@ -429,5 +429,5 @@ class TestConvergenceStudy:
         data = make_problem_data(unit_domain, REG, t_final=0.1)
         with pytest.raises(ConfigurationError, match=r"\(2\.11\) schedule must be strictly monotone"):
             an.convergence_study("eps", [0.2, 0.2, 0.1], data, unit_basis, 1e-2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match=r"\(2\.11\) unknown study kind 'volume'"):
             an.convergence_study("volume", [1.0, 2.0], data, unit_basis, 1e-2)

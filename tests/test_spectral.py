@@ -354,6 +354,15 @@ class TestNorms:
         m = unit_domain.grid_points_per_axis
         assert sp.norm_Lp(f, unit_domain, 1) == pytest.approx(1.0 / (m * math.sin(math.pi / (2 * m))), abs=1e-12)
 
+    def test_lp_huge_finite_samples_do_not_overflow(self):
+        # (1e100)^6 overflows a double; such samples are scaled by max |x| first
+        domain = sp.BoxDomain((8.0,), 32)
+        values = np.full(domain.n_grid, 1e100)
+        assert sp.norm_Lp(values, domain, 6) == pytest.approx(1e100 * domain.measure ** (1 / 6), rel=1e-15)
+        x = np.random.default_rng(0).standard_normal(domain.n_grid)
+        assert sp.norm_Lp(1e100 * x, domain, 6) == pytest.approx(1e100 * sp.norm_Lp(x, domain, 6), rel=1e-15)
+        assert sp.norm_Lp(np.r_[values[1:], np.inf], domain, 6) == np.inf
+
     def test_lp_requires_p_at_least_one(self, unit_domain):
         # p = 1 and p = 6 are the norms the diagnostics take; every other p raises
         for p in (0.5, 2, np.inf):
