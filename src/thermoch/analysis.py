@@ -38,14 +38,16 @@ def mean_law_check(trajectory: Trajectory, data: ProblemData) -> dict[str, float
     The discrete comparison reproduces the scheme's own scalar reduction and
     must agree to roundoff; the continuum comparison against the exact
     variation-of-constants formula carries the scheme's O(dt) error.  The
-    source mean is taken once per schedule segment.
+    source mean is taken once per schedule segment; a level that a bisected
+    step reached is replayed over its ``substeps``, under its step's mean.
     """
     gamma, t = data.params.gamma, trajectory.t
     means = trajectory.record["mean_phi"]
     f_means = data.f.means()[data.segments(t[:-1])[0]]
     mean, err_d = float(means[0]), 0.0
-    for h, f_mean, cur in zip(np.diff(t).tolist(), f_means.tolist(), means[1:].tolist()):
-        mean = (mean + h * f_mean) / (1.0 + gamma * h)
+    for k, (h, f_mean, cur) in enumerate(zip(np.diff(t).tolist(), f_means.tolist(), means[1:].tolist()), 1):
+        for h in trajectory.substeps.get(k, (h,)):
+            mean = (mean + h * f_mean) / (1.0 + gamma * h)
         err_d = max(err_d, abs(cur - mean))
     err_c = float(np.abs(means - trajectory.record["mean_phi_exact"]).max())
     return {"max_error_discrete": err_d, "max_error_continuum": err_c}

@@ -33,7 +33,7 @@ mean+ = (mean + dt f_mean) / (1 + gamma dt)  for the mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -199,11 +199,13 @@ class Trajectory:
     """The record of a run: row k of every column is level k.
 
     ``record``: the columns ``compute_record`` makes, in CSV order; ``w_sums``:
-    (levels x 2), the sums of w^2 and of lam w^2 over the modes of each level.
+    (levels x 2), the sums of w^2 and of lam w^2 over the modes of each level;
+    ``substeps``: the substep sizes of each level that a bisected step reached.
     """
 
     record: dict[str, np.ndarray]
     w_sums: np.ndarray
+    substeps: dict[int, tuple[float, ...]] = field(default_factory=dict)
 
     t = property(lambda self: self.record["t"])
 
@@ -375,10 +377,10 @@ class Run:
     which later levels overwrite.  ``compute_record`` folds the block once
     ROW_BLOCK levels wait for the next one, and in ``trajectory``; ``blocks``
     yields each block before it is folded.  A failing step is bisected down
-    to 1e-8 * t_final (the substeps are not recorded); then the run raises a
-    RunFailure carrying the Trajectory of the levels before it.  Construction
-    raises ConfigurationError for a dt <= 0, a scheme not among SCHEMES or a
-    dt whose step operator is not finite.
+    to 1e-8 * t_final, its halves under the step's sources and their sizes in
+    ``substeps``; then the run raises a RunFailure carrying the Trajectory of
+    the levels before it.  Construction raises ConfigurationError for a dt <= 0,
+    a scheme not among SCHEMES or a dt whose step operator is not finite.
     """
 
     def __init__(self, data: ProblemData, basis: SpectralBasis, dt: float, scheme: str = SEMI_IMPLICIT):
@@ -387,6 +389,7 @@ class Run:
         self.times = record_times(dt, data.t_final)
         self._block = np.empty((ROW_BLOCK, 4, basis.n))  # phi, w, v and mu
         self._pending, self.parts = [], []  # t, mean_exact, bulk, xi_L1 and xi_L6; the Trajectory of each fold
+        self.substeps = {}  # the substep sizes of each bisected level
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
         data, basis, times = self.data, self.basis, self.times
@@ -400,9 +403,11 @@ class Run:
                 t = times[k - 1]
                 h, seg = min(self.dt, data.t_final - t), segs[k - 1]
                 try:
-                    phi, w, v, reg = self._advance(t, phi, w, v, nl, h, seg)
+                    phi, w, v, reg, hs = self._advance(phi, w, v, nl, h, seg)
                 except StepFailure as exc:
                     raise RunFailure(f"step failed at t = {t} after dt halvings: {exc}", self.trajectory()) from exc
+                if len(hs) > 1:
+                    self.substeps[k] = hs
                 decay = math.exp(-gamma * h)
                 mean_exact = mean_exact * decay + (f_means[seg[0]] / gamma) * (1.0 - decay)
             nl, mu, xi, bulk = evaluate(phi, v, data, basis, reg)
@@ -421,20 +426,20 @@ class Run:
             if len(self._pending) == ROW_BLOCK or k + 1 == len(self.times):
                 yield self._block[:len(self._pending)]
 
-    def _advance(self, t, phi, w, v, nl, h, seg):
-        """Cover [t, t+h] under the source segments ``seg``, bisecting the interval
-        on step failures; returns what ``step`` returns."""
+    def _advance(self, phi, w, v, nl, h, seg):
+        """Cover a step of size h, every substep under the source segments ``seg``, bisecting
+        on step failures; returns what ``step`` returns and the sizes of the substeps taken."""
         data, operators = self.data, self.operators
         if h not in operators:
             operators[h] = step_operator(self.basis, data.params, h, self.scheme)
         try:
-            return step(phi, w, v, nl, self.sources[0][seg[0]], self.sources[1][seg[1]], data, operators[h])
+            return (*step(phi, w, v, nl, self.sources[0][seg[0]], self.sources[1][seg[1]], data, operators[h]), (h,))
         except StepFailure:
             if h / 2.0 < max(_DT_FLOOR_FACTOR * data.t_final, 1e-300):
                 raise
-            phi, w, v, reg = self._advance(t, phi, w, v, nl, h / 2.0, seg)
-            nl = evaluate(phi, v, data, self.basis, reg)[0]
-            return self._advance(t + h / 2.0, phi, w, v, nl, h / 2.0, data.segments(t + h / 2.0))
+            phi, w, v, reg, first = self._advance(phi, w, v, nl, h / 2.0, seg)
+            *state, second = self._advance(phi, w, v, _nonlinearity(phi, data, self.basis, reg)[1], h / 2.0, seg)
+            return (*state, first + second)
 
     def _fold(self):
         """Fold the pending levels into ``parts``."""
@@ -447,7 +452,7 @@ class Run:
         """The Trajectory of the levels written so far."""
         self._fold()
         return Trajectory({name: np.concatenate([p.record[name] for p in self.parts]) for name in self.parts[0].record},
-                          np.concatenate([p.w_sums for p in self.parts]))
+                          np.concatenate([p.w_sums for p in self.parts]), dict(self.substeps))
 
 
 def simulate(

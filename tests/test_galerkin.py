@@ -423,27 +423,60 @@ class TestSimulate:
             assert [n for kind, n in events if kind == "fold"] == [64] * (levels // 64) + [levels % 64] * (levels % 64 > 0)
             assert events[-2:] == [("level", levels - 1), ("fold", levels % 64 or 64)]
 
-    def test_step_failure_triggers_halving(self, unit_domain, unit_basis, monkeypatch):
+    @staticmethod
+    def bisect_and_compare(f, g, monkeypatch):
+        """Run phi0 = 0.1 + 0.2 cos(1) and the constant sources f and g, each given as
+        {start time: value}, on a grid of 32 with 8 modes at dt = 0.1 to t = 0.4, once with
+        every step longer than 0.075 forced to fail once and once unforced.  Checks that
+        each substep of a bisected step gets the f and g rows of the unbisected step, and
+        that the mean law replays both runs to 1e-15; returns the forced run's Trajectory
+        and the step sizes it tried."""
+        domain = sp.BoxDomain((1.0,), 32)
+        basis = sp.build_basis(domain, 8)
+        f, g = (gk.SourceTerm(tuple(s), tuple(sp.constant_field(v, domain) for v in s.values())) for s in (f, g))
+        data = make_problem_data(
+            domain, REG, f=f, g=g, phi0=sp.cosine_sum_field(domain, 0.1, [((1,), 0.2)]), t_final=0.4,
+        )
+        original = gk.step
+
+        def run(limit):
+            rows, tried = [], []
+
+            def flaky(*args):
+                tried.append(args[7].dt)
+                if args[7].dt > limit:
+                    raise StepFailure("forced")
+                rows.append(args[4:6])
+                return original(*args)
+
+            monkeypatch.setattr(gk, "step", flaky)
+            trajectory = gk.simulate(data, basis, 0.1)
+            assert an.mean_law_check(trajectory, data)["max_error_discrete"] <= 1e-15
+            return trajectory, rows, tried
+
+        (bisected, rows, tried), (plain, plain_rows, _) = run(0.075), run(math.inf)
+        assert plain.substeps == {} and len(rows) == 2 * len(plain_rows)
+        for (f_row, g_row), (f_plain, g_plain) in zip(rows, [r for r in plain_rows for _ in range(2)]):
+            assert np.array_equal(f_row, f_plain) and np.array_equal(g_row, g_plain)
+        return bisected, tried
+
+    def test_step_failure_triggers_halving(self, monkeypatch):
         # Every step is bisected; (0.2 + 0.05) + 0.05 rounds to 0.3, not to the
         # recorded 0.2 + 0.1 = 0.30000000000000004: the levels take the record times.
-        data = make_problem_data(unit_domain, REG, t_final=0.4)
-        original = gk.step
-        calls = []
-
-        def flaky(*args):
-            dt = args[7].dt
-            calls.append(dt)
-            if dt > 0.075:
-                raise StepFailure("forced")
-            return original(*args)
-
-        monkeypatch.setattr(gk, "step", flaky)
-        trajectory = gk.simulate(data, unit_basis, 0.1)
+        trajectory, calls = self.bisect_and_compare({0.0: 0.5}, {0.0: 0.0}, monkeypatch)
         times = gk.record_times(0.1, 0.4)
         assert len(trajectory) == len(times) == 5
         assert trajectory.t.tolist() == times
         assert all(col.shape[0] == 5 for col in trajectory.record.values())
         assert len(calls) == 12 and sum(dt <= 0.05 for dt in calls) == 8  # each step tried, then halved
+        assert trajectory.substeps == {k: (min(0.1, 0.4 - t) / 2.0,) * 2 for k, t in enumerate(times[:-1], 1)}
+
+    def test_switch_inside_a_bisected_step_acts_from_the_next_level(self, monkeypatch):
+        # f and g switch at 0.15, inside the bisected step [0.1, 0.2]: both of its
+        # halves hold the sources of its start, as the unbisected step does, so
+        # the switch acts from level 2 on in either run.
+        trajectory, _ = self.bisect_and_compare({0.0: 0.5, 0.15: -0.5}, {0.0: 0.2, 0.15: -0.2}, monkeypatch)
+        assert sorted(trajectory.substeps) == [1, 2, 3, 4]
 
     def test_persistent_failure_preserves_partial_trajectory(
         self, unit_domain, unit_basis, monkeypatch

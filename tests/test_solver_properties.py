@@ -1,6 +1,7 @@
 """Property tests: the resolvent against the bisection oracle, the summed
 energy bulk and the projected nonlinearity against their pointwise oracles,
-and the exact scalar mean recursion under random piecewise source schedules."""
+and the exact scalar mean recursion under random piecewise source schedules
+and random patterns of failing steps."""
 
 import math
 from unittest import mock
@@ -10,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import evaluate, make_problem_data, pointwise_bulk, pointwise_nonlinearity, zero_state
+from thermoch import analysis as an
 from thermoch import galerkin as gk
 from thermoch import io_cli
 from thermoch import potentials as pot
 from thermoch import spectral as sp
+from thermoch.errors import StepFailure
 
 SPECS = {
     "regular": pot.regular_potential(),
@@ -145,3 +148,37 @@ def test_mean_recursion_under_piecewise_sources(schedule, gamma, dt, phi_mean, s
         h = t[k] - t[k - 1]
         mean = (mean + h * float(f.fields[data.segments(t[k - 1])[0]].values.mean())) / (1.0 + gamma * h)
         assert abs(means[k] - mean) <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    failing=st.sets(st.integers(0, 15), max_size=6),
+    switch=st.floats(0.0, 0.5, exclude_min=True),
+    scheme=st.sampled_from(gk.SCHEMES),
+)
+def test_mean_law_replays_any_bisection(failing, switch, scheme):
+    # The calls of ``step`` whose indices are drawn fail once each, so any step
+    # or substep may be bisected, at any depth, with the switch of f anywhere;
+    # each failure adds one substep, and the mean law replays them to roundoff.
+    domain = sp.BoxDomain((1.0,), 16)
+    f = gk.SourceTerm((0.0, switch), (sp.constant_field(0.5, domain), sp.constant_field(-0.5, domain)))
+    data = make_problem_data(
+        domain, pot.regular_potential(), f=f, phi0=sp.cosine_sum_field(domain, 0.1, [((1,), 0.2)]), t_final=0.4,
+    )
+    original, calls = gk.step, []
+
+    def flaky(*args):
+        calls.append(args[7].dt)
+        if len(calls) - 1 in failing:
+            raise StepFailure("forced")
+        return original(*args)
+
+    with mock.patch.object(gk, "step", flaky):
+        trajectory = gk.simulate(data, sp.build_basis(domain, 4), 0.1, scheme)
+    times = gk.record_times(0.1, 0.4)
+    assert trajectory.t.tolist() == times
+    failed = sum(i < len(calls) for i in failing)
+    assert len(calls) == len(times) - 1 + 2 * failed
+    assert sum(len(hs) - 1 for hs in trajectory.substeps.values()) == failed
+    assert all(math.fsum(hs) == min(0.1, 0.4 - times[k - 1]) for k, hs in trajectory.substeps.items())
+    assert an.mean_law_check(trajectory, data)["max_error_discrete"] <= 1e-15
