@@ -48,7 +48,7 @@ class PotentialSpec:
     The callables are vectorized over numpy arrays; pi_hat(r) =
     pi_hat_at_zero - (pi_lipschitz / 2) r^2.  ``domain`` is the closed hull
     of D(beta); use +-inf for unbounded sides.  ``kernel(eps, r)`` is the
-    exact resolvent J and ``slope(eps, r, J)`` the closed-form Yosida slope;
+    exact resolvent J and ``slope(eps, J, value)`` the closed-form Yosida slope;
     callers reach them through ``resolvent`` and ``Regularization.slope``.
     """
 
@@ -71,7 +71,7 @@ def _regular_resolvent(eps, r):
     return y - (y + eps * yy * y - r) / (1.0 + 3.0 * eps * yy)
 
 
-def _regular_slope(eps, r, j):
+def _regular_slope(eps, j, value):
     jj = j * j
     return 3.0 * jj / (1.0 + 3.0 * eps * jj)
 
@@ -113,8 +113,7 @@ def _logarithmic_resolvent(eps, r):
     cubically.  The start is the largest of three lower bounds: |r|/(1 + 2 eps)
     from tanh(s) <= s, (|r| - 1)/(2 eps) from tanh(s) <= 1, and
     -ln(1 - |r| + 2 eps S)/2 from tanh(s) <= 1 - exp(-2 s) with S = _S_SAT.
-    The last two are positive only where 1 - |r| + 2 eps S <= max(1, 2 eps S),
-    so the set-up takes the clip and the log on those points only.
+    The last two are positive only where 1 - |r| + 2 eps S <= max(1, 2 eps S).
     Below the root g g'' >= 0, so a Halley step is the Newton step stretched
     by 1/(1 - L), L = g g''/(2 g'^2); from these starts L stays below 1/2
     (a dense sweep of eps in [5e-324, 0.999] and |r| <= 1e3 finds at most
@@ -131,15 +130,12 @@ def _logarithmic_resolvent(eps, r):
     two_eps = 2.0 * eps
     cap = two_eps * _S_SAT
     gap = (1.0 - a) + cap
-    s = a / (1.0 + two_eps)
-    near = np.flatnonzero(gap <= max(1.0, cap))
-    gap_near = gap[near]
-    s[near] = np.maximum(
-        np.maximum(s[near], -0.5 * np.log(np.maximum(gap_near, _SAT_GAP))),
-        np.clip(a[near] - 1.0, 0.0, cap) / two_eps,
+    s = np.maximum(
+        np.maximum(a / (1.0 + two_eps), -0.5 * np.log(np.maximum(gap, _SAT_GAP))),
+        np.clip(a - 1.0, 0.0, cap) / two_eps,
     )
     # Saturated points sit at the trivial root s = 0 of a = 0 while sweeping.
-    saturated = near[gap_near <= _SAT_GAP]
+    saturated = gap <= _SAT_GAP
     a[saturated] = s[saturated] = 0.0
     tol = 8.0 * np.finfo(float).eps * np.maximum(1.0, a)
     t = np.empty_like(s)  # the result, apart from the work buffers so as not to keep them alive
@@ -168,7 +164,7 @@ def _logarithmic_resolvent(eps, r):
     return np.copysign(t, r, out=t).reshape(shape)
 
 
-def _logarithmic_slope(eps, r, j):
+def _logarithmic_slope(eps, j, value):
     # beta'(J) / (1 + eps beta'(J)) with beta'(J) = 2 / (1 - J^2), finite at J = +-1.
     return 2.0 / ((1.0 - j) * (1.0 + j) + 2.0 * eps)
 
@@ -185,9 +181,9 @@ def logarithmic_potential(c1: float) -> PotentialSpec:
     )
 
 
-def _obstacle_slope(eps, r, j):
-    # Piecewise exact: 0 inside [-1, 1], 1/eps outside.
-    return np.where(np.abs(r) <= 1.0, 0.0, 1.0 / eps)
+def _obstacle_slope(eps, j, value):
+    # Piecewise exact: 0 where J = r, i.e. inside [-1, 1], 1/eps outside.
+    return np.where(value == 0.0, 0.0, 1.0 / eps)
 
 
 def double_obstacle_potential(c2: float) -> PotentialSpec:
@@ -221,29 +217,26 @@ def resolvent(spec: PotentialSpec, eps: float, r):
 
 @dataclass(frozen=True)
 class Regularization:
-    """The Moreau-Yosida regularization of the graph at the float array ``r``.
-
-    ``value`` = yosida(r) = (r - j) / eps, the primitive and the slope all
-    follow from the one resolvent solve ``j = resolvent(r)``.
+    """The Moreau-Yosida regularization of the graph at a float array r, kept as
+    the answer of the one solve ``j = resolvent(r)`` and ``value`` = yosida(r) =
+    (r - j) / eps; the primitive and the slope follow from these two.
     """
 
     spec: PotentialSpec
     eps: float
-    r: np.ndarray
     j: np.ndarray
     value: np.ndarray
 
     def primitive(self) -> np.ndarray:
-        """beta_hat_eps(r) = beta_hat(J) + (r - J)^2 / (2 eps); 0 <= beta_hat_eps <= beta_hat."""
-        return self.spec.beta_hat(self.j) + (self.r - self.j) ** 2 / (2.0 * self.eps)
+        """beta_hat_eps(r) = beta_hat(J) + (eps / 2) value^2; 0 <= beta_hat_eps <= beta_hat."""
+        return self.spec.beta_hat(self.j) + 0.5 * self.eps * self.value**2
 
     def primitive_sum(self) -> float:
         """Sum of ``primitive()`` over a 1-D grid, without its pointwise array.
 
-        Uses (r - J)^2 / (2 eps) = (eps / 2) value^2: returns
+        The same two terms as ``primitive()``, summed separately:
         sum beta_hat(J) + (eps / 2) sum value^2, both NumPy sums, which no
-        thread count changes.  Agrees with ``primitive().sum()`` to rounding,
-        not bit for bit.
+        thread count changes.
         """
         beta_hat_sum = float(self.spec.beta_hat(self.j).sum())
         return beta_hat_sum + 0.5 * self.eps * float(np.square(self.value).sum())
@@ -252,14 +245,14 @@ class Regularization:
         """Derivative of ``value``, beta'(J) / (1 + eps*beta'(J)), used for Newton Jacobians.
 
         Closed form per potential, finite everywhere; the double obstacle case
-        is piecewise exact: 0 inside [-1, 1], 1/eps outside.
+        is piecewise exact: 0 where value = 0 (J = r, i.e. inside [-1, 1]), 1/eps outside.
         """
-        return self.spec.slope(self.eps, self.r, self.j)
+        return self.spec.slope(self.eps, self.j, self.value)
 
 
 def regularize(spec: PotentialSpec, eps: float, r) -> Regularization:
     """Solve the resolvent once at ``r``; vectorized over ``r``."""
     r_arr = np.asarray(r, dtype=float)
     j = resolvent(spec, eps, r_arr)
-    return Regularization(spec, eps, r_arr, j, (r_arr - j) / eps)
+    return Regularization(spec, eps, j, (r_arr - j) / eps)
 

@@ -102,20 +102,24 @@ def pi_hat(spec, r):
     return spec.pi_hat_at_zero - 0.5 * spec.pi_lipschitz * np.asarray(r, dtype=float) ** 2
 
 
-def pointwise_bulk(reg, a, weight):
+def pointwise_bulk(reg, r, a, weight):
     """Oracle for the bulk of ``galerkin.evaluate``: the quadrature of the pointwise
     array beta_hat_eps(r) + pi_hat(r) + a r, and the quadrature of the moduli
-    of its three terms (the scale of its rounding error)."""
-    terms = (reg.primitive(), pi_hat(reg.spec, reg.r), a * reg.r)
+    of its three terms (the scale of its rounding error).  ``reg`` is the
+    regularization at the grid values r; the primitive is the other form of
+    its identity, beta_hat(J) + (r - J)^2 / (2 eps), so the library's
+    (eps / 2) value^2 form is checked against it."""
+    primitive = reg.spec.beta_hat(reg.j) + (r - reg.j) ** 2 / (2.0 * reg.eps)
+    terms = (primitive, pi_hat(reg.spec, r), a * r)
     return float(weight * sum(terms).sum()), float(weight * sum(np.abs(t) for t in terms).sum())
 
 
-def pointwise_nonlinearity(reg, a, basis):
+def pointwise_nonlinearity(reg, r, a, basis):
     """Oracle for the nl of ``galerkin.evaluate``: the projection of the pointwise
     array yosida(r) + pi(r) + a, and sqrt(|Omega|) times the largest sum of
     the moduli of its three terms, which bounds every coefficient (the scale
-    of its rounding error)."""
-    terms = (reg.value, pi(reg.spec, reg.r), np.full_like(reg.r, a))
+    of its rounding error).  ``reg`` is the regularization at the grid values r."""
+    terms = (reg.value, pi(reg.spec, r), np.full_like(r, a))
     moduli = sum(np.abs(t) for t in terms)
     nl = sp.to_coeffs(sum(terms), basis)
     return nl, float(moduli.max()) * math.sqrt(basis.domain.measure)
@@ -366,8 +370,9 @@ def dense_backward_euler_phi(nl, data, op, base):
     E, w = dense_eigenfunctions(basis), basis.domain.cell_weight
 
     def residual(p_vec):
-        reg = pot.regularize(data.potential, data.eps, E.T @ p_vec)
-        nl = E @ (w * (reg.value + pi(data.potential, reg.r) + data.params.a))
+        r = E.T @ p_vec
+        reg = pot.regularize(data.potential, data.eps, r)
+        nl = E @ (w * (reg.value + pi(data.potential, r) + data.params.a))
         return diag * p_vec + dt * lam * nl - base, reg
 
     p_vec = (base - dt * lam * nl) / diag

@@ -191,6 +191,12 @@ class TestYosidaDerivative:
     def test_double_obstacle_piecewise(self):
         assert pot.regularize(OBS, 0.5, 0.3).slope() == 0.0
         assert pot.regularize(OBS, 0.5, 1.5).slope() == 2.0
+        # The kink: J = r (slope 0) up to |r| = 1 inclusive, and 1/eps one ulp beyond it.
+        edge, beyond = 1.0, np.nextafter(1.0, 2.0)
+        for r, expected in ((edge, 0.0), (-edge, 0.0), (beyond, 2.0), (-beyond, 2.0)):
+            assert pot.regularize(OBS, 0.5, r).slope() == expected
+        mixed = pot.regularize(OBS, 0.5, np.array([edge, beyond, -edge, -beyond])).slope()
+        assert mixed.tolist() == [0.0, 2.0, 0.0, 2.0]
 
     @pytest.mark.parametrize("spec", [REG, LOG], ids=KINDS[:2])
     def test_matches_finite_difference(self, spec):

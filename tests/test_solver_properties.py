@@ -103,10 +103,11 @@ def test_parseval_terms_match_pointwise_oracle(kind, basis, log_eps, a, amplitud
     rng = np.random.default_rng(seed)
     state = zero_state(basis)._replace(phi=amplitude * rng.standard_normal(basis.n))
     ev_nl, _, _, ev_bulk = evaluate(state, data)
-    reg = pot.regularize(SPECS[kind], eps, sp.to_field(state.phi, basis))
-    nl, nl_scale = pointwise_nonlinearity(reg, a, basis)
+    r = sp.to_field(state.phi, basis)
+    reg = pot.regularize(SPECS[kind], eps, r)
+    nl, nl_scale = pointwise_nonlinearity(reg, r, a, basis)
     assert np.abs(ev_nl - nl).max() <= 1e-13 * nl_scale
-    bulk, bulk_scale = pointwise_bulk(reg, a, basis.domain.cell_weight)
+    bulk, bulk_scale = pointwise_bulk(reg, r, a, basis.domain.cell_weight)
     assert abs(ev_bulk - bulk) <= 1e-13 * bulk_scale
 
 
