@@ -35,18 +35,18 @@ def mean_law_check(trajectory: Trajectory, data: ProblemData) -> dict[str, float
     the simulated mean's largest errors against each, ``max_error_discrete``
     and ``max_error_continuum``.
 
-    The discrete comparison reproduces the scheme's own scalar reduction and
-    must agree to roundoff; the continuum comparison against the exact
-    variation-of-constants formula carries the scheme's O(dt) error.  The
-    source mean is taken once per schedule segment; a level that a bisected
-    step reached is replayed over its ``substeps``, under its step's mean.
+    The discrete comparison replays the scheme's own scalar reduction over the
+    steps the run took (``trajectory.steps``, each under its step's source mean,
+    taken once per schedule segment) and reads 0.0 on the six ``simulate``
+    goldens; the continuum comparison against the exact variation-of-constants
+    formula carries the scheme's O(dt) error.  ValueError if the steps miss a level.
     """
     gamma, t = data.params.gamma, trajectory.t
     means = trajectory.record["mean_phi"]
     f_means = data.f.means()[data.segments(t[:-1])[0]]
     mean, err_d = float(means[0]), 0.0
-    for k, (h, f_mean, cur) in enumerate(zip(np.diff(t).tolist(), f_means.tolist(), means[1:].tolist()), 1):
-        for h in trajectory.substeps.get(k, (h,)):
+    for hs, f_mean, cur in zip(trajectory.steps, f_means.tolist(), means[1:].tolist(), strict=True):
+        for h in hs:
             mean = (mean + h * f_mean) / (1.0 + gamma * h)
         err_d = max(err_d, abs(cur - mean))
     err_c = float(np.abs(means - trajectory.record["mean_phi_exact"]).max())

@@ -33,7 +33,7 @@ mean+ = (mean + dt f_mean) / (1 + gamma dt)  for the mean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -200,12 +200,13 @@ class Trajectory:
 
     ``record``: the columns ``compute_record`` makes, in CSV order; ``w_sums``:
     (levels x 2), the sums of w^2 and of lam w^2 over the modes of each level;
-    ``substeps``: the substep sizes of each level that a bisected step reached.
+    ``steps``: for each level after the first, the sizes of the steps that reached it,
+    one size unless its step was bisected.
     """
 
     record: dict[str, np.ndarray]
     w_sums: np.ndarray
-    substeps: dict[int, tuple[float, ...]] = field(default_factory=dict)
+    steps: tuple[tuple[float, ...], ...] = ()
 
     t = property(lambda self: self.record["t"])
 
@@ -376,10 +377,10 @@ class Run:
     and yielded as (k, level): its (4 x n) coefficients of phi, w, v and mu,
     which later levels overwrite.  ``compute_record`` folds the block once
     ROW_BLOCK levels wait for the next one, and in ``trajectory``; ``blocks``
-    yields each block before it is folded.  A failing step is bisected down
-    to 1e-8 * t_final, its halves under the step's sources and their sizes in
-    ``substeps``; then the run raises a RunFailure carrying the Trajectory of
-    the levels before it.  Construction raises ConfigurationError for a dt <= 0,
+    yields each block before it is folded; ``steps`` keeps the substep sizes of
+    every step.  A failing step is bisected down to 1e-8 * t_final, its halves
+    under the step's sources; then the run raises a RunFailure carrying the
+    Trajectory of the levels before it.  Construction raises ConfigurationError for a dt <= 0,
     a scheme not among SCHEMES or a dt whose step operator is not finite.
     """
 
@@ -389,7 +390,7 @@ class Run:
         self.times = record_times(dt, data.t_final)
         self._block = np.empty((ROW_BLOCK, 4, basis.n))  # phi, w, v and mu
         self._pending, self.parts = [], []  # t, mean_exact, bulk, xi_L1 and xi_L6; the Trajectory of each fold
-        self.substeps = {}  # the substep sizes of each bisected level
+        self.steps = []  # the substep sizes of each step, one tuple per level after the first
 
     def __iter__(self) -> Iterator[tuple[int, np.ndarray]]:
         data, basis, times = self.data, self.basis, self.times
@@ -406,8 +407,7 @@ class Run:
                     phi, w, v, reg, hs = self._advance(phi, w, v, nl, h, seg)
                 except StepFailure as exc:
                     raise RunFailure(f"step failed at t = {t} after dt halvings: {exc}", self.trajectory()) from exc
-                if len(hs) > 1:
-                    self.substeps[k] = hs
+                self.steps.append(hs)
                 decay = math.exp(-gamma * h)
                 mean_exact = mean_exact * decay + (f_means[seg[0]] / gamma) * (1.0 - decay)
             nl, mu, xi, bulk = evaluate(phi, v, data, basis, reg)
@@ -428,7 +428,7 @@ class Run:
 
     def _advance(self, phi, w, v, nl, h, seg):
         """Cover a step of size h, every substep under the source segments ``seg``, bisecting
-        on step failures; returns what ``step`` returns and the sizes of the substeps taken."""
+        on step failures; returns what ``step`` returns and the sizes of the steps taken."""
         data, operators = self.data, self.operators
         if h not in operators:
             operators[h] = step_operator(self.basis, data.params, h, self.scheme)
@@ -452,7 +452,7 @@ class Run:
         """The Trajectory of the levels written so far."""
         self._fold()
         return Trajectory({name: np.concatenate([p.record[name] for p in self.parts]) for name in self.parts[0].record},
-                          np.concatenate([p.w_sums for p in self.parts]), dict(self.substeps))
+                          np.concatenate([p.w_sums for p in self.parts]), tuple(self.steps))
 
 
 def simulate(

@@ -142,25 +142,26 @@ def _axis_eigenfunctions(k_max: int, x: np.ndarray, L: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralBasis:
     """First n Neumann eigenpairs on a box, sorted by (eigenvalue, mode).
 
-    ``axis_factors[d]`` holds the 1-D eigenfunctions of axis d sampled on its
-    nodes, one row per wavenumber up to the largest one any mode uses on that
-    axis; ``mode_index[j]`` is the flat (C-order) position of mode j in the
-    tensor grid of those wavenumbers.
+    ``modes[d, j]`` is the wavenumber of mode j on axis d; ``axis_factors[d]``
+    holds the 1-D eigenfunctions of axis d sampled on its nodes, one row per
+    wavenumber up to the largest one any mode uses on that axis;
+    ``mode_index[j]`` is the flat (C-order) position of mode j in the tensor
+    grid of those wavenumbers.
     """
 
     domain: BoxDomain
-    modes: tuple[tuple[int, ...], ...]
-    eigenvalues: np.ndarray = field(compare=False)
-    axis_factors: tuple[np.ndarray, ...] = field(compare=False, repr=False)
-    mode_index: np.ndarray = field(compare=False, repr=False)
+    modes: np.ndarray
+    eigenvalues: np.ndarray
+    axis_factors: tuple[np.ndarray, ...] = field(repr=False)
+    mode_index: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
-        return len(self.modes)
+        return self.eigenvalues.size
 
 
 def build_basis(domain: BoxDomain, n: int) -> SpectralBasis:
@@ -182,16 +183,15 @@ def build_basis(domain: BoxDomain, n: int) -> SpectralBasis:
     # The eigenvalues of every mode with components in 0..cap, in C (lexicographic) order.
     eig = reduce(np.add.outer, [(np.arange(cap + 1) * math.pi / L) ** 2 for L in domain.lengths]).ravel()
     order = np.argsort(eig, kind="stable")[:n]
-    chosen = np.array(np.unravel_index(order, (cap + 1,) * domain.dim))
-    modes = tuple(map(tuple, chosen.T.tolist()))
+    modes = np.array(np.unravel_index(order, (cap + 1,) * domain.dim))
     eigenvalues = eig[order]
 
-    k_max = chosen.max(axis=1)
+    k_max = modes.max(axis=1)
     factors = tuple(
         _axis_eigenfunctions(int(k), x, L)
         for k, x, L in zip(k_max, domain.grid_axes(), domain.lengths)
     )
-    mode_index = np.ravel_multi_index(tuple(chosen), tuple(k_max + 1))
+    mode_index = np.ravel_multi_index(tuple(modes), tuple(k_max + 1))
     return SpectralBasis(
         domain=domain,
         modes=modes,
@@ -208,10 +208,9 @@ def gram_matrix(basis: SpectralBasis) -> np.ndarray:
     G[j, l] = prod_d G_d[k_d(j), k_d(l)] with G_d = C_d (L_d / M) C_d^T;
     an n x N matrix of samples is never formed.
     """
-    modes = np.array(basis.modes).T
     m = basis.domain.grid_points_per_axis
     gram = np.ones((basis.n, basis.n))
-    for C, L, k in zip(basis.axis_factors, basis.domain.lengths, modes):
+    for C, L, k in zip(basis.axis_factors, basis.domain.lengths, basis.modes):
         gram *= ((L / m) * C @ C.T)[np.ix_(k, k)]
     return gram
 

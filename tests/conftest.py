@@ -294,7 +294,7 @@ def dense_eigenfunctions(basis):
     """The n x N matrix E[j, i] = e_j(x_i), sampled from the closed-form eigenfunctions."""
     coords = grid_coords(basis.domain)
     E = np.ones((basis.n, basis.domain.n_grid))
-    for j, mode in enumerate(basis.modes):
+    for j, mode in enumerate(basis.modes.T.tolist()):
         for k, x, L in zip(mode, coords, basis.domain.lengths):
             E[j] *= math.sqrt((2.0 if k else 1.0) / L) * np.cos(k * math.pi * x / L)
     return E

@@ -103,12 +103,40 @@ class TestMeanLaw:
         t, means = trajectory.t.tolist(), trajectory.record["mean_phi"].tolist()
         mean, err_d = means[0], 0.0
         for k in range(1, len(t)):
-            h = t[k] - t[k - 1]
+            h = min(0.01, 0.1 - t[k - 1])  # the run's own step
             mean = (mean + h * float(f.fields[data.segments(t[k - 1])[0]].values.mean())) / (1.0 + 1.3 * h)
             err_d = max(err_d, abs(means[k] - mean))
         err_c = max(abs(m - e) for m, e in zip(means, trajectory.record["mean_phi_exact"].tolist()))
         report = an.mean_law_check(trajectory, data)
         assert (report["max_error_discrete"], report["max_error_continuum"]) == (err_d, err_c)
+
+    def test_non_dyadic_steps_replay_the_run_own_sizes(self, tmp_path):
+        # dt = 0.003 on a 2.5-long interval: the recorded times' differences are not
+        # the run's steps min(dt, t_final - t), and the check replays the run's steps
+        demo = (Path(__file__).resolve().parents[1] / "configs" / "demo.ini").read_text()
+        for line, edited in (("lengths = 1.0", "lengths = 2.5"), ("grid = 64", "grid = 48"),
+                             ("n_modes = 32", "n_modes = 16"), ("dt = 0.001", "dt = 0.003"),
+                             ("f = 0.2 ; 0.5: -0.2", "f = 0.3 ; 0.37: -0.2")):
+            demo = demo.replace(line, edited)
+        (tmp_path / "case.ini").write_text(demo)
+        cfg = io.parse_config(tmp_path / "case.ini")
+        data, gamma = cfg.data, cfg.data.params.gamma
+        trajectory = gk.simulate(data, cfg.basis, 0.003)
+        f_means = [float(f.values.mean()) for f in data.f.fields]
+        t, means = trajectory.t.tolist(), trajectory.record["mean_phi"].tolist()
+        mean, err_d = means[0], 0.0
+        for k in range(1, len(t)):
+            h = min(0.003, 1.0 - t[k - 1])
+            mean = (mean + h * f_means[t[k - 1] >= 0.37]) / (1.0 + gamma * h)
+            err_d = max(err_d, abs(means[k] - mean))
+        assert an.mean_law_check(trajectory, data)["max_error_discrete"] == err_d
+
+    def test_steps_that_miss_a_level_raise(self, unit_domain, unit_basis):
+        data = make_problem_data(unit_domain, REG, t_final=0.05)
+        trajectory = gk.simulate(data, unit_basis, 0.01)
+        short = dataclasses.replace(trajectory, steps=trajectory.steps[:-1])
+        with pytest.raises(ValueError):
+            an.mean_law_check(short, data)
 
     def test_source_switch_lands_on_the_level_at_it(self):
         # configs/demo.ini at dt = 0.00125: the repeated sums put level 400 a few
@@ -116,7 +144,8 @@ class TestMeanLaw:
         # from it takes the new value, in the scheme and in the exact mean
         cfg = io.parse_config(Path(__file__).resolve().parents[1] / "configs" / "demo.ini")
         data, gamma, h = cfg.data, cfg.data.params.gamma, 0.00125
-        rec = gk.simulate(data, cfg.basis, h).record
+        trajectory = gk.simulate(data, cfg.basis, h)
+        rec = trajectory.record
         t, means, exact = rec["t"], rec["mean_phi"], rec["mean_phi_exact"]
         assert 0.5 - 1e-14 < t[400] < 0.5
         assert means[401] == pytest.approx((means[400] - 0.2 * h) / (1.0 + gamma * h), rel=1e-13)
@@ -124,7 +153,8 @@ class TestMeanLaw:
         at_switch = m0 * decay(0.5) + 0.2 / gamma * (1.0 - decay(0.5))
         expected = at_switch * decay(t[401] - 0.5) - 0.2 / gamma * (1.0 - decay(t[401] - 0.5))
         assert exact[401] == pytest.approx(expected, rel=1e-12)
-        assert an.mean_law_check(gk.Trajectory(rec, np.zeros((len(t), 2))), data)["max_error_discrete"] <= 1e-13
+        rebuilt = gk.Trajectory(rec, np.zeros((len(t), 2)), trajectory.steps)
+        assert an.mean_law_check(rebuilt, data)["max_error_discrete"] <= 1e-13
 
     @given(m=st.integers(2, 2000), data=st.data())
     @settings(deadline=None)

@@ -429,7 +429,7 @@ class TestSimulate:
         {start time: value}, on a grid of 32 with 8 modes at dt = 0.1 to t = 0.4, once with
         every step longer than 0.075 forced to fail once and once unforced.  Checks that
         each substep of a bisected step gets the f and g rows of the unbisected step, and
-        that the mean law replays both runs to 1e-15; returns the forced run's Trajectory
+        that the mean law replays both runs exactly; returns the forced run's Trajectory
         and the step sizes it tried."""
         domain = sp.BoxDomain((1.0,), 32)
         basis = sp.build_basis(domain, 8)
@@ -451,11 +451,11 @@ class TestSimulate:
 
             monkeypatch.setattr(gk, "step", flaky)
             trajectory = gk.simulate(data, basis, 0.1)
-            assert an.mean_law_check(trajectory, data)["max_error_discrete"] <= 1e-15
+            assert an.mean_law_check(trajectory, data)["max_error_discrete"] == 0.0
             return trajectory, rows, tried
 
         (bisected, rows, tried), (plain, plain_rows, _) = run(0.075), run(math.inf)
-        assert plain.substeps == {} and len(rows) == 2 * len(plain_rows)
+        assert [len(hs) for hs in plain.steps] == [1] * 4 and len(rows) == 2 * len(plain_rows)
         for (f_row, g_row), (f_plain, g_plain) in zip(rows, [r for r in plain_rows for _ in range(2)]):
             assert np.array_equal(f_row, f_plain) and np.array_equal(g_row, g_plain)
         return bisected, tried
@@ -469,14 +469,14 @@ class TestSimulate:
         assert trajectory.t.tolist() == times
         assert all(col.shape[0] == 5 for col in trajectory.record.values())
         assert len(calls) == 12 and sum(dt <= 0.05 for dt in calls) == 8  # each step tried, then halved
-        assert trajectory.substeps == {k: (min(0.1, 0.4 - t) / 2.0,) * 2 for k, t in enumerate(times[:-1], 1)}
+        assert trajectory.steps == tuple((min(0.1, 0.4 - t) / 2.0,) * 2 for t in times[:-1])
 
     def test_switch_inside_a_bisected_step_acts_from_the_next_level(self, monkeypatch):
         # f and g switch at 0.15, inside the bisected step [0.1, 0.2]: both of its
         # halves hold the sources of its start, as the unbisected step does, so
         # the switch acts from level 2 on in either run.
         trajectory, _ = self.bisect_and_compare({0.0: 0.5, 0.15: -0.5}, {0.0: 0.2, 0.15: -0.2}, monkeypatch)
-        assert sorted(trajectory.substeps) == [1, 2, 3, 4]
+        assert [len(hs) for hs in trajectory.steps] == [2, 2, 2, 2]
 
     def test_persistent_failure_preserves_partial_trajectory(
         self, unit_domain, unit_basis, monkeypatch

@@ -180,6 +180,6 @@ def test_mean_law_replays_any_bisection(failing, switch, scheme):
     assert trajectory.t.tolist() == times
     failed = sum(i < len(calls) for i in failing)
     assert len(calls) == len(times) - 1 + 2 * failed
-    assert sum(len(hs) - 1 for hs in trajectory.substeps.values()) == failed
-    assert all(math.fsum(hs) == min(0.1, 0.4 - times[k - 1]) for k, hs in trajectory.substeps.items())
+    assert sum(len(hs) - 1 for hs in trajectory.steps) == failed  # one tuple per step, bisected or not
+    assert all(math.fsum(hs) == min(0.1, 0.4 - t) for hs, t in zip(trajectory.steps, times[:-1], strict=True))
     assert an.mean_law_check(trajectory, data)["max_error_discrete"] <= 1e-15
