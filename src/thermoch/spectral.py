@@ -17,11 +17,12 @@ weights are a product over axes too, so the Gram matrix of the basis
 eigenfunctions is ever formed; the Newton solvers apply their Jacobians
 through the transforms.
 
-Coefficients are bare (n,) arrays, always passed beside their basis, and
-grid samples bare (N,) arrays: the transforms (``to_coeffs``, ``to_field``),
-``project``, ``solve_poisson`` and ``norm_Lp`` take and return them.
-``Field`` ties samples to their domain where parsed data enters (initial
-data, sources), and ``project`` checks that domain.  The per-row norms
+Coefficients are bare (n,) arrays, always passed beside their basis, and grid
+samples bare (N,) arrays of any strides (a constant datum is one number, a
+read-only stride-0 view, copied only while ``to_coeffs`` projects it): the
+transforms, ``project``, ``solve_poisson`` and ``norm_Lp`` take them.  ``Field``
+ties samples to their domain where parsed data enters (initial data, sources),
+and ``project`` checks that domain.  The per-row norms
 (``row_squares``, ``norm_Hm1_rows``) take a run's blocks of levels
 (``galerkin.Run``) and the studies' differences of them.
 """
@@ -79,13 +80,14 @@ class BoxDomain:
 
 @dataclass(frozen=True)
 class Field:
-    """Samples of a function on the quadrature grid of a box domain."""
+    """Samples of a function on the quadrature grid of a box domain; ``values`` may be a
+    read-only broadcast view (kept by ``reshape(-1)``, which ``ravel`` would copy), and nothing writes into it."""
 
     values: np.ndarray
     domain: BoxDomain
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float).ravel())
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float).reshape(-1))
         if self.values.size != self.domain.n_grid:
             raise ValueError(
                 f"field has {self.values.size} samples, grid has {self.domain.n_grid}"
@@ -93,7 +95,8 @@ class Field:
 
 
 def constant_field(value: float, domain: BoxDomain) -> Field:
-    return Field(np.full(domain.n_grid, float(value)), domain)
+    """The constant ``value`` on ``domain``: one number, broadcast read-only to the N samples."""
+    return Field(np.broadcast_to(float(value), (domain.n_grid,)), domain)
 
 
 def cosine_sum_field(
@@ -105,14 +108,15 @@ def cosine_sum_field(
 
     Each term is the outer product of its per-axis cosines on the axis nodes,
     the first scaled by a_k: the same products, in the same order, as on the
-    full tensor grid, with M cosines per axis instead of M^d.
+    full tensor grid, with M cosines per axis instead of M^d.  The terms are added out of
+    place, in the same order, to c0 broadcast read-only: the bits of summing into a filled grid.
     """
     axes = domain.grid_axes()
-    out = np.full(domain.n_grid, float(constant))
+    out = np.broadcast_to(float(constant), (domain.n_grid,))
     for mode, amp in terms:
         factors = [np.cos(k * math.pi * x / L) for k, x, L in zip(mode, axes, domain.lengths)]
         factors[0] = float(amp) * factors[0]
-        out += reduce(np.multiply.outer, factors).ravel()
+        out = out + reduce(np.multiply.outer, factors).ravel()
     return Field(out, domain)
 
 
@@ -169,9 +173,9 @@ def build_basis(domain: BoxDomain, n: int) -> SpectralBasis:
 
     Modes are multi-indices k with every component at most
     grid_points_per_axis // 2 (anti-aliasing capacity); requesting more modes
-    than the grid can carry is a configuration error.  One stable sort of the
-    eigenvalues in C order breaks ties lexicographically, so the m-mode basis of
-    a domain is the first m modes of any larger one (``converge modes`` zero-pads).
+    than the grid can carry is a configuration error.  One stable sort of the eigenvalues in C
+    order breaks ties lexicographically, so the m-mode basis of a domain is the first m modes of
+    any larger one (``converge modes`` zero-pads).  Equal axes share one sampled factor.
     """
     cap = domain.grid_points_per_axis // 2
     capacity = (cap + 1) ** domain.dim
@@ -187,10 +191,9 @@ def build_basis(domain: BoxDomain, n: int) -> SpectralBasis:
     eigenvalues = eig[order]
 
     k_max = modes.max(axis=1)
-    factors = tuple(
-        _axis_eigenfunctions(int(k), x, L)
-        for k, x, L in zip(k_max, domain.grid_axes(), domain.lengths)
-    )
+    axes = {(int(k), L): x for k, x, L in zip(k_max, domain.grid_axes(), domain.lengths)}
+    sampled = {(k, L): _axis_eigenfunctions(k, x, L) for (k, L), x in axes.items()}
+    factors = tuple(sampled[int(k), L] for k, L in zip(k_max, domain.lengths))
     mode_index = np.ravel_multi_index(tuple(modes), tuple(k_max + 1))
     return SpectralBasis(
         domain=domain,
@@ -221,10 +224,12 @@ def to_coeffs(values: np.ndarray, basis: SpectralBasis) -> np.ndarray:
 
     With per-axis factors C0 (and C1) this is w C0 f in 1-D and w C0 F C1^T
     in 2-D, F being the samples on the M x M grid.  The weight w scales the
-    n outputs: the same floats as weighting the N samples when w is a power of 2.
-    Samples of another grid size raise ValueError.
+    n outputs: the same floats as weighting the N samples when w is a power of 2.  ``values``
+    may have any strides (non-contiguous samples are copied once, for BLAS); samples of another
+    grid size raise ValueError.
     """
     C0, m = basis.axis_factors[0], basis.domain.grid_points_per_axis
+    values = np.ascontiguousarray(values)
     if basis.domain.dim == 1:
         out = C0 @ values
     else:

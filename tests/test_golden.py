@@ -218,6 +218,18 @@ def test_matches_golden_exactly(name, case_output):
     assert got == expected, "an artifact's bits moved; if that is meant, re-take the digests (module docstring)"
 
 
+def test_stored_artifacts_match_the_digests():
+    # The two levels name the same bytes: a stored copy that predates a move of its bits
+    # would be rewritten, unasked, the next time its case is re-taken. No case runs.
+    stored = json.loads(EXACT.read_text(encoding="utf-8"))
+    host = host_fingerprint()
+    if host != stored["fingerprint"]:
+        pytest.skip(f"the digests were taken on {stored['fingerprint']}; this host is {host}")
+    got = {f"{name}/{file}": hashlib.sha256(_stored(name, file).encode()).hexdigest()
+           for name, (_, _, files) in CASES.items() for file in files}
+    assert got == stored["sha256"]
+
+
 @pytest.mark.parametrize("scheme", ["semi_implicit", "backward_euler"])
 def test_artifacts_do_not_depend_on_the_blas_thread_count(scheme, tmp_path):
     # The 16,384-point grid is large enough for OpenBLAS to split a dot over it

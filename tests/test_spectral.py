@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -259,6 +260,56 @@ class TestFactoredTransforms:
             tracemalloc.stop()
         assert code == 0
         assert peak < 0.5 * 8 * n * grid**2
+
+
+class TestConstantData:
+    # A constant datum is one number: a read-only stride-0 view that projects to the
+    # bytes of its filled grid. A square samples its one axis factor once.
+    DOMAINS = [sp.BoxDomain((2.0,), 64), sp.BoxDomain((1.0, 1.0), 32)]
+
+    @pytest.mark.parametrize("domain", DOMAINS, ids=["1d", "2d"])
+    def test_constant_is_a_read_only_view_that_projects_as_filled(self, domain):
+        basis = sp.build_basis(domain, 12)
+        filled = sp.project(sp.Field(np.full(domain.n_grid, 0.3), domain), basis)
+        for f in (sp.constant_field(0.3, domain), sp.cosine_sum_field(domain, 0.3)):
+            assert f.values.strides == (0,) and not f.values.flags.writeable
+            with pytest.raises(ValueError):
+                f.values[0] = 1.0
+            assert sp.project(f, basis).tobytes() == filled.tobytes()
+
+    @pytest.mark.parametrize("domain", DOMAINS, ids=["1d", "2d"])
+    def test_cosine_sum_adds_terms_to_the_constant_in_order(self, domain):
+        terms = [((1,) * domain.dim, 0.2), ((2,) + (0,) * (domain.dim - 1), -0.7)]
+        expected = np.full(domain.n_grid, 0.1)
+        for mode, amp in terms:
+            cosines = [np.cos(k * math.pi * x / L) for k, x, L in zip(mode, domain.grid_axes(), domain.lengths)]
+            cosines[0] = amp * cosines[0]
+            expected = expected + functools.reduce(np.multiply.outer, cosines).ravel()
+        assert sp.cosine_sum_field(domain, 0.1, terms).values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("domain", DOMAINS, ids=["1d", "2d"])
+    def test_to_coeffs_of_strided_samples_equals_their_contiguous_copy(self, domain):
+        basis = sp.build_basis(domain, 20)
+        samples = np.random.default_rng(3).standard_normal(2 * domain.n_grid)
+        for values in (np.broadcast_to(-1.25, (domain.n_grid,)), samples[::2]):
+            contiguous = np.ascontiguousarray(values)
+            assert values.strides != contiguous.strides
+            assert sp.to_coeffs(values, basis).tobytes() == sp.to_coeffs(contiguous, basis).tobytes()
+
+    def test_square_shares_its_axis_factor(self):
+        basis = sp.build_basis(sp.BoxDomain((1.0, 1.0), 128), 1024)
+        assert basis.axis_factors[0] is basis.axis_factors[1]
+
+    @pytest.mark.parametrize(
+        "lengths,grid,n", [((2.0, 1.0), 32, 200), ((1.0, 1.0), 16, 2)], ids=["rectangle", "square-cut-tie"],
+    )
+    def test_unequal_axes_sample_their_own_factors(self, lengths, grid, n):
+        domain = sp.BoxDomain(lengths, grid)
+        basis = sp.build_basis(domain, n)
+        C0, C1 = basis.axis_factors
+        assert C0 is not C1
+        for C, k, x, L in zip(basis.axis_factors, basis.modes.max(axis=1), domain.grid_axes(), lengths):
+            assert C.tobytes() == sp._axis_eigenfunctions(int(k), x, L).tobytes()
 
 
 class TestMeanValue:
