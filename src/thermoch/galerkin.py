@@ -49,7 +49,7 @@ SCHEMES = (SEMI_IMPLICIT, BACKWARD_EULER)
 
 _NEWTON_TOL = 1e-10
 _DT_FLOOR_FACTOR = 1e-8
-_TIME_SLACK = 1e-12  # relative to max(t_final, 1): the rounding room of the level times' repeated sums
+TIME_SLACK = 1e-12  # relative to max(t_final, 1): the rounding room of a level time k dt
 ROW_BLOCK = 64  # levels per block of a Run, which it folds into its record a block at a time
 
 
@@ -136,8 +136,8 @@ class ProblemData:
     def segments(self, t):
         """The indices into ``fields`` of the segments of f and g that hold from the times ``t``
         on: how many later segments have started by t plus ``record_times``' slack, as its
-        repeated sums can land a few ulps below a switch (the first segment before 0)."""
-        t = t + _TIME_SLACK * max(self.t_final, 1.0)
+        k dt can land an ulp below a switch (the first segment before 0)."""
+        t = t + TIME_SLACK * max(self.t_final, 1.0)
         return np.searchsorted(self.f.times[1:], t, side="right"), np.searchsorted(self.g.times[1:], t, side="right")
 
 
@@ -361,12 +361,10 @@ def step(
 
 
 def record_times(dt: float, t_final: float) -> list[float]:
-    """The times of a run's levels with step dt > 0: 0, dt, 2 dt, ... by
-    repeated addition, the last step truncated to land on t_final."""
-    times = [0.0]
-    while times[-1] < t_final - _TIME_SLACK * max(t_final, 1.0):
-        times.append(times[-1] + min(dt, t_final - times[-1]))
-    return times
+    """The times of a run's levels with step dt > 0: k dt (one rounding) at level k, and t_final
+    at the last, its step cut to land there; MemoryError past 2**52 steps, which no array holds."""
+    steps = math.ceil(min(max((t_final - TIME_SLACK * max(t_final, 1.0)) / dt, 0.0), 2.0**52))
+    return (np.arange(steps) * dt).tolist() + [t_final]
 
 
 class Run:

@@ -561,16 +561,18 @@ def run_simulate(cfg: RunConfig) -> tuple[dict, galerkin.Trajectory, Optional[st
     except RunFailure as exc:
         trajectory, failure = exc.trajectory, str(exc)
     violations, realized = analysis.apriori_monitor(trajectory, data)
+    warnings = ["warning: a <= 0 accepted although the positivity assumption lists it"] if data.params.a <= 0.0 else []
+    bisected = [(k, len(hs)) for k, hs in enumerate(trajectory.steps, 1) if len(hs) > 1]
+    if bisected:
+        warnings.append(f"warning: {len(bisected)} of {len(trajectory.steps)} steps were bisected; "
+                        f"the first reached level {bisected[0][0]} in {bisected[0][1]} substeps")
     payload = {
         "n_records": len(trajectory),
         "violations": violations + ([failure] if failure else []),
         "realized_norms": realized,
         "mean_law": analysis.mean_law_check(trajectory, data),
         "energy_residual": analysis.energy_identity_residual(trajectory),
-        "warnings": (
-            ["warning: a <= 0 accepted although the positivity assumption lists it"]
-            if data.params.a <= 0.0 else []
-        ),
+        "warnings": warnings,
     }
     return payload, trajectory, failure
 

@@ -139,20 +139,21 @@ class TestMeanLaw:
             an.mean_law_check(short, data)
 
     def test_source_switch_lands_on_the_level_at_it(self):
-        # configs/demo.ini at dt = 0.00125: the repeated sums put level 400 a few
-        # ulps below the switch of f from 0.2 to -0.2 at t = 0.5, and the step
-        # from it takes the new value, in the scheme and in the exact mean
+        # configs/demo.ini with f switching from 0.2 to -0.2 at t = 0.33, at dt = 0.03:
+        # level 11 sits at 11 dt = 0.32999999999999996, an ulp below the switch, and
+        # the step from it takes the new value, in the scheme and in the exact mean
         cfg = io.parse_config(Path(__file__).resolve().parents[1] / "configs" / "demo.ini")
-        data, gamma, h = cfg.data, cfg.data.params.gamma, 0.00125
+        data = dataclasses.replace(cfg.data, f=gk.SourceTerm((0.0, 0.33), cfg.data.f.fields))
+        gamma, h = data.params.gamma, 0.03
         trajectory = gk.simulate(data, cfg.basis, h)
         rec = trajectory.record
         t, means, exact = rec["t"], rec["mean_phi"], rec["mean_phi_exact"]
-        assert 0.5 - 1e-14 < t[400] < 0.5
-        assert means[401] == pytest.approx((means[400] - 0.2 * h) / (1.0 + gamma * h), rel=1e-13)
+        assert 0.33 - 1e-14 < t[11] < 0.33
+        assert means[12] == pytest.approx((means[11] - 0.2 * h) / (1.0 + gamma * h), rel=1e-13)
         m0, decay = means[0], lambda s: math.exp(-gamma * s)
-        at_switch = m0 * decay(0.5) + 0.2 / gamma * (1.0 - decay(0.5))
-        expected = at_switch * decay(t[401] - 0.5) - 0.2 / gamma * (1.0 - decay(t[401] - 0.5))
-        assert exact[401] == pytest.approx(expected, rel=1e-12)
+        at_switch = m0 * decay(0.33) + 0.2 / gamma * (1.0 - decay(0.33))
+        expected = at_switch * decay(t[12] - 0.33) - 0.2 / gamma * (1.0 - decay(t[12] - 0.33))
+        assert exact[12] == pytest.approx(expected, rel=1e-12)
         rebuilt = gk.Trajectory(rec, np.zeros((len(t), 2)), trajectory.steps)
         assert an.mean_law_check(rebuilt, data)["max_error_discrete"] <= 1e-13
 
@@ -347,7 +348,7 @@ class TestDependence:
 
         def at(src, s):
             # the field at the level's intended time, a multiple of 0.01 that the
-            # repeated sums of record_times miss by a few ulps
+            # k dt of record_times can miss by an ulp
             return src.fields[np.searchsorted(src.times, round(s, 9), side="right") - 1].values
 
         diff = [(at(base.f, s) - at(other.f, s), at(base.g, s) - at(other.g, s)) for s in t]
@@ -394,6 +395,13 @@ class TestConvergenceStudy:
         monkeypatch.setattr(gk, "project_initial_data", no_run)
         with pytest.raises(ConfigurationError, match=r"\(2\.11\) .* do not nest"):
             an.convergence_study("dt", [1e-2, 3e-3], data, unit_basis, 1e-2)
+
+    def test_increasing_dt_schedule_names_the_multiple_rule(self, unit_domain, unit_basis, monkeypatch):
+        # dyadic, but increasing: no dt is a whole multiple of the next
+        data = make_problem_data(unit_domain, REG, t_final=0.1)
+        monkeypatch.setattr(gk, "project_initial_data", lambda *args: pytest.fail("a run started"))
+        with pytest.raises(ConfigurationError, match="do not nest: each dt must be a whole multiple of the next"):
+            an.convergence_study("dt", [0.0025, 0.005, 0.01], data, unit_basis, 1e-2)
 
     def test_dt_slopes_reported(self, unit_domain, unit_basis):
         data = make_problem_data(

@@ -1,9 +1,12 @@
 import collections
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conftest
 from conftest import (
@@ -12,6 +15,7 @@ from conftest import (
 )
 from thermoch import analysis as an
 from thermoch import galerkin as gk
+from thermoch import io_cli
 from thermoch import potentials as pot
 from thermoch import spectral as sp
 from thermoch.errors import ConfigurationError, RunFailure, StepFailure
@@ -576,6 +580,50 @@ class TestSimulate:
         assert len(partial) == 3  # the blow-up bisects down to the floor, then aborts
         assert all(np.isfinite(col).all() and col.shape == (3,) for col in partial.record.values())
         assert partial.w_sums.shape == (3, 2) and np.isfinite(partial.w_sums).all()
+
+
+class TestClock:
+    """Level k of a run sits at k dt, one rounding, and its last level at t_final."""
+
+    def test_one_level_per_step(self):
+        # 100,000 steps of 1e-5 reach 1, with no sliver step after them
+        assert len(gk.record_times(1e-5, 1.0)) == 100001
+
+    @pytest.mark.parametrize("dt, t_final", [(0.1, 1.0), (0.0025, 1.0), (0.001, 2.0)])
+    def test_last_level_is_t_final(self, dt, t_final):
+        times = gk.record_times(dt, t_final)
+        assert len(times) == round(t_final / dt) + 1 and times[-1] == t_final
+
+    @pytest.mark.parametrize("dt, t_final, times", [
+        (0.1, 0.0, [0.0]), (0.1, 0.05, [0.0, 0.05]), (0.3, 1.0, [0.0, 0.3, 0.6, 3 * 0.3, 1.0]),
+    ])
+    def test_short_and_truncated_last_steps(self, dt, t_final, times):
+        assert gk.record_times(dt, t_final) == times
+
+    @given(m=st.integers(1, 2000), centis=st.integers(0, 10000))
+    @settings(deadline=None)
+    def test_level_k_is_k_dt(self, m, centis):
+        dt, t_final = 1.0 / m, centis / 100
+        times = gk.record_times(dt, t_final)
+        assert len(times) == math.ceil((t_final - gk.TIME_SLACK * max(t_final, 1.0)) / dt) + 1
+        assert times[:-1] == [k * dt for k in range(len(times) - 1)] and times[-1] == t_final
+
+    def test_switch_at_a_long_horizon_acts_from_its_level(self):
+        # 500,000 * 1e-5 is 5.0, so a switch at 5 holds from level 500,000, not one step late
+        domain = sp.BoxDomain((1.0,), 8)
+        f = gk.SourceTerm((0.0, 5.0), (sp.constant_field(0.2, domain), sp.constant_field(-0.2, domain)))
+        times = np.array(gk.record_times(1e-5, 10.0))
+        segments = make_problem_data(domain, REG, f=f, t_final=10.0).segments(times)[0]
+        assert times[500000] == 5.0 and int(np.argmax(segments)) == 500000
+
+    @pytest.mark.parametrize("config", ["configs/demo.ini", "configs/logarithmic.ini", "configs/benchmark.ini",
+                                        "tests/golden/square_semi.ini"])
+    def test_shipped_inputs_step_with_one_operator(self, config):
+        cfg = io_cli.parse_config(Path(__file__).resolve().parents[1] / config)
+        run = gk.Run(cfg.data, cfg.basis, cfg.dt, cfg.scheme)
+        for _ in run:
+            pass
+        assert list(run.operators) == [cfg.dt]
 
 
 class TestSharedEvaluation:

@@ -8,6 +8,7 @@ import random
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -796,6 +797,37 @@ class TestCli:
         assert summary["mean_law"]["max_error_discrete"] <= 1e-12
         assert math.isfinite(summary["energy_residual"])
         assert all(math.isfinite(v) for v in summary["realized_norms"].values())
+
+    def test_bisected_step_warns_in_summary(self, tmp_path, monkeypatch):
+        # The first step longer than 0.075 fails once, so level 1 is reached in two
+        # halves: the summary says so, and the run still exits 0.
+        from thermoch.errors import StepFailure
+
+        cfg = write_config(tmp_path, FULL.replace("t_final = 0.2", "t_final = 0.4").replace("dt = 0.01", "dt = 0.1"))
+        assert io.main(["simulate", str(cfg), "--output-dir", str(tmp_path / "plain"), "--quiet"]) == 0
+        original, failed = galerkin.step, []
+
+        def flaky(*args):
+            if args[7].dt > 0.075 and not failed:
+                failed.append(args[7].dt)
+                raise StepFailure("forced")
+            return original(*args)
+
+        monkeypatch.setattr(galerkin, "step", flaky)
+        assert io.main(["simulate", str(cfg), "--output-dir", str(tmp_path / "forced"), "--quiet"]) == 0
+        plain, forced = (json.loads((tmp_path / d / "summary.json").read_text())["warnings"]
+                         for d in ("plain", "forced"))
+        assert not any("bisected" in w for w in plain)
+        assert forced == plain + ["warning: 1 of 4 steps were bisected; the first reached level 1 in 2 substeps"]
+
+    @pytest.mark.parametrize("t_final, dt", [(1e6, 1e-9), (1e300, 1e-10)])
+    def test_step_count_no_array_holds_exit_code(self, tmp_path, capsys, t_final, dt):
+        # 10^15 steps, and a count capped at 2**52: refused at once, before any level
+        cfg = write_config(tmp_path, f"[time]\nt_final = {t_final}\ndt = {dt}\n")
+        start = time.perf_counter()
+        assert io.main(["simulate", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith("error: (2.11) the problem does not fit in memory")
 
     @pytest.mark.parametrize("argv", [["depend", "{cfg}", "{cfg_f}"], ["converge", "eps", "{cfg}"]],
                              ids=["depend", "converge-eps"])
