@@ -8,10 +8,11 @@ and piecewise-constant-in-time schedules ``expr ; t1: expr ; ...``.
 Validation failures carry exactly one assumption tag from {(2.5), (2.11),
 (2.12), (2.13), (2.14)}; a-priori monitors name (4.31).  This module only
 rejects values that are not finite numbers (the switch times of a schedule
-among them) and a ``dim`` that disagrees with the lengths; every other rule
-is stated once, by the constructor or check of the quantity it constrains.  ``config_from_sections`` builds each object a
-config describes once, collecting the messages of the rules they break, and
-the commands run on the objects it built.  The ``run_*`` drivers return a
+among them), a ``dim`` that disagrees with the lengths and a data cosine the
+grid cannot hold; every other rule is stated once, by the constructor or check
+of the quantity it constrains.  ``config_from_sections`` builds each object a
+config describes once, in one pass that collects the lines of every broken
+rule, and the commands run on the objects it built.  The ``run_*`` drivers return a
 command's summary payload; ``main`` writes every artifact and the summary
 envelope into the output directory.  ``main`` parses its command line with
 ``getopt.gnu_getopt`` against ``COMMANDS``; ``USAGE`` is the whole help text.
@@ -107,14 +108,17 @@ _TERM_RE = re.compile(
 
 
 def parse_field_expr(text: str, domain: BoxDomain) -> Field:
-    """Parse ``c0 + a1*cos(k) + ...`` into a grid field."""
+    """Parse ``c0 + a1*cos(k) + ...`` into a grid field.
+
+    Each cosine needs one wavenumber per axis (2.12), none above grid // 2 (2.11):
+    one tagged line per broken rule of a cosine.  Bad syntax raises ConfigParseError.
+    """
     text = text.strip()
     if not text:
         raise ConfigParseError("empty field expression")
-    pos = 0
-    constant = 0.0
+    pos, first, constant, cap = 0, True, 0.0, domain.grid_points_per_axis // 2
     terms: list[tuple[tuple[int, ...], float]] = []
-    first = True
+    rules: list[tuple[bool, str]] = []
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
         if m is None or m.end() == pos:
@@ -128,13 +132,12 @@ def parse_field_expr(text: str, domain: BoxDomain) -> Field:
             constant += sign * coef
         else:
             mode = tuple(int(k) for k in modes_txt.split(","))
-            if len(mode) != domain.dim:
-                raise ConfigParseError(
-                    f"cos{mode} has {len(mode)} indices for a {domain.dim}-d domain"
-                )
+            rules += [(len(mode) == domain.dim, f"(2.12) cos({modes_txt}) needs one index per axis of a {domain.dim}-d domain"),
+                      (max(mode) <= cap, f"(2.11) cos({modes_txt}) has a wavenumber above grid // 2 = {cap}")]
             terms.append((mode, sign * coef))
         pos = m.end()
         first = False
+    require(*rules)
     return spectral.cosine_sum_field(domain, constant, terms)
 
 
@@ -205,19 +208,22 @@ def _canonical_sections(raw: dict[str, dict[str, str]]) -> dict[str, dict[str, s
 def config_from_sections(raw: dict[str, dict[str, str]]) -> RunConfig:
     """Canonicalize ``raw`` and build every object it describes.
 
-    Each object whose rule is broken contributes the tagged lines of its
-    ConfigurationError, in the order built; the data expressions and the
-    compatibility band are built only when every other object builds.
-    Raises one ConfigurationError with all the lines.
+    Each object that cannot be built contributes the lines of its error, in
+    the order built: the tagged lines of a broken rule, or the untagged line
+    of a malformed expression.  The data expressions wait only for the basis;
+    ``ProblemData``, whose rules tie eps, t_final and the data to the physics
+    and the potential, is built once all of its parts are.  Raises one error
+    with all the lines: ConfigParseError if any line is untagged, else
+    ConfigurationError.
     """
     sections = _canonical_sections(raw)
-    messages: list[str] = []
+    errors: list[ValueError] = []
 
     def build(make):
         try:
             return make()
-        except ConfigurationError as exc:
-            messages.extend(str(exc).splitlines())
+        except (ConfigParseError, ConfigurationError) as exc:
+            errors.append(exc)
 
     def numbers(section: str, keys: Sequence[str], tag: str, kind: type = float) -> list:
         return _parse_numbers([(f"{section}.{k}", sections[section][k]) for k in keys], tag, kind)
@@ -258,20 +264,6 @@ def config_from_sections(raw: dict[str, dict[str, str]]) -> RunConfig:
         require((count >= least, f"(2.11) experiment.{key} must be >= {least}, got {count}"))
         return count
 
-    def make_data() -> ProblemData:
-        domain, text = basis.domain, sections["data"]
-        return ProblemData(
-            params=params,
-            potential=potential,
-            eps=eps,
-            phi0=parse_field_expr(text["phi0"], domain),
-            w0=parse_field_expr(text["w0"], domain),
-            w1=parse_field_expr(text["w1"], domain),
-            f=parse_source_expr(text["f"], domain, "data.f"),
-            g=parse_source_expr(text["g"], domain, "data.g"),
-            t_final=numbers("time", ("t_final",), "(2.11)")[0],
-        )
-
     scheme = sections["time"]["scheme"]
     schedule_text = sections["experiment"]["schedule"].strip()
     params = build(lambda: PhysicalParams(
@@ -287,9 +279,16 @@ def config_from_sections(raw: dict[str, dict[str, str]]) -> RunConfig:
         [("experiment.schedule", x) for x in schedule_text.split(",")] if schedule_text else [],
         "(2.11)",
     ))
-    data = None if messages else build(make_data)
-    if messages:
-        raise ConfigurationError("\n".join(messages))
+    # The data are sampled on the basis's grid, so they wait for it.
+    domain, text = basis and basis.domain, sections["data"]
+    parts = {key: domain and build(lambda: parse_field_expr(text[key], domain)) for key in ("phi0", "w0", "w1")}
+    parts.update({key: domain and build(lambda: parse_source_expr(text[key], domain, f"data.{key}")) for key in "fg"})
+    parts.update(params=params, potential=potential, eps=eps,
+                 t_final=build(lambda: numbers("time", ("t_final",), "(2.11)")[0]))
+    data = None if any(part is None for part in parts.values()) else build(lambda: ProblemData(**parts))
+    if errors:
+        kind = ConfigParseError if any(isinstance(exc, ConfigParseError) for exc in errors) else ConfigurationError
+        raise kind("\n".join(map(str, errors)))
     return RunConfig(sections, data, basis, dt, scheme, trials, samples, schedule)
 
 

@@ -1,10 +1,12 @@
-"""Property tests of the config layer: the summary echo, data expressions and corrupted keys."""
+"""Property tests of the config layer: the summary echo, data expressions, corrupted keys
+and configs that break several rules at once."""
 
 import json
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -106,6 +108,8 @@ def expressions(draw):
 @settings(max_examples=100, deadline=None)
 @given(case=expressions(), spaced=st.booleans())
 def test_field_expression_round_trips(case, spaced):
+    """A sum whose wavenumbers are all at most grid // 2 round-trips; each cosine with
+    one above it is one tagged line."""
     domain, constant, terms = case
     gap = " " if spaced else ""
     text = fmt(constant)
@@ -113,8 +117,77 @@ def test_field_expression_round_trips(case, spaced):
         cos = f"cos({','.join(map(str, mode))})"
         written = cos if abs(amp) == 1.0 else f"{fmt(abs(amp))}{gap}*{gap}{cos}"
         text += f"{gap}{'-' if amp < 0 else '+'}{gap}{written}"
-    parsed = io.parse_field_expr(text, domain)
-    assert np.array_equal(parsed.values, sp.cosine_sum_field(domain, constant, terms).values)
+    cap = domain.grid_points_per_axis // 2
+    unresolved = [
+        f"(2.11) cos({','.join(map(str, mode))}) has a wavenumber above grid // 2 = {cap}"
+        for mode, _ in terms if max(mode) > cap
+    ]
+    if unresolved:
+        with pytest.raises(ConfigurationError) as info:
+            io.parse_field_expr(text, domain)
+        assert str(info.value).splitlines() == unresolved
+    else:
+        parsed = io.parse_field_expr(text, domain)
+        assert np.array_equal(parsed.values, sp.cosine_sum_field(domain, constant, terms).values)
+
+
+@st.composite
+def broken_configs(draw):
+    """Sections that break several rules at once, each through its own key, and the tag
+    each broken rule's line carries (None for an expression's syntax error).
+
+    Every other key holds, and t_final, eps and dt break in ways read before
+    ``ProblemData`` is built, so that no rule waits on another.
+    """
+    dim, grid = draw(st.integers(1, 2)), draw(st.integers(4, 16))
+    sections = {
+        "domain": {"dim": str(dim), "lengths": ", ".join(["1.0"] * dim), "grid": str(grid), "n_modes": "2"},
+        "physics": {}, "potential": {}, "data": {}, "time": {},
+    }
+    tags = []
+
+    def breaks(section, key, tag, values):
+        sections[section][key] = draw(values)
+        tags.append(tag)
+
+    for key in draw(st.sets(st.sampled_from(["gamma", "b", "kappa1", "kappa2", "lambda"]))):
+        breaks("physics", key, "(2.5)", st.sampled_from(["-1", "0", "-2.5"]))
+    for section, key, values in [
+        ("potential", "eps", ["0", "1", "2.0", "-0.5", "nan"]),
+        ("time", "dt", ["0", "-0.01", "abc"]),
+        ("time", "t_final", ["abc", "nan", "inf", "1e400", ""]),
+    ]:
+        if draw(st.booleans()):
+            breaks(section, key, "(2.11)", st.sampled_from(values))
+    wrong_count = draw(st.sampled_from([n for n in (1, 2, 3) if n != dim]))
+    expression_rules = [
+        (None, st.sampled_from(["0.1*sin(1)", "0.1 +", "cos()", "0.1 0.2", "x + 1"])),  # syntax
+        ("(2.12)", st.just(f"0.1*cos({','.join(['1'] * wrong_count)})")),  # index count
+        ("(2.11)", st.integers(grid // 2 + 1, 1000).map(  # wavenumber
+            lambda k: f"0.2 - 0.1*cos({','.join([str(k)] + ['0'] * (dim - 1))})")),
+    ]
+    switch_rule = ("(2.11)", st.sampled_from(["0.1 ; nan: 0.2", "0.1 ; soon: 0", "0.1 ; 0.5: 0.2 ; 0.3: 0", "0.1: 0.2"]))
+    for key in ("phi0", "w0", "w1", "f", "g"):
+        rule = draw(st.sampled_from([None, *expression_rules, *([switch_rule] if key in ("f", "g") else [])]))
+        if rule is not None:
+            breaks("data", key, *rule)
+    return sections, tags
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=broken_configs())
+def test_each_broken_rule_is_one_line_in_one_pass(case):
+    sections, tags = case
+    if not tags:
+        io.config_from_sections(sections)
+        return
+    syntax = None in tags
+    with pytest.raises(io.ConfigParseError if syntax else ConfigurationError) as info:
+        io.config_from_sections(sections)
+    lines = str(info.value).splitlines()
+    found = [[tag for tag in TAGS if tag in line] for line in lines]
+    assert all(len(line_tags) <= 1 for line_tags in found), lines
+    assert sorted(line_tags[0] if line_tags else "" for line_tags in found) == sorted(tag or "" for tag in tags)
 
 
 KEYS = [(section, key) for section, items in io.DEFAULTS.items() for key in items]

@@ -160,12 +160,27 @@ class TestExpressions:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "0.1 +", "cos()", "cos(1,2)", "sin(1)", "0.1 0.2", "1 ; 0.5:", "x + 1"],
+        ["", "0.1 +", "cos()", "sin(1)", "0.1 0.2", "1 ; 0.5:", "x + 1"],
     )
     def test_malformed_rejected(self, bad):
         domain = sp.BoxDomain((1.0,), 16)
         with pytest.raises(io.ConfigParseError):
             io.parse_source_expr(bad, domain, "data.f")
+
+    # A cosine the domain cannot hold is a broken rule, one tagged line each; cos(64)
+    # and cos(127) on a 64-point grid once ran as rounding and as cos(1).
+    @pytest.mark.parametrize("text, lengths, lines", [
+        ("cos(1,2)", (1.0,), ["(2.12) cos(1,2) needs one index per axis of a 1-d domain"]),
+        ("0.1 + cos(1)", (1.0, 2.0), ["(2.12) cos(1) needs one index per axis of a 2-d domain"]),
+        ("0.1*cos(9)", (1.0,), ["(2.11) cos(9) has a wavenumber above grid // 2 = 8"]),
+        ("cos(8,0) - cos(0, 9) + cos(1,1,1)", (1.0, 2.0), [
+            "(2.11) cos(0, 9) has a wavenumber above grid // 2 = 8",
+            "(2.12) cos(1,1,1) needs one index per axis of a 2-d domain"]),
+    ], ids=["cos(1,2)", "one-index-in-2d", "wavenumber", "two-terms"])
+    def test_cosine_the_domain_cannot_hold_is_one_tagged_line(self, text, lengths, lines):
+        with pytest.raises(ConfigurationError) as info:
+            io.parse_source_expr(text, sp.BoxDomain(lengths, 16), "data.f")
+        assert str(info.value).splitlines() == lines
 
 
 class TestParseConfig:
@@ -339,6 +354,36 @@ def test_bad_data_exits_2_with_one_tagged_line(tmp_path, capsys, old, new, line)
     cfg = write_config(tmp_path, FULL.replace(old, new))
     assert io.main(["simulate", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+
+
+# A broken rule once hid every data and t_final line: the data and t_final
+# were read only when every other object had built.
+@pytest.mark.parametrize("old, new", [
+    ("t_final = 0.2", "t_final = abc"),
+    ("phi0 = 0.1 + 0.2*cos(1)", "phi0 = 0.1*cos(1,1)"),
+    ("phi0 = 0.1 + 0.2*cos(1)", "phi0 = 0.1*sin(1)"),
+    ("phi0 = 0.1 + 0.2*cos(1)", "phi0 = 0.1*cos(127)"),
+], ids=["t_final", "index-count", "syntax", "wavenumber"])
+def test_a_broken_rule_hides_no_data_or_t_final_line(tmp_path, capsys, old, new):
+    def stderr_of(text):
+        assert io.main(["simulate", str(write_config(tmp_path, text)), "--quiet"]) == 2
+        return capsys.readouterr().err.splitlines()
+
+    alone = stderr_of(FULL.replace(old, new))
+    assert len(alone) == 1
+    paired = stderr_of(FULL.replace(old, new).replace("gamma = 1.0", "gamma = -1"))
+    assert paired == ["error: (2.5) gamma must be a positive constant, got -1.0", alone[0].removeprefix("error: ")]
+
+
+def test_problem_data_rules_wait_only_for_its_parts(tmp_path):
+    # dt is not a part of ProblemData, so its broken rule hides no ProblemData line.
+    text = FULL.replace("dt = 0.01", "dt = 0").replace("t_final = 0.2", "t_final = -1")
+    with pytest.raises(ConfigurationError) as info:
+        io.parse_config(write_config(tmp_path, text))
+    assert str(info.value).splitlines() == [
+        "(2.11) dt must be positive, got 0.0",
+        "(2.11) t_final must be >= 0, got -1.0",
+    ]
 
 
 def test_each_data_expression_parsed_once(tmp_path, monkeypatch):
