@@ -273,15 +273,19 @@ class StepOperator:
     dt_lam: np.ndarray
 
 
-def step_rules(dt: float, scheme: str) -> tuple[tuple[bool, str], tuple[bool, str]]:
-    """The rules dt > 0 and ``scheme`` one of SCHEMES, as ``errors.require`` takes them."""
-    return ((dt > 0.0, f"(2.11) dt must be positive, got {dt}"),
-            (scheme in SCHEMES, f"(2.11) scheme must be one of {SCHEMES}, got '{scheme}'"))
+def dt_rule(dt: float) -> tuple[bool, str]:
+    """The rule dt > 0, as ``errors.require`` takes it."""
+    return dt > 0.0, f"(2.11) dt must be positive, got {dt}"
+
+
+def scheme_rule(scheme: str) -> tuple[bool, str]:
+    """The rule ``scheme`` one of SCHEMES, as ``errors.require`` takes it."""
+    return scheme in SCHEMES, f"(2.11) scheme must be one of {SCHEMES}, got '{scheme}'"
 
 
 def step_operator(basis: SpectralBasis, params: PhysicalParams, dt: float, scheme: str) -> StepOperator:
     """The step of size dt with ``scheme``; ConfigurationError unless the
-    ``step_rules`` hold and all its constants are finite."""
+    ``dt_rule`` and ``scheme_rule`` hold and all its constants are finite."""
     p, lam = params, basis.eigenvalues
     with np.errstate(all="ignore"):  # a huge dt overflows; reported below
         d3 = 1.0 + dt * p.kappa1 * lam + dt * dt * p.kappa2 * lam
@@ -289,7 +293,7 @@ def step_operator(basis: SpectralBasis, params: PhysicalParams, dt: float, schem
         diag = 1.0 + dt * p.gamma + dt * lam**2 + dt_lam * p.b * p.lambda_latent / d3
         parts = (d3, diag, dt_lam * p.b / d3, dt * p.kappa2 * lam, dt_lam)
     finite = all(np.isfinite(x).all() for x in parts)
-    require(*step_rules(dt, scheme), (finite, f"(2.11) dt = {dt} is too large: the step operator is not finite"))
+    require(dt_rule(dt), scheme_rule(scheme), (finite, f"(2.11) dt = {dt} is too large: the step operator is not finite"))
     return StepOperator(basis, dt, scheme, *parts)
 
 

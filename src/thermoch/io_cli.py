@@ -8,15 +8,15 @@ and piecewise-constant-in-time schedules ``expr ; t1: expr ; ...``.
 Validation failures carry exactly one assumption tag from {(2.5), (2.11),
 (2.12), (2.13), (2.14)}; a-priori monitors name (4.31).  This module only
 rejects values that are not finite numbers (the switch times of a schedule
-among them), a ``dim`` that disagrees with the lengths and a data cosine the
-grid cannot hold; every other rule is stated once, by the constructor or check
-of the quantity it constrains.  ``config_from_sections`` builds each object a
-config describes once, in one pass that collects the lines of every broken
-rule, and the commands run on the objects it built.  The ``run_*`` drivers return a
-command's summary payload; ``main`` writes every artifact and the summary
-envelope into the output directory.  ``main`` parses its command line with
-``getopt.gnu_getopt`` against ``COMMANDS``; ``USAGE`` is the whole help text.
-getopt words only its errors through gettext, so a run never imports ``locale``.
+among them), a ``dim`` that disagrees with the lengths, an unknown potential
+kind and a data cosine the grid cannot hold; every other rule is stated once,
+by the constructor or check of the quantity it constrains.  ``config_from_sections``
+builds each value once the values it reads are built, in one pass that collects
+the lines of every broken rule; the commands run on the objects it built.  The
+``run_*`` drivers return a command's summary payload; ``main`` writes every
+artifact and the summary envelope into the output directory.  ``main`` parses its
+command line with ``getopt.gnu_getopt`` against ``COMMANDS``; ``USAGE`` is the whole
+help text.  getopt imports gettext in every process; only an error's wording imports ``locale``.
 
 All floating-point output is serialized with 17 significant digits so
 repeated runs are byte-identical, also under another BLAS thread count
@@ -107,33 +107,34 @@ _TERM_RE = re.compile(
 )
 
 
-def parse_field_expr(text: str, domain: BoxDomain) -> Field:
-    """Parse ``c0 + a1*cos(k) + ...`` into a grid field.
+def parse_field_expr(text: str, domain: BoxDomain, key: str) -> Field:
+    """Parse ``c0 + a1*cos(k) + ...`` into a grid field, named ``key`` in messages.
 
     Each cosine needs one wavenumber per axis (2.12), none above grid // 2 (2.11):
     one tagged line per broken rule of a cosine.  Bad syntax raises ConfigParseError.
     """
     text = text.strip()
     if not text:
-        raise ConfigParseError("empty field expression")
+        raise ConfigParseError(f"{key}: empty field expression")
     pos, first, constant, cap = 0, True, 0.0, domain.grid_points_per_axis // 2
     terms: list[tuple[tuple[int, ...], float]] = []
     rules: list[tuple[bool, str]] = []
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
         if m is None or m.end() == pos:
-            raise ConfigParseError(f"cannot parse field expression at '...{text[pos:]}'")
+            raise ConfigParseError(f"{key}: cannot parse field expression at '...{text[pos:]}'")
         sign = -1.0 if m.group("sign") == "-" else 1.0
         if m.group("sign") is None and not first:
-            raise ConfigParseError(f"missing '+'/'-' between terms in '{text}'")
+            raise ConfigParseError(f"{key}: missing '+'/'-' between terms in '{text}'")
         coef = float(m.group("coef")) if m.group("coef") else 1.0
         modes_txt = m.group("modes1") or m.group("modes2")
         if modes_txt is None:
             constant += sign * coef
         else:
             mode = tuple(int(k) for k in modes_txt.split(","))
-            rules += [(len(mode) == domain.dim, f"(2.12) cos({modes_txt}) needs one index per axis of a {domain.dim}-d domain"),
-                      (max(mode) <= cap, f"(2.11) cos({modes_txt}) has a wavenumber above grid // 2 = {cap}")]
+            term = f"{key} term cos({modes_txt})"
+            rules += [(len(mode) == domain.dim, f"(2.12) {term} needs one index per axis of a {domain.dim}-d domain"),
+                      (max(mode) <= cap, f"(2.11) {term} has a wavenumber above grid // 2 = {cap}")]
             terms.append((mode, sign * coef))
         pos = m.end()
         first = False
@@ -146,10 +147,10 @@ def parse_source_expr(text: str, domain: BoxDomain, key: str) -> SourceTerm:
     expressions, whose switch times must be finite numbers (2.11), named ``key`` in messages."""
     segments = [seg.strip() for seg in text.split(";")]
     if not all(segments):
-        raise ConfigParseError(f"empty schedule segment in '{text}'")
+        raise ConfigParseError(f"{key}: empty schedule segment in '{text}'")
     starts = [seg.split(":", 1) if ":" in seg else ("0", seg) for seg in segments]
     times = _parse_numbers([(f"{key} switch time", t.strip()) for t, _ in starts], "(2.11)")
-    return SourceTerm(tuple(times), tuple(parse_field_expr(expr, domain) for _, expr in starts))
+    return SourceTerm(tuple(times), tuple(parse_field_expr(expr, domain, key) for _, expr in starts))
 
 
 # ---------------------------------------------------------------------------
@@ -206,89 +207,74 @@ def _canonical_sections(raw: dict[str, dict[str, str]]) -> dict[str, dict[str, s
 
 
 def config_from_sections(raw: dict[str, dict[str, str]]) -> RunConfig:
-    """Canonicalize ``raw`` and build every object it describes.
+    """Canonicalize ``raw`` and build every value it describes, each once the values it reads are.
 
-    Each object that cannot be built contributes the lines of its error, in
-    the order built: the tagged lines of a broken rule, or the untagged line
-    of a malformed expression.  The data expressions wait only for the basis;
-    ``ProblemData``, whose rules tie eps, t_final and the data to the physics
-    and the potential, is built once all of its parts are.  Raises one error
-    with all the lines: ConfigParseError if any line is untagged, else
-    ConfigurationError.
+    Each number is a value.  The domain reads dim's rule, the lengths and the grid; the basis,
+    the domain and n_modes; the data expressions, the domain only.  The kind's and the scheme's
+    rules stand alone; the potential reads the kind, c1 and c2; ``ProblemData``, its parts.  A
+    broken rule hides only what reads it, but an object's own rules wait for all of its values:
+    ``gamma = abc`` hides the (2.5) line of ``b = -1``.  Each value that cannot be built adds its
+    error's lines, in the order built, and one error raises them all: ConfigParseError if any
+    line is untagged (a malformed expression), else ConfigurationError.
     """
     sections = _canonical_sections(raw)
     errors: list[ValueError] = []
 
-    def build(make):
+    def build(make, *parts):
+        """``make(*parts)``; None if a part is None, or if ``make`` raises, whose lines ``errors`` keeps."""
+        if any(part is None for part in parts):
+            return None
         try:
-            return make()
+            return make(*parts)
         except (ConfigParseError, ConfigurationError) as exc:
             errors.append(exc)
 
-    def numbers(section: str, keys: Sequence[str], tag: str, kind: type = float) -> list:
-        return _parse_numbers([(f"{section}.{k}", sections[section][k]) for k in keys], tag, kind)
+    def number(section: str, key: str, tag: str, kind: type = float):
+        return build(lambda: _parse_numbers([(f"{section}.{key}", sections[section][key])], tag, kind)[0])
 
-    def make_basis() -> SpectralBasis:
-        (dim,) = numbers("domain", ("dim",), "(2.12)", int)
-        lengths = _parse_numbers(
-            [("domain.lengths", x) for x in sections["domain"]["lengths"].split(",")], "(2.12)"
-        )
-        grid, n_modes = numbers("domain", ("grid", "n_modes"), "(2.11)", int)
-        # dim only restates the number of lengths; BoxDomain owns the rule on it.
-        require((dim == len(lengths), f"(2.12) dim = {dim} but {len(lengths)} lengths given"))
-        return spectral.build_basis(BoxDomain(tuple(lengths), grid), n_modes)
+    def holds(value, *rules):
+        require(*rules)
+        return value
 
-    def make_potential() -> PotentialSpec:
-        c1, c2 = numbers("potential", ("c1", "c2"), "(2.11)")
-        kind = sections["potential"]["kind"]
-        if kind == "regular":
-            return potentials.regular_potential()
-        if kind == "logarithmic":
-            return potentials.logarithmic_potential(c1)
-        if kind == "double_obstacle":
-            return potentials.double_obstacle_potential(c2)
-        raise ConfigurationError(f"(2.11) unknown potential kind '{kind}'")
-
-    def make_eps() -> float:
-        (eps,) = numbers("potential", ("eps",), "(2.11)")
-        require(potentials.eps_rule(eps))
-        return eps
-
-    def make_dt() -> float:
-        (dt,) = numbers("time", ("dt",), "(2.11)")
-        require(*galerkin.step_rules(dt, scheme))
-        return dt
-
-    def make_count(key: str, least: int) -> int:
-        (count,) = numbers("experiment", (key,), "(2.11)", int)
-        require((count >= least, f"(2.11) experiment.{key} must be >= {least}, got {count}"))
-        return count
-
-    scheme = sections["time"]["scheme"]
-    schedule_text = sections["experiment"]["schedule"].strip()
-    params = build(lambda: PhysicalParams(
-        *numbers("physics", ("gamma", "a", "b", "kappa1", "kappa2", "lambda"), "(2.5)")
-    ))
-    basis = build(make_basis)
-    potential = build(make_potential)
-    eps = build(make_eps)
-    dt = build(make_dt)
-    trials = build(lambda: make_count("trials", 0))
-    samples = build(lambda: make_count("samples", 1))
-    schedule = build(lambda: _parse_numbers(
-        [("experiment.schedule", x) for x in schedule_text.split(",")] if schedule_text else [],
-        "(2.11)",
-    ))
-    # The data are sampled on the basis's grid, so they wait for it.
-    domain, text = basis and basis.domain, sections["data"]
-    parts = {key: domain and build(lambda: parse_field_expr(text[key], domain)) for key in ("phi0", "w0", "w1")}
-    parts.update({key: domain and build(lambda: parse_source_expr(text[key], domain, f"data.{key}")) for key in "fg"})
-    parts.update(params=params, potential=potential, eps=eps,
-                 t_final=build(lambda: numbers("time", ("t_final",), "(2.11)")[0]))
-    data = None if any(part is None for part in parts.values()) else build(lambda: ProblemData(**parts))
+    params = build(PhysicalParams, *(number("physics", key, "(2.5)")
+                                     for key in ("gamma", "a", "b", "kappa1", "kappa2", "lambda")))
+    dim = number("domain", "dim", "(2.12)", int)
+    lengths = build(_parse_numbers, [("domain.lengths", x.strip()) for x in sections["domain"]["lengths"].split(",")],
+                    "(2.12)")
+    grid, n_modes = (number("domain", key, "(2.11)", int) for key in ("grid", "n_modes"))
+    # dim only restates the number of lengths; BoxDomain owns the rule on it.
+    dim_rule = build(lambda dim, lengths: holds(dim, (dim == len(lengths),
+                                                      f"(2.12) dim = {dim} but {len(lengths)} lengths given")),
+                     dim, lengths)
+    domain = build(lambda _, lengths, grid: BoxDomain(tuple(lengths), grid), dim_rule, lengths, grid)
+    basis = build(spectral.build_basis, domain, n_modes)
+    c1, c2 = (number("potential", key, "(2.11)") for key in ("c1", "c2"))
+    kinds = {"regular": lambda c1, c2: potentials.regular_potential(),
+             "logarithmic": lambda c1, c2: potentials.logarithmic_potential(c1),
+             "double_obstacle": lambda c1, c2: potentials.double_obstacle_potential(c2)}
+    kind = build(lambda kind: holds(kind, (kind in kinds, f"(2.11) unknown potential kind '{kind}'")),
+                 sections["potential"]["kind"])
+    potential = build(lambda kind, c1, c2: kinds[kind](c1, c2), kind, c1, c2)
+    eps = build(lambda eps: holds(eps, potentials.eps_rule(eps)), number("potential", "eps", "(2.11)"))
+    dt = build(lambda dt: holds(dt, galerkin.dt_rule(dt)), number("time", "dt", "(2.11)"))
+    scheme = build(lambda scheme: holds(scheme, galerkin.scheme_rule(scheme)), sections["time"]["scheme"])
+    trials, samples = (
+        build(lambda count: holds(count, (count >= least, f"(2.11) experiment.{key} must be >= {least}, got {count}")),
+              number("experiment", key, "(2.11)", int))
+        for key, least in (("trials", 0), ("samples", 1))
+    )
+    items = sections["experiment"]["schedule"]
+    schedule = build(_parse_numbers, [("experiment.schedule", x.strip()) for x in items.split(",")] if items else [],
+                     "(2.11)")
+    # The data are sampled on the domain's grid, so they wait for it, not for the basis.
+    text = sections["data"]
+    phi0, w0, w1 = (build(parse_field_expr, text[key], domain, f"data.{key}") for key in ("phi0", "w0", "w1"))
+    f, g = (build(parse_source_expr, text[key], domain, f"data.{key}") for key in "fg")
+    t_final = number("time", "t_final", "(2.11)")
+    data = build(ProblemData, params, potential, eps, f, g, phi0, w0, w1, t_final)
     if errors:
-        kind = ConfigParseError if any(isinstance(exc, ConfigParseError) for exc in errors) else ConfigurationError
-        raise kind("\n".join(map(str, errors)))
+        error = ConfigParseError if any(isinstance(exc, ConfigParseError) for exc in errors) else ConfigurationError
+        raise error("\n".join(map(str, errors)))
     return RunConfig(sections, data, basis, dt, scheme, trials, samples, schedule)
 
 

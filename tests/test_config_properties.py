@@ -119,25 +119,28 @@ def test_field_expression_round_trips(case, spaced):
         text += f"{gap}{'-' if amp < 0 else '+'}{gap}{written}"
     cap = domain.grid_points_per_axis // 2
     unresolved = [
-        f"(2.11) cos({','.join(map(str, mode))}) has a wavenumber above grid // 2 = {cap}"
+        f"(2.11) data.phi0 term cos({','.join(map(str, mode))}) has a wavenumber above grid // 2 = {cap}"
         for mode, _ in terms if max(mode) > cap
     ]
     if unresolved:
         with pytest.raises(ConfigurationError) as info:
-            io.parse_field_expr(text, domain)
+            io.parse_field_expr(text, domain, "data.phi0")
         assert str(info.value).splitlines() == unresolved
     else:
-        parsed = io.parse_field_expr(text, domain)
+        parsed = io.parse_field_expr(text, domain, "data.phi0")
         assert np.array_equal(parsed.values, sp.cosine_sum_field(domain, constant, terms).values)
 
 
 @st.composite
 def broken_configs(draw):
     """Sections that break several rules at once, each through its own key, and the tag
-    each broken rule's line carries (None for an expression's syntax error).
+    of each line the pass must print (None for an expression's syntax error).
 
-    Every other key holds, and t_final, eps and dt break in ways read before
-    ``ProblemData`` is built, so that no rule waits on another.
+    A number that does not parse is always a line.  dim's rule waits for dim and the
+    lengths; the ``BoxDomain`` rules for those and the grid; the data and the
+    ``build_basis`` rules for the domain, so a broken domain hides their lines.  The
+    kind's and the scheme's rules stand alone.  Every other key holds, and t_final, eps
+    and dt break in ways read before ``ProblemData`` is built.
     """
     dim, grid = draw(st.integers(1, 2)), draw(st.integers(4, 16))
     sections = {
@@ -146,15 +149,40 @@ def broken_configs(draw):
     }
     tags = []
 
-    def breaks(section, key, tag, values):
+    def breaks(section, key, tag, values, shown=True):
         sections[section][key] = draw(values)
-        tags.append(tag)
+        if shown:
+            tags.append(tag)
+
+    # Each [domain] key breaks at one stage: "parse", "dim" (dim's rule), "domain" or "basis".
+    capacity = (grid // 2 + 1) ** dim
+    domain_rules = {
+        "dim": ("(2.12)", [("parse", ["x", "1.5", ""]), ("dim", [str(3 - dim)])]),
+        "lengths": ("(2.12)", [("parse", [", ".join(["1.0"] * (dim - 1) + [bad]) for bad in ("x", "nan", "")]),
+                               ("domain", [", ".join(["-1.0"] + ["1.0"] * (dim - 1))])]),
+        "grid": ("(2.11)", [("parse", ["y", "4.5", "1e3"]), ("domain", ["2", "0", "-3"])]),
+        "n_modes": ("(2.11)", [("parse", ["x", "2.5"]), ("basis", ["0", str(capacity + 1), str(capacity + 100)])]),
+    }
+    stages = {}
+    for key, (tag, choices) in domain_rules.items():
+        choice = draw(st.sampled_from([None, *choices]))
+        if choice is not None:
+            stages[key] = choice[0]
+            sections["domain"][key] = draw(st.sampled_from(choice[1]))
+    parsed = {key for key in domain_rules if stages.get(key) != "parse"}
+    dim_holds = {"dim", "lengths"} <= parsed and stages.get("dim") != "dim"
+    shown = {"parse": True, "dim": {"dim", "lengths"} <= parsed, "domain": dim_holds and "grid" in parsed}
+    domain_built = shown["domain"] and "domain" not in stages.values()
+    shown["basis"] = domain_built
+    tags += [domain_rules[key][0] for key, stage in stages.items() if shown[stage]]
 
     for key in draw(st.sets(st.sampled_from(["gamma", "b", "kappa1", "kappa2", "lambda"]))):
         breaks("physics", key, "(2.5)", st.sampled_from(["-1", "0", "-2.5"]))
     for section, key, values in [
+        ("potential", "kind", ["nosuch", "", "Regular"]),
         ("potential", "eps", ["0", "1", "2.0", "-0.5", "nan"]),
         ("time", "dt", ["0", "-0.01", "abc"]),
+        ("time", "scheme", ["nosuch", "", "euler"]),
         ("time", "t_final", ["abc", "nan", "inf", "1e400", ""]),
     ]:
         if draw(st.booleans()):
@@ -170,7 +198,7 @@ def broken_configs(draw):
     for key in ("phi0", "w0", "w1", "f", "g"):
         rule = draw(st.sampled_from([None, *expression_rules, *([switch_rule] if key in ("f", "g") else [])]))
         if rule is not None:
-            breaks("data", key, *rule)
+            breaks("data", key, *rule, shown=domain_built)
     return sections, tags
 
 

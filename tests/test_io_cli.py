@@ -127,25 +127,25 @@ def run_import_probe(tmp_path, argv):
 class TestExpressions:
     def test_constant(self):
         domain = sp.BoxDomain((1.0,), 16)
-        f = io.parse_field_expr("0.25", domain)
+        f = io.parse_field_expr("0.25", domain, "data.phi0")
         assert np.allclose(f.values, 0.25)
 
     def test_cosine_sum(self):
         domain = sp.BoxDomain((1.0,), 32)
-        f = io.parse_field_expr("0.1 + 0.5*cos(1) - 0.2*cos(3)", domain)
+        f = io.parse_field_expr("0.1 + 0.5*cos(1) - 0.2*cos(3)", domain, "data.phi0")
         x = domain.grid_axes()[0]
         expected = 0.1 + 0.5 * np.cos(np.pi * x) - 0.2 * np.cos(3 * np.pi * x)
         assert np.allclose(f.values, expected, atol=1e-14)
 
     def test_bare_cosine_and_negative_leading(self):
         domain = sp.BoxDomain((1.0,), 16)
-        f = io.parse_field_expr("-0.5 + cos(2)", domain)
+        f = io.parse_field_expr("-0.5 + cos(2)", domain, "data.phi0")
         x = domain.grid_axes()[0]
         assert np.allclose(f.values, -0.5 + np.cos(2 * np.pi * x), atol=1e-14)
 
     def test_two_dimensional_modes(self):
         domain = sp.BoxDomain((1.0, 2.0), 16)
-        f = io.parse_field_expr("0.3*cos(1,2)", domain)
+        f = io.parse_field_expr("0.3*cos(1,2)", domain, "data.phi0")
         xs, ys = grid_coords(domain)
         assert np.allclose(
             f.values, 0.3 * np.cos(np.pi * xs) * np.cos(np.pi * ys), atol=1e-14
@@ -170,12 +170,12 @@ class TestExpressions:
     # A cosine the domain cannot hold is a broken rule, one tagged line each; cos(64)
     # and cos(127) on a 64-point grid once ran as rounding and as cos(1).
     @pytest.mark.parametrize("text, lengths, lines", [
-        ("cos(1,2)", (1.0,), ["(2.12) cos(1,2) needs one index per axis of a 1-d domain"]),
-        ("0.1 + cos(1)", (1.0, 2.0), ["(2.12) cos(1) needs one index per axis of a 2-d domain"]),
-        ("0.1*cos(9)", (1.0,), ["(2.11) cos(9) has a wavenumber above grid // 2 = 8"]),
+        ("cos(1,2)", (1.0,), ["(2.12) data.f term cos(1,2) needs one index per axis of a 1-d domain"]),
+        ("0.1 + cos(1)", (1.0, 2.0), ["(2.12) data.f term cos(1) needs one index per axis of a 2-d domain"]),
+        ("0.1*cos(9)", (1.0,), ["(2.11) data.f term cos(9) has a wavenumber above grid // 2 = 8"]),
         ("cos(8,0) - cos(0, 9) + cos(1,1,1)", (1.0, 2.0), [
-            "(2.11) cos(0, 9) has a wavenumber above grid // 2 = 8",
-            "(2.12) cos(1,1,1) needs one index per axis of a 2-d domain"]),
+            "(2.11) data.f term cos(0, 9) has a wavenumber above grid // 2 = 8",
+            "(2.12) data.f term cos(1,1,1) needs one index per axis of a 2-d domain"]),
     ], ids=["cos(1,2)", "one-index-in-2d", "wavenumber", "two-terms"])
     def test_cosine_the_domain_cannot_hold_is_one_tagged_line(self, text, lengths, lines):
         with pytest.raises(ConfigurationError) as info:
@@ -375,6 +375,39 @@ def test_a_broken_rule_hides_no_data_or_t_final_line(tmp_path, capsys, old, new)
     assert paired == ["error: (2.5) gamma must be a positive constant, got -1.0", alone[0].removeprefix("error: ")]
 
 
+# Each value is built once the values it reads are, so a broken rule hides only what
+# reads it: each of these pairs once printed one of its lines alone, and the two data
+# keys the same line twice.
+@pytest.mark.parametrize("text, lines", [
+    ("[domain]\ndim = x\ngrid = y\n", ["(2.12) domain.dim must be a finite integer, got 'x'",
+                                         "(2.11) domain.grid must be a finite integer, got 'y'"]),
+    ("[domain]\ngrid = 2\nn_modes = x\n", ["(2.11) domain.n_modes must be a finite integer, got 'x'",
+                                            "(2.11) grid must be >= 4, got 2"]),
+    ("[domain]\nn_modes = 100\n[data]\nphi0 = 0.1*sin(1)\n", [
+        "(2.11) n_modes = 100 exceeds the capacity of 33 modes on a 64-point-per-axis grid",
+        "data.phi0: cannot parse field expression at '...*sin(1)'"]),
+    ("[potential]\nkind = nosuch\nc1 = zz\n", ["(2.11) potential.c1 must be a finite number, got 'zz'",
+                                                "(2.11) unknown potential kind 'nosuch'"]),
+    ("[time]\ndt = abc\nscheme = nosuch\n", [
+        "(2.11) time.dt must be a finite number, got 'abc'",
+        "(2.11) scheme must be one of ('semi_implicit', 'backward_euler'), got 'nosuch'"]),
+    ("[data]\nphi0 = 0.1*cos(1,1)\nw0 = 0.2*cos(1,1)\n", [
+        "(2.12) data.phi0 term cos(1,1) needs one index per axis of a 1-d domain",
+        "(2.12) data.w0 term cos(1,1) needs one index per axis of a 1-d domain"]),
+], ids=["dim-grid", "grid-n_modes", "n_modes-data", "kind-c1", "dt-scheme", "two-data-keys"])
+def test_a_broken_rule_hides_only_what_reads_it(tmp_path, capsys, text, lines):
+    assert io.main(["simulate", str(write_config(tmp_path, text)), "--quiet"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: " + lines[0], *lines[1:]]
+
+
+def test_comma_list_items_are_echoed_stripped(tmp_path):
+    text = "[domain]\nlengths = 1.0, x\n[experiment]\nschedule = 0.1,  y\n"
+    with pytest.raises(ConfigurationError) as info:
+        io.parse_config(write_config(tmp_path, text))
+    assert str(info.value).splitlines() == ["(2.12) domain.lengths must be a finite number, got 'x'",
+                                            "(2.11) experiment.schedule must be a finite number, got 'y'"]
+
+
 def test_problem_data_rules_wait_only_for_its_parts(tmp_path):
     # dt is not a part of ProblemData, so its broken rule hides no ProblemData line.
     text = FULL.replace("dt = 0.01", "dt = 0").replace("t_final = 0.2", "t_final = -1")
@@ -390,9 +423,9 @@ def test_each_data_expression_parsed_once(tmp_path, monkeypatch):
     calls = []
     parse = io.parse_field_expr
 
-    def counting(text, domain):
+    def counting(text, domain, key):
         calls.append(text)
-        return parse(text, domain)
+        return parse(text, domain, key)
 
     monkeypatch.setattr(io, "parse_field_expr", counting)
     cfg = write_config(tmp_path, FULL.replace("f = 0.0", "f = 0.2 ; 0.1: -0.2"))

@@ -42,6 +42,11 @@ class TestBoxDomain:
         domain = sp.BoxDomain((2.0,), 4)
         assert np.allclose(domain.grid_axes()[0], [0.25, 0.75, 1.25, 1.75])
 
+    def test_field_needs_one_sample_per_grid_point(self):
+        domain = sp.BoxDomain((1.0,), 4)
+        with pytest.raises(ValueError, match="field has 5 samples, grid has 4"):
+            sp.Field(np.zeros(5), domain)
+
 
 class TestBasis:
     def test_interval_eigenvalues(self):
