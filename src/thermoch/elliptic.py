@@ -19,7 +19,6 @@ line search computes Phi only for a trial whose residual did not decrease.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -74,14 +73,16 @@ def solve_elliptic(problem: EllipticProblem, start: Optional[np.ndarray] = None)
         """R(u) and the regularized graph from one resolvent solve; Phi(u) on demand."""
         reg = potentials.regularize(problem.potential, problem.eps, spectral.to_field(u, basis))
         nl = spectral.to_coeffs(reg.value, basis)
+        memo = []  # one slot: cheaper per iterate than a functools.cache wrapper
 
-        @functools.cache
         def objective():
-            return (
-                0.5 * float((lam * u**2).sum())
-                + basis.domain.cell_weight * reg.primitive_sum()
-                - float(h_c @ u)
-            )
+            if not memo:
+                memo.append(
+                    0.5 * float((lam * u**2).sum())
+                    + basis.domain.cell_weight * reg.primitive_sum()
+                    - float(h_c @ u)
+                )
+            return memo[0]
 
         return newton.Iterate(u, lam * u + nl - h_c, objective, reg)
 

@@ -146,7 +146,7 @@ def krylov_solve(
         full[pinned:] = v
         return a * v + spectral.to_coeffs(s * spectral.to_field(full, basis), basis)[pinned:]
 
-    m = a + max(float(s.mean()), 0.0)
+    m = a + max(float(s.sum()) / s.size, 0.0)  # the mean, with less dispatch than s.mean()
     x, iterations = minres(apply, b, m, rtol, basis.n)
     d = np.zeros(basis.n)
     d[pinned:] = x

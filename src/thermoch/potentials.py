@@ -17,13 +17,17 @@ Three prototypes are provided, each with an exact resolvent kernel:
 * logarithmic:      beta_hat(r) = (1+r)ln(1+r) + (1-r)ln(1-r) on [-1, 1],
                     pi_hat(r) = -c1 r^2  (c1 > 1); Halley's method on the
                     smooth equation tanh(s) + 2 eps s = r, one tanh per
-                    sweep, with J = tanh(s)
+                    sweep, with J = tanh(s); started from a cubic Hermite
+                    table of the root built once per eps (one sweep from
+                    it), or, past the table or where it fails its check,
+                    from lower bounds of the root
 * double_obstacle:  beta_hat = indicator of [-1, 1], pi_hat(r) = -c2 r^2;
                     the projection onto [-1, 1]
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -39,6 +43,9 @@ _EDGE = 1e-15
 _S_SAT = 20.0
 _SAT_GAP = math.exp(-2.0 * _S_SAT)
 _MAX_SWEEPS = 50
+# The start table: _KNOTS uniform knots over the image of s in [0, _S_TOP].
+_KNOTS = 256
+_S_TOP = 10.0
 
 
 @dataclass(frozen=True)
@@ -103,51 +110,113 @@ def _entropy_slope(r):
     return np.log1p(r) - np.log1p(-r)
 
 
-def _logarithmic_resolvent(eps, r):
-    """J = tanh(s), where s >= 0 solves g(s) = tanh(s) + 2 eps s - |r| = 0 (sign restored).
-
-    g is increasing and concave on s >= 0: g' = sech^2(s) + 2 eps lies in
-    [2 eps, 1 + 2 eps] and g'' = -2 tanh(s) sech^2(s) <= 0.  Each sweep
-    evaluates one tanh, t = tanh(s), takes sech^2 = (1 - t)(1 + t) from it
-    and makes a Halley step s -= g g' / (g'^2 - g g''/2), which converges
-    cubically.  The start is the largest of three lower bounds: |r|/(1 + 2 eps)
-    from tanh(s) <= s, (|r| - 1)/(2 eps) from tanh(s) <= 1, and
-    -ln(1 - |r| + 2 eps S)/2 from tanh(s) <= 1 - exp(-2 s) with S = _S_SAT.
-    The last two are positive only where 1 - |r| + 2 eps S <= max(1, 2 eps S).
-    Below the root g g'' >= 0, so a Halley step is the Newton step stretched
-    by 1/(1 - L), L = g g''/(2 g'^2); from these starts L stays below 1/2
-    (a dense sweep of eps in [5e-324, 0.999] and |r| <= 1e3 finds at most
-    0.49, and at most 4 sweeps).  When 1 - |r| + 2 eps S <= exp(-2 S) the
-    root exceeds S, tanh of it rounds to 1 and J = +-1 is returned directly.
-    Sweeps stop once every residual is within 8 ulps of max(1, |r|); J is
-    that sweep's t, which lies within the same bound of tanh at the root.
-    The sweeps write into preallocated buffers and keep the association of
-    every expression, so J is the same bit for bit as with temporaries.
-    """
-    shape = r.shape
-    r = r.reshape(-1)  # with a 0-d r the ufuncs would return scalars, which out= rejects
-    a = np.abs(r)
-    two_eps = 2.0 * eps
+def _bound_start(a, two_eps):
+    """The bound start of the kernel at |r| = ``a`` and its saturated points, whose s is 0."""
     cap = two_eps * _S_SAT
     gap = (1.0 - a) + cap
     s = np.maximum(
         np.maximum(a / (1.0 + two_eps), -0.5 * np.log(np.maximum(gap, _SAT_GAP))),
         np.clip(a - 1.0, 0.0, cap) / two_eps,
     )
-    # Saturated points sit at the trivial root s = 0 of a = 0 while sweeping.
     saturated = gap <= _SAT_GAP
-    a[saturated] = s[saturated] = 0.0
+    s[saturated] = 0.0
+    return s, saturated
+
+
+@dataclass(frozen=True, eq=False)
+class _StartTable:
+    """A cubic Hermite interpolant of the root s(a) on uniform knots over a in [0, top]:
+    s = c0 + c1 u + c2 u^2 + c3 u^3 on interval k, with u = a * scale - k in [0, 1].
+    One entry past the last interval holds the last knot's tangent, for a = top
+    rounding onto that knot."""
+
+    top: float
+    scale: float
+    c0: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+    c3: np.ndarray
+
+    def start(self, a):
+        """The interpolated root at each a in [0, top]."""
+        u = a * self.scale
+        k = u.astype(np.intp)
+        u -= k
+        # mode="clip" clips nothing here (k <= the last entry) but spares the
+        # copy that "raise" makes of ``out``.
+        s = np.take(self.c3, k, mode="clip")
+        c = np.empty_like(s)
+        for coeffs in (self.c2, self.c1, self.c0):
+            s *= u
+            s += np.take(coeffs, k, out=c, mode="clip")
+        return s
+
+
+@functools.lru_cache(maxsize=32)
+def _start_table(eps):
+    """The start table of the kernel at ``eps``, or None when one sweep from it
+    does not converge at every interval midpoint.
+
+    The knots sit on a in [0, top] with top = tanh(_S_TOP) + 2 eps _S_TOP, the
+    image of s in [0, _S_TOP]; their roots come from the bound start and the
+    sweeps, and the slope ds/da = 1 / g'(s) = 1 / ((1 - J)(1 + J) + 2 eps) is exact.
+    """
+    two_eps = 2.0 * eps
+    top = math.tanh(_S_TOP) + two_eps * _S_TOP
+    a = np.linspace(0.0, top, _KNOTS)
+    s, _ = _bound_start(a, two_eps)  # no knot saturates: tanh(_S_TOP) < 1
+    t = _halley(s, a, two_eps, _MAX_SWEEPS)
+    if t is None:
+        raise NumericFailure(f"logarithmic start table did not converge (eps = {eps})")
+    d = (top / (_KNOTS - 1)) / ((1.0 - t) * (1.0 + t) + two_eps)  # ds/du at each knot
+    # Each knot's rise and the next knot's slope, the last knot's own at the tangent entry.
+    ds, d_next = np.append(np.diff(s), d[-1]), np.append(d[1:], d[-1])
+    coeffs = (s, d, 3.0 * ds - 2.0 * d - d_next, d + d_next - 2.0 * ds)
+    for c in coeffs:
+        c.flags.writeable = False  # the cache hands the same arrays to every call
+    table = _StartTable(top, (_KNOTS - 1) / top, *coeffs)
+    mid = 0.5 * (a[:-1] + a[1:])
+    with np.errstate(all="ignore"):  # a table that fails the check may start far off
+        accepted = _halley(table.start(mid), mid, two_eps, 1) is not None
+    return table if accepted else None
+
+
+def _logarithmic_start(eps, a):
+    """The kernel's start at |r| = ``a`` and its saturated points (None when there are none).
+
+    Points with a <= top start from the table of ``eps``, when it has one;
+    the others, non-finite ones included, from the bound start.
+    """
+    table = _start_table(eps)
+    if table is None:
+        return _bound_start(a, 2.0 * eps)
+    if a.max(initial=0.0) <= table.top:  # NaN fails the test
+        return table.start(a), None
+    near = a <= table.top
+    s, saturated = _bound_start(a, 2.0 * eps)
+    s[near] = table.start(a[near])
+    return s, saturated
+
+
+def _halley(s, a, two_eps, sweeps):
+    """Halley sweeps on g(s) = tanh(s) + 2 eps s - a from s, in place; the last
+    sweep's t = tanh(s), or None when ``sweeps`` sweeps leave a residual above
+    8 ulps of max(1, a).
+
+    The sweeps write into preallocated buffers and keep the association of
+    every expression, so t is the same bit for bit as with temporaries.
+    """
     tol = 8.0 * np.finfo(float).eps * np.maximum(1.0, a)
     t = np.empty_like(s)  # the result, apart from the work buffers so as not to keep them alive
     g, u, v = np.empty((3, s.size))
     converged = np.empty(s.shape, dtype=bool)
-    for _ in range(_MAX_SWEEPS + 1):
+    for _ in range(sweeps + 1):
         np.tanh(s, out=t)
         np.multiply(s, two_eps, out=g)
         g += t
         g -= a
         if np.less_equal(np.abs(g, out=u), tol, out=converged).all():
-            break
+            return t
         np.multiply(np.subtract(1.0, t, out=u), np.add(t, 1.0, out=v), out=u)  # sech^2
         np.add(u, two_eps, out=v)  # the slope g'
         t *= g  # (g t) sech^2 + g'^2
@@ -156,11 +225,51 @@ def _logarithmic_resolvent(eps, r):
         g *= v
         g /= t
         s -= g
-    else:
+    return None
+
+
+def _logarithmic_resolvent(eps, r):
+    """J = tanh(s), where s >= 0 solves g(s) = tanh(s) + 2 eps s - |r| = 0 (sign restored).
+
+    g is increasing and concave on s >= 0: g' = sech^2(s) + 2 eps lies in
+    [2 eps, 1 + 2 eps] and g'' = -2 tanh(s) sech^2(s) <= 0.  Each sweep
+    evaluates one tanh, t = tanh(s), takes sech^2 = (1 - t)(1 + t) from it
+    and makes a Halley step s -= g g' / (g'^2 - g g''/2), which converges
+    cubically.  Sweeps stop once every residual is within 8 ulps of
+    max(1, |r|); J is that sweep's t, which lies within the same bound of
+    tanh at the root.
+
+    Two starts.  For |r| <= top = tanh(_S_TOP) + 2 eps _S_TOP the start is a
+    cubic Hermite interpolant of the root on _KNOTS uniform knots, built once
+    per eps (``_start_table``) and kept only if one sweep from it converges
+    at every interval midpoint; then one sweep suffices on the whole table
+    range (the check passes for eps >= ~3.4e-3 at 256 knots).  Every other
+    point (|r| > top, non-finite or saturated), and every point of an eps
+    whose table fails that check, takes the bound start: the largest of three
+    lower bounds, |r|/(1 + 2 eps) from tanh(s) <= s, (|r| - 1)/(2 eps) from
+    tanh(s) <= 1, and -ln(1 - |r| + 2 eps S)/2 from tanh(s) <= 1 - exp(-2 s)
+    with S = _S_SAT.
+    The last two are positive only where 1 - |r| + 2 eps S <= max(1, 2 eps S).
+    Below the root g g'' >= 0, so a Halley step is the Newton step stretched
+    by 1/(1 - L), L = g g''/(2 g'^2); from these starts L stays below 1/2
+    (a dense sweep of eps in [5e-324, 0.999] and |r| <= 1e3 finds at most
+    0.49, and at most 4 sweeps).  When 1 - |r| + 2 eps S <= exp(-2 S) the
+    root exceeds S, tanh of it rounds to 1 and J = +-1 is returned directly.
+    The start depends on (eps, r) only, so J does too.
+    """
+    shape = r.shape
+    r = r.reshape(-1)  # with a 0-d r the ufuncs would return scalars, which out= rejects
+    a = np.abs(r)
+    s, saturated = _logarithmic_start(eps, a)
+    if saturated is not None:
+        a[saturated] = 0.0  # saturated points sit at the trivial root s = 0 of a = 0 while sweeping
+    t = _halley(s, a, 2.0 * eps, _MAX_SWEEPS)
+    if t is None:
         raise NumericFailure(
             f"logarithmic resolvent did not converge in {_MAX_SWEEPS} Halley sweeps (eps = {eps})"
         )
-    t[saturated] = 1.0
+    if saturated is not None:
+        t[saturated] = 1.0
     return np.copysign(t, r, out=t).reshape(shape)
 
 

@@ -167,6 +167,11 @@ class SpectralBasis:
     def n(self) -> int:
         return self.eigenvalues.size
 
+    @cached_property
+    def tensor_shape(self) -> tuple[int, ...]:
+        """The shape of the tensor grid of wavenumbers that ``mode_index`` indexes."""
+        return tuple(C.shape[0] for C in self.axis_factors)
+
 
 def build_basis(domain: BoxDomain, n: int) -> SpectralBasis:
     """Enumerate, sort and sample the first n eigenpairs.
@@ -244,7 +249,7 @@ def to_coeffs(values: np.ndarray, basis: SpectralBasis) -> np.ndarray:
 def to_field(coeffs: np.ndarray, basis: SpectralBasis) -> np.ndarray:
     """The (N,) grid values of the spectral element with coefficients ``coeffs``:
     C0^T g in 1-D, C0^T G C1 in 2-D."""
-    tensor = np.zeros(tuple(C.shape[0] for C in basis.axis_factors))
+    tensor = np.zeros(basis.tensor_shape)
     tensor.reshape(-1)[basis.mode_index] = coeffs  # a view; several times cheaper than .flat
     if basis.domain.dim == 1:
         return basis.axis_factors[0].T @ tensor

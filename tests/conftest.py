@@ -263,17 +263,15 @@ def sampled_spec_violations(spec, r_grid, tol=1e-9):
 
 
 def reference_logarithmic_resolvent(eps, r):
-    """The logarithmic kernel as written with a fresh temporary for every
-    expression; ``potentials._logarithmic_resolvent`` must equal it bit for bit."""
-    a = np.abs(r)
+    """The logarithmic kernel's sweeps as written with a fresh temporary for every
+    expression, from the kernel's own start; ``potentials._logarithmic_resolvent``
+    must equal it bit for bit."""
+    a = np.abs(r).reshape(-1)
     two_eps = 2.0 * eps
-    gap = (1.0 - a) + two_eps * pot._S_SAT
-    saturated = gap <= pot._SAT_GAP
-    s = np.maximum(a / (1.0 + two_eps), -0.5 * np.log(np.maximum(gap, pot._SAT_GAP)))
-    s = np.maximum(s, np.clip(a - 1.0, 0.0, two_eps * pot._S_SAT) / two_eps)
+    s, saturated = pot._logarithmic_start(eps, a)
     # Saturated points sit at the trivial root s = 0 of a = 0 while sweeping.
-    a = np.where(saturated, 0.0, a)
-    s = np.where(saturated, 0.0, s)
+    if saturated is not None:
+        a = np.where(saturated, 0.0, a)
     tol = 8.0 * np.finfo(float).eps * np.maximum(1.0, a)
     for _ in range(pot._MAX_SWEEPS + 1):
         t = np.tanh(s)
@@ -287,7 +285,9 @@ def reference_logarithmic_resolvent(eps, r):
         raise NumericFailure(
             f"logarithmic resolvent did not converge in {pot._MAX_SWEEPS} Halley sweeps (eps = {eps})"
         )
-    return np.copysign(np.where(saturated, 1.0, t), r)
+    if saturated is not None:
+        t = np.where(saturated, 1.0, t)
+    return np.copysign(t.reshape(np.shape(r)), r)
 
 
 def dense_eigenfunctions(basis):

@@ -98,6 +98,35 @@ class TestResolvent:
             j = pot.resolvent(LOG, eps, r)
             assert (np.abs(j) <= 1.0).all()
 
+    def test_logarithmic_table_start_takes_one_sweep(self, monkeypatch):
+        # One Halley sweep from the start table converges at every |r| <= top
+        # of the dense grid, at eps = 0.05 and at every eps whose table passes
+        # its build check; at eps = 1e-5 the table fails it and the kernel
+        # keeps the bound start (the sweep bound test covers that path).
+        assert pot._start_table(1e-5) is None
+        r = next(dense_logarithmic_grid())[1]
+        accepted = 0
+        for eps, r in [(0.05, r), *dense_logarithmic_grid()]:
+            table = pot._start_table(eps)  # built, from the bound start, before the cap drops
+            assert table is not None or eps != 0.05
+            if table is not None:
+                accepted += 1
+                with monkeypatch.context() as patch:
+                    patch.setattr(pot, "_MAX_SWEEPS", 1)
+                    assert (np.abs(pot.resolvent(LOG, eps, r[np.abs(r) <= table.top])) <= 1.0).all()
+        assert accepted > 1
+
+    def test_logarithmic_start_depends_on_eps_and_r_only(self):
+        # The table is memoized per eps: neither the order of the calls nor a
+        # cleared cache moves a bit of J.
+        r = np.linspace(-3.0, 3.0, 2001)
+        first, other = pot.resolvent(LOG, 0.05, r).tobytes(), pot.resolvent(LOG, 0.3, r).tobytes()
+        assert pot.resolvent(LOG, 0.05, r).tobytes() == first
+        pot._start_table.cache_clear()
+        assert pot.resolvent(LOG, 0.3, r).tobytes() == other
+        pot._start_table.cache_clear()
+        assert pot.resolvent(LOG, 0.05, r).tobytes() == first
+
     def test_logarithmic_kernel_equals_reference_bit_for_bit(self):
         # The in-place sweeps keep every expression's association, so they
         # reproduce the kernel written with temporaries exactly, saturated
