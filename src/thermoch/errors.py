@@ -1,12 +1,13 @@
 """Exception taxonomy shared by all modules.
 
-Exit-code mapping used by the CLI: ConfigurationError -> 2,
-NumericFailure -> 3, OSError -> 4.
+One exception type per exit code of the CLI: ConfigurationError -> 2,
+NumericFailure -> 3, OSError -> 4 (and a MemoryError -> 2, as a (2.11) line).
 """
 
 
 class ConfigurationError(ValueError):
-    """Invalid configuration or data: one line per violated rule, each with its assumption tag."""
+    """Invalid configuration or data, one line per fault: a broken rule's line carries its
+    assumption tag; malformed text and an unknown section or key give an untagged line."""
 
 
 def require(*rules: tuple[bool, str]) -> None:

@@ -337,18 +337,32 @@ class Regularization:
     value: np.ndarray
 
     def primitive(self) -> np.ndarray:
-        """beta_hat_eps(r) = beta_hat(J) + (eps / 2) value^2; 0 <= beta_hat_eps <= beta_hat."""
-        return self.spec.beta_hat(self.j) + 0.5 * self.eps * self.value**2
+        """beta_hat_eps(r) = beta_hat(J) + (eps / 2) value^2; 0 <= beta_hat_eps <= beta_hat.
+
+        Where value^2 overflows at a finite value (a tiny eps), the quadratic term is
+        (eps / 2 value) value, which may not.
+        """
+        with np.errstate(over="ignore"):
+            quadratic = 0.5 * self.eps * self.value**2
+            big = np.isinf(quadratic) & np.isfinite(self.value)
+            if big.any():
+                quadratic = np.where(big, (0.5 * self.eps * self.value) * self.value, quadratic)
+        return self.spec.beta_hat(self.j) + quadratic
 
     def primitive_sum(self) -> float:
         """Sum of ``primitive()`` over a 1-D grid, without its pointwise array.
 
         The same two terms as ``primitive()``, summed separately:
         sum beta_hat(J) + (eps / 2) sum value^2, both NumPy sums, which no
-        thread count changes.
+        thread count changes; the second is sum (eps / 2 value) value where
+        the sum of squares overflows at finite values.
         """
         beta_hat_sum = float(self.spec.beta_hat(self.j).sum())
-        return beta_hat_sum + 0.5 * self.eps * float(np.square(self.value).sum())
+        with np.errstate(over="ignore"):
+            square_sum = float(np.square(self.value).sum())
+            if math.isinf(square_sum) and np.isfinite(self.value).all():
+                return beta_hat_sum + float(((0.5 * self.eps * self.value) * self.value).sum())
+        return beta_hat_sum + 0.5 * self.eps * square_sum
 
     def slope(self) -> np.ndarray:
         """Derivative of ``value``, beta'(J) / (1 + eps*beta'(J)), used for Newton Jacobians.

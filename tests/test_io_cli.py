@@ -5,6 +5,7 @@ import math
 import os
 import platform
 import random
+import re
 import struct
 import subprocess
 import sys
@@ -164,8 +165,9 @@ class TestExpressions:
     )
     def test_malformed_rejected(self, bad):
         domain = sp.BoxDomain((1.0,), 16)
-        with pytest.raises(io.ConfigParseError):
+        with pytest.raises(ConfigurationError) as info:
             io.parse_source_expr(bad, domain, "data.f")
+        assert str(info.value).startswith("data.f: ") and not any(tag in str(info.value) for tag in TAGS)
 
     # A cosine the domain cannot hold is a broken rule, one tagged line each; cos(64)
     # and cos(127) on a 64-point grid once ran as rounding and as cos(1).
@@ -232,15 +234,16 @@ class TestParseConfig:
     )
     def test_unknown_key_is_parse_error(self, tmp_path, section, key):
         text = MINIMAL + f"\n[{section}]\n{key} = 1\n"
-        with pytest.raises(io.ConfigParseError, match="unknown key"):
+        with pytest.raises(ConfigurationError) as info:
             io.parse_config(write_config(tmp_path, text))
+        assert str(info.value) == f"unknown key '{key}' in section [{section}]"
 
     def test_syntax_error_reports_line(self, tmp_path):
-        with pytest.raises(io.ConfigParseError, match="line"):
+        with pytest.raises(ConfigurationError, match="line"):
             io.parse_config(write_config(tmp_path, "[domain\ndim = 1\n"))
 
     def test_interpolation_error_is_parse_error(self, tmp_path):
-        with pytest.raises(io.ConfigParseError, match="interpolation"):
+        with pytest.raises(ConfigurationError, match="interpolation"):
             io.parse_config(write_config(tmp_path, "[data]\nphi0 = %(x)s\n"))
 
     def test_capacity_violation(self, tmp_path):
@@ -404,8 +407,52 @@ def test_comma_list_items_are_echoed_stripped(tmp_path):
     text = "[domain]\nlengths = 1.0, x\n[experiment]\nschedule = 0.1,  y\n"
     with pytest.raises(ConfigurationError) as info:
         io.parse_config(write_config(tmp_path, text))
-    assert str(info.value).splitlines() == ["(2.12) domain.lengths must be a finite number, got 'x'",
-                                            "(2.11) experiment.schedule must be a finite number, got 'y'"]
+    assert str(info.value).splitlines() == ["(2.12) domain.lengths item 2 must be a finite number, got 'x'",
+                                            "(2.11) experiment.schedule item 2 must be a finite number, got 'y'"]
+
+
+# Each item of a list of several names its position; ``lengths = ,`` once printed one line twice.
+@pytest.mark.parametrize("text, lines", [
+    ("[domain]\nlengths = ,\n", ["(2.12) domain.lengths item 1 must be a finite number, got ''",
+                                  "(2.12) domain.lengths item 2 must be a finite number, got ''"]),
+    ("[experiment]\nschedule = 1, ,\n", ["(2.11) experiment.schedule item 2 must be a finite number, got ''",
+                                         "(2.11) experiment.schedule item 3 must be a finite number, got ''"]),
+    ("[domain]\nlengths = x\n", ["(2.12) domain.lengths must be a finite number, got 'x'"]),
+], ids=["lengths", "schedule", "one-item"])
+def test_comma_list_items_are_named_by_position(tmp_path, text, lines):
+    with pytest.raises(ConfigurationError) as info:
+        io.parse_config(write_config(tmp_path, text))
+    assert str(info.value).splitlines() == lines
+
+
+# int() and float() read digit-group underscores and non-ASCII digits, so ``grid = 6_4``
+# and a full-width ``grid = ６４`` once ran as grid 64; every number now has one ASCII grammar.
+@pytest.mark.parametrize("text, line", [
+    ("[domain]\ngrid = 6_4\n", "(2.11) domain.grid must be a finite integer, got '6_4'"),
+    ("[domain]\ngrid = \uff16\uff14\n", "(2.11) domain.grid must be a finite integer, got '\uff16\uff14'"),
+    ("[physics]\ngamma = 1_0.5\n", "(2.5) physics.gamma must be a finite number, got '1_0.5'"),
+    ("[data]\nf = 0.2 ; 0_5: -0.2\n", "(2.11) data.f switch time must be a finite number, got '0_5'"),
+    ("[data]\nphi0 = \uff10.1\n", "data.phi0: cannot parse field expression at '...\uff10.1'"),
+    ("[data]\nphi0 = 0.1*cos(\uff11)\n", "data.phi0: cannot parse field expression at '...*cos(\uff11)'"),
+], ids=["grid-underscore", "grid-full-width", "gamma-underscore", "switch-underscore", "coef-full-width",
+        "mode-full-width"])
+def test_numbers_are_ascii(tmp_path, text, line):
+    with pytest.raises(ConfigurationError) as info:
+        io.parse_config(write_config(tmp_path, text))
+    assert str(info.value).splitlines() == [line]
+
+
+# An unknown section or key is one untagged line of the same pass: it hides no other line.
+@pytest.mark.parametrize("text, lines", [
+    ("[physics]\ngama = 1\nb = -1\n", ["unknown key 'gama' in section [physics]",
+                                          "(2.5) b must be a positive constant, got -1.0"]),
+    ("[physicz]\nb = -1\n[time]\nt_final = abc\n", ["unknown section [physicz]",
+                                                       "(2.11) time.t_final must be a finite number, got 'abc'"]),
+    ("[nosuch]\nx = 1\n[time]\nsteps = 3\n", ["unknown section [nosuch]", "unknown key 'steps' in section [time]"]),
+], ids=["key", "section", "both"])
+def test_unknown_names_join_the_pass(tmp_path, capsys, text, lines):
+    assert io.main(["simulate", str(write_config(tmp_path, text)), "--quiet"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: " + lines[0], *lines[1:]]
 
 
 def test_problem_data_rules_wait_only_for_its_parts(tmp_path):
@@ -1025,6 +1072,43 @@ class TestSuiteViolations:
 
         monkeypatch.setattr(io.elliptic, "solve_elliptic", shifted)
         assert self.verify(tmp_path, "elliptic", trials=2)[0] == ["Newton starts disagree by 1.000e-06"] * 2
+
+    @staticmethod
+    def logarithmic(tmp_path, schedule):
+        text = (Path(__file__).parents[1] / "configs" / "logarithmic.ini").read_text(encoding="utf-8")
+        assert "schedule = 0.2, 0.1, 0.05, 0.025" in text
+        return write_config(tmp_path, text.replace("schedule = 0.2, 0.1, 0.05, 0.025", f"schedule = {schedule}"))
+
+    # yosida = (r - J) / eps rounds by about ulp(|r|) / eps, which each eps's checks admit;
+    # these schedules once exited 3 on rounding alone.
+    @pytest.mark.parametrize("schedule", ["1e-6", "1e-8", "1e-6, 1e-10"])
+    def test_small_eps_rounding_is_no_violation(self, tmp_path, schedule):
+        cfg = self.logarithmic(tmp_path, schedule)
+        assert io.main(["verify", "potentials", str(cfg), "--output-dir", str(tmp_path / "v"), "--quiet"]) == 0
+
+    def test_small_eps_resolvent_error_is_a_violation(self, tmp_path, monkeypatch):
+        # An alternating 1e-13 error in J (kept in [-1, 1]), below the oracle's 1e-10, still
+        # breaks the 1/eps Lipschitz bound at eps = 1e-6 by far more than the rounding it admits.
+        kernel = potentials._logarithmic_resolvent
+
+        def off(eps, r):
+            return np.clip(kernel(eps, r) + 1e-13 * (-1.0) ** np.arange(r.size).reshape(r.shape), -1.0, 1.0)
+
+        monkeypatch.setattr(potentials, "_logarithmic_resolvent", off)
+        out = tmp_path / "v"
+        cfg = self.logarithmic(tmp_path, "1e-6")
+        assert io.main(["verify", "potentials", str(cfg), "--output-dir", str(out), "--quiet"]) == 3
+        violations = json.loads((out / "summary.json").read_text())["violations"]
+        assert any(line.startswith("yosida exceeds the 1/eps Lipschitz bound") for line in violations), violations
+
+    def test_primitive_at_eps_1e_300_is_a_named_violation(self, tmp_path, capsys):
+        # At eps = 1e-300 value^2 once overflowed; the primitive's own rounding is then the violation.
+        out = tmp_path / "v"
+        cfg = self.logarithmic(tmp_path, "1e-300")
+        assert io.main(["verify", "potentials", str(cfg), "--output-dir", str(out), "--quiet"]) == 3
+        (line,) = json.loads((out / "summary.json").read_text())["violations"]
+        assert re.fullmatch(r"primitive leaves \[0, beta_hat\] \(defect [0-9.]+e\+2[0-9]{2}\)", line), line
+        assert capsys.readouterr().err == ""
 
 
 class TestWriters:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from conftest import pi_hat, reference_logarithmic_resolvent, sampled_spec_violations
 from thermoch import potentials as pot
 from thermoch.errors import NumericFailure
-from thermoch.io_cli import bisection_resolvent, potentials_suite, uniforms
+from thermoch.io_cli import bisection_resolvent, main, potentials_suite, uniforms
 
 REG = pot.regular_potential()
 LOG = pot.logarithmic_potential(2.0)
@@ -127,6 +128,37 @@ class TestResolvent:
         pot._start_table.cache_clear()
         assert pot.resolvent(LOG, 0.05, r).tobytes() == first
 
+    def test_start_table_that_does_not_converge_names_eps(self, monkeypatch):
+        pot._start_table.cache_clear()
+        monkeypatch.setattr(pot, "_halley", lambda *args: None)
+        try:
+            with pytest.raises(NumericFailure, match=r"start table did not converge \(eps = 0\.05\)"):
+                pot._start_table(0.05)
+        finally:
+            pot._start_table.cache_clear()
+
+    def test_elliptic_2d_calls_converge_in_one_sweep(self, tmp_path, monkeypatch):
+        # Every resolvent call of verify elliptic on the elliptic_2d input, seed 0,
+        # converges in one Halley sweep from the kernel's start: the five whose
+        # |r| passes the table's top too, where the bound start is already close
+        # to the root or the point saturates.
+        calls, start = [], pot._logarithmic_start
+
+        def recording(eps, a):
+            calls.append((eps, a.copy()))
+            return start(eps, a)
+
+        monkeypatch.setattr(pot, "_logarithmic_start", recording)
+        config = Path(__file__).parent / "golden" / "elliptic_2d.ini"
+        assert main(["verify", "elliptic", str(config), "--output-dir", str(tmp_path), "--quiet"]) == 0
+        assert len(calls) == 62
+        assert sum(a.max() > pot._start_table(eps).top for eps, a in calls) == 5
+        for eps, a in calls:
+            s, saturated = start(eps, a)
+            if saturated is not None:
+                a[saturated] = 0.0
+            assert pot._halley(s, a, 2.0 * eps, 1) is not None
+
     def test_logarithmic_kernel_equals_reference_bit_for_bit(self):
         # The in-place sweeps keep every expression's association, so they
         # reproduce the kernel written with temporaries exactly, saturated
@@ -214,6 +246,20 @@ class TestYosidaPrimitive:
             assert (prim >= -1e-12).all()
             finite = np.isfinite(bh)
             assert (prim[finite] <= bh[finite] + 1e-10).all()
+
+    def test_quadratic_term_where_value_squared_overflows(self):
+        # At eps = 1e-300 a saturated point has value = 1e300, whose square overflows;
+        # the term is then (eps / 2 value) value, and where nothing overflows it keeps
+        # the bytes of (eps / 2) value^2.
+        r = np.array([-2.0, 0.5, 2.0])
+        reg = pot.regularize(LOG, 1e-300, r)
+        quadratic = (0.5 * 1e-300 * reg.value) * reg.value
+        assert np.isfinite(quadratic).all() and quadratic.max() > 1e299
+        assert reg.primitive().tobytes() == (LOG.beta_hat(reg.j) + quadratic).tobytes()
+        assert reg.primitive_sum() == float(LOG.beta_hat(reg.j).sum()) + float(quadratic.sum())
+        reg = pot.regularize(LOG, 0.05, r)
+        assert reg.primitive().tobytes() == (LOG.beta_hat(reg.j) + 0.5 * 0.05 * reg.value**2).tobytes()
+        assert reg.primitive_sum() == float(LOG.beta_hat(reg.j).sum()) + 0.5 * 0.05 * float(np.square(reg.value).sum())
 
 
 class TestYosidaDerivative:
